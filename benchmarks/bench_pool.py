@@ -120,7 +120,7 @@ def _config() -> ServiceConfig:
     # benchmark isolates scheduling and process fan-out
     return ServiceConfig(
         search=SearchConfig(max_nodes=_MAX_NODES, time_limit=_TIME_LIMIT),
-        portfolio_mode="interleaved", use_cache=False)
+        use_cache=False)
 
 
 def _request(rid: str, op: str, body: dict) -> dict:

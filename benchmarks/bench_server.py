@@ -110,8 +110,7 @@ def _service(instrumented: bool = False) -> SynthesisService:
     # benchmark isolates the scheduling, not the disk
     return SynthesisService(ServiceConfig(
         search=SearchConfig(max_nodes=_MAX_NODES, time_limit=_TIME_LIMIT),
-        portfolio_mode="interleaved", use_cache=False,
-        obs=ObsConfig.on() if instrumented else None))
+        use_cache=False, obs=ObsConfig.on() if instrumented else None))
 
 
 def _request(rid: str, body: dict) -> dict:

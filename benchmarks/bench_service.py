@@ -21,16 +21,18 @@ request boundary*.
   Reported: mean miss vs hit latency and their ratio.
 * **Batch scaling.**  A repeated request stream (a few moderate Dicke
   rows, many repeats — service traffic, not one monolithic search) goes
-  through :func:`repro.service.portfolio.run_batch` at increasing worker
-  counts, every worker seeded from a snapshot of those rows.  Costs are
-  asserted identical across worker counts *and* identical to a cold
-  single-process run without any snapshot (the acceptance property);
-  throughput (rows/sec) is reported per worker count together with the
-  host CPU count — on a single-CPU container the extra workers can only
-  add overhead, so the gate is cost identity, not scaling.
-* **Portfolio sanity.**  On sample rows, the sequential portfolio's cost
-  is asserted no worse than the best single engine under the same
-  budgets (the acceptance property of first-optimal-wins + best-of).
+  through :meth:`~repro.service.server.SynthesisService.run_batch_file`
+  in one process and across a two-process worker pool, every service
+  seeded from a snapshot of those rows (duplicates are searched once
+  and fanned out).  Costs are asserted identical across worker counts
+  *and* identical to a cold single-process run without any snapshot
+  (the acceptance property); throughput (rows/sec) is reported per
+  worker count together with the host CPU count — on a single-CPU
+  container the extra worker can only add overhead, so the gate is cost
+  identity, not scaling.
+* **Portfolio sanity.**  On sample rows, the interleaved portfolio's
+  cost is asserted no worse than the best single engine under the same
+  budgets (the best-of contract).
 
 Usage::
 
@@ -67,10 +69,9 @@ from repro.service.persistence import (                        # noqa: E402
     save_memory_snapshot,
 )
 from repro.service.portfolio import (                          # noqa: E402
-    run_batch,
-    run_engine_spec,
-    run_portfolio,
+    build_engine_run,
     default_portfolio,
+    interleaved_portfolio,
 )
 from repro.service.server import (                             # noqa: E402
     ServiceConfig,
@@ -108,8 +109,7 @@ FULL_BATCH_REPEAT = 8
 SMOKE_BATCH_REPEAT = 3
 _BATCH_MAX_NODES = 50_000
 
-FULL_WORKER_COUNTS = (1, 2, 4)
-SMOKE_WORKER_COUNTS = (1, 2)
+WORKER_COUNTS = (1, 2)
 
 #: Required ratios, per mode.  Real numbers sit far above these floors
 #: (the full snapshot-warm speedup tracks bench_memory's in-process 3.6x
@@ -213,9 +213,13 @@ def _bench_cache(batch_rows) -> dict:
     }
 
 
-def _bench_batch(batch_rows, repeat, worker_counts, tmp_dir) -> dict:
-    requests = [(f"{i}:D({n},{k})", dicke_state(n, k))
+def _bench_batch(batch_rows, repeat, tmp_dir) -> dict:
+    tmp_dir = pathlib.Path(tmp_dir)
+    requests = [{"id": f"{i}:D({n},{k})", "dicke": [n, k]}
                 for i in range(repeat) for n, k in batch_rows]
+    in_path = tmp_dir / "bench_batch.jsonl"
+    in_path.write_text("".join(json.dumps(r) + "\n" for r in requests),
+                       encoding="utf-8")
     search = SearchConfig(max_nodes=_BATCH_MAX_NODES,
                           time_limit=_TIME_LIMIT)
     # The batch snapshot covers exactly the base rows (a family run over
@@ -225,29 +229,29 @@ def _bench_batch(batch_rows, repeat, worker_counts, tmp_dir) -> dict:
         run_family([(f"D({n},{k})", dicke_state(n, k))],
                    FamilyRunConfig(engine="astar", search=search),
                    memory=seed_memory)
-    snapshot_path = pathlib.Path(tmp_dir) / "bench_batch.qspmem.gz"
+    snapshot_path = tmp_dir / "bench_batch.qspmem.gz"
     save_memory_snapshot(seed_memory, snapshot_path)
 
-    def costs_of(rows):
-        assert all(row.get("solved") for row in rows), rows
-        return {row["id"]: row.get("cnot_cost") for row in rows}
+    def run(workers: int, snapshot) -> tuple[float, dict]:
+        # a freshly booted service per run: the full production path
+        service = SynthesisService(ServiceConfig(
+            search=search,
+            snapshot_path=None if snapshot is None else str(snapshot)))
+        out_path = tmp_dir / f"bench_batch_{workers}.jsonl"
+        start = time.perf_counter()
+        service.run_batch_file(in_path, out_path, workers=workers)
+        elapsed = time.perf_counter() - start
+        rows = [json.loads(line)
+                for line in out_path.read_text().splitlines()]
+        assert all(row.get("ok") for row in rows), rows
+        return elapsed, {row["id"]: row["cnot_cost"] for row in rows}
 
     # acceptance baseline: cold single process, no snapshot
-    cold_start = time.perf_counter()
-    cold_rows = run_batch(requests, search, workers=1)
-    cold_seconds = time.perf_counter() - cold_start
-    baseline_costs = costs_of(cold_rows)
+    cold_seconds, baseline_costs = run(1, None)
     scaling = []
-    for workers in worker_counts:
-        # each scaling point is a freshly booted service: snapshot-seeded
-        # parent memory, workers seeded from the same snapshot, worker
-        # deltas merged back (the full production batch path)
-        parent = load_memory_snapshot(snapshot_path)
-        start = time.perf_counter()
-        rows = run_batch(requests, search, snapshot_path=snapshot_path,
-                         workers=workers, memory=parent)
-        elapsed = time.perf_counter() - start
-        assert costs_of(rows) == baseline_costs, \
+    for workers in WORKER_COUNTS:
+        elapsed, costs = run(workers, snapshot_path)
+        assert costs == baseline_costs, \
             f"worker count {workers} changed costs vs the cold " \
             f"single-process run"
         scaling.append({
@@ -257,8 +261,8 @@ def _bench_batch(batch_rows, repeat, worker_counts, tmp_dir) -> dict:
         })
     return {"base_rows": [list(r) for r in batch_rows],
             "repeat": repeat, "requests": len(requests),
-            # sharding can only beat one process when the host has cores
-            # to shard across; record the truth so the scaling numbers
+            # a pool can only beat one process when the host has cores
+            # to spread across; record the truth so the scaling numbers
             # are interpretable (a 1-CPU container shows pure overhead)
             "host_cpus": len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count(),
@@ -278,11 +282,11 @@ def _bench_portfolio_sanity(sample_rows) -> dict:
         single = {}
         for spec in default_portfolio():
             try:
-                single[spec.name] = run_engine_spec(
-                    spec, state, search).cnot_cost
+                single[spec.name] = build_engine_run(
+                    spec, state, search).run_to_completion().cnot_cost
             except SearchBudgetExceeded:
                 continue
-        outcome = run_portfolio(state, search)
+        outcome = interleaved_portfolio(state, search)
         assert outcome.solved
         best_single = min(single.values())
         assert outcome.result.cnot_cost <= best_single, \
@@ -294,11 +298,11 @@ def _bench_portfolio_sanity(sample_rows) -> dict:
     return {"checks": checks}
 
 
-def run_benchmark(rows, batch_rows, repeat, worker_counts) -> dict:
+def run_benchmark(rows, batch_rows, repeat) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         snapshot_path = pathlib.Path(tmp) / "bench_service.qspmem.gz"
         snapshot = _bench_snapshot(rows, snapshot_path)
-        batch = _bench_batch(batch_rows, repeat, worker_counts, tmp)
+        batch = _bench_batch(batch_rows, repeat, tmp)
     cache = _bench_cache(batch_rows)
     portfolio = _bench_portfolio_sanity(batch_rows[:2])
     report = {
@@ -355,7 +359,7 @@ def render_table(report: dict) -> str:
         title=f"batch throughput, {batch['requests']} requests "
               f"({batch['repeat']}x repeated stream) over worker count "
               f"on a {batch['host_cpus']}-CPU host "
-              "(snapshot-seeded workers; identical costs asserted)"))
+              "(snapshot-seeded services; identical costs asserted)"))
     return "\n\n".join(blocks)
 
 
@@ -364,10 +368,9 @@ def main(argv: list[str]) -> int:
     rows = SMOKE_ROWS if smoke else FULL_ROWS
     batch_rows = SMOKE_BATCH_ROWS if smoke else FULL_BATCH_ROWS
     repeat = SMOKE_BATCH_REPEAT if smoke else FULL_BATCH_REPEAT
-    worker_counts = SMOKE_WORKER_COUNTS if smoke else FULL_WORKER_COUNTS
     warm_floor = SMOKE_WARM_THRESHOLD if smoke else FULL_WARM_THRESHOLD
     cache_floor = SMOKE_CACHE_THRESHOLD if smoke else FULL_CACHE_THRESHOLD
-    report = run_benchmark(rows, batch_rows, repeat, worker_counts)
+    report = run_benchmark(rows, batch_rows, repeat)
     report["mode"] = "smoke" if smoke else "full"
     report["thresholds"] = {"warm_speedup": warm_floor,
                             "cache_hit_speedup": cache_floor}
@@ -406,8 +409,7 @@ def main(argv: list[str]) -> int:
 
 def test_service_benchmark_smoke(results_emitter):
     """Pytest entry: smoke rows + the regression floors (CI satellite)."""
-    report = run_benchmark(SMOKE_ROWS, SMOKE_BATCH_ROWS,
-                           SMOKE_BATCH_REPEAT, SMOKE_WORKER_COUNTS)
+    report = run_benchmark(SMOKE_ROWS, SMOKE_BATCH_ROWS, SMOKE_BATCH_REPEAT)
     results_emitter("bench_service_smoke", render_table(report))
     assert report["snapshot"]["warm_speedup"] >= SMOKE_WARM_THRESHOLD
     assert report["cache"]["hit_speedup"] >= SMOKE_CACHE_THRESHOLD

@@ -78,8 +78,7 @@ def run_smoke(results_dir: pathlib.Path) -> dict:
          "sys.exit(main(sys.argv[1:]))",
          "serve", "--listen", f"127.0.0.1:{port}",
          "--metrics", f"127.0.0.1:{metrics_port}",
-         "--trace", str(trace_path),
-         "--portfolio", "interleaved"],
+         "--trace", str(trace_path)],
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     report: dict = {"port": port, "metrics_port": metrics_port}

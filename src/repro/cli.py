@@ -50,14 +50,12 @@ one JSON response per stdout line), warm-started from a snapshot::
     repro-qsp serve --snapshot warm.qspmem.gz
     echo '{"id": 1, "op": "exact", "dicke": [4, 2]}' | repro-qsp serve
 
-Serve with the *interleaved* portfolio scheduler — all engine lanes
-time-sliced in one process, feasible costs shared as live incumbents,
-first proven optimum cancels the rest — and/or a wall-clock deadline per
-request, after which the best feasible circuit found so far is returned
-instead of an error (a request's own ``deadline_ms`` field overrides the
-flag)::
+Every request runs the engine portfolio — all lanes time-sliced in one
+process, feasible costs shared as live incumbents, first proven optimum
+cancels the rest.  A wall-clock deadline per request returns the best
+feasible circuit found so far instead of an error (a request's own
+``deadline_ms`` field overrides the flag)::
 
-    repro-qsp serve --portfolio interleaved
     repro-qsp serve --deadline-ms 250
     echo '{"id": 1, "op": "exact", "dicke": [6, 3], "deadline_ms": 250}' \
         | repro-qsp serve
@@ -72,8 +70,8 @@ incremental write-ahead log of everything the memory learns: one delta
 record per settled request, replayed on boot, compacted into a full
 snapshot every ``--wal-compact-every`` records and at shutdown::
 
-    repro-qsp serve --listen 127.0.0.1:7700 --portfolio interleaved \
-        --wal service.qspwal --max-inflight 16
+    repro-qsp serve --listen 127.0.0.1:7700 --wal service.qspwal \
+        --max-inflight 16
     repro-qsp serve --listen 127.0.0.1:7700 --wal service.qspwal \
         --wal-compact-every 64 --deadline-ms 500
 
@@ -88,7 +86,7 @@ merged memories never regress).  A dense ``prepare`` on one worker no
 longer delays a light ``exact`` routed to another::
 
     repro-qsp serve --listen 127.0.0.1:7700 --workers 4 \
-        --wal service.qspwal --portfolio interleaved
+        --wal service.qspwal
     echo '{"id": 1, "op": "stats"}'  # reports per-worker + pool sections
 
 Serving observes itself by default (metrics registry + ring-buffered
@@ -111,22 +109,20 @@ exact-hit request cache persists across restarts::
     echo '{"id": 1, "op": "exact", "w": 5, "topology": "heavy_hex"}' | \
         repro-qsp serve --topology heavy_hex --topology-size 5
 
-Batch-synthesize a JSONL request file across worker processes, each
-seeded from the snapshot (costs are identical to cold single-process
-runs; only the time changes); ``--topology`` pins the device exactly as
-in ``serve``::
+Batch-synthesize a JSONL request file (every line an ``exact`` request,
+answered exactly as ``serve`` would); ``--workers N`` spreads it over
+the same worker pool as ``serve --workers N``, each worker seeded from
+the snapshot; ``--topology`` pins the device exactly as in ``serve``::
 
     repro-qsp batch requests.jsonl results.jsonl \
         --snapshot warm.qspmem.gz --workers 4
     repro-qsp batch requests.jsonl results.jsonl \
         --topology line --topology-size 4
 
-Batch with the interleaved scheduler and a per-request latency budget
-(rows that hit the deadline report their best feasible cost with
-``deadline_expired``)::
+Batch with a per-request latency budget (rows that hit the deadline
+report their best feasible cost with ``deadline_expired``)::
 
-    repro-qsp batch requests.jsonl results.jsonl \
-        --portfolio interleaved --deadline-ms 500
+    repro-qsp batch requests.jsonl results.jsonl --deadline-ms 500
 
 Serve latency-first with ``op: fast`` — answer from the cache, else
 adapt the nearest cached circuit that shares the target's entanglement
@@ -135,7 +131,7 @@ serving), else fall back to a search driven by the pattern database's
 learned bound tier.  The same tiers back ``prepare --mode fast``::
 
     echo '{"id": 1, "op": "fast", "w": 5, "deadline_ms": 250}' | \
-        repro-qsp serve --portfolio interleaved
+        repro-qsp serve
     repro-qsp prepare --w 5 --mode fast --snapshot warm.qspmem.gz \
         --cache-snapshot cache.qspreq.gz --deadline-ms 250
 
@@ -354,12 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-limit", type=float, default=None,
                        help="per-engine wall-clock budget in seconds "
                             "(same scope as --max-nodes)")
-    serve.add_argument("--race-workers", type=int, default=0, metavar="N",
-                       help="race the engine portfolio across N processes "
-                            "per exact request with first-optimal-wins "
-                            "cancellation (default 0 = in-process "
-                            "portfolio, see --portfolio)")
-    _add_portfolio_options(serve)
+    _add_deadline_option(serve)
     serve.add_argument("--cache-snapshot", metavar="FILE",
                        help="persist the exact-hit request cache to FILE "
                             "(loaded at boot when it exists, written on "
@@ -398,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "once; requests beyond it are answered "
                             "ok:false busy:true (default "
                             f"{SERVICE_MAX_INFLIGHT})")
-    serve.add_argument("--no-autotune", action="store_true",
-                       help="disable lane auto-tuning (slice budgets and "
-                            "lane drops derived from persisted per-lane "
-                            "win statistics) for scheduler sessions")
     serve.add_argument("--no-obs", action="store_true",
                        help="disable observability (metrics registry + "
                             "request tracing; enabled by default when "
@@ -422,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch",
         help="batch synthesis: JSONL request file in, JSONL response "
-             "file out, sharded across worker processes")
+             "file out, optionally across a worker pool")
     batch.add_argument("input", help="JSONL request file (one target per "
                                      "line, same schema as 'serve')")
     batch.add_argument("output", help="JSONL response file to write")
@@ -430,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-start snapshot each worker seeds its "
                             "memory from")
     batch.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes to shard the stream across "
-                            "(default 1 = in-process)")
+                       help="service processes to spread the requests "
+                            "over, the 'serve --workers' pool (default 1 "
+                            "= in-process)")
     batch.add_argument("--max-nodes", type=int, default=None,
                        help="per-engine expansion budget (default: "
                             "engine defaults)")
@@ -440,31 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--circuits", action="store_true",
                        help="include the synthesized circuits in the "
                             "response lines")
-    _add_portfolio_options(batch)
+    _add_deadline_option(batch)
     _add_topology_options(batch)
     return parser
 
 
-def _add_portfolio_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--portfolio", default="sequential",
-                        choices=("sequential", "interleaved"),
-                        dest="portfolio_mode",
-                        help="in-process scheduler for exact requests: "
-                             "'sequential' runs lanes in order with "
-                             "incumbent threading; 'interleaved' "
-                             "time-slices all lanes in one process, "
-                             "shares feasible costs as live incumbents, "
-                             "and cancels everything at the first proven "
-                             "optimum (race semantics, zero extra "
-                             "processes)")
+def _add_deadline_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deadline-ms", type=float, default=None,
                         metavar="MS",
-                        help="wall-clock budget per exact request; when "
-                             "it expires the interleaved scheduler "
-                             "(which a deadline implies) returns the "
-                             "best feasible circuit found so far instead "
-                             "of an error; a request's own 'deadline_ms' "
-                             "field overrides this default")
+                        help="wall-clock budget per exact, prepare, or "
+                             "fast request; when it expires the request "
+                             "is answered with the best feasible circuit "
+                             "found so far instead of an error; a "
+                             "request's own 'deadline_ms' field "
+                             "overrides this default")
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
@@ -517,8 +494,7 @@ def _cmd_prepare_fast(args: argparse.Namespace, state: QState) -> int:
     from repro.utils.serialization import circuit_from_dict, state_to_dict
 
     config = ServiceConfig(snapshot_path=args.snapshot,
-                           cache_snapshot_path=args.cache_snapshot,
-                           portfolio_mode="interleaved")
+                           cache_snapshot_path=args.cache_snapshot)
     service = SynthesisService(config)
     request: dict = {"id": 0, "op": "fast", "state": state_to_dict(state)}
     if args.deadline_ms is not None:
@@ -754,9 +730,7 @@ def _service_config(args: argparse.Namespace, **extra):
         raise SystemExit("--topology-size without --topology")
     return ServiceConfig(search=search, qsp=qsp,
                          snapshot_path=args.snapshot,
-                         portfolio_mode=getattr(args, "portfolio_mode",
-                                                "sequential"),
-                         deadline_ms=getattr(args, "deadline_ms", None),
+                         deadline_ms=args.deadline_ms,
                          **extra)
 
 
@@ -792,22 +766,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--metrics requires --listen (the exposition "
                          "listener shares the socket event loop)")
     workers = max(1, args.workers)
-    if workers >= 2:
-        if args.listen is None:
-            raise SystemExit("--workers needs --listen (the pool fans a "
-                             "socket acceptor out across processes; the "
-                             "stdin loop is inherently one process)")
-        if args.race_workers >= 2:
-            raise SystemExit("--workers and --race-workers do not "
-                             "compose (pool workers already parallelize "
-                             "across requests; racing inside each would "
-                             "oversubscribe every core)")
+    if workers >= 2 and args.listen is None:
+        raise SystemExit("--workers needs --listen (the pool fans a "
+                         "socket acceptor out across processes; the "
+                         "stdin loop is inherently one process)")
     config = _service_config(args, use_cache=not args.no_cache,
-                             race_workers=args.race_workers,
                              cache_snapshot_path=args.cache_snapshot,
-                             wal_path=args.wal,
-                             autotune_lanes=not args.no_autotune,
-                             **extra)
+                             wal_path=args.wal, **extra)
     if workers >= 2:
         from repro.service.asyncserver import serve_listen
         from repro.service.pool import WorkerPool

@@ -5,9 +5,9 @@ into a long-lived synthesis service:
 
 * :mod:`repro.service.persistence` — versioned on-disk snapshots of a
   ``SearchMemory`` (warm-start files), gated by the regime fingerprint;
-* :mod:`repro.service.portfolio` — engine portfolio per request
-  (sequential incumbent-threading or multi-process first-optimal-wins
-  racing) and the sharded batch runner;
+* :mod:`repro.service.portfolio` — the engine portfolio per request:
+  every lane time-sliced in one process, feasible costs shared as live
+  incumbents, first proven optimum cancels the rest;
 * :mod:`repro.service.cache` — exact-hit request cache mapping target
   states to finished :class:`~repro.qsp.workflow.QSPResult` objects;
 * :mod:`repro.service.scheduler` — the cross-request expansion
@@ -15,7 +15,10 @@ into a long-lived synthesis service:
   (earliest-deadline-first, round-robin for undeadlined requests);
 * :mod:`repro.service.server` — the :class:`SynthesisService` facade
   behind ``repro-qsp serve`` (stdin/stdout JSONL) and ``repro-qsp batch``
-  (file in / file out);
+  (file in / file out); every ``exact``/``prepare`` request, whatever
+  its front door, is a scheduler session;
+* :mod:`repro.service.pool` — ``--workers N``: N service processes
+  behind one router (``serve --listen`` and ``batch``);
 * :mod:`repro.service.asyncserver` — the asyncio socket front end
   (``serve --listen``): many concurrent clients, out-of-order responses
   matched by id, graceful drain + WAL compaction at shutdown.
@@ -30,8 +33,7 @@ from repro.service.portfolio import (
     PortfolioOutcome,
     autotune_specs,
     default_portfolio,
-    run_engine_spec,
-    run_portfolio,
+    interleaved_portfolio,
 )
 from repro.service.scheduler import RequestScheduler, RequestSession
 from repro.service.server import ServiceConfig, SynthesisService, serve_loop
@@ -46,8 +48,7 @@ __all__ = [
     "PortfolioOutcome",
     "autotune_specs",
     "default_portfolio",
-    "run_engine_spec",
-    "run_portfolio",
+    "interleaved_portfolio",
     "RequestScheduler",
     "RequestSession",
     "ServiceConfig",

@@ -1,4 +1,4 @@
-"""Multi-process serving tier: ``repro-qsp serve --listen ... --workers N``.
+"""Multi-process serving tier: ``serve --listen ... --workers N``, ``batch``.
 
 One asyncio acceptor (the unchanged :class:`~repro.service.asyncserver
 .AsyncFrontEnd`) fronts ``N`` scheduler processes, each running a full
@@ -258,7 +258,7 @@ class WorkerPool:
                 wal_path=worker_shard_path(config.wal_path, index),
                 cache_snapshot_path=worker_shard_path(
                     config.cache_snapshot_path, index),
-                race_workers=0, obs=None)
+                obs=None)
             process = ctx.Process(target=_pool_worker_main,
                                   args=(child_conn, worker_config, index),
                                   daemon=True)

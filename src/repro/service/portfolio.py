@@ -5,75 +5,49 @@ feasible circuit almost immediately but never proves optimality, A* is
 the fastest prover on states whose frontier fits in memory, IDA* wins
 when it does not (and its transposition proofs persist), and weighted
 variants trade proof for speed.  The portfolio runs a request against a
-set of :class:`EngineSpec` configurations instead of betting on one:
+set of :class:`EngineSpec` configurations instead of betting on one.
 
-* **Interleaved mode** (:func:`interleaved_portfolio`, the anytime
-  scheduler built on the stepwise :class:`~repro.core.engine.EngineRun`
-  protocol) time-slices *all* lanes round-robin inside one process: every
-  lane advances a few hundred expansions per turn, any feasible cost one
-  lane finds is injected into every other lane's branch-and-bound **the
-  moment it appears** (beam exposes intermediate incumbents while still
-  running), and the first proven-optimal outcome — a lane solving, or a
-  lane exhausting its space under the shared incumbent bound — cancels
-  the rest.  Race-mode semantics with zero process overhead, which is
-  what the single-CPU serving host actually needs, plus wall-clock
-  ``deadline_ms`` support: when the deadline expires the scheduler
-  cancels the remaining lanes and returns the best feasible circuit seen
-  so far instead of raising.
-* **Sequential mode** (:func:`run_portfolio`, the historical default)
-  runs the specs in order with *incumbent threading*: the best feasible
-  cost so far is handed to every later A* spec, whose branch-and-bound
-  mode (see :func:`repro.core.astar.astar_search`) prunes against it —
-  and, via the shared memory's transposition table, against IDA*
-  exhaustion proofs.  The first proven-optimal result stops the line.
-* **Race mode** (:func:`race_portfolio`) spawns one worker process per
-  spec, each seeded from the same on-disk memory snapshot, and cancels
-  the stragglers the moment any worker reports a proven-optimal result
-  (first-optimal-wins); otherwise the best feasible cost wins.
+There is one portfolio: :class:`LaneScheduler`, built on the stepwise
+:class:`~repro.core.engine.EngineRun` protocol, time-slices *all* lanes
+round-robin inside one process.  Every lane advances a few hundred
+expansions per round, any feasible cost one lane finds is injected into
+every other lane's branch-and-bound **the moment it appears** (beam
+exposes intermediate incumbents while still running), and the first
+proven-optimal outcome — a lane solving, or a lane exhausting its space
+under the shared incumbent bound — cancels the rest.  A wall-clock
+``deadline_ms`` cancels the remaining lanes and returns the best feasible
+circuit seen so far instead of raising.  The service's cross-request
+scheduler (:mod:`repro.service.scheduler`) drives one instance per
+in-flight request; :func:`interleaved_portfolio` drives one to
+completion for one-shot callers (``op: fast``, benchmarks, oracles).
 
-Every mode is best-of over its member results on the same budgets, so the
-portfolio is never worse than the best single engine — the service
-acceptance test asserts exactly that, and ``benchmarks/bench_portfolio.py``
-additionally asserts sequential and interleaved return identical costs.
+The portfolio is best-of over its lanes on the same budgets, so it is
+never worse than the best single engine — the service tests and
+``benchmarks/bench_portfolio.py`` assert exactly that.
 
 **Adaptive lane ordering.**  When a :class:`~repro.core.memory
-.SearchMemory` is supplied, both in-process modes order their lanes by
-historical win rate (:func:`order_specs`): per-lane win/feasible/timeout
-counters accumulate in ``memory.lane_stats``, persist inside memory
-snapshots, and ties break by the caller's spec order, so runs stay
-reproducible.  Ordering only changes *which lane gets CPU first* — the
-best-of result contract is order-independent.
-
-:func:`run_batch` shards a request list across worker processes; each
-worker carries its own warm memory seeded from the snapshot and ships its
-store delta back to the parent on exit, so batch traffic keeps fattening
-the service memory instead of discarding what the workers learned.
+.SearchMemory` is supplied, lanes are ordered by historical win rate
+(:func:`order_specs`): per-lane win/feasible/timeout counters accumulate
+in ``memory.lane_stats``, persist inside memory snapshots, and ties
+break by the caller's spec order, so runs stay reproducible.  Ordering
+only changes *which lane gets CPU first* — the best-of result contract
+is order-independent.  :func:`autotune_specs` turns the same counters
+into per-lane slice budgets for scheduler sessions.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 
 from repro.constants import PORTFOLIO_SLICE_EXPANSIONS
-from repro.core.astar import AStarRun, SearchConfig, SearchResult, \
-    astar_search
+from repro.core.astar import AStarRun, SearchConfig, SearchResult
 from repro.core.beam import BeamConfig, BeamRun
 from repro.core.engine import EngineRun, RunStatus
 from repro.core.idastar import IDAStarConfig, IDAStarRun
 from repro.core.memory import SearchMemory
-from repro.exceptions import SearchBudgetExceeded, SynthesisError
+from repro.exceptions import SearchBudgetExceeded
 from repro.states.qstate import QState
-from repro.utils.serialization import (
-    circuit_from_dict,
-    circuit_to_dict,
-    memory_baseline,
-    memory_merge_dict,
-    memory_to_dict,
-    state_from_dict,
-    state_to_dict,
-)
 from repro.utils.timing import Stopwatch
 
 __all__ = [
@@ -84,12 +58,7 @@ __all__ = [
     "order_specs",
     "autotune_specs",
     "build_engine_run",
-    "run_engine_spec",
-    "run_portfolio",
     "interleaved_portfolio",
-    "run_mode_portfolio",
-    "race_portfolio",
-    "run_batch",
 ]
 
 _ENGINES = ("astar", "idastar", "beam")
@@ -119,14 +88,14 @@ class EngineSpec:
 
 
 def default_portfolio() -> tuple[EngineSpec, ...]:
-    """The standard four lanes, in sequential-mode order.
+    """The standard four lanes, in their no-history round order.
 
-    Beam runs first because it is cheap and its feasible cost arms the
-    branch-and-bound pruning of the A* lane that follows; IDA* covers the
-    frontier-bound regime (and deposits reusable exhaustion proofs);
-    weighted A* is the anytime last resort, also incumbent-bounded.
-    With lane history (see :func:`order_specs`) the order adapts to the
-    traffic instead.
+    Beam takes the first slice of every round because it is cheap and
+    its feasible cost arms the branch-and-bound pruning of the A* lanes
+    before they step; IDA* covers the frontier-bound regime (and
+    deposits reusable exhaustion proofs); weighted A* is the anytime
+    last resort, also incumbent-bounded.  With lane history (see
+    :func:`order_specs`) the order adapts to the traffic instead.
     """
     return (
         EngineSpec("beam", "beam", weight=1.5, width=128),
@@ -137,8 +106,7 @@ def default_portfolio() -> tuple[EngineSpec, ...]:
 
 
 def order_specs(specs: tuple[EngineSpec, ...],
-                memory: SearchMemory | None, *,
-                anytime_first: bool = False) -> tuple[EngineSpec, ...]:
+                memory: SearchMemory | None) -> tuple[EngineSpec, ...]:
     """Order lanes by historical win rate (adaptive portfolio ordering).
 
     Win rate is the Laplace-smoothed ``(wins + 1) / (runs + 2)`` from
@@ -146,23 +114,13 @@ def order_specs(specs: tuple[EngineSpec, ...],
     order, via a stable sort, so two runs over the same history schedule
     lanes identically — reproducibility is part of the contract.  The
     smoothing is what keeps the ordering *adaptive* rather than frozen:
-    sequential first-optimal-wins never runs the lanes behind the
-    winner, so a raw ``wins / runs`` would pin an early winner first
-    forever (everyone else stays at 0/0).  Smoothed, a never-run lane
-    scores the neutral 0.5 — ahead of lanes that run and keep losing,
-    behind a leader with a real winning record — so mediocre leaders get
-    challenged and newly added specs are not born last.
-
-    ``anytime_first`` is the *sequential* mode's constraint: its
-    incumbent threading only works front-to-back, so an anytime (beam)
-    lane must stay ahead of the exact lanes it arms — reordering an A*
-    lane before every feasible-producing lane would strip it of its
-    incumbent, and a budget-bound row would then lose its optimality
-    proof (or its whole result) to the reordering.  Under the
-    constraint, beam lanes keep the front block and each block reorders
-    internally by win rate.  The interleaved scheduler needs no such
-    constraint (incumbents are injected live, whatever the order), so it
-    uses the unconstrained ordering.
+    a spec added after the history began has no runs at all, and a raw
+    ``wins / runs`` would have nothing to rank it by.  Smoothed, a
+    never-run lane scores the neutral 0.5 — ahead of lanes that run and
+    keep losing, behind a leader with a real winning record — so
+    mediocre leaders get challenged and newly added specs are not born
+    last.  Incumbents are injected live whatever the order, so no lane
+    needs to stay ahead of the lanes it arms.
 
     Scope of the guarantee: with per-lane budgets fixed, ordering never
     changes any individual lane's *cost* and the portfolio stays best-of
@@ -181,11 +139,7 @@ def order_specs(specs: tuple[EngineSpec, ...],
 
     indexed = sorted(range(len(specs)),
                      key=lambda i: (-win_rate(specs[i]), i))
-    ordered = [specs[i] for i in indexed]
-    if anytime_first:
-        ordered = [s for s in ordered if s.engine == "beam"] + \
-            [s for s in ordered if s.engine != "beam"]
-    return tuple(ordered)
+    return tuple(specs[i] for i in indexed)
 
 
 @dataclass
@@ -195,9 +149,10 @@ class PortfolioOutcome:
     result: SearchResult | None
     winner: str | None
     attempts: list[dict] = field(default_factory=list)
-    #: interleaved mode only: the wall-clock deadline expired and the
-    #: remaining lanes were cancelled — ``result`` is the best feasible
-    #: circuit found before the cutoff (or ``None`` if none was)
+    #: the wall-clock deadline expired (or a shutdown drain cut the
+    #: schedule short) and the remaining lanes were cancelled —
+    #: ``result`` is the best feasible circuit found before the cutoff
+    #: (or ``None`` if none was)
     deadline_expired: bool = False
 
     @property
@@ -213,15 +168,12 @@ class PortfolioOutcome:
 
 def build_engine_run(spec: EngineSpec, state: QState, search: SearchConfig,
                      memory: SearchMemory | None = None,
-                     incumbent=None,
                      pdb_tier: str = "admissible") -> EngineRun:
     """Arm one lane as a stepwise :class:`~repro.core.engine.EngineRun`.
 
     Lane configs derive from the shared ``search`` so every lane attaches
-    to the same memory regime; ``incumbent`` seeds branch-and-bound for
-    A* lanes only (the sequential mode's historical contract — in the
-    interleaved scheduler every lane instead receives incumbents live via
-    ``inject_incumbent``).  ``pdb_tier`` selects the IDA* lane's
+    to the same memory regime; incumbents arrive live via
+    ``inject_incumbent``.  ``pdb_tier`` selects the IDA* lane's
     pattern-database root-bound tier (``"learned"`` only for the
     service's ``fast`` mode — its inadmissible seed trades the optimality
     proof for fewer deepening rounds; exact modes keep the sound
@@ -230,7 +182,7 @@ def build_engine_run(spec: EngineSpec, state: QState, search: SearchConfig,
     if spec.engine == "astar":
         config = search if spec.weight == search.weight \
             else replace(search, weight=spec.weight)
-        return AStarRun(state, config, memory=memory, incumbent=incumbent)
+        return AStarRun(state, config, memory=memory)
     if spec.engine == "idastar":
         return IDAStarRun(state,
                           IDAStarConfig(search=search, pdb_tier=pdb_tier),
@@ -244,28 +196,6 @@ def build_engine_run(spec: EngineSpec, state: QState, search: SearchConfig,
         cache_cap=search.cache_cap, topology=search.topology,
         profile=search.profile)
     return BeamRun(state, beam_config, memory=memory)
-
-
-def run_engine_spec(spec: EngineSpec, state: QState, search: SearchConfig,
-                    memory: SearchMemory | None = None,
-                    incumbent=None) -> SearchResult:
-    """Run one lane to completion.  Only A* lanes honor ``incumbent``
-    (branch-and-bound); beam lanes derive their config from ``search`` so
-    every lane shares one memory regime.
-
-    An A* lane with ``use_kernel=False`` runs the one-shot reference loop
-    (stepwise runs are kernel-only): the historical dispatch for callers
-    benchmarking the dict-based path through a sequential portfolio.  The
-    *interleaved* scheduler has no such fallback — it needs pausable
-    runs, so :func:`build_engine_run` rejects non-kernel configs there.
-    """
-    if spec.engine == "astar" and not search.use_kernel:
-        config = search if spec.weight == search.weight \
-            else replace(search, weight=spec.weight)
-        return astar_search(state, config, memory=memory,
-                            incumbent=incumbent)
-    return build_engine_run(spec, state, search, memory=memory,
-                            incumbent=incumbent).run_to_completion()
 
 
 def _better(candidate: SearchResult, best: SearchResult | None) -> bool:
@@ -285,54 +215,11 @@ def _record_lane_outcomes(memory: SearchMemory | None, attempts: list[dict],
         memory.record_lane_outcome(
             attempt["name"],
             won=(winner is not None and attempt["name"] == winner),
-            # interleaved audit rows carry an explicit feasible flag
-            # (anytime lanes can hold a circuit without terminating
-            # SOLVED — cancelled beam after a harvest or deadline flush);
-            # sequential rows fall back to solved, where the two coincide
-            feasible=bool(attempt.get("feasible",
-                                      attempt.get("solved"))),
+            # feasible, not solved: anytime lanes can hold a circuit
+            # without terminating SOLVED (cancelled beam after a harvest
+            # or deadline flush)
+            feasible=attempt["feasible"],
             timeout=bool(attempt.get("timeout")))
-
-
-def run_portfolio(state: QState, search: SearchConfig | None = None,
-                  specs: tuple[EngineSpec, ...] | None = None,
-                  memory: SearchMemory | None = None) -> PortfolioOutcome:
-    """Sequential portfolio with incumbent threading (see module docs)."""
-    search = search or SearchConfig()
-    specs = order_specs(specs or default_portfolio(), memory,
-                        anytime_first=True)
-    best: SearchResult | None = None
-    winner: str | None = None
-    attempts: list[dict] = []
-    for spec in specs:
-        incumbent = best if spec.engine == "astar" else None
-        start = time.perf_counter()
-        try:
-            result = run_engine_spec(spec, state, search, memory=memory,
-                                     incumbent=incumbent)
-        except (SearchBudgetExceeded, SynthesisError) as exc:
-            # SynthesisError: a topology-restricted beam lane has no
-            # m-flow completion tail and may finish empty-handed — a
-            # failed lane, not a failed portfolio
-            attempts.append({
-                "name": spec.name, "solved": False,
-                "timeout": isinstance(exc, SearchBudgetExceeded),
-                "lower_bound": getattr(exc, "lower_bound", 0),
-                "seconds": round(time.perf_counter() - start, 6),
-            })
-            continue
-        attempts.append({
-            "name": spec.name, "solved": True,
-            "cnot_cost": result.cnot_cost, "optimal": result.optimal,
-            "nodes_expanded": result.stats.nodes_expanded,
-            "seconds": round(time.perf_counter() - start, 6),
-        })
-        if _better(result, best):
-            best, winner = result, spec.name
-        if best is not None and best.optimal:
-            break  # first-optimal-wins: later lanes cannot do better
-    _record_lane_outcomes(memory, attempts, winner)
-    return PortfolioOutcome(result=best, winner=winner, attempts=attempts)
 
 
 # ----------------------------------------------------------------------
@@ -453,12 +340,15 @@ class LaneScheduler:
                 self.proven = True
         elif status is RunStatus.PROVEN:
             # the lane exhausted everything cheaper than the shared
-            # incumbent: whoever holds that incumbent holds the optimum
+            # incumbent: that incumbent is the optimum, and the proof is
+            # this lane's win — crediting the lane that merely holds the
+            # circuit would teach auto-tuning that provers never win
             bound = lane.run.incumbent_bound
             row["lower_bound"] = bound
             if self.best is not None and bound is not None and \
                     self.best.cnot_cost <= bound:
                 self.best = replace(self.best, optimal=True)
+                self.winner = lane.spec.name
                 self.proven = True
         elif status is RunStatus.EXHAUSTED:
             error = lane.run.error
@@ -569,10 +459,10 @@ def interleaved_portfolio(
     A thin driver over :class:`LaneScheduler` — run rounds until the
     schedule is over, then settle.  All slicing/incumbent/deadline
     semantics live in the class (shared verbatim with the cross-request
-    scheduler); the cost contract is unchanged: because lanes only
-    exchange *incumbent costs* (sound pruning bounds) and cancellation,
-    the returned cost equals the sequential portfolio's on the same
-    budgets — asserted by ``benchmarks/bench_portfolio.py``.
+    scheduler).  Lanes only exchange *incumbent costs* (sound pruning
+    bounds) and cancellation, so the returned cost is never worse than
+    any single lane's on the same budgets — asserted by
+    ``benchmarks/bench_portfolio.py``.
     """
     scheduler = LaneScheduler(
         state, search or SearchConfig(),
@@ -607,9 +497,9 @@ def autotune_specs(specs: tuple[EngineSpec, ...],
     functions of the counters, lane order comes from :func:`order_specs`
     (stable, reproducible), and slice-budget changes never alter a
     lane's *result* — only its CPU share (asserted differentially by the
-    portfolio bench across slice sizes).  The multi-request scheduler
-    applies this tuning; the single-request paths deliberately do not,
-    keeping their historical schedules bit-identical.
+    portfolio bench across slice sizes).  Every service ``exact``
+    session applies this tuning; one-shot :func:`interleaved_portfolio`
+    callers do not.
     """
     from repro.constants import (
         LANE_DROP_MIN_RUNS,
@@ -637,260 +527,3 @@ def autotune_specs(specs: tuple[EngineSpec, ...],
     if not kept:
         return ordered, {s.name: slice_expansions for s in ordered}
     return tuple(kept), budgets
-
-
-# ----------------------------------------------------------------------
-# Multi-process racing + batch sharding
-# ----------------------------------------------------------------------
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
-def _load_worker_memory(snapshot_path) -> SearchMemory | None:
-    if snapshot_path is None:
-        return None
-    from repro.service.persistence import load_memory_snapshot
-    return load_memory_snapshot(snapshot_path)
-
-
-def _race_worker(spec: EngineSpec, state_data: dict, search: SearchConfig,
-                 snapshot_path, memory, queue) -> None:
-    """Race-lane entry point (own process, own warm memory)."""
-    start = time.perf_counter()
-    payload: dict = {"name": spec.name, "solved": False}
-    try:
-        if memory is None:
-            memory = _load_worker_memory(snapshot_path)
-        result = run_engine_spec(spec, state_from_dict(state_data), search,
-                                 memory=memory)
-        payload.update(solved=True, cnot_cost=result.cnot_cost,
-                       optimal=result.optimal,
-                       nodes_expanded=result.stats.nodes_expanded,
-                       circuit=circuit_to_dict(result.circuit))
-    except SearchBudgetExceeded as exc:
-        payload["lower_bound"] = exc.lower_bound
-    except Exception as exc:  # pragma: no cover - defensive lane isolation
-        payload["error"] = repr(exc)
-    payload["seconds"] = round(time.perf_counter() - start, 6)
-    queue.put(payload)
-
-
-def race_portfolio(state: QState, search: SearchConfig | None = None,
-                   specs: tuple[EngineSpec, ...] | None = None,
-                   snapshot_path=None, memory: SearchMemory | None = None,
-                   lane_timeout: float = 600.0) -> PortfolioOutcome:
-    """Process-parallel portfolio with first-optimal-wins cancellation.
-
-    One worker process per spec.  Under the ``fork`` start method a live
-    ``memory`` is handed to the racers directly — each lane inherits a
-    copy-on-write view of the parent's warm memory for free, instead of
-    re-reading and re-keying the snapshot on every request; otherwise
-    (or when no memory is given) each lane seeds itself from
-    ``snapshot_path``.  The moment a lane reports a proven-optimal
-    result, the remaining lanes are terminated — their partial work is
-    discarded, the winning cost cannot be improved.  If no lane proves
-    optimality the best feasible cost wins.  Worker results travel as
-    serialized circuits, so no live search object crosses the process
-    boundary.
-
-    On a host with one CPU this mode only adds process overhead — prefer
-    :func:`interleaved_portfolio`, which delivers the same cancellation
-    semantics inside a single process.
-    """
-    search = search or SearchConfig()
-    specs = specs or default_portfolio()
-    ctx = _mp_context()
-    queue = ctx.Queue()
-    state_data = state_to_dict(state)
-    lane_memory = memory if ctx.get_start_method() == "fork" else None
-    procs = [ctx.Process(target=_race_worker,
-                         args=(spec, state_data, search, snapshot_path,
-                               lane_memory, queue),
-                         daemon=True)
-             for spec in specs]
-    for proc in procs:
-        proc.start()
-    payloads: list[dict] = []
-    try:
-        for _ in range(len(procs)):
-            try:
-                payload = queue.get(timeout=lane_timeout)
-            except Exception:  # queue.Empty: stragglers get terminated
-                break
-            payloads.append(payload)
-            if payload.get("optimal"):
-                break  # first-optimal-wins: cancel the remaining lanes
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5.0)
-    best: SearchResult | None = None
-    winner: str | None = None
-    for payload in payloads:
-        if not payload.get("solved"):
-            continue
-        candidate = SearchResult(
-            circuit=circuit_from_dict(payload["circuit"]),
-            cnot_cost=payload["cnot_cost"],
-            optimal=payload["optimal"])
-        if _better(candidate, best):
-            best, winner = candidate, payload["name"]
-    attempts = [{k: v for k, v in p.items() if k != "circuit"}
-                for p in payloads]
-    return PortfolioOutcome(result=best, winner=winner, attempts=attempts)
-
-
-def run_mode_portfolio(state: QState, search: SearchConfig,
-                       specs: tuple[EngineSpec, ...],
-                       memory: SearchMemory | None, mode: str,
-                       deadline_ms: float | None,
-                       pdb_tier: str = "admissible") -> PortfolioOutcome:
-    """Dispatch to the in-process scheduler a request asked for.
-
-    The single policy point shared by the server's ``exact`` path and the
-    batch workers, so serve and batch can never drift apart: a
-    ``deadline_ms`` forces the interleaved scheduler — it is the only
-    in-process mode that can honor a wall-clock cutoff with a best-so-far
-    answer (the sequential line would have to interrupt a monolithic
-    lane).
-    """
-    if mode == "interleaved" or deadline_ms is not None:
-        return interleaved_portfolio(state, search, specs, memory=memory,
-                                     deadline_ms=deadline_ms,
-                                     pdb_tier=pdb_tier)
-    return run_portfolio(state, search, specs, memory=memory)
-
-
-def _synthesize_one(rid, state: QState, search: SearchConfig,
-                    specs: tuple[EngineSpec, ...],
-                    memory: SearchMemory | None,
-                    with_circuit: bool, mode: str = "sequential",
-                    deadline_ms: float | None = None) -> dict:
-    start = time.perf_counter()
-    outcome = run_mode_portfolio(state, search, specs, memory, mode,
-                                 deadline_ms)
-    row: dict = {"id": rid, "solved": outcome.solved,
-                 "seconds": round(time.perf_counter() - start, 6)}
-    if outcome.deadline_expired:
-        row["deadline_expired"] = True
-    if outcome.solved:
-        assert outcome.result is not None
-        row.update(cnot_cost=outcome.result.cnot_cost,
-                   optimal=outcome.result.optimal, engine=outcome.winner)
-        if with_circuit:
-            row["circuit"] = circuit_to_dict(outcome.result.circuit)
-    else:
-        row["lower_bound"] = outcome.lower_bound
-    return row
-
-
-def _batch_worker(shard: list[tuple[object, dict, float | None]],
-                  search: SearchConfig,
-                  specs: tuple[EngineSpec, ...], snapshot_path,
-                  with_circuit: bool, mode: str, queue) -> None:
-    """Batch-shard entry point: warm memory in, results + delta out."""
-    memory = _load_worker_memory(snapshot_path) or SearchMemory()
-    # ship home only what this worker *learns* — the snapshot's own
-    # entries are already in the parent, and re-serializing them would
-    # make the exit delta scale with the snapshot instead of the shard
-    baseline = memory_baseline(memory)
-    rows = []
-    for rid, state_data, row_deadline in shard:
-        try:
-            rows.append(_synthesize_one(rid, state_from_dict(state_data),
-                                        search, specs, memory,
-                                        with_circuit, mode, row_deadline))
-        except Exception as exc:  # one bad row must not sink the shard
-            rows.append({"id": rid, "solved": False, "error": repr(exc)})
-    try:
-        delta = memory_to_dict(memory, since=baseline)
-    except Exception:  # unserializable regime: results still count
-        delta = None
-    queue.put({"rows": rows, "memory": delta})
-
-
-def run_batch(requests: list[tuple[object, QState]],
-              search: SearchConfig | None = None,
-              specs: tuple[EngineSpec, ...] | None = None,
-              snapshot_path=None, workers: int = 1,
-              memory: SearchMemory | None = None,
-              with_circuit: bool = False,
-              shard_timeout: float = 3600.0,
-              mode: str = "sequential",
-              deadline_ms: float | None = None,
-              deadline_by_id: dict | None = None) -> list[dict]:
-    """Shard ``requests`` (id, state) across workers; one row dict each.
-
-    ``workers <= 1`` runs in-process against ``memory`` (loaded from
-    ``snapshot_path`` when not supplied).  With more workers, requests are
-    sharded round-robin; every worker seeds its own memory from the
-    snapshot and ships its learned entries back, which are merged into
-    ``memory`` (when given) so the parent keeps everything the batch
-    learned.  Rows come back in request order regardless of sharding.
-    ``mode``/``deadline_ms`` select the in-process scheduler per request
-    exactly as in :func:`run_mode_portfolio` (a deadline implies the
-    interleaved scheduler); ``deadline_by_id`` overrides the batch-wide
-    deadline per request id (a request *with* an entry there uses that
-    deadline even when the batch-wide default is ``None``).
-    """
-    search = search or SearchConfig()
-    specs = specs or default_portfolio()
-    deadline_by_id = deadline_by_id or {}
-
-    def row_deadline(rid) -> float | None:
-        return deadline_by_id.get(rid, deadline_ms)
-
-    if workers <= 1 or len(requests) <= 1:
-        if memory is None:
-            memory = _load_worker_memory(snapshot_path) or SearchMemory()
-        return [_synthesize_one(rid, state, search, specs, memory,
-                                with_circuit, mode, row_deadline(rid))
-                for rid, state in requests]
-
-    workers = min(workers, len(requests))
-    shards: list[list[tuple[object, dict, float | None]]] = \
-        [[] for _ in range(workers)]
-    order: dict = {}
-    for pos, (rid, state) in enumerate(requests):
-        order[pos] = rid
-        shards[pos % workers].append((pos, state_to_dict(state),
-                                      row_deadline(rid)))
-    ctx = _mp_context()
-    queue = ctx.Queue()
-    procs = [ctx.Process(target=_batch_worker,
-                         args=(shard, search, specs, snapshot_path,
-                               with_circuit, mode, queue),
-                         daemon=True)
-             for shard in shards if shard]
-    for proc in procs:
-        proc.start()
-    by_pos: dict[int, dict] = {}
-    try:
-        for _ in range(len(procs)):
-            try:
-                payload = queue.get(timeout=shard_timeout)
-            except Exception:
-                break
-            for row in payload["rows"]:
-                by_pos[row["id"]] = row
-            if memory is not None and payload.get("memory") is not None:
-                memory_merge_dict(memory, payload["memory"])
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5.0)
-    rows = []
-    for pos, rid in order.items():
-        row = by_pos.get(pos)
-        if row is None:  # a shard died: fail its rows loudly, keep order
-            row = {"id": pos, "solved": False,
-                   "error": "batch worker did not report"}
-        rows.append(dict(row, id=rid))
-    return rows

@@ -8,21 +8,22 @@ layer and runs the request-level orchestration:
    with a WAL configured — from the WAL's compacted snapshot plus its
    replayed per-request delta records;
 2. the engine portfolio (:mod:`repro.service.portfolio`) for exact
-   synthesis requests — sequential incumbent-threading by default,
-   multi-process first-optimal-wins racing when configured;
+   synthesis requests — every lane time-sliced in one process with live
+   incumbent sharing and first-proven-optimal cancellation;
 3. a :class:`~repro.service.cache.RequestCache` so repeated traffic for
    the same target returns the synthesized circuit without searching;
 4. a :class:`~repro.service.scheduler.RequestScheduler` so *many*
    requests can be in flight at once (the concurrent serving model).
 
-**Two request paths.**  :meth:`SynthesisService.handle` is the
-synchronous one-request-at-a-time path (stdin serving, tests, batch
-admission) — unchanged semantics, one response per call.
-:meth:`SynthesisService.submit` is the non-blocking admission path the
-concurrent front end (:mod:`repro.service.asyncserver`, ``serve
---listen``) drives: it parses and validates the request, answers cache
-hits, control ops, and errors immediately through the reply callback,
-and otherwise registers a :class:`~repro.service.scheduler
+**One request path.**  :meth:`SynthesisService.submit` is the admission
+path every front door drives — the socket front end
+(:mod:`repro.service.asyncserver`, ``serve --listen``), the worker pool,
+``batch`` (:meth:`~SynthesisService.run_batch_file`), and the
+synchronous :meth:`SynthesisService.handle` (stdin ``serve``), which is
+just ``submit`` plus scheduler turns until its own reply arrives.
+``submit`` parses and validates the request, answers cache hits,
+control ops, ``fast``, and errors immediately through the reply
+callback, and otherwise registers a :class:`~repro.service.scheduler
 .RequestSession` — the portfolio lanes as stepwise
 :class:`~repro.core.engine.EngineRun` s — with the global scheduler,
 which fair-shares expansion slices across all lanes of all in-flight
@@ -30,8 +31,8 @@ requests (earliest-deadline-first, round-robin among undeadlined
 requests, per-client cancellation).  Admission is bounded: beyond
 ``max_inflight`` searching sessions the service answers ``ok: false,
 busy: true`` instead of queueing without limit.  Within one session the
-lane schedule is identical to the single-request interleaved portfolio,
-so concurrency never changes a request's cost.
+lane schedule is the interleaved portfolio's, so concurrency never
+changes a request's cost, and neither does the front door.
 
 Requests are JSON objects (one per line on the wire, stdin and socket
 alike)::
@@ -64,17 +65,15 @@ workflow as one stepwise :class:`~repro.qsp.workflow.WorkflowRun`
 honors ``deadline_ms`` with a verified best-so-far flush (never cached),
 and cancels on disconnect exactly like ``exact`` traffic.
 
-``exact`` requests may carry a wall-clock budget ``deadline_ms`` (or the
-service may set a default via ``serve --deadline-ms``): the interleaved
-portfolio scheduler — which a deadline implies, and which ``serve
---portfolio interleaved`` selects for every request — time-slices all
-engine lanes in this process, shares every feasible cost as a live
-branch-and-bound incumbent, cancels everything at the first proven
-optimum, and at the deadline returns the best feasible circuit found so
-far (``deadline_expired: true``, never cached) instead of an error.
-Under the concurrent front end a deadline also sets the request's EDF
-priority, and keeps running while other sessions hold the CPU — it is a
-caller-facing latency bound, not a CPU budget.
+Requests may carry a wall-clock budget ``deadline_ms`` (or the service
+may set a default via ``serve --deadline-ms``): the portfolio
+time-slices all engine lanes in this process, shares every feasible
+cost as a live branch-and-bound incumbent, cancels everything at the
+first proven optimum, and at the deadline returns the best feasible
+circuit found so far (``deadline_expired: true``, never cached) instead
+of an error.  A deadline also sets the request's EDF priority, and keeps
+running while other sessions hold the CPU — it is a caller-facing
+latency bound, not a CPU budget.
 
 ``op: fast`` is the latency-first tier over the same target shapes
 (``{"op": "fast", "dicke": [6, 3]}``): it tries the ``fast`` and
@@ -145,6 +144,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.constants import (
     NEARHIT_DONOR_CANDIDATES,
@@ -173,10 +173,6 @@ from repro.service.portfolio import (
     autotune_specs,
     default_portfolio,
     interleaved_portfolio,
-    order_specs,
-    race_portfolio,
-    run_batch,
-    run_mode_portfolio,
 )
 from repro.service.scheduler import (
     RequestScheduler,
@@ -187,11 +183,7 @@ from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
 from repro.utils.fingerprint import fingerprint_from_dict, \
     search_regime_dict
-from repro.utils.serialization import (
-    circuit_from_dict,
-    circuit_to_dict,
-    state_from_dict,
-)
+from repro.utils.serialization import circuit_to_dict, state_from_dict
 
 __all__ = ["ServiceConfig", "SynthesisService", "serve_loop",
            "parse_request_line", "parse_request_state"]
@@ -228,9 +220,7 @@ class ServiceConfig:
     ``search`` fixes the exact-engine regime *and* budgets for ``exact``
     requests; ``qsp`` configures the full workflow for ``prepare``
     requests (its exact stage shares the same default regime, which is
-    what lets one memory serve both paths).  ``race_workers >= 2``
-    switches ``exact`` requests from the sequential in-process portfolio
-    to process racing, each racer seeded from ``snapshot_path``.
+    what lets one memory serve both paths).
     """
 
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -239,22 +229,15 @@ class ServiceConfig:
     snapshot_path: str | None = None
     use_cache: bool = True
     cache_cap: int = SERVICE_REQUEST_CACHE_CAP
-    race_workers: int = 0
     #: persist/restore the exact-hit request cache here (``serve
     #: --cache-snapshot``): loaded at boot when the file exists (gated by
     #: the same fingerprint + format-version checks as the memory
     #: snapshot), written back on shutdown
     cache_snapshot_path: str | None = None
-    #: in-process scheduler for ``exact`` requests: ``"sequential"`` (the
-    #: historical incumbent-threading line) or ``"interleaved"`` (one
-    #: process time-slicing all lanes with live incumbent sharing and
-    #: first-proven-optimal cancellation — race semantics without the
-    #: per-lane processes).  ``race_workers >= 2`` still overrides both.
-    portfolio_mode: str = "sequential"
-    #: default wall-clock budget per ``exact`` request in milliseconds:
-    #: when it expires the interleaved scheduler (which a deadline
-    #: implies) returns the best feasible circuit found so far instead of
-    #: an error; a request's own ``deadline_ms`` field overrides this
+    #: default wall-clock budget per ``exact``, ``prepare``, or ``fast``
+    #: request in milliseconds: when it expires the request is answered
+    #: with the best feasible circuit found so far instead of an error;
+    #: a request's own ``deadline_ms`` field overrides this
     deadline_ms: float | None = None
     #: incremental snapshot WAL (``serve --wal``): learned-memory deltas
     #: appended per settled request, replayed on boot, compacted on an
@@ -267,24 +250,12 @@ class ServiceConfig:
     #: --max-inflight``): searching sessions in flight at once; requests
     #: beyond it are answered ``ok: false, busy: true``
     max_inflight: int = SERVICE_MAX_INFLIGHT
-    #: derive the concurrent scheduler's per-lane slice budgets (and drop
-    #: chronically losing lanes) from persisted ``lane_stats`` history
-    #: (:func:`repro.service.portfolio.autotune_specs`).  Applies to
-    #: scheduler sessions only — the single-request paths keep their
-    #: historical schedules bit-identical.
-    autotune_lanes: bool = True
     #: observability (:mod:`repro.obs`): ``None`` / disabled (the library
     #: default) keeps every hook a no-op and the serving path
     #: bit-identical to an uninstrumented build; the serve CLI paths pass
     #: an enabled config by default (``--no-obs`` opts out, ``--trace``
     #: adds the JSONL stream).
     obs: ObsConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.portfolio_mode not in ("sequential", "interleaved"):
-            raise ValueError(
-                f"unknown portfolio mode {self.portfolio_mode!r}; choose "
-                f"'sequential' or 'interleaved'")
 
 
 # ----------------------------------------------------------------------
@@ -462,9 +433,6 @@ class SynthesisService:
 
     # -- request plumbing ------------------------------------------------
 
-    def _parse_state(self, request: dict) -> QState:
-        return parse_request_state(request)
-
     def _request_deadline(self, request: dict) -> float | None:
         """Effective wall-clock budget of one request (ms or ``None``).
 
@@ -506,21 +474,22 @@ class SynthesisService:
                 f"--topology for this device")
 
     def handle(self, request: dict) -> dict:
-        """One request dict in, one response dict out (never raises)."""
-        rid = request.get("id")
-        op = request.get("op", "prepare")
-        self.requests += 1
-        try:
-            response = self._dispatch(rid, op, request)
-        except Exception as exc:
-            self.errors += 1
-            response = {"id": rid, "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"}
-        if self.obs is not None:
-            self.obs.request(op, _outcome_of(response))
-        return response
+        """One request dict in, one response dict out (never raises).
+
+        The synchronous front door (stdin ``serve``, ``prepare --mode
+        fast``, tests): :meth:`submit`, then drive the scheduler until
+        this request's reply arrives.  An ``exact`` or ``prepare`` request
+        therefore runs exactly the session a socket client would get —
+        same lanes, auto-tuning, deadline flush, and settle path.
+        """
+        replies: list[dict] = []
+        self.submit(request, replies.append)
+        while not replies and self.scheduler.run_turn():
+            pass
+        return replies[0]
 
     def _dispatch(self, rid, op: str, request: dict) -> dict:
+        """Answer a control op or a ``fast`` request inline."""
         if op == "stats":
             return dict(self.stats(), id=rid, ok=True, op="stats")
         if op == "trace":
@@ -544,72 +513,13 @@ class SynthesisService:
                     "op": "cache_snapshot", "path": path,
                     "entries": 0 if self.cache is None
                     else len(self.cache)}
-        state = self._parse_state(request)
+        state = parse_request_state(request)
         self._check_topology(request, state)
-        if op == "prepare":
-            return self._handle_prepare(rid, state, request)
-        if op == "exact":
-            return self._handle_exact(rid, state, request)
         if op == "fast":
             return self._handle_fast(rid, state, request)
         raise ValueError(f"unknown op {op!r}")
 
     # -- synthesis paths -------------------------------------------------
-
-    def _handle_prepare(self, rid, state: QState, request: dict) -> dict:
-        from repro.qsp.workflow import prepare_state
-
-        start = time.perf_counter()
-        result = None
-        cached = False
-        if self.cache is not None:
-            result = self.cache.get("prepare", state)
-            cached = result is not None
-        if result is None:
-            result = prepare_state(state, self.config.qsp,
-                                   memory=self.memory,
-                                   topology=self.config.search.topology)
-            if self.cache is not None:
-                self.cache.put("prepare", state, result)
-            self._wal_record()
-        else:
-            self.cache_hits += 1
-        response = {"id": rid, "ok": True, "op": "prepare",
-                    "cnot_cost": result.cnot_cost,
-                    "exact_optimal": result.exact_optimal,
-                    "sparse_path": result.sparse_path, "cached": cached,
-                    "seconds": round(time.perf_counter() - start, 6)}
-        if request.get("trace"):
-            response["trace"] = list(result.trace)
-        if request.get("return_circuit"):
-            response["circuit"] = circuit_to_dict(result.circuit)
-        return response
-
-    def _handle_exact(self, rid, state: QState, request: dict) -> dict:
-        start = time.perf_counter()
-        deadline_ms = self._request_deadline(request)
-        if self.cache is not None:
-            result = self.cache.get("exact", state)
-            if result is not None:
-                self.cache_hits += 1
-                if self.obs is not None:
-                    self.obs.cache_hit(rid, result.cnot_cost)
-                return self._cached_exact_response(rid, request, result,
-                                                   start)
-        if self.config.race_workers >= 2 and deadline_ms is None:
-            # racing cannot honor a wall-clock cutoff with a
-            # best-so-far answer, so a request that carries a
-            # deadline falls through to the interleaved scheduler
-            # instead of silently losing its deadline
-            outcome = race_portfolio(
-                state, self.config.search, self.config.specs,
-                snapshot_path=self.config.snapshot_path,
-                memory=self.memory)
-        else:
-            outcome = run_mode_portfolio(
-                state, self.config.search, self.config.specs,
-                self.memory, self.config.portfolio_mode, deadline_ms)
-        return self._finish_exact(rid, request, state, outcome, start)
 
     def _handle_fast(self, rid, state: QState, request: dict) -> dict:
         """Latency-first serving: cache → near-hit → learned-tier search.
@@ -637,10 +547,9 @@ class SynthesisService:
                     self.cache_hits += 1
                     if self.obs is not None:
                         self.obs.cache_hit(rid, result.cnot_cost)
-                    response = self._cached_exact_response(
-                        rid, request, result, start)
-                    response["op"] = "fast"
-                    return response
+                    return self._exact_response(
+                        rid, request, result, start, op="fast",
+                        engine="cache", cached=True)
             suffix_ms = NEARHIT_SUFFIX_DEADLINE_MS \
                 if deadline_ms is None else deadline_ms
             donors = (self.cache.near("exact", signature)
@@ -667,23 +576,17 @@ class SynthesisService:
                     self.cache.put("fast", state, result,
                                    signature=signature)
                 self._wal_record()
-                response = {"id": rid, "ok": True, "op": "fast",
-                            "cnot_cost": result.cnot_cost,
-                            "optimal": result.optimal,
-                            "engine": "nearhit", "cached": False,
-                            "near_hit": True, "verified": True,
-                            "seconds": round(
-                                time.perf_counter() - start, 6)}
-                if truncated:
-                    response["deadline_expired"] = True
-                if request.get("return_circuit"):
-                    response["circuit"] = circuit_to_dict(result.circuit)
+                response = self._exact_response(
+                    rid, request, result, start, op="fast",
+                    engine="nearhit", deadline_expired=truncated)
+                response.update(near_hit=True, verified=True)
                 return response
             if not donors:
                 self._note_nearhit("no_neighbor")
-        outcome = run_mode_portfolio(
-            state, self.config.search, self.config.specs, self.memory,
-            "interleaved", deadline_ms, pdb_tier="learned")
+        outcome = interleaved_portfolio(
+            state, self.config.search, self.config.specs,
+            memory=self.memory, deadline_ms=deadline_ms,
+            pdb_tier="learned")
         if outcome.solved and \
                 not prepares_state(outcome.result.circuit, state):
             # never expected (move replay is exact); refuse to serve an
@@ -701,39 +604,49 @@ class SynthesisService:
         if self.obs is not None:
             self.obs.near_hit(outcome)
 
-    def _cached_prepare_response(self, rid, request: dict, result,
-                                 start: float) -> dict:
-        """Cache-hit response for a ``prepare`` request (QSPResult)."""
+    def _exact_response(self, rid, request: dict, result: SearchResult,
+                        start: float, *, engine: str | None,
+                        op: str = "exact", cached: bool = False,
+                        deadline_expired: bool = False) -> dict:
+        """The one ``exact``/``fast`` success response (cache hit, near
+        hit, or settled search)."""
+        response = {"id": rid, "ok": True, "op": op,
+                    "cnot_cost": result.cnot_cost,
+                    "optimal": result.optimal, "engine": engine,
+                    "cached": cached,
+                    "seconds": round(time.perf_counter() - start, 6)}
+        if deadline_expired:
+            response["deadline_expired"] = True
+        if request.get("return_circuit"):
+            response["circuit"] = circuit_to_dict(result.circuit)
+        return response
+
+    def _prepare_response(self, rid, request: dict, result, start: float,
+                          *, cached: bool = False,
+                          deadline_expired: bool = False) -> dict:
+        """The one ``prepare`` success response (cache hit or settled
+        workflow session); ``result`` is a ``QSPResult``."""
         response = {"id": rid, "ok": True, "op": "prepare",
                     "cnot_cost": result.cnot_cost,
                     "exact_optimal": result.exact_optimal,
-                    "sparse_path": result.sparse_path, "cached": True,
+                    "sparse_path": result.sparse_path, "cached": cached,
                     "seconds": round(time.perf_counter() - start, 6)}
+        if deadline_expired:
+            response["deadline_expired"] = True
         if request.get("trace"):
             response["trace"] = list(result.trace)
         if request.get("return_circuit"):
             response["circuit"] = circuit_to_dict(result.circuit)
         return response
 
-    def _cached_exact_response(self, rid, request: dict,
-                               result: SearchResult, start: float) -> dict:
-        response = {"id": rid, "ok": True, "op": "exact",
-                    "cnot_cost": result.cnot_cost,
-                    "optimal": result.optimal, "engine": "cache",
-                    "cached": True,
-                    "seconds": round(time.perf_counter() - start, 6)}
-        if request.get("return_circuit"):
-            response["circuit"] = circuit_to_dict(result.circuit)
-        return response
-
     def _finish_exact(self, rid, request: dict, state: QState,
                       outcome, start: float, mode: str = "exact") -> dict:
-        """Portfolio outcome → response: the settle path shared by the
-        synchronous exact/fast handlers and the cross-request scheduler
-        (cache put, WAL append, PDB evidence distillation, response shape
-        all live here, so the paths can never drift apart).  ``mode`` is
-        both the response op and the cache namespace — fast-mode results
-        may be non-optimal and must never land under ``exact``."""
+        """Portfolio outcome → response: the settle path shared by
+        ``exact`` sessions and the ``fast`` fallback search (cache put,
+        WAL append, PDB evidence distillation, response shape).  ``mode``
+        is both the response op and the cache namespace — fast-mode
+        results may be non-optimal and must never land under
+        ``exact``."""
         deadline_expired = outcome.deadline_expired
         signature = entanglement_signature(state)
         if not outcome.solved:
@@ -759,16 +672,9 @@ class SynthesisService:
             # would serve the truncation to later, unhurried requests
             self.cache.put(mode, state, result, signature=signature)
         self._wal_record()
-        response = {"id": rid, "ok": True, "op": mode,
-                    "cnot_cost": result.cnot_cost,
-                    "optimal": result.optimal, "engine": outcome.winner,
-                    "cached": False,
-                    "seconds": round(time.perf_counter() - start, 6)}
-        if deadline_expired:
-            response["deadline_expired"] = True
-        if request.get("return_circuit"):
-            response["circuit"] = circuit_to_dict(result.circuit)
-        return response
+        return self._exact_response(rid, request, result, start, op=mode,
+                                    engine=outcome.winner,
+                                    deadline_expired=deadline_expired)
 
     def _wal_record(self) -> None:
         """Append what the memory just learned to the WAL (if configured)."""
@@ -778,43 +684,55 @@ class SynthesisService:
     # -- concurrent admission path ---------------------------------------
 
     def submit(self, request: dict, reply, client: object = None) -> bool:
-        """Non-blocking admission for the concurrent front end.
+        """Non-blocking admission: the one entry point of every request.
 
-        Control ops, parse/validation errors, and cache hits are answered
-        immediately through ``reply`` and the method returns ``False``.
-        An ``exact`` or ``prepare`` cache miss registers a
-        :class:`RequestSession` with the scheduler and returns ``True`` —
-        the reply arrives later, when the scheduler settles the session.
-        A ``prepare`` session wraps the whole workflow in a stepwise
+        Control ops, ``fast``, parse/validation errors, cache hits, and
+        busy rejections are answered immediately through ``reply`` and
+        the method returns ``False``.  An ``exact`` or ``prepare`` cache
+        miss registers a :class:`RequestSession` with the scheduler and
+        returns ``True`` — the reply arrives later, when the scheduler
+        settles the session.  An ``exact`` session carries the portfolio
+        lanes (auto-tuned from lane history, see
+        :func:`~repro.service.portfolio.autotune_specs`); a ``prepare``
+        session wraps the whole workflow in a stepwise
         :class:`~repro.qsp.workflow.WorkflowRun`, so a dense preparation
-        time-shares with light ``exact`` traffic instead of blocking the
-        admission loop.  Beyond the admission cap the request is answered
-        ``ok: false, busy: true`` right away.
+        time-shares with light ``exact`` traffic.  Beyond the admission
+        cap the request is answered ``ok: false, busy: true``.
         """
         rid = request.get("id")
         op = request.get("op", "prepare")
-        if op not in ("exact", "prepare"):
-            reply(self.handle(request))
-            return False
+        self.requests += 1
         if self.obs is not None:
-            # count every admission outcome, immediate or settled,
-            # through the one reply funnel
+            # count every outcome, immediate or settled, through the one
+            # reply funnel
             inner_reply = reply
 
             def reply(response, _inner=inner_reply, _op=op):
                 self.obs.request(_op, _outcome_of(response))
                 _inner(response)
-        self.requests += 1
         start = time.perf_counter()
         try:
-            state = self._parse_state(request)
-            self._check_topology(request, state)
-            deadline_ms = self._request_deadline(request)
+            if op in ("exact", "prepare"):
+                response = self._admit(rid, op, request, reply, client,
+                                       start)
+            else:
+                response = self._dispatch(rid, op, request)
         except Exception as exc:
             self.errors += 1
-            reply({"id": rid, "ok": False,
-                   "error": f"{type(exc).__name__}: {exc}"})
-            return False
+            response = {"id": rid, "ok": False,
+                        "error": f"{type(exc).__name__}: {exc}"}
+        if response is None:
+            return True  # the scheduler replies when the session settles
+        reply(response)
+        return False
+
+    def _admit(self, rid, op: str, request: dict, reply, client,
+               start: float) -> dict | None:
+        """Answer an ``exact``/``prepare`` request from the cache, reject
+        it as busy, or register its session (``None``)."""
+        state = parse_request_state(request)
+        self._check_topology(request, state)
+        deadline_ms = self._request_deadline(request)
         if self.cache is not None:
             result = self.cache.get(op, state)
             if result is not None:
@@ -822,20 +740,17 @@ class SynthesisService:
                 if self.obs is not None:
                     self.obs.cache_hit(rid, result.cnot_cost)
                 if op == "prepare":
-                    reply(self._cached_prepare_response(rid, request,
-                                                        result, start))
-                else:
-                    reply(self._cached_exact_response(rid, request, result,
-                                                      start))
-                return False
+                    return self._prepare_response(rid, request, result,
+                                                  start, cached=True)
+                return self._exact_response(rid, request, result, start,
+                                            engine="cache", cached=True)
         if self.scheduler.full:
             self.busy_rejections += 1
             if self.obs is not None:
                 self.obs.busy_rejected(rid)
-            reply({"id": rid, "ok": False, "busy": True, "op": op,
-                   "error": f"service at max in-flight requests "
-                            f"({self.scheduler.max_inflight})"})
-            return False
+            return {"id": rid, "ok": False, "busy": True, "op": op,
+                    "error": f"service at max in-flight requests "
+                             f"({self.scheduler.max_inflight})"}
         if self.obs is not None:
             self.obs.admission(rid, op, deadline_ms,
                                len(self.scheduler.sessions))
@@ -846,35 +761,27 @@ class SynthesisService:
                                   obs=self.obs)
             on_settle = self._settle_prepare
         else:
-            if self.config.autotune_lanes:
-                specs, budgets = autotune_specs(self.config.specs,
-                                                self.memory)
-            else:
-                specs = order_specs(self.config.specs, self.memory)
-                budgets = None
+            specs, budgets = autotune_specs(self.config.specs, self.memory)
             lanes = LaneScheduler(state, self.config.search, specs,
                                   memory=self.memory,
                                   deadline_ms=deadline_ms,
                                   slice_budgets=budgets, tag=rid,
                                   obs=self.obs)
-            on_settle = self._settle_session
-        session = RequestSession(rid=rid, request=request, state=state,
-                                 lanes=lanes, reply=reply,
-                                 on_settle=on_settle,
-                                 client=client, start=start)
-        self.scheduler.submit(session)
-        return True
+            on_settle = self._settle_exact
+        self.scheduler.submit(RequestSession(
+            rid=rid, request=request, state=state, lanes=lanes,
+            reply=reply, on_settle=on_settle, client=client, start=start))
+        return None
 
-    def _settle_session(self, session: RequestSession, outcome) -> dict:
-        """Scheduler settle hook: same finish path as the sync handler."""
+    def _settle_exact(self, session: RequestSession, outcome) -> dict:
+        """Settle hook for ``exact`` sessions."""
         return self._finish_exact(session.rid, session.request,
                                   session.state, outcome, session.start)
 
     def _settle_prepare(self, session: RequestSession, outcome) -> dict:
-        """Settle hook for scheduler-admitted ``prepare`` sessions.
+        """Settle hook for ``prepare`` sessions.
 
-        Mirrors :meth:`_handle_prepare`'s response shape; a
-        deadline-flushed best-so-far answer is marked
+        A deadline-flushed best-so-far answer is marked
         ``deadline_expired`` and never enters the request cache (it
         reflects the wall-clock cutoff, not the configured budgets)."""
         rid, request, state = session.rid, session.request, session.state
@@ -893,19 +800,8 @@ class SynthesisService:
         result = outcome.result
         if self.cache is not None and not deadline_expired:
             self.cache.put("prepare", state, result)
-        response = {"id": rid, "ok": True, "op": "prepare",
-                    "cnot_cost": result.cnot_cost,
-                    "exact_optimal": result.exact_optimal,
-                    "sparse_path": result.sparse_path, "cached": False,
-                    "seconds": round(
-                        time.perf_counter() - session.start, 6)}
-        if deadline_expired:
-            response["deadline_expired"] = True
-        if request.get("trace"):
-            response["trace"] = list(result.trace)
-        if request.get("return_circuit"):
-            response["circuit"] = circuit_to_dict(result.circuit)
-        return response
+        return self._prepare_response(rid, request, result, session.start,
+                                      deadline_expired=deadline_expired)
 
     def shutdown(self, drain_ms: float = SHUTDOWN_DRAIN_MS) -> dict:
         """Graceful shutdown: drain sessions, compact the WAL, persist.
@@ -955,12 +851,13 @@ class SynthesisService:
                        with_circuit: bool = False) -> dict:
         """File in / file out: one JSONL request per line, one response.
 
-        Requests are treated as ``exact`` portfolio synthesis (the batch
-        workload of the ROADMAP: many small cores, one warm memory).
-        Cache hits are answered in the parent; the misses are sharded
-        across ``workers`` processes, each seeded from the service's
-        snapshot, and their memory deltas merge back into the service
-        memory — a second batch over similar traffic starts warmer.
+        Every line is an ``exact`` request (the batch workload of the
+        ROADMAP: many small cores, one warm memory), whatever its ``op``
+        says.  Lines go through :meth:`submit` — this service's, or a
+        :class:`~repro.service.pool.WorkerPool`'s for ``workers >= 2`` —
+        with one request in flight per worker, so a batch row is answered
+        exactly as a ``serve`` request would be.  Rows come back in input
+        order.
         """
         requests: list[tuple[int, dict]] = []
         rows: dict[int, dict] = {}
@@ -970,40 +867,10 @@ class SynthesisService:
                 if not line:
                     continue
                 try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError(
-                            f"request must be a JSON object, got "
-                            f"{type(request).__name__}")
-                    requests.append((lineno, request))
+                    requests.append((lineno, parse_request_line(line)))
                 except ValueError as exc:
                     rows[lineno] = {"id": None, "ok": False,
                                     "error": f"bad request line: {exc}"}
-        misses: list[tuple[int, QState]] = []
-        states: dict[int, QState] = {}
-        deadlines: dict[int, float | None] = {}
-        for pos, request in requests:
-            rid = request.get("id", pos)
-            try:
-                state = self._parse_state(request)
-                self._check_topology(request, state)
-                deadline = self._request_deadline(request)
-            except Exception as exc:
-                rows[pos] = {"id": rid, "ok": False,
-                             "error": f"{type(exc).__name__}: {exc}"}
-                continue
-            states[pos] = state
-            deadlines[pos] = deadline
-            cached = self.cache.get("exact", state) \
-                if self.cache is not None else None
-            if cached is not None:
-                self.cache_hits += 1
-                rows[pos] = self._batch_row(rid, cached, cached=True,
-                                            with_circuit=with_circuit)
-            else:
-                misses.append((pos, state))
-        self.requests += len(requests)
-        request_by_pos = dict(requests)
         # Dedupe identical targets within the file: repeated traffic is
         # the expected batch shape, and without grouping the duplicates
         # would each run a full search (possibly in different workers,
@@ -1011,66 +878,56 @@ class SynthesisService:
         # fans out to every duplicate line.  The group key includes the
         # request's effective deadline, so a deadline-truncated answer
         # never fans out to a duplicate that asked for a full search.
-        groups: dict[tuple, list[int]] = {}
-        representatives: list[tuple[int, QState]] = []
-        group_of: dict[int, tuple] = {}
-        pool = StatePool()
-        for pos, state in misses:
-            key = (pool.from_qstate(state).payload, deadlines[pos])
-            group_of[pos] = key
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [pos]
-                representatives.append((pos, state))
-            else:
-                members.append(pos)
-        if representatives:
-            for row in run_batch(
-                    representatives, self.config.search, self.config.specs,
-                    snapshot_path=self.config.snapshot_path,
-                    workers=workers, memory=self.memory,
-                    with_circuit=True, mode=self.config.portfolio_mode,
-                    deadline_ms=self.config.deadline_ms,
-                    deadline_by_id={pos: deadlines[pos]
-                                    for pos, _ in representatives}):
-                rep_pos = row["id"]
-                if row.get("solved") and self.cache is not None \
-                        and not row.get("deadline_expired"):
-                    self.cache.put(
-                        "exact", states[rep_pos],
-                        SearchResult(
-                            circuit=circuit_from_dict(row["circuit"]),
-                            cnot_cost=row["cnot_cost"],
-                            optimal=row["optimal"]))
-                for pos in groups[group_of[rep_pos]]:
-                    rid = request_by_pos[pos].get("id", pos)
-                    out = {"id": rid, "ok": bool(row.get("solved")),
-                           "cached": pos != rep_pos}
-                    for key in ("cnot_cost", "optimal", "engine",
-                                "seconds", "lower_bound", "error",
-                                "deadline_expired"):
-                        if key in row:
-                            out[key] = row[key]
-                    if with_circuit and "circuit" in row:
-                        out["circuit"] = row["circuit"]
-                    rows[pos] = out
-        self._wal_record()  # worker deltas just merged into the memory
-        solved = sum(1 for row in rows.values() if row.get("ok"))
+        groups: dict[object, list[int]] = {}
+        interner = StatePool()
+        for pos, request in requests:
+            try:
+                state = parse_request_state(request)
+                key = (interner.from_qstate(state).payload,
+                       self._request_deadline(request))
+            except Exception:
+                key = pos  # its own group: submit() reports the error
+            groups.setdefault(key, []).append(pos)
+        request_by_pos = dict(requests)
+        representatives = [members[0] for members in groups.values()]
+        answers: dict[int, dict] = {}
+        workers = max(1, workers)
+        target = self
+        if workers >= 2:
+            from repro.service.pool import WorkerPool
+            target = WorkerPool(self.config, workers)
+        try:
+            submitted = 0
+            while len(answers) < len(representatives):
+                while submitted < len(representatives) and \
+                        submitted - len(answers) < workers:
+                    pos = representatives[submitted]
+                    submitted += 1
+                    target.submit(dict(request_by_pos[pos], op="exact",
+                                       return_circuit=with_circuit),
+                                  partial(answers.__setitem__, pos))
+                target.scheduler.run_turn()
+        finally:
+            if target is not self:
+                target.shutdown(drain_ms=0.0)
+        for members in groups.values():
+            answer = answers[members[0]]
+            for pos in members:
+                row = dict(answer, id=request_by_pos[pos].get("id", pos))
+                if pos != members[0]:
+                    row["cached"] = True
+                rows[pos] = row
         with open(out_path, "w", encoding="utf-8") as handle:
             for pos in sorted(rows):
                 handle.write(json.dumps(rows[pos]) + "\n")
-        return {"requests": len(requests), "solved": solved,
-                "cache_hits": sum(1 for r in rows.values()
-                                  if r.get("cached")),
-                "workers": workers}
-
-    def _batch_row(self, rid, result: SearchResult, cached: bool,
-                   with_circuit: bool) -> dict:
-        row = {"id": rid, "ok": True, "cnot_cost": result.cnot_cost,
-               "optimal": result.optimal, "cached": cached}
-        if with_circuit:
-            row["circuit"] = circuit_to_dict(result.circuit)
-        return row
+        summary = {"requests": len(requests),
+                   "solved": sum(1 for r in rows.values() if r.get("ok")),
+                   "cache_hits": sum(1 for r in rows.values()
+                                     if r.get("cached")),
+                   "workers": workers}
+        if target is not self:
+            summary["pool"] = target.routing_snapshot()
+        return summary
 
 
 def _outcome_of(response: dict) -> str:

@@ -32,7 +32,6 @@ from repro.states.families import dicke_state
 def _cfg(**kwargs) -> ServiceConfig:
     kwargs.setdefault("search", SearchConfig(max_nodes=50_000,
                                              time_limit=20.0))
-    kwargs.setdefault("portfolio_mode", "interleaved")
     kwargs.setdefault("use_cache", False)
     return ServiceConfig(**kwargs)
 
@@ -242,6 +241,22 @@ class TestServiceObs:
         metrics = stats["metrics"]
         assert metrics["qsp_requests_total"]["values"]
         assert json.loads(json.dumps(metrics)) == metrics
+
+    def test_handle_counts_each_request_once(self):
+        # handle() rides submit(): one request, one count, on both the
+        # service counter and qsp_requests_total
+        service = SynthesisService(_cfg(obs=ObsConfig.on(), use_cache=True))
+        for request in ({"id": 1, "op": "exact", "w": 4},
+                        {"id": 2, "op": "exact", "w": 4},
+                        {"id": 3, "op": "prepare", "ghz": 3},
+                        {"id": 4, "op": "exact"}):
+            service.handle(request)
+        stats = service.stats()
+        assert stats["requests"] == 4
+        counted = {tuple(row["labels"]): row["value"] for row in
+                   stats["metrics"]["qsp_requests_total"]["values"]}
+        assert counted == {("exact", "ok"): 1, ("exact", "cached"): 1,
+                           ("prepare", "ok"): 1, ("exact", "error"): 1}
 
     def test_op_trace_requires_obs(self):
         service = SynthesisService(_cfg())

@@ -1,15 +1,18 @@
 """Concurrent serving: cross-request scheduler, WAL, async front end.
 
 Covers the concurrent-model acceptance criteria: N concurrent requests
-finish with costs identical to serial execution, earliest-deadline-first
-ordering under mixed deadlines, mid-run cancellation frees its lanes,
-admission control rejects beyond the cap, WAL replay reproduces the
-full-snapshot state, and a server killed mid-burst shuts down
-gracefully (drained answers, compacted WAL, exit 0) and warm-boots.
+finish with costs identical to serial execution, every front door
+(stdin loop, submit/run_turn, batch file) answers a request with the
+same cost, earliest-deadline-first ordering under mixed deadlines,
+mid-run cancellation frees its lanes, admission control rejects beyond
+the cap, WAL replay reproduces the full-snapshot state, and a server
+killed mid-burst shuts down gracefully (drained answers, compacted WAL,
+exit 0) and warm-boots.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -23,11 +26,14 @@ import pytest
 
 from repro.core.astar import SearchConfig
 from repro.core.memory import SearchMemory
+from repro.qsp.workflow import prepare_state
 from repro.service.persistence import MemoryWAL, merge_wal_delta, \
     save_memory_snapshot, load_memory_snapshot
-from repro.service.portfolio import autotune_specs, default_portfolio
+from repro.service.portfolio import autotune_specs, default_portfolio, \
+    interleaved_portfolio
 from repro.service.scheduler import RequestScheduler, RequestSession
-from repro.service.server import ServiceConfig, SynthesisService, serve_loop
+from repro.service.server import ServiceConfig, SynthesisService, \
+    parse_request_state, serve_loop
 from repro.utils.serialization import memory_baseline, memory_to_dict, \
     memory_merge_dict, wal_record_to_dict
 
@@ -37,7 +43,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _config(**kwargs) -> ServiceConfig:
     kwargs.setdefault("search", SearchConfig(max_nodes=50_000,
                                              time_limit=20.0))
-    kwargs.setdefault("portfolio_mode", "interleaved")
     return ServiceConfig(**kwargs)
 
 
@@ -49,6 +54,30 @@ def _requests():
         {"id": "w5", "op": "exact", "w": 5},
         {"id": "d52", "op": "exact", "dicke": [5, 2]},
     ]
+
+
+def _oracle(requests, config: ServiceConfig) -> dict:
+    """Each request answered by the one-shot drivers, in order, through
+    one shared memory: ``interleaved_portfolio`` for ``exact`` and
+    ``prepare_state`` for ``prepare`` — the reference side of the
+    front-door differentials, independent of the service."""
+    memory = SearchMemory()
+    rows = {}
+    for request in requests:
+        state = parse_request_state(request)
+        if request["op"] == "prepare":
+            result = prepare_state(state, config.qsp, memory=memory)
+            rows[request["id"]] = {
+                "cnot_cost": result.cnot_cost,
+                "exact_optimal": result.exact_optimal,
+                "sparse_path": result.sparse_path,
+                "trace": list(result.trace)}
+        else:
+            outcome = interleaved_portfolio(state, config.search,
+                                            config.specs, memory=memory)
+            rows[request["id"]] = {"cnot_cost": outcome.result.cnot_cost,
+                                   "optimal": outcome.result.optimal}
+    return rows
 
 
 def _drive(service: SynthesisService, requests, client=None):
@@ -67,14 +96,13 @@ def _drive(service: SynthesisService, requests, client=None):
 
 class TestConcurrentEqualsSerial:
     def test_costs_identical_to_serial(self):
-        serial = SynthesisService(_config(use_cache=False))
-        rows = {r["id"]: serial.handle(r) for r in _requests()}
+        rows = _oracle(_requests(), _config())
         concurrent = SynthesisService(_config(use_cache=False))
         got = _drive(concurrent, _requests())
         assert set(got) == set(rows)
         assert concurrent.scheduler.peak_inflight == len(rows)
         for rid, row in rows.items():
-            assert got[rid]["ok"] and row["ok"]
+            assert got[rid]["ok"], rid
             assert got[rid]["cnot_cost"] == row["cnot_cost"], rid
             assert got[rid]["optimal"] == row["optimal"], rid
 
@@ -457,6 +485,91 @@ class TestAutotune:
         b = autotune_specs(default_portfolio(), memory, 128)
         assert a == b
 
+    def test_provers_keep_their_lane_under_traffic(self):
+        """A proof credits the proving lane, not the lane holding the
+        circuit: past ``LANE_DROP_MIN_RUNS`` light exact misses, every
+        answer is still optimal and auto-tuning still runs A*."""
+        from repro.constants import LANE_DROP_MIN_RUNS
+        from repro.states.random_states import random_real_state
+        from repro.utils.serialization import state_to_dict
+
+        service = SynthesisService()
+        replies: list[dict] = []
+        count = LANE_DROP_MIN_RUNS + 10
+        for seed in range(count):
+            state = random_real_state(4, 3, seed=seed)
+            service.submit({"id": seed, "op": "exact",
+                            "state": state_to_dict(state)}, replies.append)
+            while service.scheduler.run_turn():
+                pass
+        assert len(replies) == count
+        assert not any(r["cached"] for r in replies)  # distinct targets
+        assert all(r["ok"] and r["optimal"] for r in replies)
+        tuned, _budgets = autotune_specs(service.config.specs,
+                                         service.memory)
+        assert "astar" in [spec.name for spec in tuned]
+
+
+# ----------------------------------------------------------------------
+# one path per request: every front door answers alike
+# ----------------------------------------------------------------------
+
+class TestOnePath:
+    EXACT = [
+        {"id": "w4", "op": "exact", "w": 4},
+        {"id": "d42", "op": "exact", "dicke": [4, 2]},
+        {"id": "ghz5", "op": "exact", "ghz": 5},
+        {"id": "terms", "op": "exact",
+         "terms": {"0011": 0.6, "0101": 0.48, "1110": 0.64}},
+    ]
+    PREPARE = [
+        {"id": "pw5", "op": "prepare", "w": 5},
+        {"id": "pd52", "op": "prepare", "dicke": [5, 2]},
+    ]
+
+    def test_front_doors_agree(self, tmp_path):
+        requests = self.EXACT + self.PREPARE
+        lines = "".join(json.dumps(r) + "\n" for r in requests)
+        out = io.StringIO()
+        serve_loop(SynthesisService(_config()), io.StringIO(lines), out)
+        stdin = {r["id"]: r for r in map(json.loads,
+                                         out.getvalue().splitlines())}
+        submitted = _drive(SynthesisService(_config()), requests)
+        in_path, out_path = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        in_path.write_text("".join(json.dumps(r) + "\n"
+                                   for r in self.EXACT), encoding="utf-8")
+        SynthesisService(_config()).run_batch_file(in_path, out_path)
+        batch = {r["id"]: r for r in map(json.loads,
+                                         out_path.read_text().splitlines())}
+        for request in requests:
+            rid = request["id"]
+            doors = [stdin[rid], submitted[rid]]
+            flag = "exact_optimal"
+            if request["op"] == "exact":
+                doors.append(batch[rid])
+                flag = "optimal"
+            assert all(door["ok"] for door in doors), rid
+            assert len({(door["cnot_cost"], door[flag])
+                        for door in doors}) == 1, (rid, doors)
+
+    def test_stdin_prepare_honors_deadline(self):
+        from repro.sim.verify import prepares_state
+        from repro.states.random_states import random_dense_state
+        from repro.utils.serialization import circuit_from_dict, \
+            state_to_dict
+
+        state = random_dense_state(4, seed=0)
+        service = SynthesisService(_config())  # cache on
+        request = {"id": "dense", "op": "prepare", "deadline_ms": 1,
+                   "state": state_to_dict(state), "return_circuit": True}
+        out = io.StringIO()
+        serve_loop(service, io.StringIO(json.dumps(request) + "\n"), out)
+        [row] = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert row["ok"] and row["deadline_expired"] is True
+        assert prepares_state(circuit_from_dict(row["circuit"]), state)
+        # a truncated answer never enters the request cache
+        assert service.cache.get("prepare", state) is None
+
 
 # ----------------------------------------------------------------------
 # serve_loop robustness
@@ -524,13 +637,12 @@ class TestConcurrentPrepare:
             {"id": "w", "op": "prepare", "w": 5, "trace": True},
             {"id": "d", "op": "prepare", "dicke": [5, 2], "trace": True},
         ]
-        inline = SynthesisService(_config(use_cache=False))
-        rows = {r["id"]: inline.handle(r) for r in requests}
+        rows = _oracle(requests, _config())
         concurrent = SynthesisService(_config(use_cache=False))
         got = _drive(concurrent, requests)
         assert set(got) == set(rows)
         for rid, row in rows.items():
-            assert got[rid]["ok"] and row["ok"], rid
+            assert got[rid]["ok"], rid
             assert got[rid]["cnot_cost"] == row["cnot_cost"], rid
             assert got[rid]["exact_optimal"] == row["exact_optimal"], rid
             assert got[rid]["sparse_path"] == row["sparse_path"], rid
@@ -639,14 +751,13 @@ class TestWorkerPool:
         from repro.service import pool as pool_module
 
         monkeypatch.setattr(pool_module, "POOL_CROSS_MERGE_INTERVAL", 2)
-        inline = SynthesisService(_config(use_cache=False))
         requests = [
             {"id": "p-g", "op": "prepare", "ghz": 4},
             {"id": "e-w", "op": "exact", "w": 4},
             {"id": "p-d", "op": "prepare", "dicke": [4, 2]},
             {"id": "e-g", "op": "exact", "ghz": 5},
         ]
-        rows = {r["id"]: inline.handle(r) for r in requests}
+        rows = _oracle(requests, _config())
         pool = pool_module.WorkerPool(
             _config(use_cache=False,
                     wal_path=str(tmp_path / "pool.qspwal")), 2)
@@ -660,7 +771,7 @@ class TestWorkerPool:
             got = {r["id"]: r for r in replies}
             assert set(got) == set(rows)
             for rid, row in rows.items():
-                assert got[rid]["ok"] and row["ok"], rid
+                assert got[rid]["ok"], rid
                 assert got[rid]["cnot_cost"] == row["cnot_cost"], rid
             assert sum(pool.routed) == len(requests)
             assert pool.merge_rounds >= 1
@@ -704,7 +815,7 @@ class TestGracefulShutdown:
              "import sys; from repro.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
              "serve", "--listen", f"127.0.0.1:{port}",
-             "--wal", str(wal_path), "--portfolio", "interleaved"],
+             "--wal", str(wal_path)],
             env=dict(os.environ,
                      PYTHONPATH=os.path.join(REPO_ROOT, "src")),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE)

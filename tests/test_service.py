@@ -2,8 +2,8 @@
 
 Covers the regime-fingerprint codec, disk snapshot round trips (including
 the loud failure modes), the request cache, the engine portfolio
-(sequential incumbent threading, process racing, batch sharding with
-memory-delta merge), the service facade + serve loop, the CLI wiring,
+(best-of over its lanes, live incumbent sharing), batch files inline and
+across a worker pool, the service facade + serve loop, the CLI wiring,
 and the shared benchmark-artifact stamp.
 """
 
@@ -35,11 +35,9 @@ from repro.service.persistence import (
 )
 from repro.service.portfolio import (
     EngineSpec,
+    build_engine_run,
     default_portfolio,
-    race_portfolio,
-    run_batch,
-    run_engine_spec,
-    run_portfolio,
+    interleaved_portfolio,
 )
 from repro.service.server import ServiceConfig, SynthesisService, serve_loop
 from repro.sim.verify import prepares_state
@@ -287,41 +285,38 @@ class TestRequestCache:
 
 
 class TestPortfolio:
-    def test_sequential_first_optimal_wins(self):
-        outcome = run_portfolio(w_state(4), SearchConfig())
-        assert outcome.solved and outcome.result.optimal
-        assert outcome.result.cnot_cost == 7
-        names = [a["name"] for a in outcome.attempts]
-        # beam ran (incumbent), astar proved optimality, line stopped
-        assert names == ["beam", "astar"]
-
     def test_never_worse_than_best_single_engine(self):
         search = SearchConfig(max_nodes=60_000)
         for state in (dicke_state(4, 2), w_state(4), ghz_state(4)):
             single = []
             for spec in default_portfolio():
                 try:
-                    single.append(run_engine_spec(spec, state,
-                                                  search).cnot_cost)
+                    single.append(build_engine_run(
+                        spec, state, search).run_to_completion().cnot_cost)
                 except Exception:
                     continue
-            outcome = run_portfolio(state, search)
+            outcome = interleaved_portfolio(state, search)
             assert outcome.solved
             assert outcome.result.cnot_cost <= min(single)
 
     def test_incumbent_threading_reaches_astar(self):
+        # beam's feasible cost is injected into the A* lane live; A*
+        # exhausts everything cheaper, and the proof is A*'s win
         memory = SearchMemory()
-        outcome = run_portfolio(dicke_state(4, 2), SearchConfig(),
-                                memory=memory)
+        outcome = interleaved_portfolio(dicke_state(4, 2), SearchConfig(),
+                                        memory=memory)
         assert outcome.solved and outcome.result.optimal
         astar_attempt = next(a for a in outcome.attempts
                              if a["name"] == "astar")
-        assert astar_attempt["solved"]
+        assert astar_attempt["status"] in ("solved", "proven")
+        assert outcome.winner == "astar"
+        assert memory.lane_stats["astar"]["wins"] == 1
 
     def test_budget_exhausted_lane_reports_lower_bound(self):
         search = SearchConfig(max_nodes=10)
         specs = (EngineSpec("astar", "astar"),)
-        outcome = run_portfolio(dicke_state(5, 2), search, specs=specs)
+        outcome = interleaved_portfolio(dicke_state(5, 2), search,
+                                        specs=specs)
         assert not outcome.solved
         assert outcome.lower_bound > 0
 
@@ -329,53 +324,67 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             EngineSpec("x", "dijkstra")
 
-    def test_race_portfolio_finds_optimum(self, tmp_path):
-        memory = SearchMemory()
-        idastar_search(dicke_state(4, 2), memory=memory)
-        snap = tmp_path / "warm.json"
-        save_memory_snapshot(memory, snap)
-        outcome = race_portfolio(dicke_state(4, 2),
-                                 SearchConfig(max_nodes=100_000),
-                                 snapshot_path=snap, lane_timeout=300.0)
-        assert outcome.solved
-        assert outcome.result.cnot_cost == 6
-        assert prepares_state(outcome.result.circuit, dicke_state(4, 2))
+
+def _batch_file(service, tmp_path, requests, **kwargs):
+    """Write ``requests`` as a JSONL file, batch it, read the rows."""
+    in_path = tmp_path / "in.jsonl"
+    out_path = tmp_path / "out.jsonl"
+    in_path.write_text("".join(json.dumps(r) + "\n" for r in requests),
+                       encoding="utf-8")
+    summary = service.run_batch_file(in_path, out_path, **kwargs)
+    return summary, [json.loads(line)
+                     for line in out_path.read_text().splitlines()]
 
 
 class TestBatch:
     ROWS = [(3, 1), (4, 1), (4, 2)]
 
     def _requests(self):
-        return [(f"D({n},{k})", dicke_state(n, k)) for n, k in self.ROWS]
+        return [{"id": f"D({n},{k})", "dicke": [n, k]}
+                for n, k in self.ROWS]
 
-    def test_single_process_batch(self):
-        rows = run_batch(self._requests(),
-                         SearchConfig(max_nodes=60_000), workers=1)
-        assert [r["id"] for r in rows] == [r for r, _ in self._requests()]
-        assert all(r["solved"] and r["optimal"] for r in rows)
+    def test_single_process_batch(self, tmp_path):
+        service = SynthesisService(ServiceConfig(
+            search=SearchConfig(max_nodes=60_000)))
+        _summary, rows = _batch_file(service, tmp_path, self._requests(),
+                                     workers=1)
+        assert [r["id"] for r in rows] == \
+            [r["id"] for r in self._requests()]
+        assert all(r["ok"] and r["optimal"] for r in rows)
 
-    def test_sharded_batch_matches_and_merges_delta(self, tmp_path):
+    def test_sharded_batch_matches_and_merges_delta(self, tmp_path,
+                                                    monkeypatch):
+        from repro.service import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "POOL_CROSS_MERGE_INTERVAL", 1)
         memory = SearchMemory()
         astar_search(dicke_state(4, 2), SearchConfig(), memory=memory)
         snap = tmp_path / "warm.json"
         save_memory_snapshot(memory, snap)
 
-        search = SearchConfig(max_nodes=60_000, time_limit=120.0)
-        single = run_batch(self._requests(), search, workers=1,
-                           snapshot_path=snap)
-        parent = SearchMemory()
-        before = len(parent.canon_store)
-        sharded = run_batch(self._requests(), search, workers=2,
-                            snapshot_path=snap, memory=parent)
-        assert [(r["id"], r["cnot_cost"]) for r in single] == \
-            [(r["id"], r["cnot_cost"]) for r in sharded]
-        # the workers' learned entries came home
-        assert len(parent.canon_store) > before
+        def config():
+            return ServiceConfig(search=SearchConfig(max_nodes=60_000,
+                                                     time_limit=120.0),
+                                 snapshot_path=str(snap))
 
-    def test_with_circuit_rows_carry_circuits(self):
-        rows = run_batch([("w4", w_state(4))],
-                         SearchConfig(max_nodes=60_000), workers=1,
-                         with_circuit=True)
+        _summary, single = _batch_file(SynthesisService(config()),
+                                       tmp_path, self._requests(),
+                                       workers=1)
+        summary, sharded = _batch_file(SynthesisService(config()),
+                                       tmp_path, self._requests(),
+                                       workers=2)
+        assert [(r["id"], r["cnot_cost"], r["optimal"]) for r in single] \
+            == [(r["id"], r["cnot_cost"], r["optimal"]) for r in sharded]
+        # both workers served, and what one learned reached the other
+        assert all(summary["pool"]["routed"])
+        assert summary["pool"]["deltas_shipped"] >= 1
+
+    def test_with_circuit_rows_carry_circuits(self, tmp_path):
+        service = SynthesisService(ServiceConfig(
+            search=SearchConfig(max_nodes=60_000)))
+        _summary, rows = _batch_file(service, tmp_path,
+                                     [{"id": "w4", "w": 4}],
+                                     with_circuit=True)
         from repro.utils.serialization import circuit_from_dict
         circuit = circuit_from_dict(rows[0]["circuit"])
         assert prepares_state(circuit, w_state(4))
@@ -524,11 +533,16 @@ class TestServiceCLI:
         from repro.cli import build_parser
         parser = build_parser()
         args = parser.parse_args(["serve", "--snapshot", "x.gz",
-                                  "--race-workers", "2"])
-        assert args.snapshot == "x.gz" and args.race_workers == 2
+                                  "--deadline-ms", "250"])
+        assert args.snapshot == "x.gz" and args.deadline_ms == 250.0
         args = parser.parse_args(["batch", "in.jsonl", "out.jsonl",
                                   "--workers", "3"])
         assert args.workers == 3
+        # one portfolio, always auto-tuned: the mode knobs are gone
+        for retired in (["--portfolio", "sequential"],
+                        ["--race-workers", "2"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", *retired])
         args = parser.parse_args(["family", "--max-n", "4",
                                   "--snapshot-out", "warm.gz"])
         assert args.snapshot_out == "warm.gz"

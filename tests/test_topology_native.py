@@ -229,9 +229,9 @@ class TestNativeSearch:
         # a starved native beam lane raises SynthesisError (no m-flow
         # completion tail); the portfolio must record a failed lane and
         # keep going instead of aborting the whole request
-        from repro.service.portfolio import run_portfolio
+        from repro.service.portfolio import interleaved_portfolio
 
-        outcome = run_portfolio(
+        outcome = interleaved_portfolio(
             w_state(4),
             SearchConfig(topology=CouplingMap.line(4), time_limit=1e-6))
         # every lane fails under the impossible budget — but the call
@@ -240,7 +240,7 @@ class TestNativeSearch:
         assert [a["solved"] for a in outcome.attempts].count(False) == \
             len(outcome.attempts)
         # with a sane budget the exact lanes answer natively
-        outcome = run_portfolio(
+        outcome = interleaved_portfolio(
             w_state(4), SearchConfig(topology=CouplingMap.line(4)))
         assert outcome.solved and outcome.result.optimal
 
