@@ -31,7 +31,7 @@ def _bench_config() -> QSPConfig:
         exact=ExactConfig(
             search=SearchConfig(max_nodes=25_000, time_limit=10.0),
             beam=BeamConfig(width=96, time_limit=6.0),
-            beam_fallback=True, verify=False),
+            verify=False),
         verify_max_qubits=0)
 
 

@@ -8,7 +8,8 @@ benchmark family (the rows of Table IV) and reports search throughput:
   CX expansion, native hash containers);
 * ``kernel`` — the same packed kernel forced onto its pure-Python
   reference paths (``fastcore.set_enabled(False)``);
-* ``legacy`` — the dict-based seed loop (``use_kernel=False``).
+* ``legacy`` — the dict-based seed loop, kept as the test oracle
+  ``tests/astar_oracle.py``.
 
 ``nodes/sec`` = expanded nodes per second of search time — the standard
 search-throughput metric, and the only one defined identically across
@@ -47,7 +48,10 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+if str(REPO_ROOT / "tests") not in sys.path:
+    sys.path.append(str(REPO_ROOT / "tests"))
 
+from astar_oracle import astar_reference                 # noqa: E402
 from repro.core import fastcore                           # noqa: E402
 from repro.core.astar import SearchConfig, astar_search  # noqa: E402
 from repro.exceptions import SearchBudgetExceeded        # noqa: E402
@@ -86,28 +90,27 @@ FASTCORE_SMOKE_THRESHOLD = 1.3
 
 _TIME_LIMIT = 900.0
 
-#: engine tag -> (use_kernel, fastcore_enabled)
+#: engine tag -> (A* implementation, fastcore_enabled)
 ENGINES = {
-    "fastcore": (True, True),
-    "kernel": (True, False),
-    "legacy": (False, False),
+    "fastcore": (astar_search, True),
+    "kernel": (astar_search, False),
+    "legacy": (astar_reference, False),
 }
 
 
 def _run(n: int, k: int, budget: int, engine: str,
          profile: bool = False) -> dict:
-    use_kernel, fc_enabled = ENGINES[engine]
+    search, fc_enabled = ENGINES[engine]
     fastcore.set_enabled(fc_enabled)
     try:
         # cache_cap large enough that no engine ever evicts on these rows:
         # the differential must measure engine speed, not eviction thrash
         config = SearchConfig(max_nodes=budget, time_limit=_TIME_LIMIT,
-                              use_kernel=use_kernel, cache_cap=1 << 24,
-                              profile=profile)
+                              cache_cap=1 << 24, profile=profile)
         target = dicke_state(n, k)
         start = time.perf_counter()
         try:
-            result = astar_search(target, config)
+            result = search(target, config)
             stats = result.stats
             outcome = {"solved": True, "cnot_cost": result.cnot_cost,
                        "optimal": result.optimal}

@@ -53,8 +53,7 @@ def _synthesize(n: int, k: int):
         return min(candidates, key=lambda r: r.cnot_cost)
     cfg = ExactConfig(
         search=SearchConfig(max_nodes=max_nodes, time_limit=time_limit),
-        beam=BeamConfig(width=192, time_limit=120),
-        beam_fallback=True)
+        beam=BeamConfig(width=192, time_limit=120))
     return ExactSynthesizer(cfg).synthesize(dicke_state(n, k))
 
 

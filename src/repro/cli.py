@@ -151,6 +151,7 @@ import sys
 
 from repro.arch.topologies import TOPOLOGY_FAMILIES
 from repro.constants import SERVICE_MAX_INFLIGHT, WAL_COMPACT_INTERVAL
+from repro.exceptions import StateError
 from repro.qsp.config import QSPConfig
 from repro.qsp.solver import compare_methods
 from repro.qsp.workflow import prepare_state
@@ -189,11 +190,21 @@ def _state_from_args(args: argparse.Namespace) -> QState:
     if args.random_dense:
         return random_dense_state(args.random_dense, seed=args.seed)
     if args.terms:
+        # a malformed term exits with a one-line message naming it
+        width = len(args.terms[0].partition(":")[0])
         weights: dict[str, float] = {}
         for term in args.terms:
             bits, _, weight = term.partition(":")
-            weights[bits] = float(weight) if weight else 1.0
-        return QState.from_bitstring_weights(weights)
+            try:
+                if not bits or set(bits) - {"0", "1"} or len(bits) != width:
+                    raise ValueError(f"want {width} bits of 0/1 before ':'")
+                weights[bits] = float(weight) if weight else 1.0
+            except ValueError as exc:
+                raise SystemExit(f"--terms {term!r}: {exc}") from None
+        try:
+            return QState.from_bitstring_weights(weights)
+        except StateError as exc:
+            raise SystemExit(f"--terms: {exc}") from None
     raise SystemExit("no target state given (see --help)")
 
 

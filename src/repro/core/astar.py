@@ -15,18 +15,19 @@ to) the ground state.  Key implementation points:
 * **Re-expansion safe.**  A better ``g`` for an already-seen class re-opens
   it, which keeps the search optimal even if the heuristic were
   inconsistent.
-* **Packed kernel.**  By default the hot loop runs on the packed-array
-  kernel (:mod:`repro.core.kernel`): interned array states, vectorized
+* **Packed kernel.**  The hot loop runs on the packed-array kernel
+  (:mod:`repro.core.kernel`): interned array states, vectorized
   successor enumeration, and two-tier *lazy* duplicate detection — the
   exact-state tier (interned identity) prunes at generation time for
   nearly free, while the canonical-class tier (``best_g`` keyed by the
   64-bit canonical hash with a collision spill) runs only when a node is
   popped, so frontier states that are never expanded never pay for
-  canonicalization.  ``SearchConfig(use_kernel=False)`` selects the
-  dict-based seed loop (eager per-generation canonicalization), which the
-  kernel is move-set-identical to by construction; proven costs and
-  optimality flags agree on every instance — that is what
-  ``benchmarks/bench_kernel.py`` measures expansions/sec against.
+  canonicalization.  The dict-based seed loop (eager per-generation
+  canonicalization) lives on as the test oracle in
+  ``tests/astar_oracle.py``; the kernel is move-set-identical to it by
+  construction, the differential tests assert identical proven costs and
+  optimality flags, and ``benchmarks/bench_kernel.py`` measures
+  expansions/sec against it.
 * **Proven lower bounds.**  On budget exhaustion the reported bound is
   ``min(g + h)`` over the open list with the *unweighted* heuristic, which
   stays a true lower bound even for ``weight > 1`` (the weighted ``f`` of a
@@ -47,7 +48,6 @@ import itertools
 import math
 from time import perf_counter
 
-from repro.core.canonical import canonical_key
 from repro.core.engine import (
     EngineContext,
     EngineRun,
@@ -55,23 +55,18 @@ from repro.core.engine import (
     SearchConfig,
     SearchResult,
     SearchStats,
-    _native_topology,
     _proven_bound,
 )
-from repro.core.heuristic import HeuristicFn, default_heuristic
+from repro.core.heuristic import HeuristicFn
 from repro.core.kernel import (
-    BoundedCache,
     HashKeyedMap,
     PackedState,
     num_entangled_packed,
     successors_packed,
 )
 from repro.core.moves import Move, moves_to_circuit
-from repro.core.transitions import successors
 from repro.exceptions import SearchBudgetExceeded, SynthesisError
-from repro.states.analysis import num_entangled_qubits
 from repro.states.qstate import QState
-from repro.utils.timing import Stopwatch
 
 __all__ = ["SearchConfig", "SearchStats", "SearchResult", "AStarRun",
            "astar_search"]
@@ -86,7 +81,7 @@ def astar_search(target: QState, config: SearchConfig | None = None,
     :class:`repro.core.memory.SearchMemory` into the kernel loop: the
     interning pool, canonical keys, and heuristic values are then shared
     across calls, which only skips recomputation — results are identical
-    warm or cold.  Requires the kernel loop (``use_kernel=True``).
+    warm or cold.
 
     ``incumbent`` optionally supplies a known-feasible solution (a
     :class:`SearchResult` for the same target, e.g. from a beam pass or a
@@ -115,23 +110,8 @@ def astar_search(target: QState, config: SearchConfig | None = None,
         (computed with the unweighted heuristic, so it is valid for any
         ``weight``) and the incumbent, when one was supplied.
     """
-    config = config or SearchConfig()
-    if config.use_kernel:
-        return AStarRun(target, config, heuristic=heuristic, memory=memory,
-                        incumbent=incumbent).run_to_completion()
-    topology = _native_topology(config.topology, target.num_qubits)
-    if heuristic is None:
-        heuristic = default_heuristic(topology)
-    if topology is not None:
-        raise ValueError("topology-native search requires the kernel loop "
-                         "(SearchConfig(use_kernel=True))")
-    if memory is not None:
-        raise ValueError("SearchMemory requires the kernel loop "
-                         "(SearchConfig(use_kernel=True))")
-    if incumbent is not None:
-        raise ValueError("incumbent-bounded search requires the kernel "
-                         "loop (SearchConfig(use_kernel=True))")
-    return _astar_reference(target, config, heuristic)
+    return AStarRun(target, config, heuristic=heuristic, memory=memory,
+                    incumbent=incumbent).run_to_completion()
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +135,6 @@ class AStarRun(EngineRun):
                  heuristic: HeuristicFn | None = None, memory=None,
                  incumbent=None):
         config = config or SearchConfig()
-        if not config.use_kernel:
-            raise ValueError("stepwise A* runs require the kernel loop "
-                             "(SearchConfig(use_kernel=True))")
         self.config = config
         self._incumbent_result: SearchResult | None = None
         self._transposition = memory.transposition \
@@ -363,129 +340,6 @@ def _reconstruct_packed(parent: dict, start: PackedState,
     guard = 0
     while current is not start:
         entry = parent.get(current)
-        if entry is None:
-            raise SynthesisError("broken parent chain (internal error)")
-        prev, move = entry
-        moves.append(move)
-        current = prev
-        guard += 1
-        if guard > 1_000_000:
-            raise SynthesisError("parent chain cycle (internal error)")
-    moves.reverse()
-    return moves
-
-
-# ----------------------------------------------------------------------
-# Dict-based reference loop (seed behavior; kept for benchmarking and
-# differential testing against the kernel)
-# ----------------------------------------------------------------------
-
-def _astar_reference(target: QState, config: SearchConfig,
-                     heuristic: HeuristicFn) -> SearchResult:
-    weight = config.weight
-    stopwatch = Stopwatch(config.time_limit)
-    stats = SearchStats()
-
-    canon_cache = BoundedCache(config.cache_cap)
-    h_cache = BoundedCache(config.cache_cap)
-
-    def canon(state: QState):
-        key = state.key()
-        val = canon_cache.get(key)
-        if val is None:
-            val = canonical_key(state, config.canon_level,
-                                tie_cap=config.tie_cap,
-                                perm_cap=config.perm_cap)
-            canon_cache.put(key, val)
-        return val
-
-    def h_of(state: QState) -> float:
-        key = state.key()
-        val = h_cache.get(key)
-        if val is None:
-            val = heuristic(state)
-            h_cache.put(key, val)
-        return val
-
-    def finish_stats() -> None:
-        stats.elapsed_seconds = stopwatch.elapsed()
-        stats.canon_cache_hits = canon_cache.hits
-        stats.canon_cache_misses = canon_cache.misses
-        stats.h_cache_hits = h_cache.hits
-        stats.h_cache_misses = h_cache.misses
-
-    counter = itertools.count()
-    # entry: (weighted f, g, tiebreak, unweighted g + h, state)
-    open_heap: list = []
-    best_g: dict = {}
-    parent: dict = {}
-
-    def push(state: QState, g: int) -> None:
-        h = h_of(state)
-        heapq.heappush(open_heap,
-                       (g + weight * h, g, next(counter), g + h, state))
-        stats.nodes_generated += 1
-        stats.max_queue = max(stats.max_queue, len(open_heap))
-
-    start_key = canon(target)
-    best_g[start_key] = 0
-    push(target, 0)
-    last_u = 0.0
-
-    while open_heap:
-        _, g, _, u, state = heapq.heappop(open_heap)
-        ckey = canon(state)
-        if g > best_g.get(ckey, g):
-            stats.nodes_pruned += 1
-            continue
-        last_u = u
-
-        if num_entangled_qubits(state) == 0:
-            moves = _reconstruct(parent, target, state)
-            circuit = moves_to_circuit(moves, state, target.num_qubits)
-            finish_stats()
-            return SearchResult(circuit=circuit, cnot_cost=g,
-                                optimal=(weight <= 1.0), moves=moves,
-                                stats=stats)
-
-        stats.nodes_expanded += 1
-        if stats.nodes_expanded > config.max_nodes or stopwatch.expired():
-            finish_stats()
-            bound = _proven_bound(u, open_heap, u_index=3)
-            raise SearchBudgetExceeded(
-                f"search budget exhausted after {stats.nodes_expanded} "
-                f"expansions ({stats.elapsed_seconds:.1f}s); "
-                f"proven lower bound {bound}",
-                lower_bound=bound, stats=stats)
-
-        for move, nxt in successors(
-                state,
-                max_merge_controls=config.max_merge_controls,
-                include_x_moves=config.include_x_moves):
-            g2 = g + move.cost
-            nkey = canon(nxt)
-            if g2 >= best_g.get(nkey, float("inf")):
-                stats.nodes_pruned += 1
-                continue
-            best_g[nkey] = g2
-            parent[nxt.key()] = (state, move)
-            push(nxt, g2)
-
-    finish_stats()
-    raise SearchBudgetExceeded(
-        "open list exhausted without reaching the ground state "
-        "(move set incomplete for this configuration)",
-        lower_bound=int(math.ceil(last_u - 1e-9)), stats=stats)
-
-
-def _reconstruct(parent: dict, start: QState, goal: QState) -> list[Move]:
-    """Walk parent pointers from the goal back to the start state."""
-    moves: list[Move] = []
-    current = goal
-    start_key = start.key()
-    guard = 0
-    while current.key() != start_key:
-        entry = parent.get(current.key())
         if entry is None:
             raise SynthesisError("broken parent chain (internal error)")
         prev, move = entry

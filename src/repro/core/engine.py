@@ -44,7 +44,7 @@ suite in ``tests/test_engine_runtime.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from repro.circuits.circuit import QCircuit
@@ -133,11 +133,6 @@ class SearchConfig:
     tie_cap / perm_cap:
         Canonicalization enumeration caps (soundness never depends on them);
         defaults shared via :mod:`repro.constants`.
-    use_kernel:
-        Run the A* hot loop on the packed-array kernel (default).  The
-        dict-based reference loop is retained for benchmarking and
-        differential tests.  Only ``astar_search`` honors this flag;
-        IDA* and beam search always run on the kernel.
     cache_cap:
         Size cap of the canonical-key and heuristic caches (entries);
         exceeding it evicts oldest-first.  Hit rates land in
@@ -156,9 +151,8 @@ class SearchConfig:
         coupling automorphisms, and the default heuristic becomes the
         matching-based coupling bound.  ``None`` or an all-to-all map
         (of any size) is the unrestricted paper model (bit-identical to
-        seed behavior).  Requires the kernel loop; a restricted map's
-        size must equal the target's qubit count and its graph must be
-        connected.
+        seed behavior).  A restricted map's size must equal the target's
+        qubit count and its graph must be connected.
     """
 
     max_nodes: int = 200_000
@@ -169,7 +163,6 @@ class SearchConfig:
     include_x_moves: bool = False
     tie_cap: int = SEARCH_TIE_CAP
     perm_cap: int = SEARCH_PERM_CAP
-    use_kernel: bool = True
     cache_cap: int = SEARCH_CACHE_CAP
     topology: object | None = None
     profile: bool = False
@@ -219,6 +212,20 @@ class SearchStats:
     #: a sub-bucket), "heuristic" (h evaluation), "containers" (open-heap
     #: + dedup-map bookkeeping, A* only)
     phase_seconds: dict = field(default_factory=dict)
+
+    def merge(self, other: "SearchStats") -> None:
+        """Fold ``other`` in, field by field (so new counters fold too):
+        ``max_queue`` maxes, ``phase_seconds`` sums per phase, the rest
+        sum."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "max_queue":
+                setattr(self, f.name, max(mine, theirs))
+            elif f.name == "phase_seconds":
+                for phase, seconds in theirs.items():
+                    mine[phase] = mine.get(phase, 0.0) + seconds
+            else:
+                setattr(self, f.name, mine + theirs)
 
     @property
     def canon_cache_hit_rate(self) -> float:

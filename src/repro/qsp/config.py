@@ -22,7 +22,6 @@ def default_exact_config() -> ExactConfig:
     return ExactConfig(
         search=SearchConfig(max_nodes=150_000, time_limit=30.0),
         beam=BeamConfig(width=128, time_limit=10.0),
-        beam_fallback=True,
         verify=False,  # the workflow verifies the assembled circuit instead
     )
 

@@ -9,20 +9,26 @@ Given a target with ``n`` qubits and cardinality ``m``:
   multiplexors) down to ``exact_qubits`` wires, then exact-synthesize the
   core.
 
-Every path ends in the exact engine (unless ``use_exact`` is off, the
+Every path ends in the exact-core sequence of
+:meth:`repro.core.exact.ExactSynthesizer.runs` — budgeted A*, then beam
+search as the anytime fallback — unless ``use_exact`` is off (the
 ablation mode), and the assembled full-register circuit is verified by
-simulation for small ``n``.
+simulation for small ``n``.  When that search ends non-optimal and the
+n-flow or reduction-only circuit of the core is cheaper, the cheaper one
+is served, and the trace line names it next to the search's own cost.
 
-Since PR 10 the workflow is a first-class stepwise run:
 :class:`WorkflowRun` subclasses :class:`repro.core.engine.StepwiseRun`, so
 a ``prepare`` request can be time-sliced by the request scheduler exactly
 like ``exact`` traffic — paused at flow boundaries and between inner-engine
 expansions, fed incumbents, cancelled on disconnect, and flushed to a
 verified best-so-far circuit at a deadline (falling back to the
-reduction-only completion when the exact core is cut short).  The one-shot
-:func:`prepare_state` is nothing but ``WorkflowRun(...).run_to_completion()``
-and stays differential-identical (same costs, same trace) to the pre-PR-10
-inline workflow.
+reduction-only completion when the exact core is cut short).  It drives
+the same engine runs as
+:meth:`~repro.core.exact.ExactSynthesizer.synthesize`, one expansion per
+step, and folds their counters into :attr:`WorkflowRun.stats` with
+:meth:`~repro.core.engine.SearchStats.merge`.  The one-shot
+:func:`prepare_state` is nothing but
+``WorkflowRun(...).run_to_completion()``.
 """
 
 from __future__ import annotations
@@ -32,17 +38,10 @@ from dataclasses import dataclass, field, replace
 from repro.baselines.mflow import mflow_reduction_moves
 from repro.baselines.nflow import nflow_synthesize, qubit_reduction_prefix
 from repro.circuits.circuit import QCircuit
-from repro.core.astar import AStarRun
-from repro.core.beam import BeamRun
 from repro.core.engine import RunStatus, SearchStats, StepwiseRun
-from repro.core.exact import _VERIFY_MAX_QUBITS, ExactSynthesizer
+from repro.core.exact import ExactSynthesizer
 from repro.core.kernel import StatePool
 from repro.core.moves import Move
-from repro.exceptions import (
-    MemoryCompatibilityError,
-    SearchBudgetExceeded,
-    SynthesisError,
-)
 from repro.qsp.config import QSPConfig
 from repro.qsp.extraction import embed_core_circuit, extract_core
 from repro.qsp.reduction import reduce_cardinality
@@ -94,15 +93,13 @@ def _gh_reduction_to_thresholds(state: QState, config: QSPConfig
 class WorkflowRun(StepwiseRun):
     """The Fig.-5 workflow as a pausable, cancellable stepwise run.
 
-    The generator body mirrors the pre-stepwise inline workflow statement
-    for statement — same engine constructions, same configs, same trace
-    strings — with ``yield`` points at every flow boundary (before each
+    The generator body yields at every flow boundary (before each
     reduction candidate, before each exact core, before assembly/verify)
-    and one yield per inner-engine expansion (each inner
-    :class:`~repro.core.engine.EngineRun` is driven in single-expansion
-    slices, which PR 5 guarantees is node-for-node identical to a one-shot
-    run).  Results are :class:`QSPResult`, not ``SearchResult`` — the one
-    deliberate deviation from the kernel-engine runs.
+    and once per inner-engine expansion: each engine run of the shared
+    exact-core sequence is driven in single-expansion slices, which is
+    node-for-node identical to a one-shot run.  Results are
+    :class:`QSPResult`, not ``SearchResult`` — the one deliberate
+    deviation from the kernel-engine runs.
 
     ``inject_incumbent(cost)`` takes a *full-register* feasible cost and
     forwards it to the active inner engine minus the fixed prefix cost of
@@ -136,7 +133,8 @@ class WorkflowRun(StepwiseRun):
         self._sparse = state.is_sparse()
         self._native = topology is not None and not topology.is_full()
         self._trace: list[str] = []
-        self._stats = SearchStats()
+        #: counters of every inner engine run (all cores, all candidates)
+        self.stats = SearchStats()
         # active inner engine run + its stage context (for incumbent
         # forwarding and deadline flushes)
         self._active: StepwiseRun | None = None
@@ -155,11 +153,6 @@ class WorkflowRun(StepwiseRun):
 
     # -- driver surface extensions ---------------------------------------
 
-    @property
-    def stats(self) -> SearchStats:
-        """Aggregated inner-engine counters (all cores, all candidates)."""
-        return self._stats
-
     def inject_incumbent(self, cost: int) -> None:
         super().inject_incumbent(cost)
         if self._active is not None and self._ub is not None:
@@ -172,13 +165,14 @@ class WorkflowRun(StepwiseRun):
         candidates: list[tuple[QCircuit, bool | None]] = []
         if self._best_partial is not None:
             candidates.append(self._best_partial)
-        if self._active is not None and self._active_assemble is not None:
-            partial = self._active.flush_feasible()
-            if partial is not None:
-                candidates.append(
-                    (self._active_assemble(partial.circuit), None))
-        if self._active_fallback is not None:
-            candidates.append((self._active_fallback(), None))
+        if self._active is not None:
+            if self._active_assemble is not None:
+                partial = self._active.flush_feasible()
+                if partial is not None:
+                    candidates.append(
+                        (self._active_assemble(partial.circuit), None))
+            if self._active_fallback is not None:
+                candidates.append((self._active_fallback(), None))
         if not candidates and not self._native:
             # nothing reached the exact stage yet: the baseline m-flow
             # circuit on the full register is always feasible
@@ -198,7 +192,7 @@ class WorkflowRun(StepwiseRun):
                          trace=trace)
 
     def _finalize(self) -> None:
-        self._stats.elapsed_seconds = self._stopwatch.elapsed()
+        self.stats.elapsed_seconds = self._stopwatch.elapsed()
 
     # -- workflow body ----------------------------------------------------
 
@@ -234,111 +228,48 @@ class WorkflowRun(StepwiseRun):
         except Exception as exc:  # GeneratorExit (cancel) passes through
             self._finish(RunStatus.EXHAUSTED, error=exc)
 
-    def _drive(self, run: StepwiseRun, prefix_cost: int = 0,
-               assemble=None, fallback=None):
+    def _drive(self, run: StepwiseRun):
         """Drive an inner engine run in single-expansion slices.
 
         Yields once per inner expansion so the outer ``step`` budget and
         deadline apply at expansion granularity; registers the run as the
-        active flush/incumbent target for the duration.  PR 5's slice-size
-        invariance makes this node-for-node identical to the engine's own
-        ``run_to_completion``.
+        active flush/incumbent target for the duration.  Slicing never
+        changes a run, so this is node-for-node identical to the engine's
+        own ``run_to_completion``.
         """
         self._active = run
-        self._active_prefix = prefix_cost
-        self._active_assemble = assemble
-        self._active_fallback = fallback
         if self._ub is not None:
-            run.inject_incumbent(max(0, self._ub - prefix_cost))
+            run.inject_incumbent(max(0, self._ub - self._active_prefix))
         try:
             while True:
                 status = run.step(1)
-                self._stats.nodes_expanded += run.last_slice_expansions
+                self.stats.nodes_expanded += run.last_slice_expansions
                 if status.terminal:
                     break
                 yield
         finally:
             self._active = None
-            self._active_assemble = None
-            self._active_fallback = None
             if not run.status.terminal:
                 run.cancel()  # outer cancel() closed our generator
-            self._absorb(run.stats)
+            # nodes_expanded stays the sum of slices: an exhausted A* run
+            # also counts the expansion it stopped at, which never ran
+            self.stats.merge(replace(run.stats, nodes_expanded=0))
 
-    def _absorb(self, s: SearchStats) -> None:
-        """Fold a finished inner run's counters into the aggregate."""
-        agg = self._stats
-        agg.nodes_generated += s.nodes_generated
-        agg.nodes_pruned += s.nodes_pruned
-        agg.max_queue = max(agg.max_queue, s.max_queue)
-        agg.canon_cache_hits += s.canon_cache_hits
-        agg.canon_cache_misses += s.canon_cache_misses
-        agg.h_cache_hits += s.h_cache_hits
-        agg.h_cache_misses += s.h_cache_misses
-        agg.dedup_evictions += s.dedup_evictions
-        agg.transposition_hits += s.transposition_hits
-        agg.transposition_writes += s.transposition_writes
-        agg.incumbent_prunes += s.incumbent_prunes
-        agg.bnb_transposition_prunes += s.bnb_transposition_prunes
-        agg.transposition_poisoned += s.transposition_poisoned
-        agg.canon_store_hits += s.canon_store_hits
-        agg.canon_store_misses += s.canon_store_misses
-        agg.h_store_hits += s.h_store_hits
-        agg.h_store_misses += s.h_store_misses
-        for phase, seconds in s.phase_seconds.items():
-            agg.phase_seconds[phase] = \
-                agg.phase_seconds.get(phase, 0.0) + seconds
-
-    def _synthesize_exact(self, state: QState, prefix_cost: int = 0,
-                          topology=None, assemble=None, fallback=None):
-        """Stepwise replica of :meth:`ExactSynthesizer.synthesize`.
-
-        Same construction order, same configs, same fallback/verify
-        semantics; returns the ``SearchResult`` (or ``None`` when an
-        injected incumbent pruned the whole candidate — ``PROVEN``).
-        """
-        exact = self.config.exact
-        search_config, beam_config = exact.search, exact.beam
-        if topology is not None:
-            search_config = replace(search_config, topology=topology)
-            beam_config = replace(beam_config, topology=topology)
-        if not search_config.use_kernel:
-            # the legacy dict-based A* loop has no stepwise form: run the
-            # facade inline (one generator turn), identical results
-            result = ExactSynthesizer(exact).synthesize(
-                state, memory=self.memory, topology=topology)
-            self._stats.nodes_expanded += result.stats.nodes_expanded
-            self._absorb(result.stats)
-            return result
-        run = AStarRun(state, search_config, memory=self.memory)
-        yield from self._drive(run, prefix_cost, assemble=assemble,
-                               fallback=fallback)
-        if run.status is RunStatus.SOLVED:
-            result = run.result()
-        elif run.status is RunStatus.PROVEN:
-            return None
-        else:
-            error = run.error
-            if not (exact.beam_fallback and
-                    isinstance(error, SearchBudgetExceeded)):
-                raise error
-            try:
-                brun = BeamRun(state, beam_config, memory=self.memory)
-            except MemoryCompatibilityError:
-                brun = BeamRun(state, beam_config)
-            yield from self._drive(brun, prefix_cost, assemble=assemble,
-                                   fallback=fallback)
-            if brun.status is RunStatus.SOLVED:
-                result = brun.result()
-            elif brun.status is RunStatus.PROVEN:
-                return None
-            else:
-                raise brun.error
-            result = replace(result, optimal=False)
-        if exact.verify and state.num_qubits <= _VERIFY_MAX_QUBITS:
-            from repro.sim.verify import assert_prepares
-            assert_prepares(result.circuit, state)
-        return result
+    def _exact(self, state: QState, topology=None, prefix_cost: int = 0,
+               assemble=None, fallback=None):
+        """:meth:`~repro.core.exact.ExactSynthesizer.runs`, each run
+        driven by :meth:`_drive` in the stage context that incumbents
+        and deadline flushes need."""
+        self._active_prefix = prefix_cost
+        self._active_assemble = assemble
+        self._active_fallback = fallback
+        runs = ExactSynthesizer(self.config.exact).runs(
+            state, memory=self.memory, topology=topology)
+        try:
+            while True:
+                yield from self._drive(next(runs))
+        except StopIteration as done:
+            return done.value
 
     def _core_stage(self, state: QState, trace: list[str],
                     prefix_cost: int = 0, finish=None):
@@ -362,7 +293,7 @@ class WorkflowRun(StepwiseRun):
             cached = self._core_cache.get(key)
             if cached is not None:
                 self.core_reuse += 1
-                best_circuit, optimal = cached
+                best_circuit, optimal, line = cached
             else:
                 def assemble(core_circuit: QCircuit) -> QCircuit:
                     embedded = embed_core_circuit(extraction, core_circuit)
@@ -371,24 +302,29 @@ class WorkflowRun(StepwiseRun):
                 def fallback() -> QCircuit:
                     return assemble(_reduction_only_circuit(core))
 
-                result = yield from self._synthesize_exact(
+                result = yield from self._exact(
                     core, prefix_cost=prefix_cost, assemble=assemble,
                     fallback=fallback)
                 if result is None:
                     return None
                 best_circuit, optimal = result.circuit, result.optimal
+                source = ""
                 if not optimal:
                     # Budgeted search fell back to the anytime engine;
                     # never let the core cost exceed what the reduction
-                    # flows achieve on it.
-                    for alternative in (nflow_synthesize(core, prune=True),
-                                        _reduction_only_circuit(core)):
+                    # flows achieve on it, and name the circuit served.
+                    for label, alternative in (
+                            ("n-flow", nflow_synthesize(core, prune=True)),
+                            ("reduction-only",
+                             _reduction_only_circuit(core))):
                         if alternative.cnot_cost() < \
                                 best_circuit.cnot_cost():
                             best_circuit = alternative
-                self._core_cache[key] = (best_circuit, optimal)
-            trace.append(f"exact: {best_circuit.cnot_cost()} CNOTs "
-                         f"(optimal={optimal})")
+                            source = f", {label}; search {result.cnot_cost}"
+                line = (f"exact: {best_circuit.cnot_cost()} CNOTs "
+                        f"(optimal={optimal}{source})")
+                self._core_cache[key] = (best_circuit, optimal, line)
+            trace.append(line)
             return embed_core_circuit(extraction, best_circuit), optimal
         # Ablation: finish the core with the baseline reduction instead.
         core_circuit = _reduction_only_circuit(core)
@@ -501,9 +437,8 @@ class WorkflowRun(StepwiseRun):
         trace.append(f"native path: topology={topology.name} "
                      f"n={state.num_qubits} m={state.cardinality}")
         yield  # flow boundary: native exact search next
-        result = yield from self._synthesize_exact(
-            state, prefix_cost=0, topology=topology,
-            assemble=lambda circuit: circuit, fallback=None)
+        result = yield from self._exact(
+            state, topology=topology, assemble=lambda circuit: circuit)
         if result is None:
             return None
         trace.append(f"exact (native): {result.circuit.cnot_cost()} CNOTs "

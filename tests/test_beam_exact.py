@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.astar import SearchConfig
 from repro.core.beam import BeamConfig, beam_search
 from repro.core.exact import ExactConfig, ExactSynthesizer, synthesize_exact
-from repro.exceptions import SearchBudgetExceeded
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
@@ -55,17 +52,10 @@ class TestExactSynthesizer:
 
     def test_beam_fallback_on_tiny_budget(self):
         cfg = ExactConfig(search=SearchConfig(max_nodes=3),
-                          beam=BeamConfig(width=32),
-                          beam_fallback=True)
+                          beam=BeamConfig(width=32))
         result = ExactSynthesizer(cfg).synthesize(w_state(4))
         assert not result.optimal
         assert prepares_state(result.circuit, w_state(4))
-
-    def test_no_fallback_raises(self):
-        cfg = ExactConfig(search=SearchConfig(max_nodes=3),
-                          beam_fallback=False, verify=False)
-        with pytest.raises(SearchBudgetExceeded):
-            ExactSynthesizer(cfg).synthesize(w_state(4))
 
     def test_convenience_wrapper(self):
         result = synthesize_exact(ghz_state(2), max_nodes=10_000)

@@ -54,6 +54,16 @@ class TestPrepareCommand:
         with pytest.raises(SystemExit):
             main(["prepare"])
 
+    @pytest.mark.parametrize("terms", [
+        ["011:abc"], ["01x:0.5"], ["011:0.5", "10:0.5"],
+    ], ids=["weight", "bits", "width"])
+    def test_malformed_terms_exit_with_one_line(self, terms):
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--terms", *terms])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert repr(terms[-1]) in message  # names the bad term
+
 
 class TestCompareCommand:
     def test_random_sparse(self, capsys):

@@ -18,11 +18,13 @@ Covers the PR's acceptance surface:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.astar import AStarRun, SearchConfig, astar_search
 from repro.core.beam import BeamConfig, BeamRun, beam_search
-from repro.core.engine import RunStatus
+from repro.core.engine import RunStatus, SearchStats
 from repro.core.idastar import IDAStarConfig, IDAStarRun, idastar_search
 from repro.core.memory import SearchMemory, TranspositionTable
 from repro.exceptions import SearchBudgetExceeded
@@ -155,6 +157,33 @@ class TestStatsFinalization:
         for attempt in outcome.attempts:
             assert attempt["status"] == "cancelled"
             assert attempt["nodes_expanded"] >= 0
+
+
+class TestStatsMerge:
+    def test_merge_folds_every_field(self):
+        """``merge`` walks the dataclass fields, so a counter added to
+        ``SearchStats`` is folded without touching it: sums, except the
+        ``max_queue`` maximum and the per-phase ``phase_seconds`` sums."""
+        names = [f.name for f in dataclasses.fields(SearchStats)]
+        total, other = SearchStats(), SearchStats()
+        for i, name in enumerate(names, start=1):
+            if name != "phase_seconds":
+                setattr(total, name, i)
+                setattr(other, name, 10 * i)
+        total.max_queue, other.max_queue = 5, 7
+        total.phase_seconds = {"enumeration": 1.0, "heuristic": 2.0}
+        other.phase_seconds = {"enumeration": 0.5, "containers": 4.0}
+        total.merge(other)
+        for i, name in enumerate(names, start=1):
+            if name == "max_queue":
+                assert total.max_queue == 7
+            elif name == "phase_seconds":
+                assert total.phase_seconds == {
+                    "enumeration": 1.5, "heuristic": 2.0, "containers": 4.0}
+            else:
+                assert getattr(total, name) == 11 * i, name
+        assert other.phase_seconds == {"enumeration": 0.5,
+                                       "containers": 4.0}
 
 
 class TestIncumbentInjection:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernel as kernel
+from astar_oracle import astar_reference
 from repro.core.astar import SearchConfig, astar_search
 from repro.core.canonical import CanonLevel, canonical_key
 from repro.core.kernel import (
@@ -346,7 +347,7 @@ class TestBoundedCache:
 
 
 # ----------------------------------------------------------------------
-# Search-level differential tests (kernel vs dict-based reference)
+# Search-level differential tests (kernel vs the dict-based oracle)
 # ----------------------------------------------------------------------
 
 class TestSearchDifferential:
@@ -357,11 +358,9 @@ class TestSearchDifferential:
         m = int(rng.integers(2, 6))
         idx = rng.choice(1 << n, size=m, replace=False)
         state = QState.uniform(n, [int(i) for i in idx])
-        cfg_kernel = SearchConfig(max_nodes=50_000, time_limit=60)
-        cfg_ref = SearchConfig(max_nodes=50_000, time_limit=60,
-                               use_kernel=False)
-        res_kernel = astar_search(state, cfg_kernel)
-        res_ref = astar_search(state, cfg_ref)
+        cfg = SearchConfig(max_nodes=50_000, time_limit=60)
+        res_kernel = astar_search(state, cfg)
+        res_ref = astar_reference(state, cfg)
         assert res_kernel.cnot_cost == res_ref.cnot_cost
         assert res_kernel.optimal == res_ref.optimal
         assert prepares_state(res_kernel.circuit, state)
@@ -371,9 +370,7 @@ class TestSearchDifferential:
     def test_dicke_family_same_cost(self, n, k, expected):
         cfg = SearchConfig(max_nodes=200_000, time_limit=120)
         res = astar_search(dicke_state(n, k), cfg)
-        ref = astar_search(dicke_state(n, k),
-                           SearchConfig(max_nodes=200_000, time_limit=120,
-                                        use_kernel=False))
+        ref = astar_reference(dicke_state(n, k), cfg)
         assert res.cnot_cost == ref.cnot_cost == expected
         assert res.optimal and ref.optimal
 
@@ -401,17 +398,18 @@ class TestSearchDifferential:
 # ----------------------------------------------------------------------
 
 class TestWeightedLowerBound:
-    @pytest.mark.parametrize("use_kernel", [True, False])
+    @pytest.mark.parametrize("on_kernel", [True, False])
     @pytest.mark.parametrize("weight", [1.0, 2.0, 4.0])
-    def test_budget_bound_is_sound(self, use_kernel, weight):
+    def test_budget_bound_is_sound(self, on_kernel, weight):
         """The reported lower bound never exceeds the true optimum, even
         with an inflated heuristic weight (the old code reported the
-        weighted f of the last popped node, which is not a bound)."""
+        weighted f of the last popped node, which is not a bound) — on
+        the kernel and on the dict-based oracle alike."""
         target = dicke_state(5, 2)  # true optimum: 14
-        cfg = SearchConfig(max_nodes=15, weight=weight,
-                           use_kernel=use_kernel)
+        cfg = SearchConfig(max_nodes=15, weight=weight)
+        search = astar_search if on_kernel else astar_reference
         with pytest.raises(SearchBudgetExceeded) as err:
-            astar_search(target, cfg)
+            search(target, cfg)
         assert 0 <= err.value.lower_bound <= 14
 
     def test_unweighted_bound_still_informative(self):

@@ -180,11 +180,6 @@ class TestSearchMemoryLifecycle:
             astar_search(ghz_state(3), SearchConfig(), memory=memory,
                          heuristic=zero_heuristic)
 
-    def test_memory_requires_kernel_loop(self):
-        with pytest.raises(ValueError):
-            astar_search(ghz_state(3), SearchConfig(use_kernel=False),
-                         memory=SearchMemory())
-
     def test_pool_rotation_preserves_stores(self):
         memory = SearchMemory(pool_rotate_cap=1)
         astar_search(dicke_state(4, 2), SearchConfig(), memory=memory)
@@ -422,11 +417,6 @@ class TestAStarIncumbentBranchAndBound:
         with pytest.raises(SearchBudgetExceeded) as excinfo:
             astar_search(state, SearchConfig(), incumbent=6)
         assert excinfo.value.lower_bound == 6
-
-    def test_incumbent_requires_kernel_loop(self):
-        with pytest.raises(ValueError):
-            astar_search(ghz_state(3), SearchConfig(use_kernel=False),
-                         incumbent=2)
 
 
 class TestBeamSatellites:

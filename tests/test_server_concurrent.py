@@ -160,13 +160,17 @@ class TestObsZeroOverhead:
         from repro.obs import ObsConfig
         from repro.obs.trace import reconstruct_timelines
 
-        plain_service = SynthesisService(_config(use_cache=False))
+        # node budgets only: a wall-clock limit would end lanes at
+        # host-speed-dependent points and make the two runs differ
+        search = SearchConfig(max_nodes=50_000)
+        plain_service = SynthesisService(_config(use_cache=False,
+                                                 search=search))
         assert plain_service.obs is None  # library default: no obs at all
         plain, plain_settled, plain_order = self._drive_recording(
             plain_service, _requests())
 
         observed_service = SynthesisService(_config(
-            use_cache=False, obs=ObsConfig.on()))
+            use_cache=False, search=search, obs=ObsConfig.on()))
         assert observed_service.obs is not None
         rich, rich_settled, rich_order = self._drive_recording(
             observed_service, _requests())

@@ -194,12 +194,6 @@ class TestMoveSetDifferential:
         assert via_full5.cnot_cost == seed.cnot_cost
         assert via_full5.stats.nodes_expanded == seed.stats.nodes_expanded
 
-    def test_reference_loop_rejects_topology(self):
-        with pytest.raises(ValueError):
-            astar_search(ghz_state(3),
-                         SearchConfig(topology=CouplingMap.line(3),
-                                      use_kernel=False))
-
 
 # ----------------------------------------------------------------------
 # native search: engines agree, circuits are native and verified

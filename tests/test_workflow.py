@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import repro.qsp.workflow as workflow_module
 
+from repro.arch.topologies import CouplingMap
 from repro.baselines.mflow import mflow_cnot_count
 from repro.baselines.nflow import nflow_cnot_count
+from repro.core.astar import SearchConfig
+from repro.core.beam import BeamConfig
 from repro.core.engine import RunStatus
+from repro.core.exact import ExactConfig, ExactSynthesizer
 from repro.exceptions import SynthesisError
 from repro.qsp.config import QSPConfig
+from repro.qsp.extraction import extract_core
 from repro.qsp.reduction import reduce_cardinality
 from repro.qsp.workflow import WorkflowRun, prepare_state
 from repro.sim.verify import prepares_state
@@ -198,3 +205,67 @@ class TestWorkflowRun:
         assert prepares_state(result.circuit, state)
         assert any("selected reduction strategy" in line
                    for line in result.trace)
+
+
+class TestExactCoreLine:
+    """The workflow and :class:`ExactSynthesizer` share one exact-core
+    sequence (A* to budget, then beam): driven to completion or one
+    expansion at a time, it gives the same answer."""
+
+    @staticmethod
+    def _stepwise(state, exact, topology=None):
+        """The exact-core results of a workflow driven one step at a time."""
+        run = WorkflowRun(state, QSPConfig(exact=exact), topology=topology)
+        results = []
+        drive = run._exact
+
+        def recording(*args, **kwargs):
+            result = yield from drive(*args, **kwargs)
+            results.append(result)
+            return result
+
+        run._exact = recording
+        while not run.step(1).terminal:
+            pass
+        assert run.status is RunStatus.SOLVED
+        return results
+
+    @pytest.mark.parametrize("state,exact,topology,optimal", [
+        (dicke_state(4, 2), ExactConfig(verify=False), None, True),
+        (w_state(4), ExactConfig(search=SearchConfig(max_nodes=3),
+                                 beam=BeamConfig(width=32), verify=False),
+         None, False),
+        (ghz_state(4), ExactConfig(verify=False), CouplingMap.line(4),
+         True),
+    ], ids=["astar", "beam-fallback", "native"])
+    def test_one_shot_equals_stepwise(self, state, exact, topology,
+                                      optimal):
+        [stepped] = self._stepwise(state, exact, topology)
+        target = state if topology is not None else extract_core(state).core
+        one_shot = ExactSynthesizer(exact).synthesize(target,
+                                                      topology=topology)
+        assert one_shot.optimal is stepped.optimal is optimal
+        assert one_shot.cnot_cost == stepped.cnot_cost
+        assert [repr(g) for g in one_shot.circuit.gates] == \
+            [repr(g) for g in stepped.circuit.gates]
+        assert one_shot.stats.nodes_expanded == \
+            stepped.stats.nodes_expanded
+
+    def test_trace_names_the_circuit_served_over_the_search(self):
+        """A non-optimal search that loses to n-flow (or reduction-only)
+        on its core: the cheaper circuit is served and the trace says
+        so, next to the search's own cost."""
+        state = random_dense_state(4, seed=0)
+        config = QSPConfig(exact=ExactConfig(
+            search=SearchConfig(max_nodes=1), beam=BeamConfig(width=1),
+            verify=False))
+        result = prepare_state(state, config)
+        [line] = [t for t in result.trace if t.startswith("exact:")]
+        match = re.fullmatch(r"exact: (\d+) CNOTs \(optimal=False, "
+                             r"(n-flow|reduction-only); search (\d+)\)",
+                             line)
+        assert match, line
+        served, searched = int(match.group(1)), int(match.group(3))
+        assert served < searched
+        assert result.cnot_cost == served  # the core is the full register
+        assert prepares_state(result.circuit, state)
