@@ -70,6 +70,7 @@ from repro.core.splitmix import (
 from repro.states.qstate import QState
 
 __all__ = [
+    "PACKED_MAX_QUBITS",
     "PackedState",
     "StatePool",
     "CanonKey",
@@ -87,6 +88,10 @@ __all__ = [
     "entanglement_h_packed",
     "canonical_key_packed",
 ]
+
+
+#: Widest register a packed state represents: its basis indices are int64.
+PACKED_MAX_QUBITS = 62
 
 
 def state_hash64(payload: bytes) -> int:

@@ -44,7 +44,7 @@ from repro.core.kernel import StatePool
 from repro.core.moves import Move
 from repro.qsp.config import QSPConfig
 from repro.qsp.extraction import embed_core_circuit, extract_core
-from repro.qsp.reduction import reduce_cardinality
+from repro.qsp.reduction import GHTrajectory, reduce_cardinality
 from repro.states.analysis import num_entangled_qubits
 from repro.states.qstate import QState
 from repro.utils.timing import Stopwatch
@@ -73,21 +73,6 @@ def _reduction_only_circuit(state: QState) -> QCircuit:
 
     moves, final_state = mflow_reduction_moves(state)
     return moves_to_circuit(moves, final_state, state.num_qubits)
-
-
-def _gh_reduction_to_thresholds(state: QState, config: QSPConfig
-                                ) -> tuple[list[Move], QState]:
-    """Plain GH merge steps until the exact thresholds are met."""
-    stop = max(1, config.exact_cardinality)
-    moves, reduced = mflow_reduction_moves(state, stop_cardinality=stop,
-                                           minimize_literals=True)
-    while num_entangled_qubits(reduced) > config.exact_qubits and \
-            reduced.cardinality > 1:
-        step_moves, reduced = mflow_reduction_moves(
-            reduced, stop_cardinality=reduced.cardinality - 1,
-            minimize_literals=True)
-        moves.extend(step_moves)
-    return moves, reduced
 
 
 class WorkflowRun(StepwiseRun):
@@ -336,21 +321,24 @@ class WorkflowRun(StepwiseRun):
         n = state.num_qubits
         trace.append(f"sparse path: n={n} m={state.cardinality}")
         # Candidate reductions: the improved multi-pair greedy and the
-        # plain GH baseline steps.  Both end at the exact-synthesis
-        # thresholds; the cheaper assembled circuit wins, so the workflow
-        # never regresses below the m-flow baseline.
+        # plain GH baseline steps, one GH trajectory serving both (the
+        # greedy walks it and compares against it).  Both end at the
+        # exact-synthesis thresholds; the cheaper assembled circuit wins,
+        # so the workflow never regresses below the m-flow baseline.
         candidates: list[tuple[str, list[Move], QState]] = []
         yield  # flow boundary: reduction candidates next
+        gh = GHTrajectory(state,
+                          stop_cardinality=max(1, config.exact_cardinality),
+                          stop_entangled=config.exact_qubits)
         if config.improved_reduction:
             moves, reduced = reduce_cardinality(
                 state,
                 stop_cardinality=config.exact_cardinality,
                 stop_entangled=config.exact_qubits,
-                config=config.reduction)
+                config=config.reduction, gh=gh)
             candidates.append(("multi-pair", moves, reduced))
             yield  # flow boundary between candidate reductions
-        gh_moves, gh_reduced = _gh_reduction_to_thresholds(state, config)
-        candidates.append(("gh", gh_moves, gh_reduced))
+        candidates.append(("gh", gh.moves, gh.final))
 
         best: tuple[QCircuit, bool | None] | None = None
         best_label = ""

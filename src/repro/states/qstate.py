@@ -25,6 +25,7 @@ import numpy as np
 from repro.constants import AMP_DECIMALS, ATOL, quantize
 from repro.exceptions import NormalizationError, StateError
 from repro.utils.bits import (
+    bit_mask,
     bit_of,
     flip_bit,
     index_to_bitstring,
@@ -330,6 +331,26 @@ class QState:
             amps[j] = a
         if len(amps) != len(self._amps):
             raise StateError("CNOT must permute the index set")
+        return QState(self._n, amps, normalize=False)
+
+    def apply_cx_fanout(self, control: int,
+                        targets: Iterable[int]) -> "QState":
+        """Return the state after ``apply_cx(control, t)`` for each ``t``
+        in ``targets``, computed in one pass.
+
+        The CNOTs share their control and never target it, so they commute
+        and compose into one index map: every index with the ``control``
+        bit set flips all the target bits.  The result equals the chain of
+        single CNOTs entry for entry, in the same order.
+        """
+        flip = 0
+        for target in targets:
+            if target == control:
+                raise StateError("control and target must differ")
+            flip ^= bit_mask(target, self._n)
+        cmask = bit_mask(control, self._n)
+        amps = {(i ^ flip if i & cmask else i): a
+                for i, a in self._amps.items()}
         return QState(self._n, amps, normalize=False)
 
     def permute(self, perm: Iterable[int]) -> "QState":

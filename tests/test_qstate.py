@@ -174,6 +174,29 @@ class TestTransforms:
         if s.num_qubits >= 2:
             assert s.apply_cx(0, 1).apply_cx(0, 1) == s
 
+    @given(st.integers(0, 500))
+    def test_cx_fanout_equals_cx_chain(self, seed):
+        """Entry for entry and in the same order."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, min(12, 1 << n) + 1))
+        idx = rng.choice(1 << n, size=m, replace=False)
+        s = QState(n, {int(i): float(a)
+                       for i, a in zip(idx, rng.standard_normal(m))})
+        control = int(rng.integers(0, n))
+        others = [q for q in range(n) if q != control]
+        targets = [int(q) for q in rng.permutation(others)[
+            :int(rng.integers(0, n))]]
+        chain = s
+        for target in targets:
+            chain = chain.apply_cx(control, target)
+        fanout = s.apply_cx_fanout(control, targets)
+        assert list(fanout._amps.items()) == list(chain._amps.items())
+
+    def test_cx_fanout_rejects_its_control_as_target(self):
+        with pytest.raises(StateError):
+            QState.ground(3).apply_cx_fanout(1, [0, 1])
+
     @given(random_state_strategy())
     def test_norm_preserved_by_transforms(self, s):
         assert abs(s.apply_x(0).norm() - 1.0) < 1e-9

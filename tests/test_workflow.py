@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.baselines.mflow as mflow_module
+import repro.qsp.reduction as reduction_module
 import repro.qsp.workflow as workflow_module
 
 from repro.arch.topologies import CouplingMap
@@ -19,7 +22,6 @@ from repro.core.exact import ExactConfig, ExactSynthesizer
 from repro.exceptions import SynthesisError
 from repro.qsp.config import QSPConfig
 from repro.qsp.extraction import extract_core
-from repro.qsp.reduction import reduce_cardinality
 from repro.qsp.workflow import WorkflowRun, prepare_state
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
@@ -192,19 +194,36 @@ class TestWorkflowRun:
         trace still reports both candidates."""
         state = random_sparse_state(6, seed=1)
         config = QSPConfig()
-        moves, reduced = reduce_cardinality(
-            state,
-            stop_cardinality=config.exact_cardinality,
-            stop_entangled=config.exact_qubits,
-            config=config.reduction)
-        monkeypatch.setattr(workflow_module, "_gh_reduction_to_thresholds",
-                            lambda s, c: (moves, reduced))
+        # the multi-pair candidate lands where the GH candidate does
+        monkeypatch.setattr(workflow_module, "reduce_cardinality",
+                            lambda *args, gh, **kwargs: (gh.moves, gh.final))
         run = WorkflowRun(state, config)
         result = run.run_to_completion()
         assert run.core_reuse == 1
         assert prepares_state(result.circuit, state)
         assert any("selected reduction strategy" in line
                    for line in result.trace)
+
+    def test_sparse_prepare_computes_gh_trajectory_once(self, monkeypatch):
+        """The greedy reduction, its GH peeks and the workflow's GH
+        candidate share one GH trajectory: no state of a sparse prepare is
+        GH-stepped twice, the target included."""
+        state = random_real_state(8, 16, seed=4)
+        stepped: Counter = Counter()
+
+        def counting(step):
+            def spy(current, minimize_literals=False):
+                stepped[current.key()] += 1
+                return step(current, minimize_literals)
+            return spy
+
+        for module in (reduction_module, mflow_module):
+            monkeypatch.setattr(module, "_merge_step",
+                                counting(module._merge_step))
+        result = prepare_state(state)
+        assert prepares_state(result.circuit, state)
+        assert stepped[state.key()] == 1
+        assert max(stepped.values()) == 1
 
 
 class TestExactCoreLine:
