@@ -66,9 +66,13 @@ from all connections share one cross-request scheduler (expansion
 slices fair-shared earliest-deadline-first, round-robin for undeadlined
 requests), so a heavy request no longer blocks a light one.  Responses
 arrive out of request order; match them by ``id``.  ``--wal`` keeps an
-incremental write-ahead log of everything the memory learns: one delta
-record per settled request, replayed on boot, compacted into a full
-snapshot every ``--wal-compact-every`` records and at shutdown::
+incremental write-ahead log of the knowledge the memory learns
+(exhaustion proofs, pattern-database evidence, lane stats): one delta
+record per settled request that learned something, replayed on boot,
+compacted into a sidecar snapshot every ``--wal-compact-every`` records
+and at shutdown.  The canon-key and heuristic caches are not logged:
+they warm from ``--snapshot`` on the first boot only, then refill from
+traffic::
 
     repro-qsp serve --listen 127.0.0.1:7700 --wal service.qspwal \
         --max-inflight 16
@@ -379,15 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "one acceptor, routed by least-inflight with "
                             "signature-affinity stickiness; each worker "
                             "owns its own WAL shard (--wal FILE becomes "
-                            "FILE.w0..FILE.w<N-1>) and learned-memory "
+                            "FILE.w0..FILE.w<N-1>) and learned-knowledge "
                             "deltas cross-merge periodically (default 1 "
                             "= inline single-process service)")
     serve.add_argument("--wal", metavar="FILE", default=None,
                        help="incremental SearchMemory write-ahead log: "
-                            "learned deltas appended per settled request, "
-                            "replayed on boot on top of FILE.snapshot, "
-                            "compacted on an interval and at shutdown "
-                            "(wins over --snapshot after the first boot)")
+                            "learned knowledge (exhaustion proofs, PDB "
+                            "evidence, lane stats) appended per settled "
+                            "request, replayed on boot on top of "
+                            "FILE.snapshot, compacted on an interval and "
+                            "at shutdown (wins over --snapshot after the "
+                            "first boot; the canon-key and heuristic "
+                            "caches warm from --snapshot on the first "
+                            "boot only, then refill from traffic)")
     serve.add_argument("--wal-compact-every", type=int, metavar="N",
                        default=None,
                        help="appended WAL records between automatic "

@@ -13,7 +13,9 @@ the repeated-traffic regime of the ROADMAP) holding everything that is
   its cap), so interned states and their on-object memos survive calls;
 * :class:`HashStore` tiers for canonical keys and heuristic values, keyed
   by the 64-bit structural hash with payload verification, so entries
-  survive pool rotation and are shared by searches whose pools differ;
+  survive pool rotation and are shared by searches whose pools differ.
+  They are caches (every value is recomputable): explicit snapshots
+  carry them, the service WAL and worker deltas do not;
 * a :class:`TranspositionTable` for IDA*: ``class -> max remaining cost
   budget proven exhausted``.
 
@@ -52,7 +54,6 @@ are bit-identical warm or cold (asserted by the equivalence tests).
 from __future__ import annotations
 
 import heapq
-from itertools import islice
 
 from repro.constants import (
     MEMORY_POOL_ROTATE_CAP,
@@ -152,37 +153,21 @@ class HashStore:
         """Insert by raw payload, recomputing this process's 64-bit hash.
 
         The structural hash is SipHash over the payload and therefore
-        *per-process*: entries crossing a process boundary (snapshot
-        load, worker delta merge) must be re-keyed here rather than
-        trusting the hash they were written under.
+        *per-process*: entries crossing a process boundary (a snapshot
+        load) must be re-keyed here rather than trusting the hash they
+        were written under.
         """
         self.put(_PayloadKey(state_hash64(payload), payload), value)
 
-    def items_payload(self, since: tuple[int, int, int] | None = None):
+    def items_payload(self):
         """Iterate ``(payload, value)`` pairs (process-portable form).
 
         Spill entries (genuine 64-bit collisions) are included; iteration
-        order is insertion order of the primary tier first.  ``since`` (a
-        :meth:`size_marker` captured earlier) restricts iteration to the
-        entries inserted after that point.  Hit-weighted eviction deletes
-        arbitrary positions, which invalidates any positional skip — when
-        a sweep ran since the marker, the only safe delta is the whole
-        (capped) store, exactly the rule the transposition table uses.
+        order is insertion order of the primary tier first.
         """
-        if since is None:
-            skip_primary = skip_spill = 0
-        else:
-            marker_len, skip_spill, marker_evictions = since
-            skip_primary = marker_len \
-                if self.evictions == marker_evictions else 0
-        for entry in islice(self._primary.values(),
-                            max(0, skip_primary), None):
+        for entry in self._primary.values():
             yield entry[0], entry[1]
-        yield from islice(self._spill.items(), max(0, skip_spill), None)
-
-    def size_marker(self) -> tuple[int, int, int]:
-        """Marker for :meth:`items_payload`'s ``since`` (delta shipping)."""
-        return len(self._primary), len(self._spill), self.evictions
+        yield from self._spill.items()
 
     def snapshot(self) -> dict:
         return {"entries": len(self), "hits": self.hits,

@@ -225,7 +225,7 @@ class PatternDatabase:
         self._structural: dict[tuple, int] = {}
         #: signature -> [lb_max, solved_min, optimal_min, count]
         self._evidence: dict[tuple, list] = {}
-        #: signatures whose pre-existing evidence improved since the last
+        #: signatures whose pre-existing evidence changed since the last
         #: delta marker (mirrors the transposition improvement logs)
         self._touched: list[tuple] = []
         self.touched_overflows = 0
@@ -294,16 +294,10 @@ class PatternDatabase:
                 self.evictions += 1
             row = self._evidence[signature] = [None, None, None, 0]
         else:
-            improved = (
-                (lower_bound is not None and
-                 (row[_LB] is None or int(lower_bound) > row[_LB])) or
-                (solved_cost is not None and
-                 (row[_SOLVED] is None or int(solved_cost) < row[_SOLVED]))
-                or (optimal and solved_cost is not None and
-                    (row[_OPTIMAL] is None or
-                     int(solved_cost) < row[_OPTIMAL])))
-            if improved:
-                self._log_touch(signature)
+            # every observation moves the count, so the row ships in the
+            # next delta even when no bound improved (replay then
+            # reproduces the count too)
+            self._log_touch(signature)
         if lower_bound is not None:
             lb = int(lower_bound)
             if row[_LB] is None or lb > row[_LB]:
@@ -351,7 +345,7 @@ class PatternDatabase:
 
     def to_dict(self, since: tuple | None = None) -> dict:
         """Portable evidence dump; ``since`` (a :meth:`marker`) restricts
-        it to signatures added or improved afterwards.  Evictions or a
+        it to signatures added or changed afterwards.  Evictions or a
         touch-log overflow invalidate the positional skip, in which case
         the whole (capped) database ships — the same fallback rule as the
         transposition delta."""
@@ -400,15 +394,16 @@ class PatternDatabase:
                     self.evictions += 1
                 mine = self._evidence[signature] = [None, None, None, 0]
             else:
-                improved = (
+                changed = (
                     (lb is not None and
                      (mine[_LB] is None or lb > mine[_LB])) or
                     (solved is not None and
                      (mine[_SOLVED] is None or solved < mine[_SOLVED])) or
                     (optimal_cost is not None and
                      (mine[_OPTIMAL] is None
-                      or optimal_cost < mine[_OPTIMAL])))
-                if improved:
+                      or optimal_cost < mine[_OPTIMAL])) or
+                    count > mine[_COUNT])
+                if changed:
                     self._log_touch(signature)
             if lb is not None and (mine[_LB] is None or lb > mine[_LB]):
                 mine[_LB] = lb

@@ -36,7 +36,7 @@ from repro.constants import (
     SERVICE_REQUEST_CACHE_CAP,
     SIGNATURE_INDEX_CAP,
 )
-from repro.core.kernel import StatePool
+from repro.core.kernel import PACKED_MAX_QUBITS, StatePool
 from repro.core.memory import HashStore
 from repro.core.pdb import (
     coarse_signature,
@@ -95,6 +95,10 @@ class RequestCache:
                 f"and cannot serve regime {regime!r}")
 
     def _key(self, state: QState):
+        """The interned key of ``state``, or ``None`` past the packed
+        kernel's index width (such registers are served uncached)."""
+        if state.num_qubits > PACKED_MAX_QUBITS:
+            return None
         if len(self._pool) > _POOL_ROTATE_CAP:
             self._pool = StatePool()
         return self._pool.from_qstate(state)
@@ -107,11 +111,14 @@ class RequestCache:
 
     def get(self, mode: str, state: QState):
         """Cached result for ``state`` under ``mode``, or ``None``."""
-        return self._store(mode).get(self._key(state))
+        key = self._key(state)
+        return None if key is None else self._store(mode).get(key)
 
     def put(self, mode: str, state: QState, result,
             signature: tuple | None = None) -> None:
         key = self._key(state)
+        if key is None:
+            return
         self._store(mode).put(key, result)
         if signature is not None:
             self._register(mode, bytes(key.payload), signature, result)

@@ -1,9 +1,17 @@
 """Disk persistence of :class:`~repro.core.memory.SearchMemory`.
 
 Warm-start files: a family run (``repro-qsp family --snapshot-out``)
-serializes its memory once, and every later service boot — or every batch
-worker process — loads it and starts with the family's canonical keys,
-heuristic values, and IDA* exhaustion proofs already in place.
+serializes its memory once, and every later service boot — or every
+pool worker process — loads it and starts with the family's canonical
+keys, heuristic values, and IDA* exhaustion proofs already in place.
+
+The service WAL (:class:`MemoryWAL`) persists knowledge, not caches:
+its records and its compaction sidecar carry the transposition entries,
+pattern-database evidence and lane stats, while the canon-key and
+heuristic stores stay process-local and refill from traffic.  Only
+explicit snapshots (:func:`save_memory_snapshot` with its default
+``caches=True``: ``family --snapshot-out``, ``op: snapshot``,
+``distill``) write the stores too.
 
 The format is the versioned JSON codec of
 :mod:`repro.utils.serialization` (``memory_to_dict``/``memory_from_dict``),
@@ -26,6 +34,7 @@ from repro.core.memory import SearchMemory
 from repro.exceptions import MemoryCompatibilityError
 from repro.utils.serialization import (
     memory_baseline,
+    memory_delta_is_empty,
     memory_from_dict,
     memory_merge_dict,
     memory_to_dict,
@@ -50,12 +59,28 @@ def _opener(path: str | os.PathLike):
     return gzip.open if str(path).endswith(".gz") else open
 
 
-def save_memory_snapshot(memory: SearchMemory,
-                         path: str | os.PathLike) -> dict:
+def _write_json(data: dict, path: pathlib.Path) -> None:
+    """Write ``data`` to ``path`` through a temporary sibling + rename.
+
+    ``json.dumps`` runs the C encoder (``json.dump`` to a stream runs
+    the pure-Python one) and writes the same bytes.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    # compression is decided by the *final* name (the tmp suffix would
+    # otherwise silently disable it and break the later gzip read)
+    with _opener(path)(tmp, "wt", encoding="utf-8") as handle:
+        handle.write(json.dumps(data))
+    tmp.replace(path)
+
+
+def save_memory_snapshot(memory: SearchMemory, path: str | os.PathLike,
+                         caches: bool = True) -> dict:
     """Write ``memory`` to ``path`` (atomically) and return the snapshot.
 
     The write goes through a temporary sibling file + rename, so a reader
     never observes a torn snapshot even if the writer dies mid-dump.
+    ``caches=False`` leaves the canon-key and heuristic stores out (the
+    WAL's compaction sidecar); an explicit snapshot keeps them.
 
     A full save is the transposition table's *aging epoch boundary*: the
     snapshot captures every entry stamped with its current generation,
@@ -63,14 +88,8 @@ def save_memory_snapshot(memory: SearchMemory,
     next workload never touches grow stale and drain out first under the
     age-weighted eviction sweeps.
     """
-    data = memory_to_dict(memory)
-    path = pathlib.Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    # compression is decided by the *final* name (the tmp suffix would
-    # otherwise silently disable it and break the later gzip read)
-    with _opener(path)(tmp, "wt", encoding="utf-8") as handle:
-        json.dump(data, handle)
-    tmp.replace(path)
+    data = memory_to_dict(memory, caches=caches)
+    _write_json(data, pathlib.Path(path))
     memory.transposition.bump_generation()
     return data
 
@@ -107,9 +126,10 @@ def merge_wal_delta(memory: SearchMemory, record: dict) -> int:
     ``record`` is the wire shape of :func:`repro.utils.serialization
     .wal_record_to_dict` — the same envelope :class:`MemoryWAL` appends
     to disk, here traveling between processes instead.  The worker-pool
-    tier uses this for cross-merge: each worker periodically ships what
-    it learned since its last pull (``memory_to_dict(memory, since=...)``
-    wrapped in a record), and every *other* worker folds it in here.
+    tier uses this for cross-merge: each worker periodically ships the
+    knowledge it learned since its last pull (``memory_to_dict(memory,
+    since=...)`` wrapped in a record; no cache entries), and every
+    *other* worker folds it in here.
     Merges are improve-only and idempotent (the same guarantees the WAL
     boot replay relies on), so records may be re-shipped, arrive in any
     order, or cross with a worker's own learning without ever regressing
@@ -131,11 +151,7 @@ def save_request_cache(cache, path: str | os.PathLike) -> dict:
     from repro.service.cache import request_cache_to_dict
 
     data = request_cache_to_dict(cache)
-    path = pathlib.Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with _opener(path)(tmp, "wt", encoding="utf-8") as handle:
-        json.dump(data, handle)
-    tmp.replace(path)
+    _write_json(data, pathlib.Path(path))
     return data
 
 
@@ -156,23 +172,30 @@ def load_request_cache(path: str | os.PathLike, regime: dict | None = None,
 # ----------------------------------------------------------------------
 
 class MemoryWAL:
-    """Write-ahead log of learned memory deltas, with compaction.
+    """Write-ahead log of learned knowledge, with compaction.
 
     A full snapshot re-serializes the whole memory — too heavy to run
     per request on a serving host.  The WAL instead appends one small
-    JSONL record per settled request (the delta since the previous
-    record: new canon/heuristic entries, new *and improved* transposition
-    entries, lane-stat increments) to ``<path>``, and keeps the last full
-    snapshot in the sidecar file ``<path>.snapshot``.  Booting replays
-    the records on top of the sidecar, which reproduces the live memory
-    exactly — delta merges are improve-only and idempotent, and
-    in-place transposition improvements ride along via the table's
+    JSONL record per settled request that learned something (the delta
+    since the previous record: new *and improved* transposition entries,
+    new or improved PDB evidence, lane-stat increments) to ``<path>``,
+    and keeps the last compacted snapshot of that knowledge in the
+    sidecar file ``<path>.snapshot``.  Booting replays the records on
+    top of the sidecar, which reproduces every knowledge section of the
+    live memory exactly — delta merges are improve-only and idempotent,
+    and in-place transposition improvements ride along via the table's
     improvement logs (see :func:`repro.utils.serialization
     .memory_to_dict`) — so a crash loses at most the record being
     written when the process died.
 
+    The canon-key and heuristic stores are caches and are not logged:
+    their values are recomputable, yet they would be nearly all of every
+    record's and sidecar's bytes.  A booted memory starts with them cold
+    (or warm from the ``fallback_snapshot`` on the very first boot) and
+    refills them from traffic.
+
     Compaction (every ``compact_interval`` appended records, at
-    :meth:`close`, or on demand) writes a fresh full snapshot *first*
+    :meth:`close`, or on demand) writes a fresh sidecar snapshot *first*
     and only then truncates the log back to its header: a crash between
     the two steps leaves old records that replay onto the new snapshot
     as harmless no-ops.  The replay path tolerates a torn final line
@@ -345,20 +368,18 @@ class MemoryWAL:
         if self._handle is None:
             return None
         delta = memory_to_dict(self.memory, since=self._baseline)
-        table = delta["transposition"]
-        if not (delta["canon_store"] or delta["h_store"] or table["data"]
-                or table["cond"] or delta["lane_stats"]
-                or delta["pdb"]["entries"]):
+        if memory_delta_is_empty(delta):
             return None
         seq = self.append(delta)
         self._baseline = memory_baseline(self.memory)
         return seq
 
     def compact(self) -> str:
-        """Fold the log into a fresh full snapshot; truncate to header."""
+        """Fold the log into a fresh sidecar snapshot (knowledge only);
+        truncate to header."""
         if self.obs is not None:
             self.obs.wal_compacted(self.records)
-        save_memory_snapshot(self.memory, self.snapshot_path)
+        save_memory_snapshot(self.memory, self.snapshot_path, caches=False)
         # snapshot lands first (atomically): a crash before the truncate
         # below leaves old records that replay as idempotent no-ops
         self._handle.close()

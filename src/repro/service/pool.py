@@ -20,9 +20,11 @@ across all of them.
 
 What one worker learns, the others receive: every
 :data:`~repro.constants.POOL_CROSS_MERGE_INTERVAL` settled requests the
-router pulls each worker's learned-memory delta — the same WAL-record
-wire shape :class:`~repro.service.persistence.MemoryWAL` appends to
-disk — and fans it out to every *other* worker
+router pulls each worker's learned-knowledge delta (transposition
+entries, PDB evidence, lane stats; each worker's canon-key and heuristic
+caches stay its own) — the same WAL-record wire shape
+:class:`~repro.service.persistence.MemoryWAL` appends to disk — and fans
+it out to every *other* worker
 (:func:`~repro.service.persistence.merge_wal_delta`).  Deltas are
 improve-only and idempotent, so ordering, re-shipment, and crossing
 with a worker's own learning are all harmless; the interval trades
@@ -62,6 +64,7 @@ from repro.service.server import (
 )
 from repro.utils.serialization import (
     memory_baseline,
+    memory_delta_is_empty,
     memory_to_dict,
     wal_record_to_dict,
 )
@@ -92,16 +95,6 @@ def worker_shard_path(base: str | None, index: int) -> str | None:
     workers never contend for one append-only file.
     """
     return None if base is None else f"{base}.w{index}"
-
-
-def _delta_is_empty(delta: dict) -> bool:
-    """True when a ``memory_to_dict(..., since=...)`` delta carries
-    nothing worth shipping (same test the WAL's ``record_learned``
-    applies before appending)."""
-    table = delta["transposition"]
-    return not (delta["canon_store"] or delta["h_store"] or table["data"]
-                or table["cond"] or delta["lane_stats"]
-                or delta["pdb"]["entries"])
 
 
 def _pool_worker_main(conn, config: ServiceConfig, index: int) -> None:
@@ -161,7 +154,7 @@ def _pool_worker_main(conn, config: ServiceConfig, index: int) -> None:
                     merge_wal_delta(service.memory, message[1])
                 elif kind == "pull":
                     delta = memory_to_dict(service.memory, since=baseline)
-                    if _delta_is_empty(delta):
+                    if memory_delta_is_empty(delta):
                         conn.send(("delta", index, None))
                     else:
                         pull_seq += 1

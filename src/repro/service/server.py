@@ -95,11 +95,12 @@ the next tier.  ``fast`` results are never marked ``optimal`` unless a
 **Persistence.**  ``op: snapshot`` writes a full memory snapshot on
 demand; ``serve --wal FILE`` keeps an incremental write-ahead log
 instead (:class:`~repro.service.persistence.MemoryWAL`): each settled
-request appends the delta the memory just learned, boot replays the log
-on top of its compacted sidecar snapshot, and compaction (every
-``--wal-compact-every`` records, and at shutdown) folds everything back
-into a fresh full snapshot — so a crash costs at most the record being
-written.  ``op: cache_snapshot`` (or ``serve --cache-snapshot`` at
+request appends the knowledge the memory just learned (exhaustion
+proofs, PDB evidence, lane stats; the canon-key and heuristic caches
+stay process-local), boot replays the log on top of its compacted
+sidecar snapshot, and compaction (every ``--wal-compact-every``
+records, and at shutdown) folds it back into a fresh sidecar — so a
+crash costs at most the record being written.  ``op: cache_snapshot`` (or ``serve --cache-snapshot`` at
 shutdown) persists the exact-hit request cache the same way.  All of it
 is gated by format-version + regime-fingerprint checks.
 
@@ -158,7 +159,7 @@ from repro.constants import (
 from repro.obs import ObsConfig, build_obs
 from repro.circuits.circuit import QCircuit
 from repro.core.astar import SearchConfig, SearchResult
-from repro.core.kernel import StatePool
+from repro.core.kernel import PACKED_MAX_QUBITS, StatePool
 from repro.core.memory import SearchMemory
 from repro.core.pdb import entanglement_signature
 from repro.exceptions import MemoryCompatibilityError
@@ -213,6 +214,19 @@ def parse_request_state(request: dict) -> QState:
         "ghz, w, terms)")
 
 
+def _check_search_width(op: str, state: QState) -> None:
+    """Reject a search op on a register the packed kernel cannot hold.
+
+    ``exact`` and ``fast`` search the whole register; ``prepare`` reduces
+    a wide sparse register to a small core first, so it serves them.
+    """
+    if state.num_qubits > PACKED_MAX_QUBITS:
+        raise ValueError(
+            f"op {op!r} searches at most {PACKED_MAX_QUBITS} qubits (the "
+            f"packed kernel's index width); this register has "
+            f"{state.num_qubits} (op 'prepare' serves wider sparse states)")
+
+
 @dataclass
 class ServiceConfig:
     """Service-level knobs.
@@ -239,11 +253,11 @@ class ServiceConfig:
     #: with the best feasible circuit found so far instead of an error;
     #: a request's own ``deadline_ms`` field overrides this
     deadline_ms: float | None = None
-    #: incremental snapshot WAL (``serve --wal``): learned-memory deltas
-    #: appended per settled request, replayed on boot, compacted on an
-    #: interval and at shutdown.  The WAL's compacted sidecar snapshot
+    #: incremental snapshot WAL (``serve --wal``): learned-knowledge
+    #: deltas appended per settled request, replayed on boot, compacted on
+    #: an interval and at shutdown.  The WAL's compacted sidecar snapshot
     #: wins over ``snapshot_path`` at boot (the latter only seeds the
-    #: very first boot).
+    #: very first boot, and is the only source of warm memory caches).
     wal_path: str | None = None
     wal_compact_interval: int = WAL_COMPACT_INTERVAL
     #: admission cap of the cross-request scheduler (``serve
@@ -516,6 +530,7 @@ class SynthesisService:
         state = parse_request_state(request)
         self._check_topology(request, state)
         if op == "fast":
+            _check_search_width(op, state)
             return self._handle_fast(rid, state, request)
         raise ValueError(f"unknown op {op!r}")
 
@@ -732,6 +747,8 @@ class SynthesisService:
         it as busy, or register its session (``None``)."""
         state = parse_request_state(request)
         self._check_topology(request, state)
+        if op == "exact":
+            _check_search_width(op, state)
         deadline_ms = self._request_deadline(request)
         if self.cache is not None:
             result = self.cache.get(op, state)
@@ -809,9 +826,10 @@ class SynthesisService:
         In-flight sessions get ``drain_ms`` of wall clock to finish
         normally; whatever remains is deadline-flushed (every pending
         caller still receives its best-so-far answer).  The WAL is then
-        compacted into a final full snapshot and closed, and the request
-        cache persisted — a warm boot starts exactly where this process
-        stopped.
+        compacted into its sidecar snapshot and closed, and the request
+        cache persisted — a warm boot starts with every piece of knowledge
+        (and every cached answer) this process had, while the memory's
+        canon-key and heuristic caches start cold and refill from traffic.
         """
         flushed = self.scheduler.drain(drain_ms)
         if self.wal is not None:

@@ -21,6 +21,17 @@ make it more than a pickle:
   portable regime fingerprint; the loader raises
   :class:`~repro.exceptions.MemoryCompatibilityError` on any mismatch or
   corruption instead of silently mixing incompatible entries.
+
+A memory holds two kinds of state.  *Knowledge* is what a search proved
+or observed and cannot cheaply redo: transposition entries (exhaustion
+proofs), pattern-database evidence and lane-outcome stats.  *Caches* are
+the canon-key and heuristic stores, whose values are deterministic per
+regime and recomputed on a miss.  Every snapshot carries the knowledge;
+only full snapshots written with ``caches=True`` (explicit snapshot
+files) carry the caches.  Deltas (``since=``), which the service WAL
+appends and the worker pool cross-merges, carry knowledge only, so
+replaying them reproduces every knowledge section while the caches
+restart cold.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ __all__ = [
     "qsp_result_from_dict",
     "memory_baseline",
     "memory_to_dict",
+    "memory_delta_is_empty",
     "memory_from_dict",
     "memory_merge_dict",
     "wal_header_to_dict",
@@ -238,13 +250,11 @@ def _canon_key_dec(enc: list):
 def memory_baseline(memory) -> dict[str, Any]:
     """Size markers for delta snapshots (see :func:`memory_to_dict`).
 
-    Capture right after seeding a memory (e.g. a batch worker loading the
+    Capture right after seeding a memory (e.g. a worker booting from the
     shared snapshot); a later ``memory_to_dict(memory, since=baseline)``
-    then ships only what was learned afterwards.
+    then ships only the knowledge learned afterwards.
     """
     return {
-        "canon_store": memory.canon_store.size_marker(),
-        "h_store": memory.h_store.size_marker(),
         "transposition_data": len(memory.transposition.data),
         "transposition_cond": len(memory.transposition.cond),
         "transposition_evictions": memory.transposition.evictions,
@@ -272,27 +282,33 @@ def _lane_stats_delta(current: dict, base: dict) -> dict:
     return delta
 
 
-def memory_to_dict(memory, since: dict[str, Any] | None = None
-                   ) -> dict[str, Any]:
+def memory_to_dict(memory, since: dict[str, Any] | None = None,
+                   caches: bool = True) -> dict[str, Any]:
     """Portable snapshot of a :class:`~repro.core.memory.SearchMemory`.
 
     Captures everything that is worth carrying across processes: the
-    canon-key and heuristic stores and the transposition table (both
-    entry kinds), plus the regime fingerprint and container caps.  The
-    interning pool is deliberately *not* captured — interned states are
-    rebuilt on demand and their hashes are per-process anyway.
+    transposition table (both entry kinds), the pattern database's
+    evidence and the lane stats (the knowledge, see the module docs),
+    the canon-key and heuristic stores (the caches) when ``caches`` is
+    true, plus the regime fingerprint and container caps.  The interning
+    pool is deliberately *not* captured — interned states are rebuilt on
+    demand and their hashes are per-process anyway.
 
     ``since`` (a :func:`memory_baseline` captured earlier) restricts the
-    snapshot to entries added after that point — the delta a batch worker
-    ships home, a small fraction of a snapshot-seeded memory.  All
-    containers are insertion-ordered, so the delta is a suffix slice;
-    in-place improvements of pre-existing transposition entries are
-    folded back in via the table's improvement logs (see
+    snapshot to the knowledge added after that point — the delta a WAL
+    record or a pool worker ships, a small fraction of a full snapshot.
+    A delta never carries the caches.  All knowledge containers are
+    insertion-ordered, so the delta is a suffix slice; in-place
+    improvements of pre-existing transposition entries are folded back
+    in via the table's improvement logs (see
     :meth:`~repro.core.memory.TranspositionTable.improve_marker`), so
-    merging a delta reproduces the source memory exactly — the property
-    the service WAL's replay-equals-snapshot guarantee rests on.  When
-    the logs overflowed (or an eviction sweep ran) since the baseline,
-    the delta falls back to shipping the whole capped table.
+    merging a delta reproduces the source memory's knowledge exactly —
+    the property the service WAL's replay guarantee rests on.  When the
+    logs overflowed (or an eviction sweep ran) since the baseline, the
+    delta falls back to shipping the whole capped table.
+
+    Store sections left out are written as empty lists, so the snapshot
+    shape (and the readers of older builds) stay unchanged.
 
     Raises :class:`MemoryCompatibilityError` if the memory's heuristic
     has no importable name (such a memory cannot cross processes).
@@ -303,14 +319,12 @@ def memory_to_dict(memory, since: dict[str, Any] | None = None
 
     fp = memory.fingerprint
     transposition = memory.transposition
-    canon_since = h_since = None
     skip_data = skip_cond = 0
     improved_data: list = []
     improved_cond: list = []
     lane_stats = {name: dict(row) for name, row in memory.lane_stats.items()}
     if since is not None:
-        canon_since = tuple(since["canon_store"])
-        h_since = tuple(since["h_store"])
+        caches = False
         # budget-weighted eviction deletes arbitrary positions, and an
         # improvement-log overflow clears the logs — either invalidates
         # the positional skips, and the only safe delta is the whole
@@ -353,10 +367,11 @@ def memory_to_dict(memory, since: dict[str, Any] | None = None
         },
         "canon_store": [[_b64(payload), _canon_key_enc(value)]
                         for payload, value
-                        in memory.canon_store.items_payload(canon_since)],
+                        in memory.canon_store.items_payload()]
+        if caches else [],
         "h_store": [[_b64(payload), value]
-                    for payload, value
-                    in memory.h_store.items_payload(h_since)],
+                    for payload, value in memory.h_store.items_payload()]
+        if caches else [],
         "transposition": {
             # per-entry generation stamps ride along (third/fourth
             # position), so relative entry ages survive the disk round
@@ -378,6 +393,15 @@ def memory_to_dict(memory, since: dict[str, Any] | None = None
             since=None if since is None else since.get("pdb")),
         "lane_stats": lane_stats,
     }
+
+
+def memory_delta_is_empty(delta: dict[str, Any]) -> bool:
+    """True when a ``memory_to_dict(..., since=...)`` delta carries no
+    knowledge: no transposition entry, PDB evidence or lane-stat
+    increment (the WAL appends no record for it, the pool ships none)."""
+    table = delta["transposition"]
+    return not (table["data"] or table["cond"] or delta["lane_stats"]
+                or delta["pdb"]["entries"])
 
 
 #: Readable snapshot versions.  v2 (current, written) added transposition

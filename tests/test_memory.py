@@ -72,24 +72,6 @@ class TestHashStore:
         assert len(store._primary) <= 4
         assert store.evictions > 0
 
-    def test_items_payload_delta_survives_eviction(self):
-        # positional skipping must account for front-eviction: without
-        # the eviction adjustment a full store would ship an empty delta
-        # and batch workers would silently lose what they learned
-        store = HashStore(cap=8)
-        for i in range(8):
-            store.put(_FakeState(i, bytes([i])), i)
-        marker = store.size_marker()
-        for i in range(8, 16):
-            store.put(_FakeState(i, bytes([i])), i)
-        delta = dict(store.items_payload(marker))
-        survivors = dict(store.items_payload())
-        assert delta  # the pre-fix bug: empty delta after eviction
-        # exactly the surviving post-marker additions, nothing pre-marker
-        assert delta == {payload: value
-                         for payload, value in survivors.items()
-                         if value >= 8}
-
 
 class TestTranspositionTable:
     def test_unconditional_roundtrip(self):

@@ -186,6 +186,20 @@ class TestPatternDatabase:
         assert [signature_from_list(enc) for enc, _ in delta["entries"]] \
             == [sig]
 
+    def test_delta_marker_ships_repeat_observations(self):
+        pdb = PatternDatabase()
+        sig = entanglement_signature(ghz_state(4))
+        pdb.observe(sig, solved_cost=3)
+        replica = PatternDatabase()
+        replica.merge_dict(pdb.to_dict())
+        marker = pdb.marker()
+        pdb.observe(sig, solved_cost=3)  # no bound moves, the count does
+        delta = pdb.to_dict(since=marker)
+        assert [signature_from_list(enc) for enc, _ in delta["entries"]] \
+            == [sig]
+        replica.merge_dict(delta)
+        assert replica.to_dict() == pdb.to_dict()
+
     def test_eviction_invalidates_positional_skip(self):
         pdb = PatternDatabase(cap=2)
         sigs = [(4, 0, (), ()), (5, 0, (), ()), (6, 0, (), ())]

@@ -19,13 +19,18 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.astar import SearchConfig
 from repro.core.memory import SearchMemory
+from repro.core.pdb import entanglement_signature, signature_to_list
 from repro.qsp.workflow import prepare_state
 from repro.service.persistence import MemoryWAL, merge_wal_delta, \
     save_memory_snapshot, load_memory_snapshot
@@ -34,8 +39,9 @@ from repro.service.portfolio import autotune_specs, default_portfolio, \
 from repro.service.scheduler import RequestScheduler, RequestSession
 from repro.service.server import ServiceConfig, SynthesisService, \
     parse_request_state, serve_loop
-from repro.utils.serialization import memory_baseline, memory_to_dict, \
-    memory_merge_dict, wal_record_to_dict
+from repro.utils.serialization import memory_baseline, \
+    memory_delta_is_empty, memory_merge_dict, memory_to_dict, \
+    wal_header_to_dict, wal_record_to_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -342,12 +348,15 @@ class TestLiveSessions:
 # ----------------------------------------------------------------------
 
 def _memory_state(memory: SearchMemory) -> tuple:
-    """Comparable content of a memory (process-portable pieces only)."""
+    """Comparable knowledge of a memory: transposition entries of both
+    kinds, PDB evidence and lane stats — every section a WAL replay and a
+    pool cross-merge reproduce.  The canon-key and heuristic stores are
+    process-local caches and are left out."""
     return (
-        dict(memory.canon_store.items_payload(None)),
-        dict(memory.h_store.items_payload(None)),
         dict(memory.transposition.data),
         dict(memory.transposition.cond),
+        {json.dumps(signature): tuple(row)
+         for signature, row in memory.pdb.to_dict()["entries"]},
         {name: dict(row) for name, row in memory.lane_stats.items()},
     )
 
@@ -359,6 +368,8 @@ class TestMemoryWAL:
             use_cache=False, wal_path=str(wal_path),
             wal_compact_interval=0))  # no auto-compaction: records stay
         _drive(service, _requests())
+        # a repeat observation moves only the PDB evidence count
+        _drive(service, [dict(_requests()[0], id="w4-again")])
         assert service.wal.records > 0
         snap_path = tmp_path / "full.qspmem.json"
         save_memory_snapshot(service.memory, snap_path)
@@ -423,6 +434,55 @@ class TestMemoryWAL:
         for idx in (0, 1, 2, 3):  # subsets of the intact boot
             assert set(state[idx]).issubset(set(good_state[idx]))
 
+    def test_logs_carry_knowledge_not_caches(self, tmp_path):
+        """WAL records and the compaction sidecar carry no canon-key or
+        heuristic entries; an explicit ``op: snapshot`` file still does."""
+        wal_path = tmp_path / "k.qspwal"
+        service = SynthesisService(_config(
+            use_cache=False, wal_path=str(wal_path),
+            wal_compact_interval=0))
+        _drive(service, _requests()[:3])
+        assert len(service.memory.canon_store) > 0
+        with open(wal_path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle][1:]
+        assert len(records) == service.wal.records > 0
+        shape = memory_to_dict(service.memory).keys()
+        for record in records:
+            delta = record["delta"]
+            # the sections stay (empty), so older builds read the records
+            assert delta.keys() == shape
+            assert delta["canon_store"] == [] and delta["h_store"] == []
+            assert not memory_delta_is_empty(delta)
+        service.wal.compact()
+        sidecar = json.loads(service.wal.snapshot_path.read_text(
+            encoding="utf-8"))
+        assert sidecar["canon_store"] == [] and sidecar["h_store"] == []
+        assert sidecar["lane_stats"]
+        explicit = tmp_path / "explicit.json"
+        reply = service.handle({"id": "s", "op": "snapshot",
+                                "path": str(explicit)})
+        assert reply["ok"] and reply["entries"] > 0
+        assert json.loads(explicit.read_text(encoding="utf-8"))[
+            "canon_store"]
+        service.shutdown()
+
+    def test_records_with_cache_entries_still_boot(self, tmp_path):
+        """Older builds logged the canon-key store in every record; such a
+        log still replays, cache entries included."""
+        source = SynthesisService(_config(use_cache=False))
+        _drive(source, _requests()[:2])
+        wal_path = tmp_path / "old.qspwal"
+        with open(wal_path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(
+                wal_header_to_dict(source.memory.fingerprint)) + "\n")
+            handle.write(json.dumps(wal_record_to_dict(
+                1, memory_to_dict(source.memory))) + "\n")
+        memory, wal = MemoryWAL.boot(wal_path)
+        wal.close(compact=False)
+        assert wal.replayed == 1 and not wal.truncations
+        assert _memory_state(memory) == _memory_state(source.memory)
+        assert len(memory.canon_store) == len(source.memory.canon_store) > 0
+
     def test_wal_survives_warm_boot_cycle(self, tmp_path):
         wal_path = tmp_path / "cycle.qspwal"
         first = SynthesisService(_config(use_cache=False,
@@ -435,6 +495,59 @@ class TestMemoryWAL:
         got = _drive(second, _requests()[3:])
         assert all(r["ok"] for r in got.values())
         second.shutdown()
+
+
+@pytest.fixture(scope="module")
+def wal_prefixes(tmp_path_factory):
+    """A real WAL (header + one line per record) and the knowledge a boot
+    of its first ``r`` records holds, for every ``r``."""
+    directory = tmp_path_factory.mktemp("wal")
+    path = directory / "prop.qspwal"
+    service = SynthesisService(_config(
+        use_cache=False, wal_path=str(path), wal_compact_interval=0))
+    targets = ({"w": 3}, {"ghz": 3}, {"w": 4}, {"ghz": 4}, {"dicke": [4, 2]})
+    for index, target in enumerate(targets):
+        _drive(service, [dict(target, id=index, op="exact")])
+    service.wal.close(compact=False)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + len(targets)
+    states = []
+    for count in range(len(lines)):
+        prefix = directory / f"prefix{count}.qspwal"
+        prefix.write_bytes(b"".join(lines[:1 + count]))
+        memory, wal = MemoryWAL.boot(prefix)
+        wal.close(compact=False)
+        assert wal.replayed == count and not wal.truncations
+        states.append(_memory_state(memory))
+    return lines, states
+
+
+class TestWALTruncation:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_cut_boots_the_record_prefix(self, wal_prefixes, data):
+        """A WAL cut at any byte boots exactly the records that end
+        before the cut: one truncation for a cut inside a line, none at
+        a line boundary, and the knowledge of a boot of that prefix."""
+        lines, states = wal_prefixes
+        raw = b"".join(lines)
+        ends = list(accumulate(len(line) for line in lines))
+        # line boundaries, and the cut that leaves a whole line but its
+        # newline, are drawn often; any other offset is drawn too
+        edges = [0, *ends, *(end - 1 for end in ends)]
+        cut = data.draw(st.one_of(st.integers(0, len(raw)),
+                                  st.sampled_from(edges)))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "cut.qspwal")
+            with open(path, "wb") as handle:
+                handle.write(raw[:cut])
+            memory, wal = MemoryWAL.boot(path)
+            wal.close(compact=False)
+        complete = sum(end <= cut for end in ends[1:])
+        assert wal.replayed == complete
+        at_boundary = cut == 0 or cut in ends
+        assert sum(wal.truncations.values()) == (0 if at_boundary else 1)
+        assert _memory_state(memory) == states[complete]
 
 
 # ----------------------------------------------------------------------
@@ -718,12 +831,17 @@ class TestPoolCrossMerge:
         exactly, in any order, any number of times (improve-only)."""
         worker_a = SynthesisService(_config(use_cache=False))
         worker_b = SynthesisService(_config(use_cache=False))
+        # the deltas a pool worker ships: everything since its boot
+        since_a = memory_baseline(worker_a.memory)
+        since_b = memory_baseline(worker_b.memory)
         for request in _requests()[:2]:
             worker_a.handle(request)
         for request in _requests()[2:]:
             worker_b.handle(request)
-        record_a = wal_record_to_dict(1, memory_to_dict(worker_a.memory))
-        record_b = wal_record_to_dict(1, memory_to_dict(worker_b.memory))
+        record_a = wal_record_to_dict(
+            1, memory_to_dict(worker_a.memory, since=since_a))
+        record_b = wal_record_to_dict(
+            1, memory_to_dict(worker_b.memory, since=since_b))
         # replay-exact: one worker's record rebuilds its memory
         solo = SearchMemory()
         assert merge_wal_delta(solo, record_a) == 1
@@ -735,18 +853,50 @@ class TestPoolCrossMerge:
         merge_wal_delta(ba, record_b)
         merge_wal_delta(ba, record_a)
         assert _memory_state(ab) == _memory_state(ba)
-        # idempotent for the improve-only stores (canon/h/transposition/
-        # pdb): re-shipping a record never regresses an entry.  Lane
-        # stats are deliberately additive advisory counters, so they are
-        # excluded here.
+        # idempotent for the improve-only sections (transposition, pdb):
+        # re-shipping a record never regresses an entry.  Lane stats are
+        # deliberately additive advisory counters, so they are excluded
+        # here.
         merge_wal_delta(ab, record_a)
-        assert _memory_state(ab)[:4] == _memory_state(ba)[:4]
+        assert _memory_state(ab)[:3] == _memory_state(ba)[:3]
 
     def test_malformed_record_rejected_before_merge(self):
         memory = SearchMemory()
         with pytest.raises(Exception):
             merge_wal_delta(memory, {"kind": "nonsense"})
         assert _memory_state(memory) == _memory_state(SearchMemory())
+
+    def test_worker_pull_ships_knowledge_not_caches(self):
+        """A worker's ``pull`` answer carries its learned knowledge and no
+        canon-key or heuristic entries; a second pull finds nothing."""
+        import threading
+        from multiprocessing import Pipe
+
+        from repro.service.pool import _pool_worker_main
+
+        router, end = Pipe()
+        worker = threading.Thread(
+            target=_pool_worker_main,
+            args=(end, _config(use_cache=False), 0))
+        worker.start()
+        try:
+            router.send(("request", 1, {"id": "w4", "op": "exact", "w": 4},
+                         None))
+            kind, mid, response = router.recv()
+            assert (kind, mid) == ("reply", 1) and response["ok"]
+            router.send(("pull",))
+            kind, index, record = router.recv()
+            assert (kind, index) == ("delta", 0)
+            delta = record["delta"]
+            assert delta["canon_store"] == [] and delta["h_store"] == []
+            assert delta["lane_stats"] and delta["pdb"]["entries"]
+            router.send(("pull",))
+            assert router.recv() == ("delta", 0, None)
+        finally:
+            router.send(("drain", 0.0))
+            while router.recv()[0] != "drained":
+                pass
+            worker.join(timeout=30)
 
 
 class TestWorkerPool:
@@ -765,6 +915,14 @@ class TestWorkerPool:
         pool = pool_module.WorkerPool(
             _config(use_cache=False,
                     wal_path=str(tmp_path / "pool.qspwal")), 2)
+        answers: list[int] = []
+        on_delta = pool._on_delta
+
+        def counted(index, record):
+            answers.append(index)
+            on_delta(index, record)
+
+        pool._on_delta = counted
         try:
             replies: list[dict] = []
             for request in requests:
@@ -772,6 +930,13 @@ class TestWorkerPool:
             deadline = time.time() + 120
             while pool.scheduler.pending and time.time() < deadline:
                 pool.scheduler.run_turn()
+            # one last merge round, pumped until every pull is answered:
+            # each worker's knowledge is fanned out before the drain
+            pool._begin_cross_merge()
+            while len(answers) < 2 * pool.merge_rounds and \
+                    time.time() < deadline:
+                pool.scheduler.run_turn()
+            assert len(answers) == 2 * pool.merge_rounds
             got = {r["id"]: r for r in replies}
             assert set(got) == set(rows)
             for rid, row in rows.items():
@@ -790,14 +955,19 @@ class TestWorkerPool:
         for index in (0, 1):
             assert (tmp_path / f"pool.qspwal.w{index}").exists()
             assert (tmp_path / f"pool.qspwal.w{index}.snapshot").exists()
-        # cross-merged shards: what one worker learned reached the other
-        merged = [load_memory_snapshot(
-            tmp_path / f"pool.qspwal.w{index}.snapshot")
-            for index in (0, 1)]
-        if pool.deltas_shipped:
-            for memory in merged:
-                payload = memory_to_dict(memory)
-                assert payload["canon_store"] or payload["h_store"]
+        # cross-merged shards: what one worker learned reached the other —
+        # both sidecars hold the PDB evidence of both exact targets,
+        # whichever worker settled them, and neither holds cache entries
+        exact_signatures = {
+            json.dumps(signature_to_list(entanglement_signature(
+                parse_request_state(request))))
+            for request in requests if request["op"] == "exact"}
+        assert pool.deltas_shipped
+        for index in (0, 1):
+            memory = load_memory_snapshot(
+                tmp_path / f"pool.qspwal.w{index}.snapshot")
+            assert exact_signatures <= set(_memory_state(memory)[2])
+            assert len(memory.canon_store) == 0
 
 
 # ----------------------------------------------------------------------

@@ -233,17 +233,45 @@ class TestSnapshotRoundTrip:
         )
 
         memory = SearchMemory()
-        astar_search(dicke_state(4, 1), SearchConfig(), memory=memory)
+        idastar_search(dicke_state(4, 1), memory=memory)
         baseline_dict = memory_to_dict(memory)
         baseline = memory_baseline(memory)
-        astar_search(dicke_state(4, 2), SearchConfig(), memory=memory)
+        idastar_search(dicke_state(4, 2), memory=memory)
         delta = memory_to_dict(memory, since=baseline)
         full = memory_to_dict(memory)
-        assert 0 < len(delta["canon_store"]) < len(full["canon_store"])
-        # baseline + delta reconstructs the full store contents
+
+        def entries(data):
+            table = data["transposition"]
+            return len(table["data"]) + len(table["cond"])
+
+        assert 0 < entries(delta) < entries(full)
+        # a delta carries knowledge only; the caches stay behind
+        assert full["canon_store"]
+        assert delta["canon_store"] == [] and delta["h_store"] == []
+        # baseline + delta reconstructs every knowledge section
         rebuilt = memory_from_dict(baseline_dict)
         memory_merge_dict(rebuilt, delta)
-        assert len(rebuilt.canon_store) == len(memory.canon_store)
+        assert rebuilt.transposition.data == memory.transposition.data
+        assert rebuilt.transposition.cond == memory.transposition.cond
+        assert rebuilt.pdb.to_dict() == memory.pdb.to_dict()
+        assert rebuilt.lane_stats == memory.lane_stats
+
+    def test_snapshot_files_are_json_dump_bytes(self, tmp_path):
+        """The C-encoder writes give the bytes ``json.dump`` would."""
+        from repro.service.persistence import save_request_cache
+
+        service = SynthesisService(ServiceConfig())
+        service.handle({"id": 1, "op": "exact", "dicke": [4, 1]})
+        service.handle({"id": 2, "op": "prepare", "w": 4})
+        memory_path = tmp_path / "memory.json"
+        cache_path = tmp_path / "cache.json"
+        for data, path in (
+                (save_memory_snapshot(service.memory, memory_path),
+                 memory_path),
+                (save_request_cache(service.cache, cache_path), cache_path)):
+            expected = io.StringIO()
+            json.dump(data, expected)
+            assert path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 class TestRequestCache:
@@ -468,6 +496,28 @@ class TestSynthesisService:
         by_state = service.handle(
             {"op": "exact", "state": state_to_dict(ghz_state(3))})
         assert by_state["ok"] and by_state["cnot_cost"] == 2
+
+
+class TestWideRegisters:
+    """Registers past the packed kernel's 62-qubit index width."""
+
+    def test_wide_prepare_serves_and_wide_search_names_the_limit(self):
+        from repro.core.kernel import PACKED_MAX_QUBITS
+
+        service = SynthesisService(ServiceConfig())
+        for rid in ("p1", "p2"):  # the second request misses the cache too
+            response = service.handle({"id": rid, "op": "prepare",
+                                       "ghz": 70})
+            assert response["ok"], response
+            assert response["cnot_cost"] == 69
+            assert response["cached"] is False
+        for op in ("exact", "fast"):
+            response = service.handle({"id": op, "op": op, "ghz": 64})
+            assert response["ok"] is False
+            assert str(PACKED_MAX_QUBITS) in response["error"]
+            assert "\n" not in response["error"]
+        assert service.handle({"id": "e", "op": "exact",
+                               "ghz": 3})["cnot_cost"] == 2
 
 
 class TestServeLoop:

@@ -509,28 +509,3 @@ class TestHitWeightedEviction:
             store.put(_KeyedState(i, bytes([i])), i)
         assert store.evictions > 0
         assert store.get(hot) == 5  # the hot entry survived
-
-    def test_delta_after_sweep_ships_everything(self):
-        store = HashStore(cap=8)
-        for i in range(8):
-            store.put(_KeyedState(i, bytes([i])), i)
-        marker = store.size_marker()
-        for i in range(8, 12):
-            store.put(_KeyedState(i, bytes([i])), i)
-        delta = dict(store.items_payload(marker))
-        survivors = dict(store.items_payload())
-        # post-sweep the positional skip is invalid; the safe delta is the
-        # full surviving store — nothing learned may be lost
-        assert delta == survivors
-        for i in range(8, 12):
-            assert bytes([i]) in delta
-
-    def test_delta_without_sweep_stays_positional(self):
-        store = HashStore(cap=64)
-        for i in range(4):
-            store.put(_KeyedState(i, bytes([i])), i)
-        marker = store.size_marker()
-        for i in range(4, 8):
-            store.put(_KeyedState(i, bytes([i])), i)
-        delta = dict(store.items_payload(marker))
-        assert delta == {bytes([i]): i for i in range(4, 8)}
