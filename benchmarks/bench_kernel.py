@@ -4,8 +4,8 @@ Runs the same A* configuration through three engines on the Dicke
 benchmark family (the rows of Table IV) and reports search throughput:
 
 * ``fastcore`` — the packed kernel with the native ``_fastcore`` C
-  extension driving the hot loop (orbit hash, merge lattice walk, batched
-  CX expansion, native hash containers);
+  extension driving the hot loop (orbit hash, one native call per
+  expansion, native hash containers);
 * ``kernel`` — the same packed kernel forced onto its pure-Python
   reference paths (``fastcore.set_enabled(False)``);
 * ``legacy`` — the dict-based seed loop, kept as the test oracle
@@ -31,7 +31,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernel.py --profile  # + phase
         breakdown of the hot loop (enumeration / canonicalization /
         hashing / heuristic / containers) for both A* kernel paths and
-        the IDA* and beam engines
+        the IDA* and beam engines, with the seconds CPython's cyclic
+        garbage collector ran and its full-collection count
 
 Results land in ``BENCH_kernel.json`` at the repo root (the committed
 snapshot) and ``benchmarks/results/bench_kernel.txt``.
@@ -39,6 +40,7 @@ snapshot) and ``benchmarks/results/bench_kernel.txt``.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import pathlib
@@ -233,18 +235,47 @@ def _run_search_engine(n: int, k: int, budget: int,
     return outcome
 
 
+class CollectorProbe:
+    """Seconds CPython's cyclic garbage collector ran inside a ``with``
+    block, and how many of its runs were full (generation-2) collections,
+    read from ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.full_collections = 0
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            self.full_collections += info["generation"] == 2
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "CollectorProbe":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+
 def run_profile(rows: list[tuple[int, int, int]]) -> str:
     """Phase breakdown of every profiled engine: both A* kernel paths
     plus the IDA* and beam engines (all three search cores fill
-    ``SearchStats.phase_seconds``)."""
+    ``SearchStats.phase_seconds``), and the cyclic collector's share."""
     engines = ["fastcore", "kernel"] if fastcore.available() else ["kernel"]
     lines = []
     for n, k, budget in rows:
-        outcomes = [(engine, _run(n, k, budget, engine, profile=True))
-                    for engine in engines]
-        outcomes += [(engine, _run_search_engine(n, k, budget, engine))
-                     for engine in ("idastar", "beam")]
-        for engine, outcome in outcomes:
+        outcomes = []
+        for engine in [*engines, "idastar", "beam"]:
+            with CollectorProbe() as probe:
+                if engine in engines:
+                    outcome = _run(n, k, budget, engine, profile=True)
+                else:
+                    outcome = _run_search_engine(n, k, budget, engine)
+            outcomes.append((engine, outcome, probe))
+        for engine, outcome, probe in outcomes:
             phases = outcome.get("phase_seconds", {})
             total = max(outcome["elapsed_seconds"], 1e-9)
             parts = ", ".join(
@@ -253,7 +284,9 @@ def run_profile(rows: list[tuple[int, int, int]]) -> str:
                                             key=lambda kv: -kv[1]))
             lines.append(
                 f"D({n},{k}) {engine:>8}: {total:.3f}s total, "
-                f"{outcome['nodes_per_second']:.0f} n/s | {parts}")
+                f"{outcome['nodes_per_second']:.0f} n/s | "
+                f"gc {probe.seconds:.3f}s ({probe.seconds / total:.0%}, "
+                f"{probe.full_collections} full) | {parts}")
     return "\n".join(lines)
 
 

@@ -11,11 +11,15 @@ shared object next to the Python sources, where import-time detection in
 * ``-fno-strict-aliasing`` — defensive; float<->uint64 punning goes
   through ``memcpy`` but the flag keeps any future edit safe.
 
+The extension builds NumPy arrays through the NumPy C API, so NumPy's
+headers (``numpy.get_include()``) are on the include path.
+
 The extension is strictly optional: environments without a compiler run
 the pure-Python kernel (``repro.core.fastcore`` handles detection and
 fallback), so this setup script is never a hard install dependency.
 """
 
+import numpy
 from setuptools import Extension, setup
 
 setup(
@@ -28,6 +32,7 @@ setup(
             "repro.core._fastcore",
             sources=["src/repro/core/_fastcore.c"],
             depends=["src/repro/core/_splitmix.h"],
+            include_dirs=[numpy.get_include()],
             extra_compile_args=[
                 "-O2",
                 "-ffp-contract=off",

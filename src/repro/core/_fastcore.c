@@ -19,6 +19,9 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include "structmember.h"
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -263,6 +266,9 @@ fc_payload(PyObject *self, PyObject *args)
 /* column_counts(n, idx) -> list[int]                                  */
 /* ------------------------------------------------------------------ */
 
+/* The list holds ints only and is memoized on a PackedState, so it is
+ * returned outside the cyclic collector. */
+
 static PyObject *
 fc_column_counts(PyObject *self, PyObject *args)
 {
@@ -297,6 +303,7 @@ fc_column_counts(PyObject *self, PyObject *args)
         PyList_SET_ITEM(res, q, v);
     }
     PyBuffer_Release(&idx_b);
+    PyObject_GC_UnTrack(res);
     return res;
 }
 
@@ -1091,47 +1098,24 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* pairs_singles(n, idx, amp, tshift)                                  */
-/*   -> (i0 list, a0 list, a1 list, singles list)                      */
+/* merge enumeration and application: shared helpers                   */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-fc_pairs_singles(PyObject *self, PyObject *args)
+/* Split the sorted index set by the pairing on target bit `tmask` (twin
+ * of kernel._pairs_and_singles_packed).  Pairs come out in ascending i0
+ * (a0 = the |0> member's amplitude, a1 its partner's); singles are the
+ * indices without a partner, in index order.  Each output holds up to m
+ * entries.  Returns the pair count and sets *num_singles. */
+static Py_ssize_t
+split_pairs(const int64_t *idx, const double *amp, Py_ssize_t m,
+            int64_t tmask, int64_t *i0, double *a0, double *a1,
+            int64_t *singles, Py_ssize_t *num_singles)
 {
-    int n, tshift;
-    PyObject *idx_o, *amp_o;
-    PyObject *i0 = NULL, *a0 = NULL, *a1 = NULL, *singles = NULL,
-             *res = NULL;
-    Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m;
-    const int64_t *idx;
-    const double *amp;
-    int64_t tmask;
-
-    if (!PyArg_ParseTuple(args, "iOOi", &n, &idx_o, &amp_o, &tshift))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(amp_o, &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    amp = (const double *)amp_b.buf;
-    tmask = (int64_t)1 << tshift;
-
-    i0 = PyList_New(0);
-    a0 = PyList_New(0);
-    a1 = PyList_New(0);
-    singles = PyList_New(0);
-    if (i0 == NULL || a0 == NULL || a1 == NULL || singles == NULL)
-        goto done;
+    Py_ssize_t j, P = 0, S = 0;
     for (j = 0; j < m; j++) {
         int64_t partner = idx[j] ^ tmask;
         /* binary search for the partner in the sorted index set */
         Py_ssize_t lo = 0, hi = m;
-        int found;
         while (lo < hi) {
             Py_ssize_t mid = (lo + hi) / 2;
             if (idx[mid] < partner)
@@ -1139,91 +1123,42 @@ fc_pairs_singles(PyObject *self, PyObject *args)
             else
                 hi = mid;
         }
-        found = lo < m && idx[lo] == partner;
-        if (!found) {
-            PyObject *v = PyLong_FromLongLong(idx[j]);
-            if (v == NULL || PyList_Append(singles, v) < 0) {
-                Py_XDECREF(v);
-                goto done;
-            }
-            Py_DECREF(v);
+        if (!(lo < m && idx[lo] == partner)) {
+            singles[S++] = idx[j];
         }
         else if (!(idx[j] & tmask)) {
-            PyObject *vi = PyLong_FromLongLong(idx[j]);
-            PyObject *v0 = PyFloat_FromDouble(amp[j]);
-            PyObject *v1 = PyFloat_FromDouble(amp[lo]);
-            if (vi == NULL || v0 == NULL || v1 == NULL ||
-                    PyList_Append(i0, vi) < 0 ||
-                    PyList_Append(a0, v0) < 0 ||
-                    PyList_Append(a1, v1) < 0) {
-                Py_XDECREF(vi);
-                Py_XDECREF(v0);
-                Py_XDECREF(v1);
-                goto done;
-            }
-            Py_DECREF(vi);
-            Py_DECREF(v0);
-            Py_DECREF(v1);
+            i0[P] = idx[j];
+            a0[P] = amp[j];
+            a1[P++] = amp[lo];
         }
     }
-    res = PyTuple_Pack(4, i0, a0, a1, singles);
-done:
-    Py_XDECREF(i0);
-    Py_XDECREF(a0);
-    Py_XDECREF(a1);
-    Py_XDECREF(singles);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
-    return res;
+    *num_singles = S;
+    return P;
 }
 
-/* ------------------------------------------------------------------ */
-/* merge_reps_codes(n, i0, singles, other)                             */
-/*   -> (reps list, pcodes list, scodes list)                          */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_merge_reps_codes(PyObject *self, PyObject *args)
+/* Pattern-lattice pruning (twin of kernel._merge_representatives): scan
+ * `other` in order and keep one qubit per distinct non-constant bit
+ * column over pairs + singles, complement-normalized; then build each
+ * pair's and single's rep-bit code (bit r <-> reps[r]).  `cols` holds
+ * O * (P + S) bytes.  Returns the number of representatives. */
+static int
+rep_codes(int n, const int64_t *i0, Py_ssize_t P, const int64_t *singles,
+          Py_ssize_t S, const int64_t *other, Py_ssize_t O,
+          unsigned char *cols, int64_t *reps, int64_t *pcodes,
+          int64_t *scodes)
 {
-    int n;
-    PyObject *i0_o, *singles_o, *other_o, *res = NULL;
-    Py_ssize_t P, S, O, total, oi, j, r;
-    int64_t *i0 = NULL, *singles = NULL, *other = NULL;
-    unsigned char *cols = NULL;  /* accepted columns, row-major */
-    int64_t reps_q[64];
-    Py_ssize_t nreps = 0;
-    PyObject *reps_l = NULL, *pcodes_l = NULL, *scodes_l = NULL;
-
-    if (!PyArg_ParseTuple(args, "iOOO", &n, &i0_o, &singles_o, &other_o))
-        return NULL;
-    i0 = list_to_i64(i0_o, &P);
-    if (i0 == NULL)
-        return NULL;
-    singles = list_to_i64(singles_o, &S);
-    if (singles == NULL)
-        goto done;
-    other = list_to_i64(other_o, &O);
-    if (other == NULL)
-        goto done;
-    total = P + S;
-    cols = PyMem_Malloc((size_t)((O ? O : 1) * (total ? total : 1) + 1));
-    if (cols == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    Py_ssize_t total = P + S, oi, j;
+    int r, nreps = 0;
     for (oi = 0; oi < O; oi++) {
-        int q = (int)other[oi];
-        int shift = n - 1 - q;
-        unsigned char *col = cols + nreps * total;
-        unsigned char first, any = 0;
+        int shift = n - 1 - (int)other[oi];
+        unsigned char *col = cols + (size_t)nreps * (size_t)total;
+        unsigned char any = 0;
         int dup = 0;
         for (j = 0; j < total; j++) {
             int64_t v = j < P ? i0[j] : singles[j - P];
             col[j] = (unsigned char)((v >> shift) & 1);
         }
-        /* complement-normalize: first bit 0 */
-        first = col[0];
-        if (first) {
+        if (total && col[0]) {  /* complement-normalize: first bit 0 */
             for (j = 0; j < total; j++)
                 col[j] ^= 1;
         }
@@ -1232,62 +1167,32 @@ fc_merge_reps_codes(PyObject *self, PyObject *args)
         if (!any)
             continue;  /* constant column: never splits anything */
         for (r = 0; r < nreps; r++) {
-            if (memcmp(cols + r * total, col, (size_t)total) == 0) {
+            if (memcmp(cols + (size_t)r * (size_t)total, col,
+                       (size_t)total) == 0) {
                 dup = 1;
                 break;
             }
         }
         if (dup)
             continue;  /* duplicate/complement column of an earlier qubit */
-        reps_q[nreps++] = q;
+        reps[nreps++] = other[oi];
         if (nreps >= 64)
             break;  /* codes are 64-bit; n <= 62 keeps this unreachable */
-    }
-    reps_l = PyList_New(nreps);
-    pcodes_l = PyList_New(P);
-    scodes_l = PyList_New(S);
-    if (reps_l == NULL || pcodes_l == NULL || scodes_l == NULL)
-        goto done;
-    for (r = 0; r < nreps; r++) {
-        PyObject *v = PyLong_FromLongLong(reps_q[r]);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(reps_l, r, v);
     }
     for (j = 0; j < P; j++) {
         int64_t code = 0;
         for (r = 0; r < nreps; r++)
-            code |= ((i0[j] >> (n - 1 - reps_q[r])) & 1) << r;
-        PyObject *v = PyLong_FromLongLong(code);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(pcodes_l, j, v);
+            code |= ((i0[j] >> (n - 1 - reps[r])) & 1) << r;
+        pcodes[j] = code;
     }
     for (j = 0; j < S; j++) {
         int64_t code = 0;
         for (r = 0; r < nreps; r++)
-            code |= ((singles[j] >> (n - 1 - reps_q[r])) & 1) << r;
-        PyObject *v = PyLong_FromLongLong(code);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(scodes_l, j, v);
+            code |= ((singles[j] >> (n - 1 - reps[r])) & 1) << r;
+        scodes[j] = code;
     }
-    res = PyTuple_Pack(3, reps_l, pcodes_l, scodes_l);
-done:
-    Py_XDECREF(reps_l);
-    Py_XDECREF(pcodes_l);
-    Py_XDECREF(scodes_l);
-    PyMem_Free(i0);
-    PyMem_Free(singles);
-    PyMem_Free(other);
-    PyMem_Free(cols);
-    return res;
+    return nreps;
 }
-
-/* ------------------------------------------------------------------ */
-/* merge_walk(pcodes, scodes, a0, a1, num_reps, kmax, rtol)            */
-/*   -> list[(smask, ref, direction)]                                  */
-/* ------------------------------------------------------------------ */
 
 /* growable open-addressing set of (members..., direction) dedupe keys */
 typedef struct {
@@ -1386,15 +1291,51 @@ dedupe_check_add(dedupe_set *ds, const int64_t *members, Py_ssize_t count,
     return 0;
 }
 
-static PyObject *
-fc_merge_walk(PyObject *self, PyObject *args)
+/* one emitted merge of the lattice walk */
+typedef struct {
+    int64_t smask;       /* chosen representatives (bit r <-> reps[r]) */
+    Py_ssize_t ref;      /* reference pair: the first of its bucket */
+    int direction;
+} walk_hit;
+
+typedef struct {
+    walk_hit *hits;
+    Py_ssize_t count, cap;
+} walk_list;
+
+static int
+walk_push(walk_list *wl, int64_t smask, Py_ssize_t ref, int direction)
 {
-    PyObject *pcodes_o, *scodes_o, *a0_o, *a1_o, *res = NULL;
-    int num_reps, kmax, k;
-    double rtol;
-    Py_ssize_t P, S, na0, na1, p, s, b, i;
-    int64_t *pcl = NULL, *scl = NULL;
-    double *a0 = NULL, *a1 = NULL;
+    if (wl->count == wl->cap) {
+        Py_ssize_t cap = wl->cap ? wl->cap * 2 : 32;
+        walk_hit *grown = PyMem_Realloc(wl->hits,
+                                        (size_t)cap * sizeof(walk_hit));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        wl->hits = grown;
+        wl->cap = cap;
+    }
+    wl->hits[wl->count].smask = smask;
+    wl->hits[wl->count].ref = ref;
+    wl->hits[wl->count++].direction = direction;
+    return 0;
+}
+
+/* The control-cube lattice walk of enumerate_merges_packed: for k = 0..kmax
+ * and every k-subset of the representatives in lexicographic order, bucket
+ * the pairs by masked code, skip buckets that would split a single or whose
+ * amplitude ratios disagree, and emit each (members, direction) the first
+ * time it is reached.  Appends the (smask, ref, direction) of every emitted
+ * merge to `out`, in the reference's order.  Returns 0, or -1 with an
+ * exception set. */
+static int
+merge_walk_core(const int64_t *pcl, Py_ssize_t P, const int64_t *scl,
+                Py_ssize_t S, const double *a0, const double *a1,
+                int num_reps, int kmax, double rtol, walk_list *out)
+{
+    Py_ssize_t p, s, b, i;
     /* per-subset bucket state */
     Py_ssize_t *bucket_head = NULL, *bucket_tail = NULL, *nxt = NULL;
     int64_t *bucket_code = NULL, *members = NULL;
@@ -1407,23 +1348,8 @@ fc_merge_walk(PyObject *self, PyObject *args)
     int64_t *sk = NULL, *sgen = NULL;
     int64_t gen = 0;
     int combo[64];
+    int k, rc = -1;
     dedupe_set ds = {NULL, NULL, 0, 0, NULL, 0, 0};
-
-    if (!PyArg_ParseTuple(args, "OOOOiid", &pcodes_o, &scodes_o, &a0_o,
-                          &a1_o, &num_reps, &kmax, &rtol))
-        return NULL;
-    pcl = list_to_i64(pcodes_o, &P);
-    if (pcl == NULL)
-        return NULL;
-    scl = list_to_i64(scodes_o, &S);
-    if (scl == NULL)
-        goto done;
-    a0 = list_to_f64(a0_o, &na0);
-    if (a0 == NULL)
-        goto done;
-    a1 = list_to_f64(a1_o, &na1);
-    if (a1 == NULL)
-        goto done;
 
     bucket_head = PyMem_Malloc((size_t)(P + 1) * sizeof(Py_ssize_t));
     bucket_tail = PyMem_Malloc((size_t)(P + 1) * sizeof(Py_ssize_t));
@@ -1455,9 +1381,6 @@ fc_merge_walk(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    res = PyList_New(0);
-    if (res == NULL)
-        goto done;
 
     for (k = 0; k <= kmax; k++) {
         int have_combo = 1;
@@ -1545,18 +1468,11 @@ fc_merge_walk(PyObject *self, PyObject *args)
                     int dup = dedupe_check_add(&ds, members, nmem,
                                                direction);
                     if (dup < 0)
-                        goto fail;
+                        goto done;
                     if (dup)
                         continue;  /* cheaper cube already found */
-                    {
-                        PyObject *t = Py_BuildValue(
-                            "(Lni)", (long long)smask, ref, direction);
-                        if (t == NULL || PyList_Append(res, t) < 0) {
-                            Py_XDECREF(t);
-                            goto fail;
-                        }
-                        Py_DECREF(t);
-                    }
+                    if (walk_push(out, smask, ref, direction) < 0)
+                        goto done;
                 }
             }
             /* advance to next combination (lexicographic) */
@@ -1579,14 +1495,8 @@ fc_merge_walk(PyObject *self, PyObject *args)
             }
         }
     }
-    goto done;
-fail:
-    Py_CLEAR(res);
+    rc = 0;
 done:
-    PyMem_Free(pcl);
-    PyMem_Free(scl);
-    PyMem_Free(a0);
-    PyMem_Free(a1);
     PyMem_Free(bucket_head);
     PyMem_Free(bucket_tail);
     PyMem_Free(nxt);
@@ -1600,59 +1510,60 @@ done:
     PyMem_Free(ds.hashes);
     PyMem_Free(ds.offsets);
     PyMem_Free(ds.arena);
-    return res;
+    return rc;
 }
 
-/* ------------------------------------------------------------------ */
-/* merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol)          */
-/*   -> (idx_bytes, amp_bytes)                                         */
-/* ------------------------------------------------------------------ */
+/* scratch of merge_apply_core, sized for an m-entry state */
+typedef struct {
+    int64_t *g0i, *g1i;
+    double *g0a, *g1a;
+    unsigned char *matched;
+    ia_pair *out;        /* 2m result slots */
+} apply_scratch;
 
-static PyObject *
-fc_merge_apply(PyObject *self, PyObject *args)
+static int
+apply_scratch_alloc(apply_scratch *sc, Py_ssize_t m)
 {
-    int n, tshift;
-    long long cmask_ll, cval_ll;
-    double theta, atol;
-    PyObject *idx_o, *amp_o, *res = NULL;
-    Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m, n0 = 0, n1 = 0, count = 0, p1 = 0, t;
-    const int64_t *idx;
-    const double *amp;
-    int64_t cmask, cval, tmask;
-    int64_t *g0i = NULL, *g1i = NULL;
-    double *g0a = NULL, *g1a = NULL;
-    unsigned char *matched = NULL;
-    ia_pair *out = NULL;
+    sc->g0i = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    sc->g1i = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    sc->g0a = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    sc->g1a = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    sc->matched = PyMem_Malloc((size_t)(m + 1));
+    sc->out = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(ia_pair));
+    if (sc->g0i == NULL || sc->g1i == NULL || sc->g0a == NULL ||
+            sc->g1a == NULL || sc->matched == NULL || sc->out == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void
+apply_scratch_free(apply_scratch *sc)
+{
+    PyMem_Free(sc->g0i);
+    PyMem_Free(sc->g1i);
+    PyMem_Free(sc->g0a);
+    PyMem_Free(sc->g1a);
+    PyMem_Free(sc->matched);
+    PyMem_Free(sc->out);
+}
+
+/* (Multi-)controlled Ry on target bit `tmask` over the cube
+ * (idx & cmask) == cval (twin of kernel._merge_arrays).  Writes the result
+ * to sc->out sorted by index and returns its length. */
+static Py_ssize_t
+merge_apply_core(const int64_t *idx, const double *amp, Py_ssize_t m,
+                 int64_t cmask, int64_t cval, int64_t tmask, double theta,
+                 double atol, apply_scratch *sc)
+{
+    Py_ssize_t j, n0 = 0, n1 = 0, count = 0, p1 = 0, t;
+    int64_t *g0i = sc->g0i, *g1i = sc->g1i;
+    double *g0a = sc->g0a, *g1a = sc->g1a;
+    unsigned char *matched = sc->matched;
+    ia_pair *out = sc->out;
     double c, s;
 
-    if (!PyArg_ParseTuple(args, "iOOLLidd", &n, &idx_o, &amp_o, &cmask_ll,
-                          &cval_ll, &tshift, &theta, &atol))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(amp_o, &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    amp = (const double *)amp_b.buf;
-    cmask = (int64_t)cmask_ll;
-    cval = (int64_t)cval_ll;
-    tmask = (int64_t)1 << tshift;
-
-    g0i = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    g1i = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    g0a = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    g1a = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    matched = PyMem_Calloc((size_t)(m + 1), 1);
-    out = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(ia_pair));
-    if (g0i == NULL || g1i == NULL || g0a == NULL || g1a == NULL ||
-            matched == NULL || out == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     for (j = 0; j < m; j++) {
         int64_t i = idx[j];
         if ((i & cmask) != cval) {
@@ -1668,6 +1579,7 @@ fc_merge_apply(PyObject *self, PyObject *args)
             g0a[n0++] = amp[j];
         }
     }
+    memset(matched, 0, (size_t)n1);
     c = cos(theta / 2.0);
     s = sin(theta / 2.0);
     /* g0i and g1i are each ascending (masking preserves sort order), so
@@ -1712,94 +1624,714 @@ fc_merge_apply(PyObject *self, PyObject *args)
         }
     }
     qsort(out, (size_t)count, sizeof(ia_pair), cmp_ia_pair);
-    {
-        PyObject *ib = PyBytes_FromStringAndSize(NULL, count * 8);
-        PyObject *ab = PyBytes_FromStringAndSize(NULL, count * 8);
-        if (ib != NULL && ab != NULL) {
-            int64_t *ip = (int64_t *)PyBytes_AS_STRING(ib);
-            double *ap = (double *)PyBytes_AS_STRING(ab);
-            for (j = 0; j < count; j++) {
-                ip[j] = out[j].v;
-                ap[j] = out[j].a;
-            }
-            res = PyTuple_Pack(2, ib, ab);
+    return count;
+}
+
+/* math.atan2, special values included (Modules/mathmodule.c m_atan2) */
+static double
+py_atan2(double y, double x)
+{
+    if (isnan(x) || isnan(y))
+        return Py_NAN;
+    if (isinf(y)) {
+        if (isinf(x)) {
+            if (copysign(1., x) == 1.)
+                return copysign(0.25 * Py_MATH_PI, y);
+            return copysign(0.75 * Py_MATH_PI, y);
         }
-        Py_XDECREF(ib);
-        Py_XDECREF(ab);
+        return copysign(0.5 * Py_MATH_PI, y);
     }
+    if (isinf(x) || y == 0.) {
+        if (copysign(1., x) == 1.)
+            return copysign(0., y);
+        return copysign(Py_MATH_PI, y);
+    }
+    return atan2(y, x);
+}
+
+/* twin of moves.merge_angle */
+static double
+merge_angle(double a0, double a1, int direction)
+{
+    if (direction == 0)
+        return -2.0 * py_atan2(a1, a0);
+    return 2.0 * py_atan2(a0, a1);
+}
+
+/* ------------------------------------------------------------------ */
+/* pairs_singles(n, idx, amp, tshift)                                  */
+/*   -> (i0 list, a0 list, a1 list, singles list)                      */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+fc_pairs_singles(PyObject *self, PyObject *args)
+{
+    int n, tshift;
+    PyObject *idx_o, *amp_o, *res = NULL;
+    PyObject *i0_l = NULL, *a0_l = NULL, *a1_l = NULL, *singles_l = NULL;
+    Py_buffer idx_b, amp_b;
+    Py_ssize_t j, m, P, S;
+    int64_t *i0 = NULL, *singles = NULL;
+    double *a0 = NULL, *a1 = NULL;
+
+    if (!PyArg_ParseTuple(args, "iOOi", &n, &idx_o, &amp_o, &tshift))
+        return NULL;
+    if (get_buf(idx_o, &idx_b, 0) < 0)
+        return NULL;
+    if (get_buf(amp_o, &amp_b, 0) < 0) {
+        PyBuffer_Release(&idx_b);
+        return NULL;
+    }
+    m = idx_b.len / 8;
+    i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    if (i0 == NULL || singles == NULL || a0 == NULL || a1 == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    P = split_pairs((const int64_t *)idx_b.buf, (const double *)amp_b.buf,
+                    m, (int64_t)1 << tshift, i0, a0, a1, singles, &S);
+    i0_l = PyList_New(P);
+    a0_l = PyList_New(P);
+    a1_l = PyList_New(P);
+    singles_l = PyList_New(S);
+    if (i0_l == NULL || a0_l == NULL || a1_l == NULL || singles_l == NULL)
+        goto done;
+    for (j = 0; j < P; j++) {
+        PyObject *vi = PyLong_FromLongLong(i0[j]);
+        PyObject *v0 = PyFloat_FromDouble(a0[j]);
+        PyObject *v1 = PyFloat_FromDouble(a1[j]);
+        if (vi == NULL || v0 == NULL || v1 == NULL) {
+            Py_XDECREF(vi);
+            Py_XDECREF(v0);
+            Py_XDECREF(v1);
+            goto done;
+        }
+        PyList_SET_ITEM(i0_l, j, vi);
+        PyList_SET_ITEM(a0_l, j, v0);
+        PyList_SET_ITEM(a1_l, j, v1);
+    }
+    for (j = 0; j < S; j++) {
+        PyObject *v = PyLong_FromLongLong(singles[j]);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(singles_l, j, v);
+    }
+    res = PyTuple_Pack(4, i0_l, a0_l, a1_l, singles_l);
 done:
-    PyMem_Free(g0i);
-    PyMem_Free(g1i);
-    PyMem_Free(g0a);
-    PyMem_Free(g1a);
-    PyMem_Free(matched);
-    PyMem_Free(out);
+    Py_XDECREF(i0_l);
+    Py_XDECREF(a0_l);
+    Py_XDECREF(a1_l);
+    Py_XDECREF(singles_l);
+    PyMem_Free(i0);
+    PyMem_Free(singles);
+    PyMem_Free(a0);
+    PyMem_Free(a1);
     PyBuffer_Release(&idx_b);
     PyBuffer_Release(&amp_b);
     return res;
 }
 
 /* ------------------------------------------------------------------ */
-/* cx_batch(n, idx, amp, qamp, controls, phases, targets,              */
-/*          out_idx_2d, out_amp_2d, out_qamp_2d) -> list[payload]      */
+/* merge_reps_codes(n, i0, singles, other)                             */
+/*   -> (reps list, pcodes list, scodes list)                          */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-fc_cx_batch(PyObject *self, PyObject *args)
+i64_list(const int64_t *vals, Py_ssize_t count)
 {
+    Py_ssize_t j;
+    PyObject *lst = PyList_New(count);
+    if (lst == NULL)
+        return NULL;
+    for (j = 0; j < count; j++) {
+        PyObject *v = PyLong_FromLongLong(vals[j]);
+        if (v == NULL) {
+            Py_DECREF(lst);
+            return NULL;
+        }
+        PyList_SET_ITEM(lst, j, v);
+    }
+    return lst;
+}
+
+static PyObject *
+fc_merge_reps_codes(PyObject *self, PyObject *args)
+{
+    int n, nreps;
+    PyObject *i0_o, *singles_o, *other_o, *res = NULL;
+    PyObject *reps_l = NULL, *pcodes_l = NULL, *scodes_l = NULL;
+    Py_ssize_t P, S, O;
+    int64_t *i0 = NULL, *singles = NULL, *other = NULL;
+    int64_t *pcodes = NULL, *scodes = NULL, reps[64];
+    unsigned char *cols = NULL;
+
+    if (!PyArg_ParseTuple(args, "iOOO", &n, &i0_o, &singles_o, &other_o))
+        return NULL;
+    i0 = list_to_i64(i0_o, &P);
+    if (i0 == NULL)
+        return NULL;
+    singles = list_to_i64(singles_o, &S);
+    if (singles == NULL)
+        goto done;
+    other = list_to_i64(other_o, &O);
+    if (other == NULL)
+        goto done;
+    cols = PyMem_Malloc((size_t)((O ? O : 1) * (P + S ? P + S : 1) + 1));
+    pcodes = PyMem_Malloc((size_t)(P + 1) * sizeof(int64_t));
+    scodes = PyMem_Malloc((size_t)(S + 1) * sizeof(int64_t));
+    if (cols == NULL || pcodes == NULL || scodes == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    nreps = rep_codes(n, i0, P, singles, S, other, O, cols, reps, pcodes,
+                      scodes);
+    reps_l = i64_list(reps, nreps);
+    pcodes_l = i64_list(pcodes, P);
+    scodes_l = i64_list(scodes, S);
+    if (reps_l != NULL && pcodes_l != NULL && scodes_l != NULL)
+        res = PyTuple_Pack(3, reps_l, pcodes_l, scodes_l);
+done:
+    Py_XDECREF(reps_l);
+    Py_XDECREF(pcodes_l);
+    Py_XDECREF(scodes_l);
+    PyMem_Free(i0);
+    PyMem_Free(singles);
+    PyMem_Free(other);
+    PyMem_Free(cols);
+    PyMem_Free(pcodes);
+    PyMem_Free(scodes);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* merge_walk(pcodes, scodes, a0, a1, num_reps, kmax, rtol)            */
+/*   -> list[(smask, ref, direction)]                                  */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+fc_merge_walk(PyObject *self, PyObject *args)
+{
+    PyObject *pcodes_o, *scodes_o, *a0_o, *a1_o, *res = NULL;
+    int num_reps, kmax;
+    double rtol;
+    Py_ssize_t P, S, na0, na1, i;
+    int64_t *pcl = NULL, *scl = NULL;
+    double *a0 = NULL, *a1 = NULL;
+    walk_list wl = {NULL, 0, 0};
+
+    if (!PyArg_ParseTuple(args, "OOOOiid", &pcodes_o, &scodes_o, &a0_o,
+                          &a1_o, &num_reps, &kmax, &rtol))
+        return NULL;
+    pcl = list_to_i64(pcodes_o, &P);
+    if (pcl == NULL)
+        return NULL;
+    scl = list_to_i64(scodes_o, &S);
+    if (scl == NULL)
+        goto done;
+    a0 = list_to_f64(a0_o, &na0);
+    if (a0 == NULL)
+        goto done;
+    a1 = list_to_f64(a1_o, &na1);
+    if (a1 == NULL)
+        goto done;
+    if (merge_walk_core(pcl, P, scl, S, a0, a1, num_reps, kmax, rtol,
+                        &wl) < 0)
+        goto done;
+    res = PyList_New(wl.count);
+    if (res == NULL)
+        goto done;
+    for (i = 0; i < wl.count; i++) {
+        PyObject *t = Py_BuildValue("(Lni)", (long long)wl.hits[i].smask,
+                                    wl.hits[i].ref, wl.hits[i].direction);
+        if (t == NULL) {
+            Py_CLEAR(res);
+            goto done;
+        }
+        PyList_SET_ITEM(res, i, t);
+    }
+done:
+    PyMem_Free(pcl);
+    PyMem_Free(scl);
+    PyMem_Free(a0);
+    PyMem_Free(a1);
+    PyMem_Free(wl.hits);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol)          */
+/*   -> (idx_bytes, amp_bytes)                                         */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+fc_merge_apply(PyObject *self, PyObject *args)
+{
+    int n, tshift;
+    long long cmask_ll, cval_ll;
+    double theta, atol;
+    PyObject *idx_o, *amp_o, *res = NULL, *ib = NULL, *ab = NULL;
+    Py_buffer idx_b, amp_b;
+    Py_ssize_t j, m, count;
+    apply_scratch sc = {NULL, NULL, NULL, NULL, NULL, NULL};
+
+    if (!PyArg_ParseTuple(args, "iOOLLidd", &n, &idx_o, &amp_o, &cmask_ll,
+                          &cval_ll, &tshift, &theta, &atol))
+        return NULL;
+    if (get_buf(idx_o, &idx_b, 0) < 0)
+        return NULL;
+    if (get_buf(amp_o, &amp_b, 0) < 0) {
+        PyBuffer_Release(&idx_b);
+        return NULL;
+    }
+    m = idx_b.len / 8;
+    if (apply_scratch_alloc(&sc, m) < 0)
+        goto done;
+    count = merge_apply_core((const int64_t *)idx_b.buf,
+                             (const double *)amp_b.buf, m,
+                             (int64_t)cmask_ll, (int64_t)cval_ll,
+                             (int64_t)1 << tshift, theta, atol, &sc);
+    ib = PyBytes_FromStringAndSize(NULL, count * 8);
+    ab = PyBytes_FromStringAndSize(NULL, count * 8);
+    if (ib != NULL && ab != NULL) {
+        int64_t *ip = (int64_t *)PyBytes_AS_STRING(ib);
+        double *ap = (double *)PyBytes_AS_STRING(ab);
+        for (j = 0; j < count; j++) {
+            ip[j] = sc.out[j].v;
+            ap[j] = sc.out[j].a;
+        }
+        res = PyTuple_Pack(2, ib, ab);
+    }
+done:
+    Py_XDECREF(ib);
+    Py_XDECREF(ab);
+    apply_scratch_free(&sc);
+    PyBuffer_Release(&idx_b);
+    PyBuffer_Release(&amp_b);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* kernel objects built natively                                       */
+/* ------------------------------------------------------------------ */
+
+/* The one-call expansion builds kernel.PackedState and moves.MergeMove
+ * objects itself.  bind_kernel(PackedState, MergeMove) records the two
+ * classes and PackedState's __slots__ offsets; kernel.py calls it once at
+ * import.
+ *
+ * Objects built here leave CPython's cyclic collector
+ * (PyObject_GC_UnTrack): none of them can be part of a reference cycle.
+ * A PackedState's slots hold ints, bytes, numeric ndarrays (never
+ * GC-tracked), a list of ints and a tuple of ints; a MergeMove holds an
+ * int, a float and a tuple of (int, int) tuples.  An untracked object is
+ * still freed by reference counting; the collector merely stops
+ * re-traversing it on every full collection. */
+
+enum { PS_N, PS_IDX, PS_AMP, PS_QAMP, PS_PAYLOAD, PS_HASH64, PS_BITS,
+       PS_COUNTS, PS_ENTANGLED, PS_NSLOTS };
+static const char *const ps_slot_names[PS_NSLOTS] = {
+    "n", "idx", "amp", "qamp", "payload", "hash64", "_bits", "_counts",
+    "_entangled"};
+static PyTypeObject *ps_type = NULL;
+static Py_ssize_t ps_off[PS_NSLOTS];
+static PyTypeObject *mm_type = NULL;
+static PyObject *str_target = NULL, *str_theta = NULL, *str_controls = NULL;
+static PyObject *empty_tuple = NULL;
+
+#define PS_SLOT(obj, i) (*(PyObject **)((char *)(obj) + ps_off[i]))
+
+static PyObject *
+fc_bind_kernel(PyObject *self, PyObject *args)
+{
+    PyObject *pst, *mmt, *old;
+    Py_ssize_t off[PS_NSLOTS];
+    int i;
+
+    if (!PyArg_ParseTuple(args, "O!O!", &PyType_Type, &pst, &PyType_Type,
+                          &mmt))
+        return NULL;
+    for (i = 0; i < PS_NSLOTS; i++) {
+        PyObject *d = PyObject_GetAttrString(pst, ps_slot_names[i]);
+        if (d == NULL)
+            return NULL;
+        if (!Py_IS_TYPE(d, &PyMemberDescr_Type)) {
+            Py_DECREF(d);
+            PyErr_Format(PyExc_TypeError,
+                         "bind_kernel: '%s' is not a __slots__ member",
+                         ps_slot_names[i]);
+            return NULL;
+        }
+        off[i] = ((PyMemberDescrObject *)d)->d_member->offset;
+        Py_DECREF(d);
+    }
+    memcpy(ps_off, off, sizeof(off));
+    old = (PyObject *)ps_type;
+    Py_INCREF(pst);
+    ps_type = (PyTypeObject *)pst;
+    Py_XDECREF(old);
+    old = (PyObject *)mm_type;
+    Py_INCREF(mmt);
+    mm_type = (PyTypeObject *)mmt;
+    Py_XDECREF(old);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+new_array(const void *src, Py_ssize_t m, int typenum)
+{
+    npy_intp dims[1];
+    PyObject *arr;
+    dims[0] = (npy_intp)m;
+    arr = PyArray_SimpleNew(1, dims, typenum);
+    if (arr != NULL && m > 0)
+        memcpy(PyArray_DATA((PyArrayObject *)arr), src, (size_t)m * 8);
+    return arr;
+}
+
+/* A new PackedState, as PackedState.__init__ builds it, untracked. */
+static PyObject *
+new_packed(PyObject *nobj, const int64_t *idx, const double *amp,
+           const double *qamp, Py_ssize_t m, PyObject *payload,
+           PyObject *hkey)
+{
+    PyObject *obj = ps_type->tp_alloc(ps_type, 0);
+    int i;
+    if (obj == NULL)
+        return NULL;
+    PS_SLOT(obj, PS_IDX) = new_array(idx, m, NPY_INT64);
+    PS_SLOT(obj, PS_AMP) = new_array(amp, m, NPY_FLOAT64);
+    PS_SLOT(obj, PS_QAMP) = new_array(qamp, m, NPY_FLOAT64);
+    if (PS_SLOT(obj, PS_IDX) == NULL || PS_SLOT(obj, PS_AMP) == NULL ||
+            PS_SLOT(obj, PS_QAMP) == NULL) {
+        Py_DECREF(obj);
+        return NULL;
+    }
+    Py_INCREF(nobj);
+    PS_SLOT(obj, PS_N) = nobj;
+    Py_INCREF(payload);
+    PS_SLOT(obj, PS_PAYLOAD) = payload;
+    Py_INCREF(hkey);
+    PS_SLOT(obj, PS_HASH64) = hkey;
+    for (i = PS_BITS; i <= PS_ENTANGLED; i++) {
+        Py_INCREF(Py_None);
+        PS_SLOT(obj, i) = Py_None;
+    }
+    PyObject_GC_UnTrack(obj);
+    return obj;
+}
+
+/* A new MergeMove(target=, theta=, controls=), untracked.  The frozen
+ * dataclass's fields are set the way its __init__ sets them
+ * (object.__setattr__, in field order). */
+static PyObject *
+new_merge_move(int target, double theta, PyObject *controls)
+{
+    PyObject *mv, *t, *th;
+    int rc;
+    mv = mm_type->tp_new(mm_type, empty_tuple, NULL);
+    if (mv == NULL)
+        return NULL;
+    t = PyLong_FromLong(target);
+    th = PyFloat_FromDouble(theta);
+    rc = t == NULL || th == NULL ||
+        PyObject_GenericSetAttr(mv, str_target, t) < 0 ||
+        PyObject_GenericSetAttr(mv, str_theta, th) < 0 ||
+        PyObject_GenericSetAttr(mv, str_controls, controls) < 0;
+    Py_XDECREF(t);
+    Py_XDECREF(th);
+    if (rc) {
+        Py_DECREF(mv);
+        return NULL;
+    }
+    PyObject_GC_UnTrack(mv);
+    return mv;
+}
+
+/* ------------------------------------------------------------------ */
+/* interning (twin of StatePool._intern)                               */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject *table;     /* StatePool._table: hash -> state | [states] */
+    PyObject *hash_fn;   /* kernel.state_hash64 when patched, else NULL */
+    PyObject *nobj;      /* the register width as a Python int */
     int n;
-    PyObject *idx_o, *amp_o, *qamp_o, *c_o, *p_o, *t_o;
-    PyObject *oi_o, *oa_o, *oq_o, *res = NULL;
-    Py_buffer idx_b, amp_b, qamp_b, c_b, p_b, t_b, oi_b, oa_b, oq_b;
-    Py_ssize_t j, m, K, k;
+    Py_ssize_t interned, hits, collisions;
+} pool_ctx;
+
+static int
+same_state(PyObject *state, int n, PyObject *payload)
+{
+    PyObject *sn, *sp;
+    if (!PyObject_TypeCheck(state, ps_type))
+        return 0;
+    sn = PS_SLOT(state, PS_N);
+    sp = PS_SLOT(state, PS_PAYLOAD);
+    if (sn == NULL || sp == NULL || !PyLong_Check(sn) ||
+            PyLong_AsLong(sn) != n || !PyBytes_Check(sp))
+        return 0;
+    return PyBytes_GET_SIZE(sp) == PyBytes_GET_SIZE(payload) &&
+        memcmp(PyBytes_AS_STRING(sp), PyBytes_AS_STRING(payload),
+               (size_t)PyBytes_GET_SIZE(payload)) == 0;
+}
+
+/* Lookup-or-insert of one state: a new reference to the interned
+ * PackedState, or NULL with an exception set. */
+static PyObject *
+pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
+            const double *qamp, Py_ssize_t m)
+{
+    PyObject *payload, *hkey = NULL, *entry, *chain = NULL, *state = NULL;
+    Py_ssize_t i;
+
+    payload = build_payload(pc->n, idx, qamp, m);
+    if (payload == NULL)
+        return NULL;
+    if (pc->hash_fn != NULL) {
+        hkey = PyObject_CallOneArg(pc->hash_fn, payload);
+    }
+    else {
+        Py_hash_t h = PyObject_Hash(payload);
+        if (h != -1)
+            hkey = PyLong_FromSsize_t(h);
+    }
+    if (hkey == NULL)
+        goto done;
+    entry = PyDict_GetItemWithError(pc->table, hkey);
+    if (entry == NULL) {
+        if (PyErr_Occurred())
+            goto done;
+        state = new_packed(pc->nobj, idx, amp, qamp, m, payload, hkey);
+        if (state == NULL)
+            goto done;
+        if (PyDict_SetItem(pc->table, hkey, state) < 0) {
+            Py_CLEAR(state);
+            goto done;
+        }
+        pc->interned++;
+        goto done;
+    }
+    if (PyList_CheckExact(entry)) {
+        chain = entry;
+        Py_INCREF(chain);
+        for (i = 0; i < PyList_GET_SIZE(chain); i++) {
+            PyObject *member = PyList_GET_ITEM(chain, i);
+            if (same_state(member, pc->n, payload)) {
+                pc->hits++;
+                Py_INCREF(member);
+                state = member;
+                goto done;
+            }
+        }
+    }
+    else {
+        if (same_state(entry, pc->n, payload)) {
+            pc->hits++;
+            Py_INCREF(entry);
+            state = entry;
+            goto done;
+        }
+        chain = PyList_New(1);
+        if (chain == NULL)
+            goto done;
+        Py_INCREF(entry);
+        PyList_SET_ITEM(chain, 0, entry);
+        if (PyDict_SetItem(pc->table, hkey, chain) < 0)
+            goto done;
+    }
+    pc->collisions++;
+    state = new_packed(pc->nobj, idx, amp, qamp, m, payload, hkey);
+    if (state == NULL)
+        goto done;
+    if (PyList_Append(chain, state) < 0) {
+        Py_CLEAR(state);
+        goto done;
+    }
+    pc->interned++;
+done:
+    Py_XDECREF(chain);
+    Py_XDECREF(hkey);
+    Py_DECREF(payload);
+    return state;
+}
+
+/* Append (move, state) to the arc list; the pair tuple is untracked like
+ * its members.  Steals nothing. */
+static int
+push_arc(PyObject *out, PyObject *move, PyObject *state)
+{
+    PyObject *arc = PyTuple_Pack(2, move, state);
+    int rc;
+    if (arc == NULL)
+        return -1;
+    PyObject_GC_UnTrack(arc);
+    rc = PyList_Append(out, arc);
+    Py_DECREF(arc);
+    return rc;
+}
+
+/* Permute the parent state by the flipped indices in pairs[].v (pairs[].j
+ * = source position) and write the sorted child rows. */
+static void
+gather_sorted(ij_pair *pairs, Py_ssize_t m, const double *amp,
+              const double *qamp, int64_t *row_i, double *row_a,
+              double *row_q)
+{
+    Py_ssize_t j;
+    qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
+    for (j = 0; j < m; j++) {
+        row_i[j] = pairs[j].v;
+        row_a[j] = amp[pairs[j].j];
+        row_q[j] = qamp[pairs[j].j];
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls,      */
+/*            cx_phases, cx_targets, max_controls, neighbor_masks,     */
+/*            atol, rtol, scale) -> (arcs, interned, hits, collisions) */
+/* ------------------------------------------------------------------ */
+
+/* One whole expansion of kernel.successors_packed: X moves (x_moves is the
+ * list of n XMoves, or None), the CX moves of the memoized move list, then
+ * every merge of every target (neighbor_masks: None, or per-qubit coupling
+ * masks restricting merge controls).  Each child is materialized, quantized,
+ * serialized, hashed and interned into the pool's table here; the arcs
+ * come back in the Python path's order, with the pool counter deltas. */
+static PyObject *
+fc_successors(PyObject *self, PyObject *args)
+{
+    PyObject *table, *hash_fn, *ps, *x_moves, *cx_moves, *nbr;
+    PyObject *c_o, *p_o, *t_o, *out = NULL, *res = NULL, *nobj;
+    int max_controls, n, q, target, nbuf = 0;
+    double atol, rtol, scale;
+    Py_buffer idx_b, amp_b, qamp_b, c_b, p_b, t_b;
+    Py_buffer *bufs[6] = {&idx_b, &amp_b, &qamp_b, &c_b, &p_b, &t_b};
     const int64_t *idx, *controls, *phases, *targets;
     const double *amp, *qamp;
-    int64_t *oi;
-    double *oa, *oq;
+    Py_ssize_t m, K, k, j, h;
+    pool_ctx pc;
     ij_pair *pairs = NULL;
-    int nbuf = 0;
-    Py_buffer *bufs[9] = {&idx_b, &amp_b, &qamp_b, &c_b, &p_b, &t_b,
-                          &oi_b, &oa_b, &oq_b};
+    int64_t *row_i = NULL, *i0 = NULL, *singles = NULL, *pcodes = NULL;
+    int64_t *scodes = NULL, other[64], reps[64];
+    double *row_a = NULL, *row_q = NULL, *a0 = NULL, *a1 = NULL;
+    unsigned char *cols = NULL;
+    apply_scratch sc = {NULL, NULL, NULL, NULL, NULL, NULL};
+    walk_list wl = {NULL, 0, 0};
 
-    if (!PyArg_ParseTuple(args, "iOOOOOOOOO", &n, &idx_o, &amp_o, &qamp_o,
-                          &c_o, &p_o, &t_o, &oi_o, &oa_o, &oq_o))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOiOddd", &table, &hash_fn, &ps,
+                          &x_moves, &cx_moves, &c_o, &p_o, &t_o,
+                          &max_controls, &nbr, &atol, &rtol, &scale))
         return NULL;
+    if (ps_type == NULL || mm_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "successors: bind_kernel() was not called");
+        return NULL;
+    }
+    if (!PyDict_Check(table) || !PyObject_TypeCheck(ps, ps_type) ||
+            !PyList_Check(cx_moves) ||
+            (x_moves != Py_None && !PyList_Check(x_moves)) ||
+            (nbr != Py_None && !PyList_Check(nbr) && !PyTuple_Check(nbr))) {
+        PyErr_SetString(PyExc_TypeError, "successors: bad argument types");
+        return NULL;
+    }
+    nobj = PS_SLOT(ps, PS_N);
+    n = nobj == NULL ? -1 : (int)PyLong_AsLong(nobj);
+    if (n < 0 || n > 62) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "successors: bad width");
+        return NULL;
+    }
+    if ((x_moves != Py_None && PyList_GET_SIZE(x_moves) < n) ||
+            (nbr != Py_None && PySequence_Fast_GET_SIZE(nbr) < n)) {
+        PyErr_SetString(PyExc_ValueError, "successors: short move list");
+        return NULL;
+    }
     {
-        PyObject *objs[9] = {idx_o, amp_o, qamp_o, c_o, p_o, t_o,
-                             oi_o, oa_o, oq_o};
-        for (nbuf = 0; nbuf < 9; nbuf++) {
-            if (get_buf(objs[nbuf], bufs[nbuf], nbuf >= 6) < 0)
-                goto release;
+        PyObject *objs[6] = {PS_SLOT(ps, PS_IDX), PS_SLOT(ps, PS_AMP),
+                             PS_SLOT(ps, PS_QAMP), c_o, p_o, t_o};
+        for (nbuf = 0; nbuf < 6; nbuf++) {
+            if (objs[nbuf] == NULL) {
+                PyErr_SetString(PyExc_ValueError, "successors: unset slot");
+                goto done;
+            }
+            if (get_buf(objs[nbuf], bufs[nbuf], 0) < 0)
+                goto done;
         }
     }
     m = idx_b.len / 8;
     K = c_b.len / 8;
+    if (PyList_GET_SIZE(cx_moves) != K || p_b.len / 8 != K ||
+            t_b.len / 8 != K) {
+        PyErr_SetString(PyExc_ValueError, "successors: CX list mismatch");
+        goto done;
+    }
     idx = (const int64_t *)idx_b.buf;
     amp = (const double *)amp_b.buf;
     qamp = (const double *)qamp_b.buf;
     controls = (const int64_t *)c_b.buf;
     phases = (const int64_t *)p_b.buf;
     targets = (const int64_t *)t_b.buf;
-    oi = (int64_t *)oi_b.buf;
-    oa = (double *)oa_b.buf;
-    oq = (double *)oq_b.buf;
 
-    pairs = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(ij_pair));
-    if (pairs == NULL) {
+    pairs = PyMem_Malloc((size_t)(m + 1) * sizeof(ij_pair));
+    row_i = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(int64_t));
+    row_a = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
+    row_q = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
+    i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    pcodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    scodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    cols = PyMem_Malloc((size_t)(n + 1) * (size_t)(m + 1));
+    if (pairs == NULL || row_i == NULL || row_a == NULL || row_q == NULL ||
+            i0 == NULL || singles == NULL || pcodes == NULL ||
+            scodes == NULL || a0 == NULL || a1 == NULL || cols == NULL) {
         PyErr_NoMemory();
-        goto release;
+        goto done;
     }
-    res = PyList_New(K);
-    if (res == NULL)
-        goto release;
+    if (apply_scratch_alloc(&sc, m) < 0)
+        goto done;
+    out = PyList_New(0);
+    if (out == NULL)
+        goto done;
+    pc.table = table;
+    pc.hash_fn = hash_fn == Py_None ? NULL : hash_fn;
+    pc.nobj = nobj;
+    pc.n = n;
+    pc.interned = pc.hits = pc.collisions = 0;
+
+    /* X moves (twin of apply_x_packed), identity children dropped */
+    if (x_moves != Py_None) {
+        for (q = 0; q < n; q++) {
+            int64_t mask = (int64_t)1 << (n - 1 - q);
+            PyObject *nxt;
+            int rc = 0;
+            for (j = 0; j < m; j++) {
+                pairs[j].v = idx[j] ^ mask;
+                pairs[j].j = j;
+            }
+            gather_sorted(pairs, m, amp, qamp, row_i, row_a, row_q);
+            nxt = pool_intern(&pc, row_i, row_a, row_q, m);
+            if (nxt == NULL)
+                goto fail;
+            if (nxt != ps)
+                rc = push_arc(out, PyList_GET_ITEM(x_moves, q), nxt);
+            Py_DECREF(nxt);
+            if (rc < 0)
+                goto fail;
+        }
+    }
+    /* CX moves (twin of _batch_cx_successors), identity children dropped */
     for (k = 0; k < K; k++) {
         int cshift = n - 1 - (int)controls[k];
         int64_t phase = phases[k];
         int64_t tmask = (int64_t)1 << (n - 1 - (int)targets[k]);
-        int64_t *row_i = oi + k * m;
-        double *row_a = oa + k * m;
-        double *row_q = oq + k * m;
-        PyObject *payload;
+        PyObject *nxt;
+        int rc = 0;
         for (j = 0; j < m; j++) {
             int64_t v = idx[j];
             if (((v >> cshift) & 1) == phase)
@@ -1807,24 +2339,140 @@ fc_cx_batch(PyObject *self, PyObject *args)
             pairs[j].v = v;
             pairs[j].j = j;
         }
-        qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
-        for (j = 0; j < m; j++) {
-            row_i[j] = pairs[j].v;
-            row_a[j] = amp[pairs[j].j];
-            row_q[j] = qamp[pairs[j].j];
-        }
-        payload = build_payload(n, row_i, row_q, m);
-        if (payload == NULL) {
-            Py_CLEAR(res);
-            goto release;
-        }
-        PyList_SET_ITEM(res, k, payload);
+        gather_sorted(pairs, m, amp, qamp, row_i, row_a, row_q);
+        nxt = pool_intern(&pc, row_i, row_a, row_q, m);
+        if (nxt == NULL)
+            goto fail;
+        if (nxt != ps)
+            rc = push_arc(out, PyList_GET_ITEM(cx_moves, k), nxt);
+        Py_DECREF(nxt);
+        if (rc < 0)
+            goto fail;
     }
-release:
+    /* merges, target by target (twin of enumerate_merges_packed followed
+     * by _merge_arrays, the quantization pass and interning) */
+    for (target = 0; target < n; target++) {
+        int tshift = n - 1 - target, nreps, kmax;
+        int64_t tmask = (int64_t)1 << tshift, tnbr = -1;
+        Py_ssize_t P, S, O = 0;
+        P = split_pairs(idx, amp, m, tmask, i0, a0, a1, singles, &S);
+        if (P == 0)
+            continue;
+        if (nbr != Py_None) {
+            tnbr = (int64_t)PyLong_AsLongLong(
+                PySequence_Fast_GET_ITEM(nbr, target));
+            if (tnbr == -1 && PyErr_Occurred())
+                goto fail;
+        }
+        for (q = 0; q < n; q++) {
+            if (q != target && ((tnbr >> q) & 1))
+                other[O++] = q;
+        }
+        nreps = rep_codes(n, i0, P, singles, S, other, O, cols, reps,
+                          pcodes, scodes);
+        kmax = max_controls < nreps ? max_controls : nreps;
+        wl.count = 0;
+        if (merge_walk_core(pcodes, P, scodes, S, a0, a1, nreps, kmax, rtol,
+                            &wl) < 0)
+            goto fail;
+        for (h = 0; h < wl.count; h++) {
+            int64_t smask = wl.hits[h].smask, ref_idx = i0[wl.hits[h].ref];
+            int64_t cmask = 0, cval = 0;
+            double theta = merge_angle(a0[wl.hits[h].ref],
+                                       a1[wl.hits[h].ref],
+                                       wl.hits[h].direction);
+            Py_ssize_t nctl = 0, count, c = 0;
+            PyObject *ctl, *move, *nxt;
+            int r, rc;
+            for (r = 0; r < nreps; r++)
+                nctl += (smask >> r) & 1;
+            ctl = PyTuple_New(nctl);
+            if (ctl == NULL)
+                goto fail;
+            for (r = 0; r < nreps; r++) {
+                int shift;
+                int64_t bit;
+                PyObject *lit;
+                if (!((smask >> r) & 1))
+                    continue;
+                shift = n - 1 - (int)reps[r];
+                bit = (ref_idx >> shift) & 1;
+                cmask |= (int64_t)1 << shift;
+                cval |= bit << shift;
+                lit = Py_BuildValue("(LL)", (long long)reps[r],
+                                    (long long)bit);
+                if (lit == NULL) {
+                    Py_DECREF(ctl);
+                    goto fail;
+                }
+                PyObject_GC_UnTrack(lit);
+                PyTuple_SET_ITEM(ctl, c++, lit);
+            }
+            PyObject_GC_UnTrack(ctl);
+            move = new_merge_move(target, theta, ctl);
+            Py_DECREF(ctl);
+            if (move == NULL)
+                goto fail;
+            count = merge_apply_core(idx, amp, m, cmask, cval, tmask, theta,
+                                     atol, &sc);
+            for (j = 0; j < count; j++) {
+                double qv = rint(sc.out[j].a * scale) / scale;
+                if (qv == 0.0)
+                    qv = 0.0;  /* normalize -0.0 */
+                row_i[j] = sc.out[j].v;
+                row_a[j] = sc.out[j].a;
+                row_q[j] = qv;
+            }
+            nxt = pool_intern(&pc, row_i, row_a, row_q, count);
+            if (nxt == NULL) {
+                Py_DECREF(move);
+                goto fail;
+            }
+            rc = push_arc(out, move, nxt);
+            Py_DECREF(move);
+            Py_DECREF(nxt);
+            if (rc < 0)
+                goto fail;
+        }
+    }
+    res = Py_BuildValue("(Onnn)", out, pc.interned, pc.hits, pc.collisions);
+    goto done;
+fail:
+    /* the pool keeps whatever was interned before the error */
+    res = NULL;
+done:
+    Py_XDECREF(out);
     PyMem_Free(pairs);
+    PyMem_Free(row_i);
+    PyMem_Free(row_a);
+    PyMem_Free(row_q);
+    PyMem_Free(i0);
+    PyMem_Free(singles);
+    PyMem_Free(pcodes);
+    PyMem_Free(scodes);
+    PyMem_Free(a0);
+    PyMem_Free(a1);
+    PyMem_Free(cols);
+    apply_scratch_free(&sc);
+    PyMem_Free(wl.hits);
     while (nbuf > 0)
         PyBuffer_Release(bufs[--nbuf]);
     return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* untrack(obj) -> obj                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Take an object that cannot be part of a reference cycle out of the
+ * cyclic collector (reference counting still frees it). */
+static PyObject *
+fc_untrack(PyObject *self, PyObject *obj)
+{
+    if (PyObject_IS_GC(obj))
+        PyObject_GC_UnTrack(obj);
+    Py_INCREF(obj);
+    return obj;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2225,9 +2873,14 @@ static PyMethodDef fastcore_methods[] = {
     {"merge_apply", fc_merge_apply, METH_VARARGS,
      "merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol) -> "
      "(idx_bytes, amp_bytes)."},
-    {"cx_batch", fc_cx_batch, METH_VARARGS,
-     "cx_batch(n, idx, amp, qamp, controls, phases, targets, oi, oa, oq) "
-     "-> list of payloads."},
+    {"bind_kernel", fc_bind_kernel, METH_VARARGS,
+     "bind_kernel(PackedState, MergeMove): the classes successors() builds."},
+    {"successors", fc_successors, METH_VARARGS,
+     "successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls, "
+     "cx_phases, cx_targets, max_controls, neighbor_masks, atol, rtol, "
+     "scale) -> (arcs, interned, hits, collisions)."},
+    {"untrack", fc_untrack, METH_O,
+     "untrack(obj) -> obj, taken out of the cyclic garbage collector."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2243,7 +2896,15 @@ PyMODINIT_FUNC
 PyInit__fastcore(void)
 {
     PyObject *mod;
+    import_array();
     if (PyType_Ready(&U64MapType) < 0)
+        return NULL;
+    str_target = PyUnicode_InternFromString("target");
+    str_theta = PyUnicode_InternFromString("theta");
+    str_controls = PyUnicode_InternFromString("controls");
+    empty_tuple = PyTuple_New(0);
+    if (str_target == NULL || str_theta == NULL || str_controls == NULL ||
+            empty_tuple == NULL)
         return NULL;
     mod = PyModule_Create(&fastcore_module);
     if (mod == NULL)

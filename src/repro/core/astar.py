@@ -48,6 +48,7 @@ import itertools
 import math
 from time import perf_counter
 
+from repro.core import fastcore as _fastcore
 from repro.core.engine import (
     EngineContext,
     EngineRun,
@@ -169,6 +170,11 @@ class AStarRun(EngineRun):
             phases.setdefault("heuristic", 0.0)
             phases.setdefault("containers", 0.0)
         h_seconds = 0.0  # accrued inside push(); subtracted from blocks
+        # Open-list entries hold numbers, states and moves, none of which
+        # can reach back to an entry: with the extension loaded they leave
+        # the cyclic collector (see kernel.PackedState).
+        fc = _fastcore.active
+        untrack = fc.untrack if fc is not None else None
         try:
             counter = itertools.count()
             # entry: (weighted f, g, tiebreak, unweighted g + h, state,
@@ -201,9 +207,11 @@ class AStarRun(EngineRun):
                     # branch-and-bound prune
                     stats.incumbent_prunes += 1
                     return
-                heapq.heappush(open_heap,
-                               (g + weight * h, g, next(counter), g + h, ps,
-                                prev, move))
+                entry = (g + weight * h, g, next(counter), g + h, ps, prev,
+                         move)
+                if untrack is not None:
+                    untrack(entry)
+                heapq.heappush(open_heap, entry)
                 stats.nodes_generated += 1
                 stats.max_queue = max(stats.max_queue, len(open_heap))
 

@@ -85,10 +85,12 @@ def _try_build():
     """Compile the extension out-of-tree and import it from the cache.
 
     The cache key is the hash of the C source + header + interpreter ABI
-    tag, so editing the source or switching interpreters rebuilds; a
+    tag + NumPy version (the extension builds arrays with the NumPy C
+    API), so editing the source or switching interpreters rebuilds; a
     warm cache is a single ``Path.exists`` check.
     """
     global build_error
+    import numpy
     src = Path(__file__).with_name("_fastcore.c")
     header = Path(__file__).with_name("_splitmix.h")
     if not src.is_file() or not header.is_file():
@@ -101,6 +103,7 @@ def _try_build():
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     tag = hashlib.sha256(
         src.read_bytes() + header.read_bytes() + suffix.encode()
+        + numpy.__version__.encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     target = cache / f"_fastcore-{tag}{suffix}"
@@ -110,7 +113,8 @@ def _try_build():
             include = sysconfig.get_paths()["include"]
             with tempfile.TemporaryDirectory(dir=str(cache)) as tmp:
                 tmp_out = Path(tmp) / target.name
-                cmd = [cc, *_COMPILE_FLAGS, f"-I{include}", str(src),
+                cmd = [cc, *_COMPILE_FLAGS, f"-I{include}",
+                       f"-I{numpy.get_include()}", str(src),
                        "-o", str(tmp_out)]
                 proc = subprocess.run(cmd, capture_output=True, text=True)
                 if proc.returncode != 0:

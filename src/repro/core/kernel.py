@@ -105,6 +105,10 @@ def state_hash64(payload: bytes) -> int:
     return hash(payload)
 
 
+#: the unpatched :func:`state_hash64`; the native expansion hashes payloads
+#: itself unless a test has replaced the module global
+_SIPHASH64 = state_hash64
+
 _QUANT_SCALE = 10.0 ** AMP_DECIMALS
 
 
@@ -142,6 +146,13 @@ class PackedState:
     Instances are only created by :class:`StatePool`, which guarantees one
     object per distinct quantized state, so ``a is b`` is the equality fast
     path and ``hash()`` returns the precomputed 64-bit structural hash.
+
+    Every slot holds an int, bytes, a numeric ndarray, a list of ints or a
+    tuple of ints, so a state can never be part of a reference cycle.  With
+    the extension loaded, states (and their ``_counts``) are therefore
+    taken out of CPython's cyclic collector, which would otherwise
+    re-traverse every pooled state on each full collection; reference
+    counting still frees them.
     """
 
     __slots__ = ("n", "idx", "amp", "qamp", "payload", "hash64",
@@ -158,6 +169,9 @@ class PackedState:
         self._bits: np.ndarray | None = None
         self._counts: list[int] | None = None
         self._entangled: tuple[int, ...] | None = None
+        fc = _fastcore.active
+        if fc is not None:
+            fc.untrack(self)
 
     @property
     def m(self) -> int:
@@ -183,17 +197,17 @@ class PackedState:
         frontier — never materialize the bit matrix at all.
         """
         if self._counts is None:
-            if self._bits is not None:
+            fc = _fastcore.active
+            if fc is not None:
+                # an untracked list: see the class docstring
+                self._counts = fc.column_counts(self.n, self.idx)
+            elif self._bits is not None:
                 self._counts = self._bits.sum(axis=1).tolist()
             else:
-                fc = _fastcore.active
-                if fc is not None:
-                    self._counts = fc.column_counts(self.n, self.idx)
-                else:
-                    il = self.idx.tolist()
-                    self._counts = [
-                        sum((i >> shift) & 1 for i in il)
-                        for shift in range(self.n - 1, -1, -1)]
+                il = self.idx.tolist()
+                self._counts = [
+                    sum((i >> shift) & 1 for i in il)
+                    for shift in range(self.n - 1, -1, -1)]
         return self._counts
 
     def to_qstate(self) -> QState:
@@ -246,19 +260,11 @@ class StatePool:
         payload = _payload(n, idx, qamp)
         return self._intern(n, idx, amp, qamp, payload, copy=False)
 
-    def intern_payload(self, n: int, idx: np.ndarray, amp: np.ndarray,
-                       qamp: np.ndarray, payload: bytes) -> PackedState:
-        """Like :meth:`intern` for callers holding a precomputed payload
-        over scratch-buffer rows.
-
-        The arrays are only copied out of the scratch when the state is
-        actually new — the batched CX expansion reuses one ``(K, m)``
-        scratch for all moves of an expansion, and most rows dedupe.
-        """
-        return self._intern(n, idx, amp, qamp, payload, copy=True)
-
     def _intern(self, n: int, idx: np.ndarray, amp: np.ndarray,
                 qamp: np.ndarray, payload: bytes, copy: bool) -> PackedState:
+        """Lookup-or-insert by payload; ``copy`` copies the arrays of a new
+        state out of a caller's scratch.  The native expansion runs its
+        own twin of this method over ``_table`` (``_fastcore.successors``)."""
         h = state_hash64(payload)
         entry = self._table.get(h)
         if entry is None:
@@ -336,6 +342,8 @@ class CanonKey:
     or the 128-bit orbit hash (as an int) for the U2/PU2 levels (see
     :class:`CanonContext` for the collision discussion).  Equality always
     compares ``full``, so the 64-bit hash never merges keys on its own.
+    Keys hold ints and bytes only, so like :class:`PackedState` they leave
+    the cyclic collector when the extension is loaded.
     """
 
     __slots__ = ("n", "h", "full")
@@ -344,6 +352,9 @@ class CanonKey:
         self.n = n
         self.h = h
         self.full = full
+        fc = _fastcore.active
+        if fc is not None:
+            fc.untrack(self)
 
     def __hash__(self) -> int:
         return self.h
@@ -449,25 +460,13 @@ def _batch_cx_successors(pool: StatePool, ps: PackedState,
     One ``where`` / ``argsort`` / ``take_along_axis`` over the ``(K, m)``
     move-by-index matrix replaces ``K`` per-move NumPy round trips; the
     per-row results are interned individually (CX permutes amplitudes, so
-    the parent's quantized values are reused).  With the native extension
-    the whole pass — flip, sort, gather, payload serialization — runs in C
-    over one reused ``(K, m)`` scratch, and the bit matrix is never
-    materialized.
+    the parent's quantized values are reused).  The Python twin of the CX
+    part of the native expansion.
     """
     n = ps.n
     if arrays is None:
         arrays = _cx_move_arrays(moves)
     controls, phases, targets = arrays
-    fc = _fastcore.active
-    if fc is not None:
-        num_moves, m = len(moves), ps.m
-        oi = np.empty((num_moves, m), dtype=np.int64)
-        oa = np.empty((num_moves, m), dtype=np.float64)
-        oq = np.empty((num_moves, m), dtype=np.float64)
-        payloads = fc.cx_batch(n, ps.idx, ps.amp, ps.qamp,
-                               controls, phases, targets, oi, oa, oq)
-        return [pool.intern_payload(n, oi[k], oa[k], oq[k], payloads[k])
-                for k in range(num_moves)]
     idx, bits = ps.idx, ps.bits
     flip = bits[controls] == phases[:, None]            # (K, m)
     tmasks = np.int64(1) << (n - 1 - targets)
@@ -1393,6 +1392,7 @@ def canonical_key_packed(ps: PackedState, level: CanonLevel,
 # ----------------------------------------------------------------------
 
 _CX_MOVES_MEMO: dict[tuple, tuple] = {}
+_X_MOVES_MEMO: dict[int, list[XMove]] = {}
 
 
 def _cx_moves_entry(ps: PackedState, topology=None) -> tuple:
@@ -1435,9 +1435,22 @@ def _cx_moves_entry(ps: PackedState, topology=None) -> tuple:
                 if h1:
                     moves.append(CXMove(control=control, phase=1,
                                         target=target))
+        fc = _fastcore.active
+        if fc is not None:
+            for move in moves:
+                fc.untrack(move)  # a frozen dataclass of three ints
         entry = (moves, *_cx_move_arrays(moves))
         _CX_MOVES_MEMO[memo_key] = entry
     return entry
+
+
+def _x_moves(n: int) -> list[XMove]:
+    """The ``n`` free X moves, memoized per width for the native call."""
+    moves = _X_MOVES_MEMO.get(n)
+    if moves is None:
+        moves = _X_MOVES_MEMO[n] = [_fastcore.active.untrack(XMove(qubit=q))
+                                    for q in range(n)]
+    return moves
 
 
 def enumerate_cx_packed(ps: PackedState, topology=None) -> list[CXMove]:
@@ -1637,13 +1650,37 @@ def successors_packed(pool: StatePool, ps: PackedState,
 
     Emission order matches :func:`repro.core.transitions.successors`
     (property-tested), so successor-level tie-breaking is identical to the
-    reference enumeration; CX successors are materialized in one batched
-    array pass, and all merge results of the expansion are quantized in a
-    single frontier-batched pass before interning (elementwise rounding, so
-    the produced states are bit-identical to per-move quantization).
-    ``topology`` restricts the move set to native moves, exactly as in the
-    reference.
+    reference enumeration.  ``topology`` restricts the move set to native
+    moves, exactly as in the reference.
+
+    With the extension loaded the whole expansion is one native call
+    (``_fastcore.successors``): it materializes every X, CX and merge
+    child, builds the ``MergeMove``s, quantizes, serializes, hashes and
+    interns each child into ``pool`` (collision chains included), and
+    returns the arcs plus the pool counter deltas.  The Python path below
+    is its bit-identical twin: CX successors are materialized in one
+    batched array pass, and all merge results of the expansion are
+    quantized in a single frontier-batched pass before interning
+    (elementwise rounding, so the produced states are bit-identical to
+    per-move quantization).
     """
+    fc = _fastcore.active
+    if fc is not None:
+        n = ps.n
+        cx_moves, controls, phases, targets = _cx_moves_entry(ps, topology)
+        arcs, interned, hits, collisions = fc.successors(
+            pool._table,
+            None if state_hash64 is _SIPHASH64 else state_hash64,
+            ps, _x_moves(n) if include_x_moves else None,
+            cx_moves, controls, phases, targets,
+            n - 1 if max_merge_controls is None
+            else min(max_merge_controls, n - 1),
+            None if topology is None else topology.neighbor_masks(),
+            ATOL, MERGE_RATIO_RTOL, _QUANT_SCALE)
+        pool.interned += interned
+        pool.hits += hits
+        pool.hash_collisions += collisions
+        return arcs
     out: list[tuple[Move, PackedState]] = []
     if include_x_moves:
         for q in range(ps.n):
@@ -1677,3 +1714,8 @@ def successors_packed(pool: StatePool, ps: PackedState,
                                           qcat[off:end])))
             off = end
     return out
+
+
+if _fastcore.available():
+    # the native expansion builds PackedStates and MergeMoves itself
+    _fastcore._module.bind_kernel(PackedState, MergeMove)

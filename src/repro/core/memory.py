@@ -147,7 +147,14 @@ class HashStore:
             for stale, _ in victims:
                 del self._primary[stale]
             self.evictions += len(victims)
-        self._primary[ps.hash64] = [ps.payload, value, 0]
+        row = [ps.payload, value, 0]
+        fc = _fastcore.active
+        if fc is not None:
+            # a row is referenced by this store only and no value refers
+            # back to it, so it is never on a cycle: keep the collector
+            # from re-traversing it
+            fc.untrack(row)
+        self._primary[ps.hash64] = row
 
     def put_payload(self, payload: bytes, value) -> None:
         """Insert by raw payload, recomputing this process's 64-bit hash.

@@ -34,6 +34,8 @@ step, and folds their counters into :attr:`WorkflowRun.stats` with
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from repro.baselines.mflow import mflow_reduction_moves
 from repro.baselines.nflow import nflow_synthesize, qubit_reduction_prefix
@@ -126,8 +128,11 @@ class WorkflowRun(StepwiseRun):
         self._active_prefix = 0
         self._active_assemble = None
         self._active_fallback = None
-        #: best fully-assembled (circuit, exact_optimal) candidate so far
-        self._best_partial: tuple[QCircuit, bool | None] | None = None
+        #: best candidate so far as (CNOT cost, exact_optimal, builder of
+        #: its full-register circuit): a deadline flush assembles it on
+        #: demand, so losing candidates are never assembled
+        self._best_partial: tuple[int, bool | None,
+                                  Callable[[], QCircuit]] | None = None
         # sparse-path core dedupe: structural core identity -> search output
         self._core_cache: dict = {}
         self._core_pool = StatePool()
@@ -149,13 +154,14 @@ class WorkflowRun(StepwiseRun):
             return self._result
         candidates: list[tuple[QCircuit, bool | None]] = []
         if self._best_partial is not None:
-            candidates.append(self._best_partial)
+            _, optimal, build = self._best_partial
+            candidates.append((build(), optimal))
         if self._active is not None:
             if self._active_assemble is not None:
-                partial = self._active.flush_feasible()
-                if partial is not None:
+                feasible = self._active.flush_feasible()
+                if feasible is not None:
                     candidates.append(
-                        (self._active_assemble(partial.circuit), None))
+                        (self._active_assemble(feasible.circuit), None))
             if self._active_fallback is not None:
                 candidates.append((self._active_fallback(), None))
         if not candidates and not self._native:
@@ -323,8 +329,11 @@ class WorkflowRun(StepwiseRun):
         # Candidate reductions: the improved multi-pair greedy and the
         # plain GH baseline steps, one GH trajectory serving both (the
         # greedy walks it and compares against it).  Both end at the
-        # exact-synthesis thresholds; the cheaper assembled circuit wins,
-        # so the workflow never regresses below the m-flow baseline.
+        # exact-synthesis thresholds; the cheaper full-register circuit
+        # wins, so the workflow never regresses below the m-flow baseline.
+        # A candidate's cost is its moves' costs plus its core circuit's
+        # (each move's forward gates cost exactly the move's cost), so
+        # only the winner is assembled.
         candidates: list[tuple[str, list[Move], QState]] = []
         yield  # flow boundary: reduction candidates next
         gh = GHTrajectory(state,
@@ -340,7 +349,7 @@ class WorkflowRun(StepwiseRun):
             yield  # flow boundary between candidate reductions
         candidates.append(("gh", gh.moves, gh.final))
 
-        best: tuple[QCircuit, bool | None] | None = None
+        best: tuple[int, bool | None, Callable[[], QCircuit]] | None = None
         best_label = ""
         chosen_trace: list[str] = []
         for label, moves, reduced in candidates:
@@ -362,12 +371,13 @@ class WorkflowRun(StepwiseRun):
             if outcome is None:
                 continue  # incumbent-pruned candidate
             core_circuit, optimal = outcome
-            circuit = finish(core_circuit)
-            if self._best_partial is None or circuit.cnot_cost() < \
-                    self._best_partial[0].cnot_cost():
-                self._best_partial = (circuit, optimal)
-            if best is None or circuit.cnot_cost() < best[0].cnot_cost():
-                best = (circuit, optimal)
+            candidate = (reduction_cost + core_circuit.cnot_cost(), optimal,
+                         partial(finish, core_circuit))
+            if self._best_partial is None or \
+                    candidate[0] < self._best_partial[0]:
+                self._best_partial = candidate
+            if best is None or candidate[0] < best[0]:
+                best = candidate
                 best_label = label
                 chosen_trace = [
                     f"reduction ({label}): {len(moves)} moves, "
@@ -378,7 +388,8 @@ class WorkflowRun(StepwiseRun):
             return None
         trace.extend(chosen_trace)
         trace.append(f"selected reduction strategy: {best_label}")
-        return best
+        _, optimal, build = best
+        return build(), optimal
 
     def _dense_stage(self, trace: list[str]):
         state, config = self.state, self.config
@@ -402,7 +413,7 @@ class WorkflowRun(StepwiseRun):
             return None
         core_circuit, optimal = outcome
         circuit = finish(core_circuit)
-        self._best_partial = (circuit, optimal)
+        self._best_partial = (circuit.cnot_cost(), optimal, lambda: circuit)
         return circuit, optimal
 
     def _native_stage(self, trace: list[str]):
@@ -431,7 +442,8 @@ class WorkflowRun(StepwiseRun):
             return None
         trace.append(f"exact (native): {result.circuit.cnot_cost()} CNOTs "
                      f"(optimal={result.optimal})")
-        self._best_partial = (result.circuit, result.optimal)
+        self._best_partial = (result.circuit.cnot_cost(), result.optimal,
+                              lambda: result.circuit)
         return result.circuit, result.optimal
 
 

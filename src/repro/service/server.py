@@ -184,7 +184,11 @@ from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
 from repro.utils.fingerprint import fingerprint_from_dict, \
     search_regime_dict
-from repro.utils.serialization import circuit_to_dict, state_from_dict
+from repro.utils.serialization import (
+    circuit_to_dict,
+    memory_snapshot_entries,
+    state_from_dict,
+)
 
 __all__ = ["ServiceConfig", "SynthesisService", "serve_loop",
            "parse_request_line", "parse_request_state"]
@@ -519,8 +523,7 @@ class SynthesisService:
             data = save_memory_snapshot(self.memory, request["path"])
             return {"id": rid, "ok": True, "op": "snapshot",
                     "path": request["path"],
-                    "entries": len(data["canon_store"]) +
-                    len(data["h_store"])}
+                    "entries": memory_snapshot_entries(data)}
         if op == "cache_snapshot":
             path = self.save_cache_snapshot(request.get("path"))
             return {"id": rid, "ok": path is not None,

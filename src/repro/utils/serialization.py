@@ -404,6 +404,16 @@ def memory_delta_is_empty(delta: dict[str, Any]) -> bool:
                 or delta["pdb"]["entries"])
 
 
+def memory_snapshot_entries(data: dict[str, Any]) -> int:
+    """Entries a ``memory_to_dict`` snapshot holds over every section:
+    the canon-key and heuristic stores, transposition entries of both
+    kinds, PDB evidence rows and lane stats."""
+    table = data["transposition"]
+    return (len(data["canon_store"]) + len(data["h_store"])
+            + len(table["data"]) + len(table["cond"])
+            + len(data["pdb"]["entries"]) + len(data["lane_stats"]))
+
+
 #: Readable snapshot versions.  v2 (current, written) added transposition
 #: generation stamps + lane stats; v1 is a strict subset, so loading it is
 #: lossless — entries simply age from epoch 0 and no lane history exists.

@@ -12,6 +12,11 @@ that contract:
   candidate-count regime that exercises the scalar orbit-hash path);
 * a forced global 64-bit hash collision must stay harmless with the native
   ``U64Map`` containers active, exactly as with dicts;
+* the one-call native expansion must reproduce the Python
+  ``successors_packed`` (arcs, bytes, interned identities, pool counters)
+  under every move-set option, and honour a patched ``state_hash64``;
+* the acyclic kernel objects leave the cyclic collector only with the
+  extension loaded, and untracked states are still freed;
 * ``U64Map`` itself is differentially tested against a plain dict;
 * ``REPRO_NO_FASTCORE=1`` must select the fallback in a fresh process;
 * the splitmix64 constant table in ``_splitmix.h`` is parsed and compared
@@ -25,10 +30,12 @@ always run.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -38,9 +45,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernel as kernel
+from repro.arch.topologies import CouplingMap
 from repro.core import fastcore
-from repro.core.astar import SearchConfig, astar_search
+from repro.core.astar import AStarRun, SearchConfig, astar_search
 from repro.core.canonical import CanonLevel
+from repro.core.memory import SearchMemory
+from repro.core.moves import MergeMove
 from repro.core.kernel import (
     CanonKey,
     HashKeyedMap,
@@ -222,6 +232,161 @@ class TestCompiledPythonParity:
         assert fastcore.active is not None
         assert dict(fastcore.active.splitmix_constants()) == \
             SPLITMIX_CONSTANTS
+
+
+# ----------------------------------------------------------------------
+# The one-call native expansion
+# ----------------------------------------------------------------------
+
+def _expansion_case(seed: int):
+    """A random packed state (n <= 8) with a random move-set option mix:
+    merge-control cap 0..n-1 or None, topology None / line / ring, and
+    X moves on or off."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, min(12, 1 << n) + 1))
+    idx = rng.choice(1 << n, size=m, replace=False)
+    amps = np.ones(m) if rng.random() < 0.3 else rng.standard_normal(m)
+    state = QState(n, {int(i): float(a) for i, a in zip(idx, amps)})
+    cap = None if rng.random() < 0.2 else int(rng.integers(0, n))
+    kind = ("full", "line", "ring")[int(rng.integers(0, 3))]
+    topology = None
+    if kind == "line" or (kind == "ring" and n < 3):
+        topology = CouplingMap.line(n)
+    elif kind == "ring":
+        topology = CouplingMap.ring(n)
+    return state, cap, topology, bool(rng.integers(0, 2))
+
+
+def _expand_twice(state, cap, topology, x_moves):
+    """Expand the state, then its last child (whose children meet the
+    pool's earlier states); returns the pool, the start state and the
+    concatenated arcs."""
+    pool = StatePool()
+    start = pool.from_qstate(state)
+    arcs = successors_packed(pool, start, cap, x_moves, topology)
+    if arcs:
+        arcs = arcs + successors_packed(pool, arcs[-1][1], cap, x_moves,
+                                        topology)
+    return pool, start, arcs
+
+
+def _identity_pattern(states) -> list[int]:
+    """Each object's first position in ``states`` (interned identity)."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(s), i) for i, s in enumerate(states)]
+
+
+@needs_fastcore
+class TestNativeExpansion:
+    @given(st.integers(0, 5000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_twin(self, seed):
+        """Same arcs in the same order, bit-identical children, the same
+        interned identities and the same pool counters."""
+        state, cap, topology, x_moves = _expansion_case(seed)
+        npool, nstart, native = _expand_twice(state, cap, topology, x_moves)
+        with python_path():
+            ppool, pstart, pure = _expand_twice(state, cap, topology,
+                                                x_moves)
+        assert [mv for mv, _ in native] == [mv for mv, _ in pure]
+        for (_, a), (_, b) in zip(native, pure):
+            assert_states_bit_identical(a, b)
+            assert a.hash64 == b.hash64
+        assert _identity_pattern([nstart] + [s for _, s in native]) == \
+            _identity_pattern([pstart] + [s for _, s in pure])
+        assert (npool.interned, npool.hits, npool.hash_collisions) == \
+            (ppool.interned, ppool.hits, ppool.hash_collisions)
+
+    @pytest.mark.parametrize("name", ["ghz4", "w4", "dicke42", "random5"])
+    def test_patched_hash_interns_each_state_once(self, monkeypatch, name):
+        """With ``state_hash64`` forced to a constant, the native call
+        must hash through the patched function: every state lands in the
+        one collision chain exactly once."""
+        state = {"ghz4": ghz_state(4), "w4": w_state(4),
+                 "dicke42": dicke_state(4, 2),
+                 "random5": random_state(17)}[name]
+        monkeypatch.setattr(kernel, "state_hash64", lambda payload: 42)
+        pool, start, arcs = _expand_twice(state, None, None, True)
+        chain = pool._table[42]
+        assert list(pool._table) == [42]
+        payloads = [s.payload for s in chain]
+        assert len(set(payloads)) == len(chain) == pool.interned
+        assert pool.hash_collisions == pool.interned - 1
+        by_payload = {s.payload: s for s in chain}
+        for _, child in arcs:
+            assert child.hash64 == 42
+            assert child is by_payload[child.payload]
+        with python_path():
+            ppool, _, _ = _expand_twice(state, None, None, True)
+        assert (pool.interned, pool.hits, pool.hash_collisions) == \
+            (ppool.interned, ppool.hits, ppool.hash_collisions)
+
+
+def _suspended_astar_objects(monkeypatch) -> dict[str, list]:
+    """One object list per kind the extension untracks, from an A* run
+    paused mid-search on a fresh memory and fresh move memos."""
+    monkeypatch.setattr(kernel, "_CX_MOVES_MEMO", {})
+    monkeypatch.setattr(kernel, "_X_MOVES_MEMO", {})
+    memory = SearchMemory()
+    run = AStarRun(dicke_state(5, 2), SearchConfig(max_nodes=5_000),
+                   memory=memory)
+    run.step(40)
+    heap = run._gen.gi_frame.f_locals["open_heap"]
+    states = [s for entry in memory.pool._table.values()
+              for s in (entry if isinstance(entry, list) else [entry])]
+    rows = list(memory.canon_store._primary.values())
+    moves = [entry[6] for entry in heap if entry[6] is not None]
+    kinds = {
+        "PackedState": states,
+        "_counts": [s._counts for s in states if s._counts is not None],
+        "MergeMove": [mv for mv in moves if isinstance(mv, MergeMove)],
+        "CXMove": [mv for entry in kernel._CX_MOVES_MEMO.values()
+                   for mv in entry[0]],
+        "CanonKey": [row[1] for row in rows],
+        "HashStore row": rows,
+        "open-list entry": list(heap),
+    }
+    run.cancel()
+    for kind, objs in kinds.items():
+        assert objs, kind
+    return kinds
+
+
+class TestCyclicCollectorUntracking:
+    @needs_fastcore
+    def test_native_objects_are_untracked(self, monkeypatch):
+        for kind, objs in _suspended_astar_objects(monkeypatch).items():
+            assert not any(gc.is_tracked(o) for o in objs), kind
+
+    def test_python_path_keeps_full_tracking(self, monkeypatch):
+        if HAVE_FASTCORE:
+            with python_path():
+                kinds = _suspended_astar_objects(monkeypatch)
+        else:
+            kinds = _suspended_astar_objects(monkeypatch)
+        for kind, objs in kinds.items():
+            assert all(gc.is_tracked(o) for o in objs), kind
+
+    def test_rotated_pool_frees_its_states(self):
+        """Untracked states are still freed: once the memory rotates its
+        pool, nothing keeps the first search's states alive."""
+        memory = SearchMemory(pool_rotate_cap=1)
+        result = astar_search(w_state(4), SearchConfig(max_nodes=2_000),
+                              memory=memory)
+        assert result.optimal
+        first_pool = memory.pool
+        start = first_pool.from_qstate(w_state(4))
+        refs = [weakref.ref(s.idx) for entry in first_pool._table.values()
+                for s in (entry if isinstance(entry, list) else [entry])
+                if s is not start]
+        assert len(refs) > 50
+        del start, first_pool, result
+        astar_search(ghz_state(3), SearchConfig(max_nodes=2_000),
+                     memory=memory)
+        assert memory.pool_rotations >= 1
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
 
 
 # ----------------------------------------------------------------------

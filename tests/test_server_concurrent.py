@@ -102,8 +102,12 @@ def _drive(service: SynthesisService, requests, client=None):
 
 class TestConcurrentEqualsSerial:
     def test_costs_identical_to_serial(self):
-        rows = _oracle(_requests(), _config())
-        concurrent = SynthesisService(_config(use_cache=False))
+        # node budgets only: a wall-clock limit would stop the serial
+        # oracle and the concurrent lanes at host-speed-dependent points
+        search = SearchConfig(max_nodes=50_000)
+        rows = _oracle(_requests(), _config(search=search))
+        concurrent = SynthesisService(_config(use_cache=False,
+                                              search=search))
         got = _drive(concurrent, _requests())
         assert set(got) == set(rows)
         assert concurrent.scheduler.peak_inflight == len(rows)
@@ -465,6 +469,34 @@ class TestMemoryWAL:
         assert json.loads(explicit.read_text(encoding="utf-8"))[
             "canon_store"]
         service.shutdown()
+
+    def test_snapshot_after_wal_boot_counts_every_section(self, tmp_path):
+        """A service booted from a sidecar plus one WAL record starts with
+        cold canon-key and heuristic stores, but its knowledge is there:
+        ``op: snapshot`` counts the entries of every written section."""
+        wal_path = tmp_path / "b.qspwal"
+        source = SynthesisService(_config(
+            use_cache=False, wal_path=str(wal_path),
+            wal_compact_interval=0))
+        _drive(source, _requests()[:1])
+        source.wal.compact()
+        _drive(source, _requests()[1:2])
+        assert source.wal.records == 1
+        source.shutdown()
+        booted = SynthesisService(_config(use_cache=False,
+                                          wal_path=str(wal_path)))
+        path = tmp_path / "after-boot.json"
+        reply = booted.handle({"id": "s", "op": "snapshot",
+                               "path": str(path)})
+        data = json.loads(path.read_text(encoding="utf-8"))
+        sections = [data["canon_store"], data["h_store"],
+                    data["transposition"]["data"],
+                    data["transposition"]["cond"], data["pdb"]["entries"],
+                    data["lane_stats"]]
+        assert data["canon_store"] == [] and data["h_store"] == []
+        assert reply["ok"] and reply["entries"] == \
+            sum(len(section) for section in sections) > 0
+        booted.shutdown()
 
     def test_records_with_cache_entries_still_boot(self, tmp_path):
         """Older builds logged the canon-key store in every record; such a

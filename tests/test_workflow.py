@@ -15,6 +15,7 @@ import repro.qsp.workflow as workflow_module
 from repro.arch.topologies import CouplingMap
 from repro.baselines.mflow import mflow_cnot_count
 from repro.baselines.nflow import nflow_cnot_count
+from repro.circuits.circuit import QCircuit
 from repro.core.astar import SearchConfig
 from repro.core.beam import BeamConfig
 from repro.core.engine import RunStatus
@@ -144,8 +145,14 @@ class TestWorkflowRun:
     def test_stepwise_equals_one_shot(self, state):
         """Driving a run one expansion at a time must be differentially
         identical to ``prepare_state``: costs, flags, and full trace."""
-        one_shot = prepare_state(state)
-        run = WorkflowRun(state)
+        # node budgets only: a wall-clock limit would end the exact core's
+        # searches at host-speed-dependent points and make the runs differ
+        cfg = QSPConfig()
+        cfg.exact.search.time_limit = None
+        cfg.exact.search.max_nodes = 10_000
+        cfg.exact.beam.time_limit = None
+        one_shot = prepare_state(state, cfg)
+        run = WorkflowRun(state, cfg)
         steps = 0
         while not run.status.terminal:
             run.step(1)
@@ -288,3 +295,131 @@ class TestExactCoreLine:
         assert served < searched
         assert result.cnot_cost == served  # the core is the full register
         assert prepares_state(result.circuit, state)
+
+
+def _perfbench_sparse_rows(rows: int, per_row: int = 7) -> list[QState]:
+    """The first ``rows`` rows of the repository benchmark's sparse suite
+    (``perfbench/gen.py``: Gaussian real amplitudes over ``m`` random
+    basis states, ``m`` in ``(n, 2n, 4n)``, rows with ``n * m < 2**n``),
+    drawn from the same stream in the same order."""
+    row_shapes = [(n, m) for n in range(8, 21) for m in (n, 2 * n, 4 * n)
+                  if n * m < (1 << n)][:rows]
+    rng = np.random.default_rng([0, 12])
+    states = []
+    for n, m in row_shapes:
+        for _ in range(per_row):
+            indices = sorted(int(i)
+                             for i in rng.choice(1 << n, m, replace=False))
+            values = [float(v) for v in rng.standard_normal(m)]
+            while any(abs(v) < 1e-3 for v in values):
+                values = [float(v) for v in rng.standard_normal(m)]
+            states.append(QState(n, dict(zip(indices, values))))
+    return states
+
+
+class _AssembleEveryCandidate(WorkflowRun):
+    """Oracle of the sparse stage's candidate choice: every reduction
+    candidate's full-register circuit is assembled and the cheaper
+    assembled circuit wins (first on ties), as the workflow did before it
+    compared ``reduction cost + core cost`` and assembled the winner
+    only."""
+
+    def _sparse_stage(self, trace):
+        state, config = self.state, self.config
+        n = state.num_qubits
+        trace.append(f"sparse path: n={n} m={state.cardinality}")
+        candidates = []
+        yield
+        gh = reduction_module.GHTrajectory(
+            state, stop_cardinality=max(1, config.exact_cardinality),
+            stop_entangled=config.exact_qubits)
+        if config.improved_reduction:
+            moves, reduced = workflow_module.reduce_cardinality(
+                state, stop_cardinality=config.exact_cardinality,
+                stop_entangled=config.exact_qubits,
+                config=config.reduction, gh=gh)
+            candidates.append(("multi-pair", moves, reduced))
+            yield
+        candidates.append(("gh", gh.moves, gh.final))
+        best = None
+        best_label = ""
+        chosen_trace: list[str] = []
+        for label, moves, reduced in candidates:
+            yield
+            sub_trace: list[str] = []
+            reduction_cost = sum(m.cost for m in moves)
+
+            def finish(core_circuit, moves=moves):
+                circuit = QCircuit(n)
+                circuit.compose(core_circuit)
+                for move in reversed(moves):
+                    circuit.extend(move.forward_gates())
+                return circuit
+
+            outcome = yield from self._core_stage(
+                reduced, sub_trace, prefix_cost=reduction_cost,
+                finish=finish)
+            if outcome is None:
+                continue
+            core_circuit, optimal = outcome
+            circuit = finish(core_circuit)
+            if self._best_partial is None or \
+                    circuit.cnot_cost() < self._best_partial[0]:
+                self._best_partial = (circuit.cnot_cost(), optimal,
+                                      lambda circuit=circuit: circuit)
+            if best is None or circuit.cnot_cost() < best[0].cnot_cost():
+                best = (circuit, optimal)
+                best_label = label
+                chosen_trace = [
+                    f"reduction ({label}): {len(moves)} moves, "
+                    f"{reduction_cost} CNOTs, core m={reduced.cardinality}",
+                    *sub_trace,
+                ]
+        if best is None:
+            return None
+        trace.extend(chosen_trace)
+        trace.append(f"selected reduction strategy: {best_label}")
+        return best
+
+
+class TestSparseCandidateChoice:
+    """Comparing candidates by ``reduction cost + core cost`` and
+    assembling only the winner serves what assembling every candidate
+    served, on the first 14 rows of the benchmark's sparse suite.  In
+    row 13 (n=12, m=48) the fifth state's multi-pair reduction is the
+    cheaper one (338 vs 339 CNOTs) but loses on the full circuit (core 3
+    vs 0), so a choice by reduction cost alone would show."""
+
+    ROWS = _perfbench_sparse_rows(14)
+
+    @staticmethod
+    def _gates(circuit) -> list[str]:
+        return [repr(g) for g in circuit.gates]
+
+    @pytest.mark.parametrize("row", range(14))
+    def test_gate_lists_and_traces_match_assembling_every_candidate(
+            self, row):
+        for state in self.ROWS[7 * row:7 * row + 7]:
+            got = prepare_state(state)
+            oracle = _AssembleEveryCandidate(state).run_to_completion()
+            assert self._gates(got.circuit) == self._gates(oracle.circuit)
+            assert got.trace == oracle.trace
+            assert got.cnot_cost == oracle.cnot_cost
+
+    def test_deadline_flushes_match_assembling_every_candidate(self):
+        """A flush at any step assembles the best candidate so far on
+        demand, exactly as the eagerly assembled oracle flushes."""
+        for state in (*self.ROWS[:14:3], self.ROWS[96]):
+            run, oracle = WorkflowRun(state), _AssembleEveryCandidate(state)
+            flushed = 0
+            while not run.status.terminal:
+                run.step(1)
+                oracle.step(1)
+                assert run.status is oracle.status
+                mine, theirs = run.flush_feasible(), oracle.flush_feasible()
+                assert self._gates(mine.circuit) == \
+                    self._gates(theirs.circuit)
+                assert mine.trace == theirs.trace
+                assert mine.exact_optimal == theirs.exact_optimal
+                flushed += 1
+            assert flushed > 3
