@@ -203,7 +203,7 @@ def run_benchmark(rows: list[tuple[int, int, int]]) -> dict:
 def _run_search_engine(n: int, k: int, budget: int,
                        search_engine: str) -> dict:
     """Profiled run of a non-A* engine (IDA* / beam) on one Dicke row."""
-    from repro.core.beam import BeamConfig, beam_search
+    from repro.core.beam import beam_search
     from repro.core.idastar import IDAStarConfig, idastar_search
 
     target = dicke_state(n, k)
@@ -215,8 +215,8 @@ def _run_search_engine(n: int, k: int, budget: int,
                                     time_limit=_TIME_LIMIT,
                                     cache_cap=1 << 24, profile=True)))
         else:
-            result = beam_search(target, BeamConfig(cache_cap=1 << 24,
-                                                    profile=True))
+            result = beam_search(target, search=SearchConfig(
+                cache_cap=1 << 24, profile=True))
         stats = result.stats
         outcome = {"solved": True, "cnot_cost": result.cnot_cost}
     except SearchBudgetExceeded as exc:

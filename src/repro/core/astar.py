@@ -140,9 +140,8 @@ class AStarRun(EngineRun):
         self._incumbent_result: SearchResult | None = None
         self._transposition = memory.transposition \
             if memory is not None else None
-        ctx = EngineContext.from_search_config(target, config,
-                                               heuristic=heuristic,
-                                               memory=memory)
+        ctx = EngineContext(target, config, heuristic=heuristic,
+                            memory=memory)
         super().__init__(ctx)
         # EngineRun.__init__ reset _ub; seed it from the incumbent now.
         if incumbent is not None:

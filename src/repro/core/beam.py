@@ -9,10 +9,11 @@ It shares the packed-array kernel (moves, canonicalization, interning)
 with the A* engine — successor order and scores are identical to the
 dict-based reference, so beam trajectories are unchanged by the kernel
 migration — and any circuit it returns is verified the same way.
-``include_x_moves`` mirrors :class:`~repro.core.astar.SearchConfig`, so a
-beam run explores exactly the move set of the exact engines it falls back
-from.  The per-level dominance map ``seen_g`` is size-capped like every
-other search container (eviction only weakens pruning, never feasibility).
+A run takes its search regime (move set, canonicalization, topology)
+from the :class:`~repro.core.engine.SearchConfig` of the exact engines
+it falls back from, so it explores exactly their graph.  The per-level
+dominance map ``seen_g`` is size-capped like every other search
+container (eviction only weakens pruning, never feasibility).
 
 **Stepwise runtime.**  :class:`BeamRun` implements the level loop on the
 shared :class:`~repro.core.engine.EngineRun` protocol, yielding once per
@@ -28,19 +29,14 @@ the portfolio-wide best is dead weight in the beam).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
-from repro.constants import (
-    SEARCH_CACHE_CAP,
-    SEARCH_PERM_CAP,
-    SEARCH_TIE_CAP,
-)
-from repro.core.canonical import CanonLevel
 from repro.core.engine import (
     EngineContext,
     EngineRun,
     RunStatus,
+    SearchConfig,
     SearchResult,
 )
 from repro.core.heuristic import HeuristicFn
@@ -59,35 +55,19 @@ __all__ = ["BeamConfig", "BeamRun", "beam_search"]
 
 @dataclass
 class BeamConfig:
-    """Beam-search knobs.
+    """Beam-only knobs (the search regime is a ``SearchConfig``).
 
     ``width`` states survive each level; ``heuristic_weight`` biases the
     score toward quickly-separable states; ``max_depth`` bounds the number
     of levels (a merge happens at least every few moves on any sensible
-    path, so ``4 * n * m`` is generous).  ``max_merge_controls`` and
-    ``include_x_moves`` select the move set exactly as in
-    :class:`~repro.core.astar.SearchConfig`, so beam and the exact engines
-    search the same graph.
+    path, so ``4 * n * m`` is generous); ``time_limit`` is the run's
+    wall-clock budget in seconds (``None`` = unlimited).
     """
 
     width: int = 128
     heuristic_weight: float = 1.5
     max_depth: int | None = None
-    canon_level: CanonLevel = CanonLevel.PU2
     time_limit: float | None = None
-    max_merge_controls: int | None = None
-    include_x_moves: bool = False
-    tie_cap: int = SEARCH_TIE_CAP
-    perm_cap: int = SEARCH_PERM_CAP
-    cache_cap: int = SEARCH_CACHE_CAP
-    #: per-phase wall-clock timers into ``stats.phase_seconds`` — same
-    #: buckets and zero-overhead-when-off contract as
-    #: :class:`~repro.core.engine.SearchConfig.profile`
-    profile: bool = False
-    #: optional CouplingMap — same native move-set semantics as
-    #: :class:`~repro.core.astar.SearchConfig.topology`; additionally
-    #: disables the m-flow completion tail (whose merges are not native)
-    topology: object | None = None
 
 
 @dataclass
@@ -99,10 +79,12 @@ class _Node:
 
 def beam_search(target: QState, config: BeamConfig | None = None,
                 heuristic: HeuristicFn | None = None,
-                memory=None) -> SearchResult:
+                memory=None, *, search: SearchConfig | None = None
+                ) -> SearchResult:
     """Best-effort synthesis; always returns a valid circuit.
 
-    ``memory`` optionally plugs a process-lifetime
+    ``search`` is the search regime (see :class:`BeamRun`).  ``memory``
+    optionally plugs a process-lifetime
     :class:`repro.core.memory.SearchMemory` (shared interning pool and
     canon/heuristic stores) — pure recomputation reuse, trajectories are
     identical warm or cold.
@@ -113,34 +95,35 @@ def beam_search(target: QState, config: BeamConfig | None = None,
     state is ever reached (which cannot happen with the complete move set
     and a sane depth bound).
     """
-    return BeamRun(target, config, heuristic=heuristic,
-                   memory=memory).run_to_completion()
+    return BeamRun(target, config, heuristic=heuristic, memory=memory,
+                   search=search).run_to_completion()
 
 
 class BeamRun(EngineRun):
-    """Stepwise anytime beam search (see module docstring)."""
+    """Stepwise anytime beam search (see module docstring).
+
+    ``search`` (default ``SearchConfig()``) is the search regime — pass
+    the exact engine's config; its ``max_nodes``, ``weight`` and
+    ``time_limit`` are never read (``config.time_limit`` is the budget).
+    """
 
     engine = "beam"
 
     def __init__(self, target: QState, config: BeamConfig | None = None,
                  heuristic: HeuristicFn | None = None, memory=None,
-                 incumbent=None):
+                 incumbent=None, *, search: SearchConfig | None = None):
         config = config or BeamConfig()
+        search = search or SearchConfig()
         self.config = config
         self._best: SearchResult | None = None
-        ctx = EngineContext(
-            target, canon_level=config.canon_level, tie_cap=config.tie_cap,
-            perm_cap=config.perm_cap,
-            max_merge_controls=config.max_merge_controls,
-            include_x_moves=config.include_x_moves,
-            cache_cap=config.cache_cap, topology=config.topology,
-            time_limit=config.time_limit, heuristic=heuristic,
-            memory=memory, profile=config.profile)
+        ctx = EngineContext(target,
+                            replace(search, time_limit=config.time_limit),
+                            heuristic=heuristic, memory=memory)
         # the dedup container is read by finalize-time stats, so it must
         # exist before the first step (and before any cancellation);
         # likewise the frontier starts at the target so a deadline flush
         # can m-flow-complete *something* even before the first slice
-        self._seen_g = BoundedCache(config.cache_cap)
+        self._seen_g = BoundedCache(search.cache_cap)
         self._beam: list[_Node] = [_Node(state=ctx.start, g=0, path=())]
         super().__init__(ctx)
         if incumbent is not None:
@@ -222,6 +205,7 @@ class BeamRun(EngineRun):
     def _main(self):
         ctx = self._ctx
         config = self.config
+        search = ctx.search
         stats = ctx.stats
         stopwatch = ctx.stopwatch
         canon = ctx.canon
@@ -232,7 +216,7 @@ class BeamRun(EngineRun):
         if max_depth is None:
             max_depth = 4 * n * max(2, target.cardinality)
         seen_g = self._seen_g
-        profile = config.profile
+        profile = search.profile
         phases = stats.phase_seconds
         if profile:
             phases.setdefault("enumeration", 0.0)
@@ -273,15 +257,15 @@ class BeamRun(EngineRun):
                         te = perf_counter()
                         arcs = successors_packed(
                             ctx.pool, node.state,
-                            max_merge_controls=config.max_merge_controls,
-                            include_x_moves=config.include_x_moves,
+                            max_merge_controls=search.max_merge_controls,
+                            include_x_moves=search.include_x_moves,
                             topology=ctx.topology)
                         phases["enumeration"] += perf_counter() - te
                     else:
                         arcs = successors_packed(
                             ctx.pool, node.state,
-                            max_merge_controls=config.max_merge_controls,
-                            include_x_moves=config.include_x_moves,
+                            max_merge_controls=search.max_merge_controls,
+                            include_x_moves=search.include_x_moves,
                             topology=ctx.topology)
                     for move, nxt in arcs:
                         g2 = node.g + move.cost

@@ -110,6 +110,10 @@ def _native_topology(topology, num_qubits: int):
 class SearchConfig:
     """Tuning knobs of the exact search.
 
+    The fields other than ``max_nodes``, ``time_limit`` and ``weight``
+    are the search regime, which all three engines take from this one
+    config (a beam run adds only its :class:`~repro.core.beam.BeamConfig`).
+
     Attributes
     ----------
     max_nodes:
@@ -204,13 +208,12 @@ class SearchStats:
     h_store_hits: int = 0
     h_store_misses: int = 0
     #: phase-level wall-clock breakdown of the hot loop (seconds), filled
-    #: only under ``SearchConfig(profile=True)`` (beam lanes:
-    #: ``BeamConfig(profile=True)``) by all three engines — A*, IDA*,
-    #: and beam: "enumeration" (successor generation + move application +
-    #: interning), "canonicalization" (canonical-key computation,
-    #: inclusive), "hashing" (the orbit-hash portion of canonicalization,
-    #: a sub-bucket), "heuristic" (h evaluation), "containers" (open-heap
-    #: + dedup-map bookkeeping, A* only)
+    #: only under ``SearchConfig(profile=True)`` by all three engines —
+    #: A*, IDA*, and beam: "enumeration" (successor generation + move
+    #: application + interning), "canonicalization" (canonical-key
+    #: computation, inclusive), "hashing" (the orbit-hash portion of
+    #: canonicalization, a sub-bucket), "heuristic" (h evaluation),
+    #: "containers" (open-heap + dedup-map bookkeeping, A* only)
     phase_seconds: dict = field(default_factory=dict)
 
     def merge(self, other: "SearchStats") -> None:
@@ -299,29 +302,24 @@ def _make_h_of(heuristic: HeuristicFn, h_cache: BoundedCache, h_store):
     """Packed-state heuristic evaluator shared by all kernel engines.
 
     The default entanglement bound is memoized on the interned state
-    object, so it needs no cache layer; the coupling-aware bound reads the
+    object, so it needs no cache layer.  Any other heuristic goes through
+    the per-search cache with an optional persistent
+    :class:`repro.core.memory.HashStore` tier between cache and compute;
+    only a miss's computation differs: the coupling-aware bound reads the
     cached entangled set off the interned state and memoizes its matching
-    per entangled support; any other heuristic goes through the per-search
-    cache with an optional persistent
-    :class:`repro.core.memory.HashStore` tier between cache and compute.
+    per entangled support, a generic heuristic sees the sparse state.
     """
     if heuristic is entanglement_heuristic:
         return entanglement_h_packed
 
     if isinstance(heuristic, CouplingHeuristic):
-        def h_coupling(ps: PackedState) -> float:
-            val = h_cache.get(ps)
-            if val is None:
-                if h_store is not None:
-                    val = h_store.get(ps)
-                if val is None:
-                    val = heuristic.bound(entangled_qubits_packed(ps))
-                    if h_store is not None:
-                        h_store.put(ps, val)
-                h_cache.put(ps, val)
-            return val
+        bound = heuristic.bound
 
-        return h_coupling
+        def compute(ps: PackedState) -> float:
+            return bound(entangled_qubits_packed(ps))
+    else:
+        def compute(ps: PackedState) -> float:
+            return float(heuristic(ps.to_qstate()))
 
     def h_of(ps: PackedState) -> float:
         val = h_cache.get(ps)
@@ -329,7 +327,7 @@ def _make_h_of(heuristic: HeuristicFn, h_cache: BoundedCache, h_store):
             if h_store is not None:
                 val = h_store.get(ps)
             if val is None:
-                val = float(heuristic(ps.to_qstate()))
+                val = compute(ps)
                 if h_store is not None:
                     h_store.put(ps, val)
             h_cache.put(ps, val)
@@ -375,72 +373,56 @@ def _proven_bound(current_u: float, open_entries, u_index: int) -> int:
 class EngineContext:
     """The per-run setup every kernel engine shares.
 
-    One construction performs, in order, exactly what the three engines
-    each used to do inline: topology validation + normalization,
-    default-heuristic resolution for that topology, memory attach (which
-    pins the regime fingerprint and may rotate the interning pool) or a
-    fresh :class:`~repro.core.kernel.StatePool`, the canonicalization
-    context over the optional persistent store, the heuristic evaluator
-    over the per-run cache + optional store tier, and the stats/stopwatch
+    One construction from the run's :class:`SearchConfig` performs, in
+    order, exactly what the three engines each used to do inline:
+    topology validation + normalization, default-heuristic resolution for
+    that topology, memory attach (which pins the regime fingerprint and
+    may rotate the interning pool) or a fresh
+    :class:`~repro.core.kernel.StatePool`, the canonicalization context
+    over the optional persistent store, the heuristic evaluator over the
+    per-run cache + optional store tier, and the stats/stopwatch
     lifecycle.  :meth:`finalize_stats` flushes the cache/store counters
     and the elapsed time into :attr:`stats`; it is idempotent, so every
     exit path (normal, budget, cancellation) may call it safely.
     """
 
-    __slots__ = ("target", "topology", "heuristic", "memory", "pool",
-                 "canon_store", "h_store", "canon_ctx", "canon", "h_cache",
-                 "h_of", "stats", "stopwatch", "start", "_store_marks",
-                 "profile")
+    __slots__ = ("target", "search", "topology", "pool", "canon_store",
+                 "h_store", "canon_ctx", "canon", "h_cache", "h_of",
+                 "stats", "stopwatch", "start", "_store_marks")
 
-    def __init__(self, target: QState, *, canon_level, tie_cap: int,
-                 perm_cap: int, max_merge_controls: int | None,
-                 include_x_moves: bool, cache_cap: int, topology,
-                 time_limit: float | None, heuristic: HeuristicFn | None,
-                 memory=None, profile: bool = False):
+    def __init__(self, target: QState, search: SearchConfig,
+                 heuristic: HeuristicFn | None = None, memory=None):
         self.target = target
-        self.topology = _native_topology(topology, target.num_qubits)
+        self.search = search
+        self.topology = _native_topology(search.topology, target.num_qubits)
         if heuristic is None:
             heuristic = default_heuristic(self.topology)
-        self.heuristic = heuristic
         self.stats = SearchStats()
-        self.stopwatch = Stopwatch(time_limit)
-        self.memory = memory
+        self.stopwatch = Stopwatch(search.time_limit)
         if memory is not None:
             self.pool = memory.attach(
-                canon_level=canon_level, tie_cap=tie_cap, perm_cap=perm_cap,
-                max_merge_controls=max_merge_controls,
-                include_x_moves=include_x_moves, heuristic=heuristic,
+                canon_level=search.canon_level, tie_cap=search.tie_cap,
+                perm_cap=search.perm_cap,
+                max_merge_controls=search.max_merge_controls,
+                include_x_moves=search.include_x_moves, heuristic=heuristic,
                 topology=self.topology)
             self.canon_store = memory.canon_store
             self.h_store = memory.h_store
         else:
             self.pool = StatePool()
             self.canon_store = self.h_store = None
-        self.canon_ctx = CanonContext(canon_level, tie_cap, perm_cap,
-                                      cache_cap, store=self.canon_store,
+        self.canon_ctx = CanonContext(search.canon_level, search.tie_cap,
+                                      search.perm_cap, search.cache_cap,
+                                      store=self.canon_store,
                                       topology=self.topology)
-        self.profile = profile
-        if profile:
+        if search.profile:
             # the hashing sub-bucket accrues directly into phase_seconds
             self.canon_ctx.timers = self.stats.phase_seconds
         self.canon = self.canon_ctx.key
-        self.h_cache = BoundedCache(cache_cap)
+        self.h_cache = BoundedCache(search.cache_cap)
         self.h_of = _make_h_of(heuristic, self.h_cache, self.h_store)
         self._store_marks = _store_hit_marks(self.canon_store, self.h_store)
         self.start = self.pool.from_qstate(target)
-
-    @classmethod
-    def from_search_config(cls, target: QState, config: SearchConfig,
-                           heuristic: HeuristicFn | None = None,
-                           memory=None) -> "EngineContext":
-        """Build a context from the shared :class:`SearchConfig` fields."""
-        return cls(target, canon_level=config.canon_level,
-                   tie_cap=config.tie_cap, perm_cap=config.perm_cap,
-                   max_merge_controls=config.max_merge_controls,
-                   include_x_moves=config.include_x_moves,
-                   cache_cap=config.cache_cap, topology=config.topology,
-                   time_limit=config.time_limit, heuristic=heuristic,
-                   memory=memory, profile=config.profile)
 
     def finalize_stats(self) -> None:
         """Flush elapsed time + cache/store counters into :attr:`stats`.

@@ -19,12 +19,12 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.astar import AStarRun, SearchConfig, SearchResult
 from repro.core.beam import BeamConfig, BeamRun
 from repro.core.engine import RunStatus
-from repro.exceptions import MemoryCompatibilityError, SearchBudgetExceeded
+from repro.exceptions import SearchBudgetExceeded
 from repro.states.qstate import QState
 
 __all__ = ["ExactSynthesizer", "ExactConfig", "SearchResult"]
@@ -37,19 +37,15 @@ class ExactConfig:
     """Configuration of the synthesis facade.
 
     ``search`` configures the optimal A* engine; when it exhausts its
-    budget, the beam engine (configured by ``beam``) supplies a feasible,
-    non-optimal circuit (:func:`~repro.core.astar.astar_search` raises).
+    budget, the beam engine supplies a feasible, non-optimal circuit
+    (:func:`~repro.core.astar.astar_search` raises).  The beam searches
+    the regime of ``search`` (move set, canonicalization, topology);
+    ``beam`` sets only its width, weight, depth and time limit.
     """
 
-    search: SearchConfig = None  # type: ignore[assignment]
-    beam: BeamConfig = None      # type: ignore[assignment]
+    search: SearchConfig = field(default_factory=SearchConfig)
+    beam: BeamConfig = field(default_factory=BeamConfig)
     verify: bool = True
-
-    def __post_init__(self):
-        if self.search is None:
-            self.search = SearchConfig()
-        if self.beam is None:
-            self.beam = BeamConfig()
 
 
 class ExactSynthesizer:
@@ -66,19 +62,16 @@ class ExactSynthesizer:
         Returns the verified result (beam answers ``optimal=False``), or
         ``None`` when an injected incumbent proved the space (``PROVEN``).
         """
-        search_config, beam_config = self.config.search, self.config.beam
+        search = self.config.search
         if topology is not None:
-            search_config = replace(search_config, topology=topology)
-            beam_config = replace(beam_config, topology=topology)
-        run = AStarRun(state, search_config, memory=memory)
+            search = replace(search, topology=topology)
+        run = AStarRun(state, search, memory=memory)
         yield run
         fallback = run.status is RunStatus.EXHAUSTED and \
             isinstance(run.error, SearchBudgetExceeded)
         if fallback:
-            try:
-                run = BeamRun(state, beam_config, memory=memory)
-            except MemoryCompatibilityError:
-                run = BeamRun(state, beam_config)
+            run = BeamRun(state, self.config.beam, memory=memory,
+                          search=search)
             yield run
         if run.status is RunStatus.PROVEN:
             return None
@@ -102,16 +95,13 @@ class ExactSynthesizer:
         ``memory`` optionally plugs a process-lifetime
         :class:`~repro.core.memory.SearchMemory` into the underlying
         engines (the service layer threads its memory through here) —
-        pure recomputation reuse, identical results.  The beam fallback
-        only shares it when its config sits in the same regime; a
-        mismatched beam config simply runs cold instead of failing the
-        whole synthesis.
+        pure recomputation reuse, identical results.  Both engines attach
+        to it under the one regime of ``config.search``.
 
-        ``topology`` overrides the configs' coupling map for this call:
-        both the A* engine and the beam fallback then search the native
-        move set, so every returned circuit decomposes onto coupled pairs
-        only.  ``None`` keeps whatever the configs carry (their own
-        ``topology`` fields, default unrestricted).
+        ``topology`` overrides the search config's coupling map for this
+        call.  The beam fallback always searches the A* regime, so with a
+        restricted map (here or on ``config.search``) every returned
+        circuit decomposes onto coupled pairs only.
         """
         runs = self.runs(state, memory=memory, topology=topology)
         try:

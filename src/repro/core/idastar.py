@@ -21,9 +21,8 @@ reaching the class via a different prefix could be pruned away from the
 goal.  The pre-fix code recorded such truncated subtrees as plain
 exhaustion and compensated by clearing the table at every deepening
 round — which was still unsound whenever two probes of the *same* round
-reached a class via different prefixes
-(``IDAStarConfig(record_truncated=True)`` retains that write rule solely
-for the regression test that demonstrates the miss).
+reached a class via different prefixes (``tests/test_memory.py`` injects
+an entry of that shape and shows IDA* missing the optimum).
 
 The fix records every exhausted subtree but tags it with the exact
 *condition* its proof leaned on: the set of path classes strictly above
@@ -87,24 +86,20 @@ __all__ = ["IDAStarConfig", "IDAStarRun", "idastar_search"]
 
 _FOUND = -1.0
 
+#: size cap of a run's own table of ``(class -> exhausted remaining
+#: budget)`` entries (a persistent ``SearchMemory`` supplies its own)
+TRANSPOSITION_CAP = 200_000
+
 
 @dataclass
 class IDAStarConfig:
     """Tuning knobs of the iterative-deepening search.
 
     ``search`` carries the shared options (canonicalization level, move
-    caps, budgets); ``transposition_cap`` bounds the per-call table of
-    ``(class -> exhausted remaining budget)`` entries (ignored when a
-    persistent ``SearchMemory`` supplies its own table).
-    ``record_truncated`` re-enables the pre-fix unsound write rule —
-    recording exhaustion even for subtrees truncated by path pruning —
-    and exists only so the regression tests can demonstrate the bug;
-    never enable it otherwise.
+    caps, budgets).
     """
 
     search: SearchConfig = field(default_factory=SearchConfig)
-    transposition_cap: int = 200_000
-    record_truncated: bool = False
     #: Pattern-database root-bound tier (needs a ``SearchMemory`` with a
     #: ``pdb``; silently off otherwise).  ``"admissible"`` seeds the first
     #: deepening bound *and* the proven lower bound with the signature's
@@ -153,14 +148,12 @@ class IDAStarRun(EngineRun):
             raise ValueError(f"unknown pdb_tier {config.pdb_tier!r}")
         self.config = config
         shared = config.search
-        ctx = EngineContext.from_search_config(target, shared,
-                                               heuristic=heuristic,
-                                               memory=memory)
+        ctx = EngineContext(target, shared, heuristic=heuristic,
+                            memory=memory)
         if memory is not None:
             self._transposition = memory.transposition
         else:
-            self._transposition = TranspositionTable(
-                config.transposition_cap)
+            self._transposition = TranspositionTable(TRANSPOSITION_CAP)
         # Pattern-database root bounds (see ``IDAStarConfig.pdb_tier``):
         # the admissible one joins the *proven* lower bound, the hint only
         # seeds the deepening bound.  Computed once per run — the
@@ -187,7 +180,6 @@ class IDAStarRun(EngineRun):
         canon = ctx.canon
         h_of = ctx.h_of
         transposition = self._transposition
-        record_truncated = self.config.record_truncated
         profile = shared.profile
         phases = stats.phase_seconds
         if profile:
@@ -301,14 +293,9 @@ class IDAStarRun(EngineRun):
                     minimum = result
             trunc_frozen = frozenset(trunc) if type(trunc) is not frozenset \
                 else trunc
-            if trunc_frozen and not record_truncated:
+            if trunc_frozen:
                 stats.transposition_poisoned += 1
-                transposition.record(ckey, remaining, trunc_frozen)
-            else:
-                # record_truncated reinstates the pre-fix bug: the
-                # condition is dropped and the entry reads as
-                # unconditional
-                transposition.record(ckey, remaining, _NO_TRUNC)
+            transposition.record(ckey, remaining, trunc_frozen)
             stats.transposition_writes += 1
             return minimum, trunc_frozen
 

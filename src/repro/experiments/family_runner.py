@@ -136,14 +136,12 @@ def run_family(targets: list[tuple[str, QState]],
 
     def synthesize(state: QState):
         search = config.search
-        beam = config.beam
         row_memory = memory
         if config.topology is not None:
             from repro.arch.topologies import named_topology
 
-            cmap = named_topology(config.topology, state.num_qubits)
-            search = replace(search, topology=cmap)
-            beam = replace(beam, topology=cmap)
+            search = replace(search, topology=named_topology(
+                config.topology, state.num_qubits))
             if config.warm:
                 row_memory = memory_by_size.get(state.num_qubits)
                 if row_memory is None:
@@ -155,8 +153,8 @@ def run_family(targets: list[tuple[str, QState]],
         if config.engine == "idastar":
             return idastar_search(state, IDAStarConfig(search=search),
                                   heuristic=heuristic, memory=row_memory)
-        return beam_search(state, beam, heuristic=heuristic,
-                           memory=row_memory)
+        return beam_search(state, config.beam, heuristic=heuristic,
+                           memory=row_memory, search=search)
 
     rows: list[FamilyRow] = []
     batch_start = time.perf_counter()

@@ -53,7 +53,8 @@ def _engines(budget: SearchConfig):
         s, budget, heuristic=combined_heuristic)
     yield "idastar", lambda s: idastar_search(
         s, IDAStarConfig(search=budget))
-    yield "beam", lambda s: beam_search(s, BeamConfig(width=64))
+    yield "beam", lambda s: beam_search(s, BeamConfig(width=64),
+                                        search=budget)
 
 
 def search_variant_rows(instances: list[tuple[str, QState]],

@@ -187,15 +187,10 @@ def build_engine_run(spec: EngineSpec, state: QState, search: SearchConfig,
         return IDAStarRun(state,
                           IDAStarConfig(search=search, pdb_tier=pdb_tier),
                           memory=memory)
-    beam_config = BeamConfig(
-        width=spec.width, heuristic_weight=spec.weight,
-        canon_level=search.canon_level, time_limit=search.time_limit,
-        max_merge_controls=search.max_merge_controls,
-        include_x_moves=search.include_x_moves,
-        tie_cap=search.tie_cap, perm_cap=search.perm_cap,
-        cache_cap=search.cache_cap, topology=search.topology,
-        profile=search.profile)
-    return BeamRun(state, beam_config, memory=memory)
+    return BeamRun(state, BeamConfig(width=spec.width,
+                                     heuristic_weight=spec.weight,
+                                     time_limit=search.time_limit),
+                   memory=memory, search=search)
 
 
 def _better(candidate: SearchResult, best: SearchResult | None) -> bool:

@@ -237,8 +237,10 @@ class ServiceConfig:
 
     ``search`` fixes the exact-engine regime *and* budgets for ``exact``
     requests; ``qsp`` configures the full workflow for ``prepare``
-    requests (its exact stage shares the same default regime, which is
-    what lets one memory serve both paths).
+    requests.  One memory serves both paths, so the regime fields of
+    ``qsp.exact.search`` must equal those of ``search`` (its topology is
+    the service's); a mismatch raises
+    :class:`~repro.exceptions.MemoryCompatibilityError` at boot.
     """
 
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -396,6 +398,19 @@ class SynthesisService:
         # disconnected map fails here, not at the first request
         self.config.search.topology = \
             native_topology(self.config.search.topology)
+        # one memory serves the exact lanes and the prepare cores (on the
+        # service topology), so a core regime that differs would fail
+        # every prepare at attach
+        regime = search_regime_dict(self.config.search)
+        core = search_regime_dict(replace(
+            self.config.qsp.exact.search,
+            topology=self.config.search.topology))
+        differing = sorted(k for k in regime if regime[k] != core[k])
+        if differing:
+            raise MemoryCompatibilityError(
+                f"qsp.exact.search differs from the service search "
+                f"regime in {differing}; set them alike")
+        self.regime = regime
         # obs first: WAL boot already wants to report replay/truncation
         self.obs = build_obs(self.config.obs)
         self.wal: MemoryWAL | None = None
@@ -413,8 +428,6 @@ class SynthesisService:
             self.memory = load_memory_snapshot(self.config.snapshot_path)
         else:
             self.memory = SearchMemory()
-        regime = search_regime_dict(self.config.search)
-        self.regime = regime
         # A snapshot recorded under a different regime must fail at boot,
         # not at the first unlucky request.
         self.memory.pin(fingerprint_from_dict(regime))

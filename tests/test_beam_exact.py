@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.arch.topologies import CouplingMap
+from repro.circuits.decompose import decompose_circuit
 from repro.core.astar import SearchConfig
 from repro.core.beam import BeamConfig, beam_search
 from repro.core.exact import ExactConfig, ExactSynthesizer, synthesize_exact
+from repro.core.memory import SearchMemory
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
@@ -37,6 +42,19 @@ class TestBeam:
         wide = beam_search(w_state(4), BeamConfig(width=64))
         assert wide.cnot_cost <= narrow.cnot_cost
 
+    def test_search_budgets_do_not_reach_the_beam(self):
+        # the beam reads only the regime from ``search``; its budget is
+        # BeamConfig.time_limit (an expired 0 s limit here would cut the
+        # run to the m-flow completion tail)
+        state = dicke_state(4, 2)
+        plain = beam_search(state, BeamConfig(width=16))
+        budgeted = beam_search(state, BeamConfig(width=16),
+                               search=SearchConfig(max_nodes=1, weight=5.0,
+                                                   time_limit=0.0))
+        assert budgeted.cnot_cost == plain.cnot_cost
+        assert budgeted.stats.nodes_expanded == plain.stats.nodes_expanded
+        assert budgeted.moves == plain.moves
+
 
 class TestExactSynthesizer:
     def test_optimal_flag_true_on_success(self):
@@ -63,3 +81,27 @@ class TestExactSynthesizer:
 
     def test_lower_bound(self):
         assert ExactSynthesizer().lower_bound(ghz_state(4)) == 2
+
+
+class TestOneSearchRegime:
+    """The beam fallback searches the regime of ``ExactConfig.search``:
+    a coupling map there binds the fallback too, and both runs attach to
+    one memory."""
+
+    @pytest.mark.parametrize("with_memory", [False, True],
+                             ids=["cold", "memory"])
+    @pytest.mark.parametrize("state", [dicke_state(4, 2), w_state(6)],
+                             ids=["D42", "W6"])
+    def test_fallback_keeps_cnots_on_the_device(self, state, with_memory):
+        line = CouplingMap.line(state.num_qubits)
+        cfg = ExactConfig(search=SearchConfig(topology=line, max_nodes=1))
+        memory = SearchMemory() if with_memory else None
+        result = ExactSynthesizer(cfg).synthesize(state, memory=memory)
+        assert not result.optimal  # A* ran out, the beam answered
+        assert prepares_state(result.circuit, state)
+        pairs = [(g.controls[0][0], g.target)
+                 for g in decompose_circuit(result.circuit) if g.name == "cx"]
+        assert pairs
+        assert all(line.is_adjacent(c, t) for c, t in pairs), pairs
+        if memory is not None:
+            assert memory.searches == 2  # A* and its fallback, one regime

@@ -271,17 +271,12 @@ class TestTranspositionSoundnessRegression:
         state = dicke_state(4, 2)
         fixed_mem = SearchMemory()
         fixed = idastar_search(state, IDAStarConfig(), memory=fixed_mem)
-        legacy_mem = SearchMemory()
-        legacy = idastar_search(
-            state, IDAStarConfig(record_truncated=True), memory=legacy_mem)
-        assert fixed.cnot_cost == legacy.cnot_cost == 6
-        # the fixed probe proves most exhausted subtrees path-dependent...
+        assert fixed.cnot_cost == 6
+        # the fixed probe proves most exhausted subtrees path-dependent and
+        # records them with their condition; the old rule wrote them as
+        # unconditional, universal claims (the next test injects one)
         assert fixed.stats.transposition_poisoned > 0
         assert len(fixed_mem.transposition.cond) > 0
-        # ...which the old rule wrote as unconditional, universal claims
-        assert len(legacy_mem.transposition.cond) == 0
-        assert len(legacy_mem.transposition.data) > \
-            len(fixed_mem.transposition.data)
 
     def test_unconditional_path_dependent_entry_misleads_idastar(self):
         """End-to-end consequence: an entry of exactly the shape the old
@@ -415,7 +410,8 @@ class TestBeamSatellites:
                         include_x_moves=include_x_moves, topology=topology)
 
         monkeypatch.setattr(beam_mod, "successors_packed", spy)
-        beam_search(ghz_state(3), BeamConfig(width=8, include_x_moves=True))
+        beam_search(ghz_state(3), BeamConfig(width=8),
+                    search=SearchConfig(include_x_moves=True))
         assert observed and all(observed)
         observed.clear()
         beam_search(ghz_state(3), BeamConfig(width=8))
@@ -435,7 +431,8 @@ class TestBeamSatellites:
         assert result.stats.elapsed_seconds > 0.0
 
     def test_seen_g_is_bounded(self):
-        config = BeamConfig(width=32, cache_cap=16, max_depth=12)
-        result = beam_search(dicke_state(4, 2), config)
+        config = BeamConfig(width=32, max_depth=12)
+        result = beam_search(dicke_state(4, 2), config,
+                             search=SearchConfig(cache_cap=16))
         assert result.cnot_cost > 0
         assert result.stats.dedup_evictions > 0

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.core.astar import SearchConfig
-from repro.core.beam import BeamConfig, beam_search
+from repro.core.beam import beam_search
 from repro.core.idastar import IDAStarConfig, idastar_search
 from repro.obs import ObsConfig, build_obs
 from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
@@ -373,8 +373,8 @@ class TestEnginePhaseTimers:
 
     def test_beam_fills_phase_seconds(self):
         target = dicke_state(4, 2)
-        plain = beam_search(target, BeamConfig(profile=False))
-        profiled = beam_search(target, BeamConfig(profile=True))
+        plain = beam_search(target, search=SearchConfig(profile=False))
+        profiled = beam_search(target, search=SearchConfig(profile=True))
         assert plain.stats.phase_seconds == {}
         assert {"enumeration", "canonicalization", "heuristic",
                 "hashing"} <= set(profiled.stats.phase_seconds)

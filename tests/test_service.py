@@ -17,6 +17,7 @@ import pytest
 
 from repro.constants import BENCH_SCHEMA_VERSION, MEMORY_SNAPSHOT_VERSION
 from repro.core.astar import SearchConfig, astar_search
+from repro.core.canonical import CanonLevel
 from repro.core.heuristic import entanglement_heuristic, zero_heuristic
 from repro.core.idastar import idastar_search
 from repro.core.memory import SearchMemory
@@ -26,6 +27,7 @@ from repro.experiments.family_runner import (
     dicke_family_targets,
     run_family,
 )
+from repro.qsp.config import QSPConfig
 from repro.qsp.workflow import prepare_state
 from repro.service.cache import RequestCache
 from repro.service.persistence import (
@@ -486,6 +488,27 @@ class TestSynthesisService:
         save_memory_snapshot(memory, path)
         with pytest.raises(MemoryCompatibilityError):
             SynthesisService(ServiceConfig(snapshot_path=path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_merge_controls", 2), ("canon_level", CanonLevel.U2),
+        ("include_x_moves", True)])
+    def test_prepare_regime_mismatch_rejected_at_boot(self, field, value):
+        # one memory serves the exact lanes and the prepare cores: a
+        # regime set on the service search alone would fail every prepare
+        with pytest.raises(MemoryCompatibilityError, match=field):
+            SynthesisService(ServiceConfig(
+                search=SearchConfig(**{field: value})))
+
+    def test_one_regime_on_both_configs_serves_both_ops(self):
+        qsp = QSPConfig()
+        qsp.exact.search.max_merge_controls = 2
+        service = SynthesisService(ServiceConfig(
+            search=SearchConfig(max_merge_controls=2), qsp=qsp))
+        exact = service.handle({"op": "exact", "dicke": [4, 2]})
+        prepare = service.handle({"op": "prepare", "dicke": [4, 2]})
+        assert exact["ok"] and prepare["ok"], (exact, prepare)
+        assert exact["cnot_cost"] == 6 and exact["optimal"]
+        assert prepare["cnot_cost"] >= exact["cnot_cost"]
 
     def test_state_parsing_variants(self):
         from repro.utils.serialization import state_to_dict

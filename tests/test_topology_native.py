@@ -208,7 +208,7 @@ class TestNativeSearch:
             i = idastar_search(state, IDAStarConfig(search=cfg))
             assert a.optimal and i.optimal
             assert a.cnot_cost == i.cnot_cost
-            b = beam_search(state, BeamConfig(topology=line))
+            b = beam_search(state, search=cfg)
             assert b.cnot_cost >= a.cnot_cost
 
     def test_native_circuits_land_on_coupled_pairs(self):
