@@ -29,10 +29,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernel.py            # full rows
     PYTHONPATH=src python benchmarks/bench_kernel.py --smoke    # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernel.py --profile  # + phase
-        breakdown of the hot loop (enumeration / canonicalization /
-        hashing / heuristic / containers) for both A* kernel paths and
-        the IDA* and beam engines, with the seconds CPython's cyclic
-        garbage collector ran and its full-collection count
+        breakdown of the hot loop in exclusive buckets (enumeration /
+        canonicalization net of hashing / hashing / heuristic /
+        containers / other, summing to the run's time) for both A*
+        kernel paths and the IDA* and beam engines, with the seconds
+        CPython's cyclic garbage collector ran and its full-collection
+        count
 
 Results land in ``BENCH_kernel.json`` at the repo root (the committed
 snapshot) and ``benchmarks/results/bench_kernel.txt``.
@@ -260,12 +262,29 @@ class CollectorProbe:
         gc.callbacks.remove(self._callback)
 
 
+def exclusive_phases(phases: dict, total: float) -> dict:
+    """``SearchStats.phase_seconds`` as disjoint buckets of ``total``.
+
+    ``hashing`` is a sub-bucket of ``canonicalization`` there, so the
+    canonicalization bucket is reported net of it; ``other`` is the time
+    no phase claims (setup, the open-list pops, result assembly).
+    """
+    buckets = dict(phases)
+    if "canonicalization" in buckets and "hashing" in buckets:
+        buckets["canonicalization"] = max(
+            0.0, buckets["canonicalization"] - buckets["hashing"])
+    buckets["other"] = max(0.0, total - sum(buckets.values()))
+    return buckets
+
+
 def run_profile(rows: list[tuple[int, int, int]]) -> str:
     """Phase breakdown of every profiled engine: both A* kernel paths
     plus the IDA* and beam engines (all three search cores fill
-    ``SearchStats.phase_seconds``), and the cyclic collector's share."""
+    ``SearchStats.phase_seconds``) as exclusive shares of each run's time,
+    and the cyclic collector's share."""
     engines = ["fastcore", "kernel"] if fastcore.available() else ["kernel"]
-    lines = []
+    lines = ["exclusive phase shares (canonicalization net of its hashing "
+             "sub-bucket; other = time no phase claims)"]
     for n, k, budget in rows:
         outcomes = []
         for engine in [*engines, "idastar", "beam"]:
@@ -276,8 +295,9 @@ def run_profile(rows: list[tuple[int, int, int]]) -> str:
                     outcome = _run_search_engine(n, k, budget, engine)
             outcomes.append((engine, outcome, probe))
         for engine, outcome, probe in outcomes:
-            phases = outcome.get("phase_seconds", {})
             total = max(outcome["elapsed_seconds"], 1e-9)
+            phases = exclusive_phases(outcome.get("phase_seconds", {}),
+                                      total)
             parts = ", ".join(
                 f"{name} {seconds:.3f}s ({seconds / total:.0%})"
                 for name, seconds in sorted(phases.items(),

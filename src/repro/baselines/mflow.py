@@ -17,7 +17,9 @@ states until one remains (which free X/Ry gates map to ``|0...0>``):
    (:meth:`~repro.states.qstate.QState.apply_cx_fanout`).
 3. Merge — one multi-controlled ``Ry`` on ``p``, controlled on the cube
    literals, folds the pair into one index (cost ``2**k`` for ``k``
-   literals, Table I).
+   literals, Table I).  The cube selects exactly the aligned pair, so the
+   fold touches those two entries only (:func:`_fold_pair`, entry for
+   entry the state :meth:`~repro.core.moves.MergeMove.apply` returns).
 
 The implementation emits :class:`~repro.core.moves.Move` objects, so circuit
 reconstruction and verification reuse the exact-synthesis machinery.  The
@@ -28,9 +30,12 @@ to them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.circuits.circuit import QCircuit
+from repro.constants import ATOL
 from repro.core.moves import CXMove, MergeMove, Move, merge_angle, moves_to_circuit
 from repro.exceptions import SynthesisError
 from repro.states.qstate import QState
@@ -127,10 +132,35 @@ def _merge_step(state: QState, minimize_literals: bool = False
     a0 = current.amplitude(lo)
     a1 = current.amplitude(lo | pmask)
     theta = merge_angle(a0, a1, direction=0)
-    merge = MergeMove(target=p, theta=theta, controls=tuple(literals))
-    moves.append(merge)
-    current = merge.apply(current)
-    return moves, current
+    moves.append(MergeMove(target=p, theta=theta, controls=tuple(literals)))
+    return moves, _fold_pair(current, lo, lo | pmask, a0, a1, theta)
+
+
+def _fold_pair(state: QState, lo: int, hi: int, a0: float, a1: float,
+               theta: float) -> QState:
+    """``Ry(theta)`` on the pair ``(lo, hi)`` (amplitudes ``a0``, ``a1``)
+    of a state whose other entries its control cube leaves alone.
+
+    :func:`~repro.core.moves.apply_controlled_ry` would test every index
+    against every literal to find that pair; this folds it directly, with
+    the same expressions and drop tolerance, and writes the entries in
+    the same order (the pair where ``lo`` was), so the state is the same
+    entry for entry.
+    """
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    new0 = c * a0 - s * a1
+    new1 = s * a0 + c * a1
+    out: dict[int, float] = {}
+    for idx, amp in state.items():
+        if idx == lo:
+            if abs(new0) > ATOL:
+                out[lo] = new0
+            if abs(new1) > ATOL:
+                out[hi] = new1
+        elif idx != hi:
+            out[idx] = amp
+    return QState(state.num_qubits, out, normalize=False)
 
 
 def mflow_reduction_moves(state: QState,

@@ -1,9 +1,9 @@
 /* _fastcore: native hot-loop kernels for repro.core.kernel.
  *
  * Every function is a bit-for-bit twin of a Python/NumPy reference in
- * core/kernel.py; the Python code stays the behavioral reference and the
- * property tests in tests/test_fastcore.py assert identity on random
- * packed states.  Three rules keep the float paths identical:
+ * core/kernel.py (astar_push: core/astar.py); the Python code stays the
+ * behavioral reference and the property tests in tests/test_fastcore.py
+ * assert identity on random packed states.  Three rules keep the float paths identical:
  *
  *   1. Compile with -ffp-contract=off: expressions like c*a0 - s*a1 must
  *      not be FMA-fused, or results drift from the NumPy evaluation.
@@ -25,6 +25,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 #include "_splitmix.h"
 
 /* ------------------------------------------------------------------ */
@@ -63,10 +64,25 @@ dbl_bits(double d)
 /* small helpers                                                       */
 /* ------------------------------------------------------------------ */
 
+/* A C-contiguous view of obj (only .buf and .len are read).  A read of a
+ * contiguous ndarray skips the buffer protocol (and the buffer-info
+ * record NumPy would attach to the array): the view owns a reference
+ * like a protocol view, and as long as ndarray has no releasebuffer
+ * slot PyBuffer_Release just drops it. */
 static int
 get_buf(PyObject *obj, Py_buffer *view, int writable)
 {
     int flags = PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
+    if (!writable && PyArray_Check(obj) &&
+            PyArray_IS_C_CONTIGUOUS((PyArrayObject *)obj) &&
+            Py_TYPE(obj)->tp_as_buffer != NULL &&
+            Py_TYPE(obj)->tp_as_buffer->bf_releasebuffer == NULL) {
+        view->buf = PyArray_DATA((PyArrayObject *)obj);
+        view->len = PyArray_NBYTES((PyArrayObject *)obj);
+        Py_INCREF(obj);
+        view->obj = obj;
+        return 0;
+    }
     return PyObject_GetBuffer(obj, view, flags);
 }
 
@@ -266,44 +282,49 @@ fc_payload(PyObject *self, PyObject *args)
 /* column_counts(n, idx) -> list[int]                                  */
 /* ------------------------------------------------------------------ */
 
-/* The list holds ints only and is memoized on a PackedState, so it is
- * returned outside the cyclic collector. */
+/* The list of per-qubit column weights of idx (also written to counts,
+ * n entries, when given).  It holds ints only and is memoized on a
+ * PackedState, so it is returned outside the cyclic collector. */
+static PyObject *
+counts_list(int n, const int64_t *idx, Py_ssize_t m, int64_t *counts)
+{
+    PyObject *res = PyList_New(n);
+    int q;
+    Py_ssize_t j;
+    if (res == NULL)
+        return NULL;
+    for (q = 0; q < n; q++) {
+        int shift = n - 1 - q;
+        int64_t ones = 0;
+        PyObject *v;
+        for (j = 0; j < m; j++)
+            ones += (idx[j] >> shift) & 1;
+        if (counts != NULL)
+            counts[q] = ones;
+        v = PyLong_FromLongLong(ones);
+        if (v == NULL) {
+            Py_DECREF(res);
+            return NULL;
+        }
+        PyList_SET_ITEM(res, q, v);
+    }
+    PyObject_GC_UnTrack(res);
+    return res;
+}
 
 static PyObject *
 fc_column_counts(PyObject *self, PyObject *args)
 {
-    int n, q;
+    int n;
     PyObject *idx_o, *res;
     Py_buffer idx_b;
-    Py_ssize_t j, m;
-    const int64_t *idx;
 
     if (!PyArg_ParseTuple(args, "iO", &n, &idx_o))
         return NULL;
     if (get_buf(idx_o, &idx_b, 0) < 0)
         return NULL;
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    res = PyList_New(n);
-    if (res == NULL) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    for (q = 0; q < n; q++) {
-        int shift = n - 1 - q;
-        int64_t ones = 0;
-        for (j = 0; j < m; j++)
-            ones += (idx[j] >> shift) & 1;
-        PyObject *v = PyLong_FromLongLong(ones);
-        if (v == NULL) {
-            Py_DECREF(res);
-            PyBuffer_Release(&idx_b);
-            return NULL;
-        }
-        PyList_SET_ITEM(res, q, v);
-    }
+    res = counts_list(n, (const int64_t *)idx_b.buf, idx_b.len / 8, NULL);
     PyBuffer_Release(&idx_b);
-    PyObject_GC_UnTrack(res);
     return res;
 }
 
@@ -350,38 +371,17 @@ ratio_balanced(const int64_t *idx, const double *amp, Py_ssize_t m,
     return 1;
 }
 
-/* entangled_qubits(n, idx, amp) -> tuple[int, ...] */
-static PyObject *
-fc_entangled_qubits(PyObject *self, PyObject *args)
+/* Writes the entangled qubits of (idx, amp) ascending into ent (n slots)
+ * and returns their count (twin of kernel.entangled_qubits_packed);
+ * scratch as for ratio_balanced. */
+static int
+entangled_core(int n, const int64_t *idx, const double *amp, Py_ssize_t m,
+               int64_t *scratch_i, double *scratch_a, int *ent)
 {
-    int n, q;
-    PyObject *idx_o, *amp_o, *res = NULL;
-    Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m, count = 0;
-    const int64_t *idx;
-    const double *amp;
-    int64_t *scratch_i = NULL;
-    double *scratch_a = NULL, ratio;
-    int *ent = NULL;
+    int q, count = 0;
+    Py_ssize_t j;
+    double ratio;
 
-    if (!PyArg_ParseTuple(args, "iOO", &n, &idx_o, &amp_o))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(amp_o, &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    amp = (const double *)amp_b.buf;
-    scratch_i = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(int64_t));
-    scratch_a = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
-    ent = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int));
-    if (scratch_i == NULL || scratch_a == NULL || ent == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     for (q = 0; q < n; q++) {
         int shift = n - 1 - q;
         int64_t ones = 0;
@@ -394,43 +394,46 @@ fc_entangled_qubits(PyObject *self, PyObject *args)
                                 &ratio))
             ent[count++] = q;
     }
-    res = PyTuple_New(count);
-    if (res != NULL) {
-        for (j = 0; j < count; j++) {
-            PyObject *v = PyLong_FromLong(ent[j]);
-            if (v == NULL) {
-                Py_CLEAR(res);
-                break;
-            }
-            PyTuple_SET_ITEM(res, j, v);
+    return count;
+}
+
+/* A tuple of ints, untracked (it can never be part of a cycle). */
+static PyObject *
+int_tuple(const int *vals, int count)
+{
+    PyObject *res = PyTuple_New(count);
+    int j;
+    if (res == NULL)
+        return NULL;
+    for (j = 0; j < count; j++) {
+        PyObject *v = PyLong_FromLong(vals[j]);
+        if (v == NULL) {
+            Py_DECREF(res);
+            return NULL;
         }
+        PyTuple_SET_ITEM(res, j, v);
     }
-done:
-    PyMem_Free(scratch_i);
-    PyMem_Free(scratch_a);
-    PyMem_Free(ent);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
+    PyObject_GC_UnTrack(res);
     return res;
 }
 
-/* ------------------------------------------------------------------ */
-/* pin_separable(n, idx, amp, counts) -> None | (idx_bytes, amp_bytes) */
-/* ------------------------------------------------------------------ */
-
+/* entangled_qubits(n, idx, amp) -> tuple[int, ...] */
 static PyObject *
-fc_pin_separable(PyObject *self, PyObject *args)
+fc_entangled_qubits(PyObject *self, PyObject *args)
 {
-    int n, q, changed, pinned = 0, have_counts = 1;
-    PyObject *idx_o, *amp_o, *counts_o, *res = NULL;
+    int n, count, ent[64];
+    PyObject *idx_o, *amp_o, *res = NULL;
     Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m;
-    int64_t *idx = NULL, *counts = NULL, *scratch_i = NULL;
-    double *amp = NULL, *scratch_a = NULL, ratio;
-    ia_pair *pairs = NULL;
+    Py_ssize_t m;
+    int64_t *scratch_i = NULL;
+    double *scratch_a = NULL;
 
-    if (!PyArg_ParseTuple(args, "iOOO", &n, &idx_o, &amp_o, &counts_o))
+    if (!PyArg_ParseTuple(args, "iOO", &n, &idx_o, &amp_o))
         return NULL;
+    if (n < 0 || n > 64) {
+        PyErr_SetString(PyExc_ValueError, "entangled_qubits: bad n");
+        return NULL;
+    }
     if (get_buf(idx_o, &idx_b, 0) < 0)
         return NULL;
     if (get_buf(amp_o, &amp_b, 0) < 0) {
@@ -438,29 +441,42 @@ fc_pin_separable(PyObject *self, PyObject *args)
         return NULL;
     }
     m = idx_b.len / 8;
-    {
-        Py_ssize_t clen;
-        counts = list_to_i64(counts_o, &clen);
-        if (counts == NULL || clen != n) {
-            if (counts != NULL)
-                PyErr_SetString(PyExc_ValueError, "counts length mismatch");
-            goto done;
-        }
-    }
-    idx = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(int64_t));
-    amp = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(double));
     scratch_i = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(int64_t));
     scratch_a = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
-    pairs = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(ia_pair));
-    if (idx == NULL || amp == NULL || scratch_i == NULL ||
-            scratch_a == NULL || pairs == NULL) {
+    if (scratch_i == NULL || scratch_a == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(idx, idx_b.buf, (size_t)m * 8);
-    memcpy(amp, amp_b.buf, (size_t)m * 8);
+    count = entangled_core(n, (const int64_t *)idx_b.buf,
+                           (const double *)amp_b.buf, m, scratch_i,
+                           scratch_a, ent);
+    res = int_tuple(ent, count);
+done:
+    PyMem_Free(scratch_i);
+    PyMem_Free(scratch_a);
+    PyBuffer_Release(&idx_b);
+    PyBuffer_Release(&amp_b);
+    return res;
+}
 
-    changed = 1;
+/* ------------------------------------------------------------------ */
+/* canonicalization helpers (twins of the CanonContext steps)          */
+/* ------------------------------------------------------------------ */
+
+/* Separable-qubit pinning, in place on idx/amp (twin of
+ * kernel._pin_separable_arrays): *m_io entries in, the pinned count out.
+ * counts are the input's column counts (the first sweep reads them,
+ * any change makes them stale).  Scratch: 2m+1 int64 and double, m
+ * pairs.  Returns 1 when anything was pinned. */
+static int
+pin_core(int n, int64_t *idx, double *amp, Py_ssize_t *m_io,
+         const int64_t *counts, int64_t *scratch_i, double *scratch_a,
+         ia_pair *pairs)
+{
+    int q, changed = 1, pinned = 0, have_counts = 1;
+    Py_ssize_t j, m = *m_io;
+    double ratio;
+
     while (changed) {
         changed = 0;
         for (q = 0; q < n; q++) {
@@ -511,64 +527,35 @@ fc_pin_separable(PyObject *self, PyObject *args)
             have_counts = 0;
         }
     }
-    if (!pinned) {
-        res = Py_None;
-        Py_INCREF(res);
-    }
-    else {
-        PyObject *ib = PyBytes_FromStringAndSize((char *)idx,
-                                                 (Py_ssize_t)m * 8);
-        PyObject *ab = PyBytes_FromStringAndSize((char *)amp,
-                                                 (Py_ssize_t)m * 8);
-        if (ib == NULL || ab == NULL) {
-            Py_XDECREF(ib);
-            Py_XDECREF(ab);
-            goto done;
-        }
-        res = PyTuple_Pack(2, ib, ab);
-        Py_DECREF(ib);
-        Py_DECREF(ab);
-    }
-done:
-    PyMem_Free(idx);
-    PyMem_Free(amp);
-    PyMem_Free(counts);
-    PyMem_Free(scratch_i);
-    PyMem_Free(scratch_a);
-    PyMem_Free(pairs);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
-    return res;
+    *m_io = m;
+    return pinned;
 }
 
-/* ------------------------------------------------------------------ */
-/* orbit_hash(rows_2d_u64, heavy_pos_i64, qamp_f64) -> 128-bit int     */
-/* ------------------------------------------------------------------ */
-
-/* Shared accumulation core: rows (K x m permuted index sets), heavy
- * positions, quantized amplitudes -> new 128-bit PyLong (NULL on error).
- */
-static PyObject *
-orbit_hash_core(const uint64_t *rows, Py_ssize_t K, Py_ssize_t m,
-                const int64_t *hp, Py_ssize_t H, const double *qamp)
+/* The orbit-hash accumulation over rows (K x m permuted index sets),
+ * heavy positions and quantized amplitudes (twin of kernel._orbit_hash):
+ * sets the two 64-bit lanes; returns 0, or -1 with MemoryError set. */
+static int
+orbit_totals(const uint64_t *rows, Py_ssize_t K, Py_ssize_t m,
+             const int64_t *hp, Py_ssize_t H, const double *qamp,
+             uint64_t *total_a_out, uint64_t *total_b_out)
 {
-    PyObject *res = NULL;
     Py_ssize_t j, k, h, d, ndistinct = 0;
-    uint64_t *fbp = NULL, *accs = NULL, *dist = NULL;
-    Py_ssize_t *kept = NULL;
-    unsigned char *neg = NULL;
+    uint64_t *fbp, *accs, *dist, *arena;
+    Py_ssize_t *kept;
+    unsigned char *neg;
     uint64_t total_a = 0, total_b = 0;
 
-    fbp = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(uint64_t));
-    accs = PyMem_Malloc((size_t)(2 * K + 1) * sizeof(uint64_t));
-    dist = PyMem_Malloc((size_t)(2 * K + 1) * sizeof(uint64_t));
-    kept = PyMem_Malloc((size_t)(H ? H : 1) * sizeof(Py_ssize_t));
-    neg = PyMem_Malloc((size_t)(H ? H : 1));
-    if (fbp == NULL || accs == NULL || dist == NULL || kept == NULL ||
-            neg == NULL) {
+    /* one allocation: fbp[m], accs[2K], dist[2K], kept[H], neg[H] */
+    arena = PyMem_Malloc((size_t)(m + 4 * K + 2 * H + 1) * sizeof(uint64_t));
+    if (arena == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
+    fbp = arena;
+    accs = fbp + m;
+    dist = accs + 2 * K;
+    kept = (Py_ssize_t *)(dist + 2 * K);
+    neg = (unsigned char *)(kept + H);
     for (j = 0; j < m; j++)
         fbp[j] = dbl_bits(qamp[j]);
     for (h = 0; h < H; h++)
@@ -614,23 +601,21 @@ orbit_hash_core(const uint64_t *rows, Py_ssize_t K, Py_ssize_t m,
                 kept[h] = h;
         }
         for (d = 0; d < nkept; d++) {
+            uint64_t mask, fb_xor, cand_a = 0, cand_b = 0;
             h = kept[d];
-            {
-                uint64_t mask = row[hp[h]];
-                uint64_t fb_xor = neg[h] ? SIGNBIT64 : 0;
-                uint64_t cand_a = 0, cand_b = 0;
-                for (j = 0; j < m; j++) {
-                    uint64_t z = ((row[j] ^ mask) * SM_ORBIT_MUL)
-                                 ^ (fbp[j] ^ fb_xor);
-                    uint64_t a = mix_a(z);
-                    cand_a += a;
-                    cand_b += mix_b(a);
-                }
-                /* finalize per candidate so sums do not telescope across
-                 * the candidate grouping */
-                acc_a += mix_a(cand_a);
-                acc_b += mix_b(cand_b);
+            mask = row[hp[h]];
+            fb_xor = neg[h] ? SIGNBIT64 : 0;
+            for (j = 0; j < m; j++) {
+                uint64_t z = ((row[j] ^ mask) * SM_ORBIT_MUL)
+                             ^ (fbp[j] ^ fb_xor);
+                uint64_t a = mix_a(z);
+                cand_a += a;
+                cand_b += mix_b(a);
             }
+            /* finalize per candidate so sums do not telescope across the
+             * candidate grouping */
+            acc_a += mix_a(cand_a);
+            acc_b += mix_b(cand_b);
         }
         accs[2 * k] = acc_a;
         accs[2 * k + 1] = acc_b;
@@ -656,268 +641,94 @@ orbit_hash_core(const uint64_t *rows, Py_ssize_t K, Py_ssize_t m,
         total_a += mix_a(dist[2 * d]);
         total_b += mix_b(dist[2 * d + 1]);
     }
-    {
-        PyObject *pa = PyLong_FromUnsignedLongLong(total_a);
-        PyObject *pb = PyLong_FromUnsignedLongLong(total_b);
-        PyObject *sh = PyLong_FromLong(64);
-        PyObject *shifted = NULL;
-        if (pa != NULL && pb != NULL && sh != NULL)
-            shifted = PyNumber_Lshift(pa, sh);
-        if (shifted != NULL)
-            res = PyNumber_Or(shifted, pb);
-        Py_XDECREF(pa);
-        Py_XDECREF(pb);
-        Py_XDECREF(sh);
-        Py_XDECREF(shifted);
-    }
-done:
-    PyMem_Free(fbp);
-    PyMem_Free(accs);
-    PyMem_Free(dist);
-    PyMem_Free(kept);
-    PyMem_Free(neg);
+    *total_a_out = total_a;
+    *total_b_out = total_b;
+    PyMem_Free(arena);
+    return 0;
+}
+
+/* (a << 64) | b as a new Python int. */
+static PyObject *
+u128_long(uint64_t a, uint64_t b)
+{
+    PyObject *pa = PyLong_FromUnsignedLongLong(a);
+    PyObject *pb = PyLong_FromUnsignedLongLong(b);
+    PyObject *sh = PyLong_FromLong(64);
+    PyObject *shifted = NULL, *res = NULL;
+    if (pa != NULL && pb != NULL && sh != NULL)
+        shifted = PyNumber_Lshift(pa, sh);
+    if (shifted != NULL)
+        res = PyNumber_Or(shifted, pb);
+    Py_XDECREF(pa);
+    Py_XDECREF(pb);
+    Py_XDECREF(sh);
+    Py_XDECREF(shifted);
     return res;
 }
 
-static PyObject *
-fc_orbit_hash(PyObject *self, PyObject *args)
+/* Heavy positions: the ascending indices of max |qamp|, at most cap of
+ * them (exact float comparisons, so identical to the NumPy
+ * flatnonzero(absamp == absamp.max())[:cap] selection). */
+static Py_ssize_t
+heavy_positions(const double *qamp, Py_ssize_t m, Py_ssize_t cap,
+                int64_t *hp)
 {
-    PyObject *rows_o, *hp_o, *qamp_o, *res = NULL;
-    Py_buffer rows_b, hp_b, qamp_b;
-
-    if (!PyArg_ParseTuple(args, "OOO", &rows_o, &hp_o, &qamp_o))
-        return NULL;
-    if (get_buf(rows_o, &rows_b, 0) < 0)
-        return NULL;
-    if (get_buf(hp_o, &hp_b, 0) < 0) {
-        PyBuffer_Release(&rows_b);
-        return NULL;
-    }
-    if (get_buf(qamp_o, &qamp_b, 0) < 0) {
-        PyBuffer_Release(&rows_b);
-        PyBuffer_Release(&hp_b);
-        return NULL;
-    }
-    if (rows_b.ndim != 2) {
-        PyErr_SetString(PyExc_ValueError, "orbit_hash: rows must be 2-D");
-    }
-    else {
-        res = orbit_hash_core((const uint64_t *)rows_b.buf,
-                              rows_b.shape[0], rows_b.shape[1],
-                              (const int64_t *)hp_b.buf, hp_b.len / 8,
-                              (const double *)qamp_b.buf);
-    }
-    PyBuffer_Release(&rows_b);
-    PyBuffer_Release(&hp_b);
-    PyBuffer_Release(&qamp_b);
-    return res;
-}
-
-/* ------------------------------------------------------------------ */
-/* orbit_hash_state(n, idx, qamp, tie_cap, orderings|None)             */
-/*   -> (128-bit int, num_heavy)                                       */
-/* ------------------------------------------------------------------ */
-
-/* Full-native twin of CanonContext's hash preparation: heavy positions
- * are the ascending indices of max |qamp| capped at max(1, tie_cap)
- * (exact float comparisons, so identical to the NumPy
- * flatnonzero(absamp == absamp.max()) selection), and each ordering's
- * rows are the bit-permuted indices (pure integer bit scatter, matching
- * the einsum over the bit matrix).  orderings=None means the identity
- * ordering only, where the index buffer itself is the single row.
- */
-static PyObject *
-fc_orbit_hash_state(PyObject *self, PyObject *args)
-{
-    int n, i;
-    long tie_cap;
-    PyObject *idx_o, *qamp_o, *ord_o, *res = NULL, *hash_o = NULL;
-    PyObject *outer = NULL;
-    Py_buffer idx_b, qamp_b;
-    Py_ssize_t m, j, k, H = 0, cap, K = 1;
-    const int64_t *idx;
-    const double *qamp;
-    int64_t *hp = NULL;
-    uint64_t *rows = NULL;
-    const uint64_t *rows_ptr = NULL;
-    int src_shift[64];
+    Py_ssize_t j, H = 0;
     double absmax = 0.0;
-
-    if (!PyArg_ParseTuple(args, "iOOlO", &n, &idx_o, &qamp_o, &tie_cap,
-                          &ord_o))
-        return NULL;
-    if (n < 0 || n > 64) {
-        PyErr_SetString(PyExc_ValueError, "orbit_hash_state: bad n");
-        return NULL;
-    }
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(qamp_o, &qamp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    qamp = (const double *)qamp_b.buf;
-
     for (j = 0; j < m; j++) {
         double a = fabs(qamp[j]);
         if (a > absmax)
             absmax = a;
     }
-    cap = tie_cap > 1 ? (Py_ssize_t)tie_cap : 1;
-    hp = PyMem_Malloc((size_t)cap * sizeof(int64_t));
-    if (hp == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     for (j = 0; j < m && H < cap; j++)
         if (fabs(qamp[j]) == absmax)
             hp[H++] = (int64_t)j;
-
-    if (ord_o == Py_None) {
-        rows_ptr = (const uint64_t *)idx;  /* identity: rows == idx */
-    }
-    else {
-        outer = PySequence_Fast(ord_o, "orderings must be a sequence");
-        if (outer == NULL)
-            goto done;
-        K = PySequence_Fast_GET_SIZE(outer);
-        if (K < 1) {
-            PyErr_SetString(PyExc_ValueError,
-                            "orbit_hash_state: empty orderings");
-            goto done;
-        }
-        rows = PyMem_Malloc((size_t)(K * m > 0 ? K * m : 1)
-                            * sizeof(uint64_t));
-        if (rows == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        for (k = 0; k < K; k++) {
-            PyObject *perm = PySequence_Fast(
-                PySequence_Fast_GET_ITEM(outer, k),
-                "ordering must be a sequence");
-            uint64_t *out = rows + k * m;
-            if (perm == NULL)
-                goto done;
-            if (PySequence_Fast_GET_SIZE(perm) != n) {
-                Py_DECREF(perm);
-                PyErr_SetString(PyExc_ValueError,
-                                "orbit_hash_state: ordering length != n");
-                goto done;
-            }
-            for (i = 0; i < n; i++) {
-                long q = PyLong_AsLong(PySequence_Fast_GET_ITEM(perm, i));
-                if ((q == -1 && PyErr_Occurred()) || q < 0 || q >= n) {
-                    Py_DECREF(perm);
-                    if (!PyErr_Occurred())
-                        PyErr_SetString(
-                            PyExc_ValueError,
-                            "orbit_hash_state: ordering entry out of range");
-                    goto done;
-                }
-                src_shift[i] = n - 1 - (int)q;
-            }
-            Py_DECREF(perm);
-            /* row[j] = sum_i bits[perm[i], j] << (n-1-i): the permuted
-             * index value of element j under this qubit ordering */
-            for (j = 0; j < m; j++) {
-                uint64_t v = 0;
-                uint64_t x = (uint64_t)idx[j];
-                for (i = 0; i < n; i++)
-                    v |= ((x >> src_shift[i]) & 1)
-                         << (uint64_t)(n - 1 - i);
-                out[j] = v;
-            }
-        }
-        rows_ptr = rows;
-    }
-    hash_o = orbit_hash_core(rows_ptr, K, m, hp, H, qamp);
-    if (hash_o != NULL) {
-        PyObject *nh = PyLong_FromSsize_t(H);
-        if (nh != NULL)
-            res = PyTuple_New(2);
-        if (res != NULL) {
-            PyTuple_SET_ITEM(res, 0, hash_o);
-            PyTuple_SET_ITEM(res, 1, nh);
-        }
-        else {
-            Py_DECREF(hash_o);
-            Py_XDECREF(nh);
-        }
-    }
-done:
-    Py_XDECREF(outer);
-    PyMem_Free(hp);
-    PyMem_Free(rows);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&qamp_b);
-    return res;
+    return H;
 }
 
-/* ------------------------------------------------------------------ */
-/* sig_tags(n, idx, absamp) -> list[int]                               */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_sig_tags(PyObject *self, PyObject *args)
+/* out[j] = the index of element j under the qubit ordering perm: bit
+ * (n-1-i) of out[j] is bit (n-1-perm[i]) of idx[j] (pure integer bit
+ * scatter, matching the einsum over the bit matrix). */
+static void
+permute_row(const int64_t *idx, Py_ssize_t m, int n, const int *perm,
+            uint64_t *out)
 {
-    int n, q;
-    PyObject *idx_o, *absamp_o, *res = NULL;
-    Py_buffer idx_b, absamp_b;
-    Py_ssize_t j, m;
-    const int64_t *idx;
-    const double *absamp;
-    uint64_t *mixed = NULL;
-    uint64_t total = 0;
-
-    if (!PyArg_ParseTuple(args, "iOO", &n, &idx_o, &absamp_o))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(absamp_o, &absamp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    absamp = (const double *)absamp_b.buf;
-    mixed = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(uint64_t));
-    if (mixed == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    Py_ssize_t j;
+    int i;
     for (j = 0; j < m; j++) {
-        mixed[j] = mix_a(dbl_bits(absamp[j]));
-        total += mixed[j];
+        uint64_t v = 0;
+        uint64_t x = (uint64_t)idx[j];
+        for (i = 0; i < n; i++)
+            v |= ((x >> (n - 1 - perm[i])) & 1) << (uint64_t)(n - 1 - i);
+        out[j] = v;
     }
-    res = PyList_New(n);
-    if (res == NULL)
-        goto done;
-    for (q = 0; q < n; q++) {
-        int shift = n - 1 - q;
-        uint64_t colsum = 0, flip, tag;
+}
+
+/* Exact invariance of the state under every adjacent transposition of
+ * the cell (twin of kernel._cell_symmetric_arrays); pairs: m scratch. */
+static int
+cell_symmetric_core(int n, const int64_t *idx, const double *qamp,
+                    Py_ssize_t m, const int *cell, int ncell,
+                    ij_pair *pairs)
+{
+    int c;
+    Py_ssize_t j;
+    for (c = 0; c + 1 < ncell; c++) {
+        int sa = n - 1 - cell[c];
+        int sb = n - 1 - cell[c + 1];
+        int64_t both = ((int64_t)1 << sa) | ((int64_t)1 << sb);
         for (j = 0; j < m; j++) {
-            if ((idx[j] >> shift) & 1)
-                colsum += mixed[j];
+            int64_t diff = ((idx[j] >> sa) ^ (idx[j] >> sb)) & 1;
+            pairs[j].v = idx[j] ^ (diff * both);
+            pairs[j].j = j;
         }
-        flip = total - colsum;
-        tag = colsum < flip ? colsum : flip;
-        {
-            PyObject *v = PyLong_FromUnsignedLongLong(tag);
-            if (v == NULL) {
-                Py_CLEAR(res);
-                goto done;
-            }
-            PyList_SET_ITEM(res, q, v);
+        qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
+        for (j = 0; j < m; j++) {
+            if (pairs[j].v != idx[j] || qamp[pairs[j].j] != qamp[j])
+                return 0;
         }
     }
-done:
-    PyMem_Free(mixed);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&absamp_b);
-    return res;
+    return 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1029,73 +840,6 @@ done:
     return res;
 }
 
-/* ------------------------------------------------------------------ */
-/* cell_symmetric(n, idx, qamp, cell) -> bool                          */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_cell_symmetric(PyObject *self, PyObject *args)
-{
-    int n, ok = 1;
-    PyObject *idx_o, *qamp_o, *cell_o;
-    Py_buffer idx_b, qamp_b;
-    Py_ssize_t j, m, c, ncell;
-    const int64_t *idx;
-    const double *qamp;
-    int64_t *cell = NULL;
-    ij_pair *pairs = NULL;
-
-    if (!PyArg_ParseTuple(args, "iOOO", &n, &idx_o, &qamp_o, &cell_o))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(qamp_o, &qamp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    idx = (const int64_t *)idx_b.buf;
-    qamp = (const double *)qamp_b.buf;
-    cell = list_to_i64(cell_o, &ncell);
-    if (cell == NULL) {
-        PyBuffer_Release(&idx_b);
-        PyBuffer_Release(&qamp_b);
-        return NULL;
-    }
-    pairs = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(ij_pair));
-    if (pairs == NULL) {
-        PyErr_NoMemory();
-        ok = -1;
-        goto done;
-    }
-    for (c = 0; c + 1 < ncell && ok == 1; c++) {
-        int sa = n - 1 - (int)cell[c];
-        int sb = n - 1 - (int)cell[c + 1];
-        int64_t both = ((int64_t)1 << sa) | ((int64_t)1 << sb);
-        for (j = 0; j < m; j++) {
-            int64_t diff = ((idx[j] >> sa) ^ (idx[j] >> sb)) & 1;
-            pairs[j].v = idx[j] ^ (diff * both);
-            pairs[j].j = j;
-        }
-        qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
-        for (j = 0; j < m; j++) {
-            if (pairs[j].v != idx[j] || qamp[pairs[j].j] != qamp[j]) {
-                ok = 0;
-                break;
-            }
-        }
-    }
-done:
-    PyMem_Free(cell);
-    PyMem_Free(pairs);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&qamp_b);
-    if (ok < 0)
-        return NULL;
-    if (ok)
-        Py_RETURN_TRUE;
-    Py_RETURN_FALSE;
-}
 
 /* ------------------------------------------------------------------ */
 /* merge enumeration and application: shared helpers                   */
@@ -1918,9 +1662,10 @@ done:
 /* ------------------------------------------------------------------ */
 
 /* The one-call expansion builds kernel.PackedState and moves.MergeMove
- * objects itself.  bind_kernel(PackedState, MergeMove) records the two
- * classes and PackedState's __slots__ offsets; kernel.py calls it once at
- * import.
+ * objects itself, and canon_key builds kernel.CanonKey objects.
+ * bind_kernel(PackedState, MergeMove, CXMove, CanonKey, refine) records
+ * the classes, the __slots__ offsets of PackedState and CanonKey, and
+ * canon_key's refinement callback; kernel.py calls it once at import.
  *
  * Objects built here leave CPython's cyclic collector
  * (PyObject_GC_UnTrack): none of them can be part of a reference cycle.
@@ -1939,43 +1684,76 @@ static PyTypeObject *ps_type = NULL;
 static Py_ssize_t ps_off[PS_NSLOTS];
 static PyTypeObject *mm_type = NULL;
 static PyObject *str_target = NULL, *str_theta = NULL, *str_controls = NULL;
+static PyObject *str_cost = NULL;
 static PyObject *empty_tuple = NULL;
 
 #define PS_SLOT(obj, i) (*(PyObject **)((char *)(obj) + ps_off[i]))
 
-static PyObject *
-fc_bind_kernel(PyObject *self, PyObject *args)
-{
-    PyObject *pst, *mmt, *old;
-    Py_ssize_t off[PS_NSLOTS];
-    int i;
+/* astar_push prices CXMoves without the property call */
+enum { CK_N, CK_H, CK_FULL, CK_NSLOTS };
+static const char *const ck_slot_names[CK_NSLOTS] = {"n", "h", "full"};
+static PyTypeObject *ck_type = NULL;
+static Py_ssize_t ck_off[CK_NSLOTS];
+static PyTypeObject *cx_type = NULL;
 
-    if (!PyArg_ParseTuple(args, "O!O!", &PyType_Type, &pst, &PyType_Type,
-                          &mmt))
-        return NULL;
-    for (i = 0; i < PS_NSLOTS; i++) {
-        PyObject *d = PyObject_GetAttrString(pst, ps_slot_names[i]);
+#define CK_SLOT(obj, i) (*(PyObject **)((char *)(obj) + ck_off[i]))
+
+/* kernel._refine_tags(n, idx, absamp, sig_tags): the Python refinement
+ * of oversized ties, called back by canon_key */
+static PyObject *refine_fn = NULL;
+
+/* The __slots__ offsets of a kernel class, by member name. */
+static int
+slot_offsets(PyObject *cls, const char *const *names, int count,
+             Py_ssize_t *off)
+{
+    int i;
+    for (i = 0; i < count; i++) {
+        PyObject *d = PyObject_GetAttrString(cls, names[i]);
         if (d == NULL)
-            return NULL;
+            return -1;
         if (!Py_IS_TYPE(d, &PyMemberDescr_Type)) {
             Py_DECREF(d);
             PyErr_Format(PyExc_TypeError,
                          "bind_kernel: '%s' is not a __slots__ member",
-                         ps_slot_names[i]);
-            return NULL;
+                         names[i]);
+            return -1;
         }
         off[i] = ((PyMemberDescrObject *)d)->d_member->offset;
         Py_DECREF(d);
     }
+    return 0;
+}
+
+static PyObject *
+fc_bind_kernel(PyObject *self, PyObject *args)
+{
+    PyObject *pst, *mmt, *cxt, *ckt, *refine;
+    Py_ssize_t off[PS_NSLOTS], coff[CK_NSLOTS];
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O", &PyType_Type, &pst,
+                          &PyType_Type, &mmt, &PyType_Type, &cxt,
+                          &PyType_Type, &ckt, &refine))
+        return NULL;
+    if (!PyCallable_Check(refine)) {
+        PyErr_SetString(PyExc_TypeError, "bind_kernel: refine not callable");
+        return NULL;
+    }
+    if (slot_offsets(pst, ps_slot_names, PS_NSLOTS, off) < 0 ||
+            slot_offsets(ckt, ck_slot_names, CK_NSLOTS, coff) < 0)
+        return NULL;
     memcpy(ps_off, off, sizeof(off));
-    old = (PyObject *)ps_type;
+    memcpy(ck_off, coff, sizeof(coff));
     Py_INCREF(pst);
-    ps_type = (PyTypeObject *)pst;
-    Py_XDECREF(old);
-    old = (PyObject *)mm_type;
+    Py_XSETREF(ps_type, (PyTypeObject *)pst);
     Py_INCREF(mmt);
-    mm_type = (PyTypeObject *)mmt;
-    Py_XDECREF(old);
+    Py_XSETREF(mm_type, (PyTypeObject *)mmt);
+    Py_INCREF(cxt);
+    Py_XSETREF(cx_type, (PyTypeObject *)cxt);
+    Py_INCREF(ckt);
+    Py_XSETREF(ck_type, (PyTypeObject *)ckt);
+    Py_INCREF(refine);
+    Py_XSETREF(refine_fn, refine);
     Py_RETURN_NONE;
 }
 
@@ -2461,6 +2239,948 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* candidate orderings (twin of kernel._orderings_packed)              */
+/* ------------------------------------------------------------------ */
+
+/* kernel._REFINE_WORK_LIMIT: refine the tie partition when the ordering
+ * enumeration would touch more candidate elements than this; the
+ * symmetric-cell probe runs above half of it. */
+#define REFINE_WORK_LIMIT 600
+
+/* Non-negative product saturating at 2^62 (only ever compared with caps
+ * and work limits far below it). */
+static int64_t
+sat_mul(int64_t a, int64_t b)
+{
+    const int64_t top = (int64_t)1 << 62;
+    if (a == 0 || b == 0)
+        return 0;
+    if (a > top / b)
+        return top;
+    return a * b;
+}
+
+typedef struct {
+    uint64_t key;
+    int q;
+} cell_tag;
+
+static int
+cmp_cell_tag(const void *pa, const void *pb)
+{
+    const cell_tag *a = (const cell_tag *)pa, *b = (const cell_tag *)pb;
+    if (a->key != b->key)
+        return a->key < b->key ? -1 : 1;
+    return (a->q > b->q) - (a->q < b->q);
+}
+
+/* Lexicographic next permutation in place; 0 after the last one. */
+static int
+next_perm(int *a, int k)
+{
+    int i = k - 2, j, t;
+    while (i >= 0 && a[i] >= a[i + 1])
+        i--;
+    if (i < 0)
+        return 0;
+    j = k - 1;
+    while (a[j] <= a[i])
+        j--;
+    t = a[i];
+    a[i] = a[j];
+    a[j] = t;
+    for (i = i + 1, j = k - 1; i < j; i++, j--) {
+        t = a[i];
+        a[i] = a[j];
+        a[j] = t;
+    }
+    return 1;
+}
+
+/* Grow an int buffer to hold at least need entries. */
+static int
+grow_ints(int **buf, Py_ssize_t *cap, Py_ssize_t need)
+{
+    Py_ssize_t size = *cap ? *cap : 64;
+    int *grown;
+    if (need <= *cap)
+        return 0;
+    while (size < need)
+        size *= 2;
+    grown = PyMem_Realloc(*buf, (size_t)size * sizeof(int));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = grown;
+    *cap = size;
+    return 0;
+}
+
+/* Re-tag the qubits through kernel._refine_tags; its tags are Python
+ * hashes (signed), mapped to unsigned keys that sort the same way. */
+static int
+refine_cells(PyObject *nobj, int n, const int64_t *idx,
+             const double *absamp, Py_ssize_t m, const uint64_t *sig,
+             cell_tag *ct)
+{
+    PyObject *idx_a, *abs_a, *sig_l, *tags = NULL;
+    int q, rc = -1;
+
+    idx_a = new_array(idx, m, NPY_INT64);
+    abs_a = new_array(absamp, m, NPY_FLOAT64);
+    sig_l = PyList_New(n);
+    if (idx_a == NULL || abs_a == NULL || sig_l == NULL)
+        goto done;
+    for (q = 0; q < n; q++) {
+        PyObject *v = PyLong_FromUnsignedLongLong(sig[q]);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(sig_l, q, v);
+    }
+    tags = PyObject_CallFunctionObjArgs(refine_fn, nobj, idx_a, abs_a,
+                                        sig_l, NULL);
+    if (tags == NULL)
+        goto done;
+    if (!PyList_Check(tags) || PyList_GET_SIZE(tags) != n) {
+        PyErr_SetString(PyExc_TypeError,
+                        "canon_key: refinement must return n tags");
+        goto done;
+    }
+    for (q = 0; q < n; q++) {
+        long long v = PyLong_AsLongLong(PyList_GET_ITEM(tags, q));
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        ct[q].key = (uint64_t)v ^ SIGNBIT64;
+        ct[q].q = q;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(idx_a);
+    Py_XDECREF(abs_a);
+    Py_XDECREF(sig_l);
+    Py_XDECREF(tags);
+    return rc;
+}
+
+/* The candidate qubit orderings of one state: rows of n qubits in a new
+ * buffer *out (PyMem), in the Python twin's order.  The distinct-weight
+ * fast path, the signature cells sorted by tag, the symmetric-cell
+ * probe and the capped permutations and product all run here; only
+ * ties that trigger refinement call back into Python.  Returns the row
+ * count, or -1 with an exception set. */
+static Py_ssize_t
+orderings_core(PyObject *nobj, int n, const int64_t *idx,
+               const double *qamp, Py_ssize_t m, Py_ssize_t perm_cap,
+               Py_ssize_t num_heavy, int **out)
+{
+    int64_t weights[64];
+    uint64_t sig[64], total_mix = 0;
+    cell_tag ct[64];
+    int cell_start[65], ncells = 0, q, p, c, distinct = 1, multi = 0;
+    Py_ssize_t opt_cnt[64], opt_off[64], opt_cap = 0, opt_len = 0;
+    Py_ssize_t nrows = 0, j;
+    int64_t product = 1, est = 0, total = 1;
+    int small, probe, *opts = NULL, *rows = NULL;
+    double *absamp = NULL;
+    ij_pair *pairs = NULL;
+
+    *out = NULL;
+    /* fast path: pairwise-distinct flip-invariant column weights already
+     * order the qubits completely */
+    for (q = 0; q < n; q++) {
+        int shift = n - 1 - q;
+        int64_t ones = 0;
+        for (j = 0; j < m; j++)
+            ones += (idx[j] >> shift) & 1;
+        weights[q] = 2 * ones <= m ? ones : m - ones;
+    }
+    for (q = 0; q < n && distinct; q++)
+        for (p = q + 1; p < n; p++)
+            if (weights[p] == weights[q]) {
+                distinct = 0;
+                break;
+            }
+    if (distinct) {
+        rows = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(int));
+        if (rows == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (q = 0; q < n; q++) {  /* insertion sort by weight */
+            int at = q;
+            while (at > 0 && weights[rows[at - 1]] > weights[q]) {
+                rows[at] = rows[at - 1];
+                at--;
+            }
+            rows[at] = q;
+        }
+        *out = rows;
+        return 1;
+    }
+    /* per-qubit signature: commutative hash of the column's |amp|
+     * multiset, flip-normalized (the smaller of the two column sums) */
+    absamp = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(double));
+    pairs = PyMem_Malloc((size_t)(m ? m : 1) * sizeof(ij_pair));
+    if (absamp == NULL || pairs == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (j = 0; j < m; j++) {
+        absamp[j] = fabs(qamp[j]);
+        total_mix += mix_a(dbl_bits(absamp[j]));
+    }
+    for (q = 0; q < n; q++) {
+        int shift = n - 1 - q;
+        uint64_t colsum = 0, flip;
+        for (j = 0; j < m; j++)
+            if ((idx[j] >> shift) & 1)
+                colsum += mix_a(dbl_bits(absamp[j]));
+        flip = total_mix - colsum;
+        sig[q] = colsum < flip ? colsum : flip;
+        ct[q].key = sig[q];
+        ct[q].q = q;
+    }
+    qsort(ct, (size_t)n, sizeof(cell_tag), cmp_cell_tag);
+    for (q = 0; q < n; q++) {
+        if (q == 0 || ct[q].key != ct[q - 1].key) {
+            int size;
+            cell_start[ncells++] = q;
+            for (size = 1; q + size < n && ct[q + size].key == ct[q].key;
+                    size++)
+                product = sat_mul(product, size + 1);
+        }
+    }
+    small = product <= perm_cap;
+    if (small)
+        est = sat_mul(sat_mul(product, num_heavy), m);
+    if (n > 2 && (!small || est > REFINE_WORK_LIMIT) && product > 1) {
+        /* iterated pairwise refinement (Python: kernel._wl_refine) */
+        if (refine_cells(nobj, n, idx, absamp, m, sig, ct) < 0)
+            goto fail;
+        qsort(ct, (size_t)n, sizeof(cell_tag), cmp_cell_tag);
+        ncells = 0;
+        for (q = 0; q < n; q++)
+            if (q == 0 || ct[q].key != ct[q - 1].key)
+                cell_start[ncells++] = q;
+    }
+    cell_start[ncells] = n;
+
+    probe = !small || est > REFINE_WORK_LIMIT / 2;
+    for (c = 0; c < ncells; c++) {
+        int k = cell_start[c + 1] - cell_start[c], i;
+        int64_t budget, count;
+        int *perm;
+        opt_off[c] = opt_len;
+        if (grow_ints(&opts, &opt_cap, opt_len + k) < 0)
+            goto fail;
+        for (i = 0; i < k; i++)
+            opts[opt_len + i] = ct[cell_start[c] + i].q;
+        opt_cnt[c] = 1;
+        if (k == 1)
+            goto next_cell;
+        /* enumerating a symmetric cell is harmless (the orbit hash
+         * deduplicates equivalent orderings), so the exact-symmetry probe
+         * only runs when the cube would be expensive */
+        if (probe && cell_symmetric_core(n, idx, qamp, m, opts + opt_len,
+                                         k, pairs))
+            goto next_cell;
+        budget = perm_cap >= 0 ? perm_cap / total : 0;
+        if (budget < 1)
+            budget = 1;
+        for (count = 1; count < budget; count++) {
+            if (grow_ints(&opts, &opt_cap, opt_len + (count + 1) * k) < 0)
+                goto fail;
+            perm = opts + opt_len + count * k;
+            memcpy(perm, perm - k, (size_t)k * sizeof(int));
+            if (!next_perm(perm, k))
+                break;
+        }
+        opt_cnt[c] = (Py_ssize_t)count;
+        total *= count;
+        multi = 1;
+next_cell:
+        opt_len += opt_cnt[c] * k;
+    }
+
+    if (!multi) {
+        nrows = 1;
+    }
+    else {
+        nrows = perm_cap < total ? perm_cap : total;
+        if (nrows < 1)
+            nrows = 1;
+    }
+    rows = PyMem_Malloc((size_t)(nrows * n) * sizeof(int));
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    {
+        /* iter_product order: the last cell varies fastest */
+        Py_ssize_t sel[64], r;
+        memset(sel, 0, sizeof(sel));
+        for (r = 0; r < nrows; r++) {
+            int *row = rows + r * n, pos = 0;
+            for (c = 0; c < ncells; c++) {
+                int k = cell_start[c + 1] - cell_start[c];
+                memcpy(row + pos, opts + opt_off[c] + sel[c] * k,
+                       (size_t)k * sizeof(int));
+                pos += k;
+            }
+            for (c = ncells - 1; c >= 0; c--) {
+                if (++sel[c] < opt_cnt[c])
+                    break;
+                sel[c] = 0;
+            }
+        }
+    }
+    PyMem_Free(absamp);
+    PyMem_Free(pairs);
+    PyMem_Free(opts);
+    *out = rows;
+    return nrows;
+fail:
+    PyMem_Free(absamp);
+    PyMem_Free(pairs);
+    PyMem_Free(opts);
+    PyMem_Free(rows);
+    return -1;
+}
+
+/* ------------------------------------------------------------------ */
+/* canon_key(ps, pu2, tie_cap, perm_cap, u2_data, automorphisms,       */
+/*           timed, scale) -> (key, u2_miss, hashing_seconds)          */
+/* ------------------------------------------------------------------ */
+
+/* A new CanonKey(n, low, full), untracked like CanonKey.__init__ makes
+ * it. */
+static PyObject *
+new_canon_key(PyObject *nobj, uint64_t low, PyObject *full)
+{
+    PyObject *obj, *h;
+    h = PyLong_FromUnsignedLongLong(low);
+    if (h == NULL)
+        return NULL;
+    obj = ck_type->tp_alloc(ck_type, 0);
+    if (obj == NULL) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    Py_INCREF(nobj);
+    CK_SLOT(obj, CK_N) = nobj;
+    CK_SLOT(obj, CK_H) = h;
+    Py_INCREF(full);
+    CK_SLOT(obj, CK_FULL) = full;
+    PyObject_GC_UnTrack(obj);
+    return obj;
+}
+
+static double
+monotonic_seconds(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* The state's column counts, memoized on it as PackedState.column_counts
+ * does (an untracked list of ints). */
+static int
+state_counts(PyObject *ps, int n, const int64_t *idx, Py_ssize_t m,
+             int64_t *counts)
+{
+    PyObject *lst = PS_SLOT(ps, PS_COUNTS);
+    int q;
+    if (lst != NULL && PyList_Check(lst) && PyList_GET_SIZE(lst) == n) {
+        for (q = 0; q < n; q++) {
+            counts[q] = PyLong_AsLongLong(PyList_GET_ITEM(lst, q));
+            if (counts[q] == -1 && PyErr_Occurred())
+                return -1;
+        }
+        return 0;
+    }
+    lst = counts_list(n, idx, m, counts);
+    if (lst == NULL)
+        return -1;
+    Py_XSETREF(PS_SLOT(ps, PS_COUNTS), lst);
+    return 0;
+}
+
+/* The automorphism orderings (a list of n-lists) as rows of ints. */
+static Py_ssize_t
+parse_orderings(PyObject *seq, int n, int **out)
+{
+    PyObject *outer = PySequence_Fast(seq, "orderings must be a sequence");
+    Py_ssize_t K, k;
+    int i, *rows;
+    *out = NULL;
+    if (outer == NULL)
+        return -1;
+    K = PySequence_Fast_GET_SIZE(outer);
+    rows = PyMem_Malloc((size_t)(K * n + 1) * sizeof(int));
+    if (K < 1 || rows == NULL) {
+        if (rows == NULL)
+            PyErr_NoMemory();
+        else
+            PyErr_SetString(PyExc_ValueError, "canon_key: no orderings");
+        goto fail;
+    }
+    for (k = 0; k < K; k++) {
+        PyObject *perm = PySequence_Fast(PySequence_Fast_GET_ITEM(outer, k),
+                                         "ordering must be a sequence");
+        if (perm == NULL)
+            goto fail;
+        if (PySequence_Fast_GET_SIZE(perm) != n) {
+            Py_DECREF(perm);
+            PyErr_SetString(PyExc_ValueError,
+                            "canon_key: ordering length != n");
+            goto fail;
+        }
+        for (i = 0; i < n; i++) {
+            long q = PyLong_AsLong(PySequence_Fast_GET_ITEM(perm, i));
+            if ((q == -1 && PyErr_Occurred()) || q < 0 || q >= n) {
+                Py_DECREF(perm);
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError,
+                                    "canon_key: ordering entry out of range");
+                goto fail;
+            }
+            rows[k * n + i] = (int)q;
+        }
+        Py_DECREF(perm);
+    }
+    Py_DECREF(outer);
+    *out = rows;
+    return K;
+fail:
+    Py_DECREF(outer);
+    PyMem_Free(rows);
+    return -1;
+}
+
+/* One whole CanonContext._compute at the U2 / PU2 levels: pin separable
+ * qubits (requantizing when anything was pinned), the U(2) orbit hash
+ * and, at PU2 on a miss in u2_data (the U(2)-class tier's dict), the
+ * candidate orderings (automorphisms: the given list) and the full
+ * orbit hash.  Returns the key, the U(2) hash on a tier miss (None on a
+ * hit or at U2; the caller updates the tier) and the orbit-hash seconds
+ * when timed (else None). */
+static PyObject *
+fc_canon_key(PyObject *self, PyObject *args)
+{
+    PyObject *ps, *u2_data, *autos, *nobj, *u2 = NULL, *key = NULL;
+    PyObject *miss = Py_None, *secs = NULL, *res = NULL;
+    int pu2, timed, n, i, nbuf = 0, *orders = NULL;
+    long tie_cap;
+    Py_ssize_t perm_cap, m, pm, j, H, K, cap;
+    double scale, hash_s = 0.0, t0 = 0.0;
+    Py_buffer idx_b, amp_b, qamp_b;
+    Py_buffer *bufs[3] = {&idx_b, &amp_b, &qamp_b};
+    int64_t counts[64], *arena = NULL, *pidx, *scratch_i, *hp;
+    double *pamp, *pq, *scratch_a;
+    const int64_t *kidx;
+    const double *kq;
+    ia_pair *pairs;
+    uint64_t *rows = NULL, ua, ub;
+
+    if (!PyArg_ParseTuple(args, "OplnOOpd", &ps, &pu2, &tie_cap, &perm_cap,
+                          &u2_data, &autos, &timed, &scale))
+        return NULL;
+    if (ps_type == NULL || ck_type == NULL || refine_fn == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "canon_key: bind_kernel() was not called");
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(ps, ps_type) ||
+            (pu2 && !PyDict_Check(u2_data))) {
+        PyErr_SetString(PyExc_TypeError, "canon_key: bad argument types");
+        return NULL;
+    }
+    nobj = PS_SLOT(ps, PS_N);
+    n = nobj == NULL ? -1 : (int)PyLong_AsLong(nobj);
+    if (n < 0 || n > 62) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "canon_key: bad width");
+        return NULL;
+    }
+    {
+        PyObject *objs[3] = {PS_SLOT(ps, PS_IDX), PS_SLOT(ps, PS_AMP),
+                             PS_SLOT(ps, PS_QAMP)};
+        for (nbuf = 0; nbuf < 3; nbuf++) {
+            if (objs[nbuf] == NULL) {
+                PyErr_SetString(PyExc_ValueError, "canon_key: unset slot");
+                goto done;
+            }
+            if (get_buf(objs[nbuf], bufs[nbuf], 0) < 0)
+                goto done;
+        }
+    }
+    m = idx_b.len / 8;
+    if (state_counts(ps, n, (const int64_t *)idx_b.buf, m, counts) < 0)
+        goto done;
+    cap = tie_cap > 1 ? (Py_ssize_t)tie_cap : 1;
+    /* one allocation of 8-byte slots: pidx[m], pamp[m], pq[m],
+     * scratch_i[2m], scratch_a[2m], pairs[m] (two slots each), hp[m] */
+    arena = PyMem_Malloc((size_t)(10 * m + 1) * sizeof(int64_t));
+    if (arena == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    pidx = arena;
+    pamp = (double *)(pidx + m);
+    pq = pamp + m;
+    scratch_i = (int64_t *)(pq + m);
+    scratch_a = (double *)(scratch_i + 2 * m);
+    pairs = (ia_pair *)(scratch_a + 2 * m);
+    hp = (int64_t *)(pairs + m);
+    memcpy(pidx, idx_b.buf, (size_t)m * 8);
+    memcpy(pamp, amp_b.buf, (size_t)m * 8);
+    pm = m;
+    if (pin_core(n, pidx, pamp, &pm, counts, scratch_i, scratch_a, pairs)) {
+        for (j = 0; j < pm; j++) {
+            double qv = rint(pamp[j] * scale) / scale;
+            if (qv == 0.0)
+                qv = 0.0;  /* normalize -0.0 */
+            pq[j] = qv;
+        }
+        kidx = pidx;
+        kq = pq;
+    }
+    else {
+        kidx = (const int64_t *)idx_b.buf;
+        kq = (const double *)qamp_b.buf;
+    }
+
+    /* the U(2) orbit: X-translations of the identity ordering */
+    if (timed)
+        t0 = monotonic_seconds();
+    H = heavy_positions(kq, pm, cap, hp);
+    if (orbit_totals((const uint64_t *)kidx, 1, pm, hp, H, kq, &ua, &ub) < 0)
+        goto done;
+    if (timed)
+        hash_s += monotonic_seconds() - t0;
+    u2 = u128_long(ua, ub);
+    if (u2 == NULL)
+        goto done;
+    if (!pu2) {
+        key = new_canon_key(nobj, ub, u2);
+        goto finish;
+    }
+    key = PyDict_GetItemWithError(u2_data, u2);
+    if (key != NULL) {
+        Py_INCREF(key);
+        goto finish;
+    }
+    if (PyErr_Occurred())
+        goto done;
+    miss = u2;
+    K = autos != Py_None ? parse_orderings(autos, n, &orders)
+                         : orderings_core(nobj, n, kidx, kq, pm, perm_cap, H,
+                                          &orders);
+    if (K < 0)
+        goto done;
+    if (K == 1) {
+        for (i = 0; i < n && orders[i] == i; i++)
+            ;
+        if (i == n) {
+            /* the identity ordering's candidate set IS the U(2) orbit */
+            key = new_canon_key(nobj, ub, u2);
+            goto finish;
+        }
+    }
+    rows = PyMem_Malloc((size_t)(K * pm + 1) * sizeof(uint64_t));
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (timed)
+        t0 = monotonic_seconds();
+    for (j = 0; j < K; j++)
+        permute_row(kidx, pm, n, orders + j * n, rows + j * pm);
+    if (orbit_totals(rows, K, pm, hp, H, kq, &ua, &ub) < 0)
+        goto done;
+    if (timed)
+        hash_s += monotonic_seconds() - t0;
+    {
+        PyObject *full = u128_long(ua, ub);
+        if (full == NULL)
+            goto done;
+        key = new_canon_key(nobj, ub, full);
+        Py_DECREF(full);
+    }
+finish:
+    if (key == NULL)
+        goto done;
+    if (timed) {
+        secs = PyFloat_FromDouble(hash_s);
+        if (secs == NULL)
+            goto done;
+    }
+    res = PyTuple_Pack(3, key, miss, secs != NULL ? secs : Py_None);
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(u2);
+    Py_XDECREF(secs);
+    PyMem_Free(orders);
+    PyMem_Free(rows);
+    PyMem_Free(arena);
+    while (nbuf > 0)
+        PyBuffer_Release(bufs[--nbuf]);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* astar_push(arcs, g, prev, g_pushed, heap, counter, h_of, ub, weight)*/
+/*   -> (pruned, incumbent_prunes, generated)                          */
+/* ------------------------------------------------------------------ */
+
+/* g_pushed is keyed by interned states: with the state's precomputed
+ * hash the lookups skip PackedState.__hash__ (Python level). */
+#if PY_VERSION_HEX < 0x030D0000
+#define DICT_GET_KNOWN(d, k, h) _PyDict_GetItem_KnownHash((d), (k), (h))
+#define DICT_SET_KNOWN(d, k, v, h) _PyDict_SetItem_KnownHash((d), (k), (v), (h))
+#else
+#define DICT_GET_KNOWN(d, k, h) ((void)(h), PyDict_GetItemWithError((d), (k)))
+#define DICT_SET_KNOWN(d, k, v, h) ((void)(h), PyDict_SetItem((d), (k), (v)))
+#endif
+
+/* hash(state), as PackedState.__hash__ (return self.hash64) makes it. */
+static Py_hash_t
+state_hash(PyObject *st)
+{
+    PyObject *hv = PyObject_TypeCheck(st, ps_type) ? PS_SLOT(st, PS_HASH64)
+                                                   : NULL;
+    if (hv != NULL && PyLong_CheckExact(hv)) {
+        Py_ssize_t h = PyLong_AsSsize_t(hv);
+        if (h != -1)
+            return h;
+        PyErr_Clear();  /* out of range or -1: let the slot decide */
+    }
+    return PyObject_Hash(st);
+}
+
+/* The CNOT cost of a move (Move.cost without the property call for the
+ * kernel's own move kinds); -1 with an exception set on error. */
+static long
+move_cost(PyObject *move)
+{
+    PyObject *v;
+    long cost;
+    if (Py_IS_TYPE(move, cx_type))
+        return 1;
+    if (Py_IS_TYPE(move, mm_type)) {
+        PyObject *ctl = PyObject_GetAttr(move, str_controls);
+        Py_ssize_t k;
+        if (ctl == NULL)
+            return -1;
+        k = PyObject_Length(ctl);
+        Py_DECREF(ctl);
+        if (k < 0)
+            return -1;
+        return k == 0 ? 0 : 1L << k;  /* constants.mcry_cnot_cost */
+    }
+    v = PyObject_GetAttr(move, str_cost);
+    if (v == NULL)
+        return -1;
+    cost = PyLong_AsLong(v);
+    Py_DECREF(v);
+    return cost;
+}
+
+typedef struct {
+    int64_t *i;
+    double *a;
+    Py_ssize_t cap;
+} ent_scratch;
+
+/* len(entangled_qubits_packed(st)): the cached set, or computed and
+ * cached on the state as the Python function does. */
+static Py_ssize_t
+entangled_count(PyObject *st, ent_scratch *es)
+{
+    PyObject *cached, *tup;
+    Py_buffer idx_b, amp_b;
+    int n, count, ent[64];
+    Py_ssize_t m;
+
+    if (!PyObject_TypeCheck(st, ps_type)) {
+        PyErr_SetString(PyExc_TypeError, "astar_push: not a PackedState");
+        return -1;
+    }
+    cached = PS_SLOT(st, PS_ENTANGLED);
+    if (cached != NULL && PyTuple_Check(cached))
+        return PyTuple_GET_SIZE(cached);
+    if (PS_SLOT(st, PS_N) == NULL || PS_SLOT(st, PS_IDX) == NULL ||
+            PS_SLOT(st, PS_AMP) == NULL) {
+        PyErr_SetString(PyExc_ValueError, "astar_push: unset slot");
+        return -1;
+    }
+    n = (int)PyLong_AsLong(PS_SLOT(st, PS_N));
+    if (n < 0 || n > 62) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "astar_push: bad width");
+        return -1;
+    }
+    if (get_buf(PS_SLOT(st, PS_IDX), &idx_b, 0) < 0)
+        return -1;
+    if (get_buf(PS_SLOT(st, PS_AMP), &amp_b, 0) < 0) {
+        PyBuffer_Release(&idx_b);
+        return -1;
+    }
+    m = idx_b.len / 8;
+    if (2 * m + 1 > es->cap) {
+        Py_ssize_t want = 2 * m + 1;
+        int64_t *gi = PyMem_Realloc(es->i, (size_t)want * sizeof(int64_t));
+        double *ga;
+        if (gi != NULL)
+            es->i = gi;
+        ga = gi != NULL ? PyMem_Realloc(es->a, (size_t)want * sizeof(double))
+                        : NULL;
+        if (ga == NULL) {
+            PyBuffer_Release(&idx_b);
+            PyBuffer_Release(&amp_b);
+            PyErr_NoMemory();
+            return -1;
+        }
+        es->a = ga;
+        es->cap = want;
+    }
+    count = entangled_core(n, (const int64_t *)idx_b.buf,
+                           (const double *)amp_b.buf, m, es->i, es->a, ent);
+    PyBuffer_Release(&idx_b);
+    PyBuffer_Release(&amp_b);
+    tup = int_tuple(ent, count);
+    if (tup == NULL)
+        return -1;
+    Py_XSETREF(PS_SLOT(st, PS_ENTANGLED), tup);
+    return count;
+}
+
+/* heapq.heappush: append, then sift the new item up. */
+static int
+heap_push(PyObject *heap, PyObject *item)
+{
+    Py_ssize_t pos;
+    PyObject **arr;
+    if (PyList_Append(heap, item) < 0)
+        return -1;
+    pos = PyList_GET_SIZE(heap) - 1;
+    while (pos > 0) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        PyObject *parent;
+        int lt;
+        arr = ((PyListObject *)heap)->ob_item;
+        parent = arr[parentpos];
+        Py_INCREF(parent);
+        lt = PyObject_RichCompareBool(item, parent, Py_LT);
+        Py_DECREF(parent);
+        if (lt < 0)
+            return -1;
+        if (!lt)
+            break;
+        arr = ((PyListObject *)heap)->ob_item;
+        arr[pos] = parent;
+        arr[parentpos] = item;
+        pos = parentpos;
+    }
+    return 0;
+}
+
+/* A*'s per-child loop over one expansion's arcs (twin of the Python
+ * loop in astar.AStarRun._main): the g_pushed check and update, the
+ * heuristic (h_of None = the default ceil(k/2) bound on the entangled
+ * set, else called back), the incumbent prune against ub, and the
+ * open-list entry (f, g, tiebreak, g + h, state, prev, move), untracked
+ * and pushed as heapq pushes it.  Returns the counter deltas. */
+static PyObject *
+fc_astar_push(PyObject *self, PyObject *args)
+{
+    PyObject *arcs, *prev, *g_pushed, *heap, *counter, *h_of, *ub, *weight;
+    PyObject *eps = NULL;
+    long g;
+    Py_ssize_t a, pruned = 0, prunes = 0, generated = 0;
+    double wd, thr = 0.0;
+    iternextfunc next_tie;
+    ent_scratch es = {NULL, NULL, 0};
+
+    if (!PyArg_ParseTuple(args, "OlOOOOOOO", &arcs, &g, &prev, &g_pushed,
+                          &heap, &counter, &h_of, &ub, &weight))
+        return NULL;
+    if (ps_type == NULL || cx_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "astar_push: bind_kernel() was not called");
+        return NULL;
+    }
+    if (!PyList_Check(arcs) || !PyDict_Check(g_pushed) ||
+            !PyList_Check(heap) || Py_TYPE(counter)->tp_iternext == NULL) {
+        PyErr_SetString(PyExc_TypeError, "astar_push: bad argument types");
+        return NULL;
+    }
+    next_tie = Py_TYPE(counter)->tp_iternext;
+    wd = PyFloat_AsDouble(weight);
+    if (wd == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (ub != Py_None) {
+        thr = PyFloat_AsDouble(ub);
+        if (thr == -1.0 && PyErr_Occurred())
+            return NULL;
+        thr = thr - 1e-9;  /* self._ub - 1e-9 */
+    }
+    for (a = 0; a < PyList_GET_SIZE(arcs); a++) {
+        PyObject *arc = PyList_GET_ITEM(arcs, a), *move, *nxt, *existing;
+        PyObject *g2o, *ho = NULL, *fo = NULL, *uo = NULL, *tie, *entry;
+        Py_hash_t hash;
+        long cost, g2;
+        double hd = 0.0;
+        int fast, rc;
+
+        if (!PyTuple_Check(arc) || PyTuple_GET_SIZE(arc) != 2) {
+            PyErr_SetString(PyExc_TypeError, "astar_push: bad arc");
+            goto fail;
+        }
+        move = PyTuple_GET_ITEM(arc, 0);
+        nxt = PyTuple_GET_ITEM(arc, 1);
+        cost = move_cost(move);
+        if (cost == -1 && PyErr_Occurred())
+            goto fail;
+        g2 = g + cost;
+        hash = state_hash(nxt);
+        if (hash == -1)
+            goto fail;
+        existing = DICT_GET_KNOWN(g_pushed, nxt, hash);
+        if (existing != NULL) {
+            int ge;
+            if (PyLong_CheckExact(existing)) {
+                long ev = PyLong_AsLong(existing);
+                if (ev == -1 && PyErr_Occurred())
+                    goto fail;
+                ge = g2 >= ev;
+            }
+            else {
+                PyObject *tmp = PyLong_FromLong(g2);
+                if (tmp == NULL)
+                    goto fail;
+                Py_INCREF(existing);
+                ge = PyObject_RichCompareBool(tmp, existing, Py_GE);
+                Py_DECREF(existing);
+                Py_DECREF(tmp);
+                if (ge < 0)
+                    goto fail;
+            }
+            if (ge) {
+                pruned++;
+                continue;
+            }
+        }
+        else if (PyErr_Occurred()) {
+            goto fail;
+        }
+        g2o = PyLong_FromLong(g2);
+        if (g2o == NULL)
+            goto fail;
+        if (DICT_SET_KNOWN(g_pushed, nxt, g2o, hash) < 0) {
+            Py_DECREF(g2o);
+            goto fail;
+        }
+        if (h_of == Py_None) {
+            Py_ssize_t k = entangled_count(nxt, &es);
+            if (k < 0) {
+                Py_DECREF(g2o);
+                goto fail;
+            }
+            hd = (double)((k + 1) / 2);
+            fast = 1;
+        }
+        else {
+            ho = PyObject_CallOneArg(h_of, nxt);
+            if (ho == NULL) {
+                Py_DECREF(g2o);
+                goto fail;
+            }
+            fast = PyFloat_CheckExact(ho);
+            if (fast)
+                hd = PyFloat_AS_DOUBLE(ho);
+        }
+        if (fast) {
+            double ud = (double)g2 + hd;
+            if (ub != Py_None && ud > thr) {
+                /* the admissible h proves no completion through this
+                 * state beats the incumbent */
+                prunes++;
+                Py_DECREF(g2o);
+                Py_XDECREF(ho);
+                continue;
+            }
+            fo = PyFloat_FromDouble((double)g2 + wd * hd);
+            uo = PyFloat_FromDouble(ud);
+        }
+        else {
+            /* a heuristic returning a non-float: Python arithmetic */
+            PyObject *wh;
+            uo = PyNumber_Add(g2o, ho);
+            if (uo != NULL && ub != Py_None) {
+                PyObject *limit;
+                int gt = -1;
+                if (eps == NULL)
+                    eps = PyFloat_FromDouble(1e-9);
+                limit = eps != NULL ? PyNumber_Subtract(ub, eps) : NULL;
+                if (limit != NULL) {
+                    gt = PyObject_RichCompareBool(uo, limit, Py_GT);
+                    Py_DECREF(limit);
+                }
+                if (gt != 0) {
+                    Py_DECREF(g2o);
+                    Py_DECREF(ho);
+                    Py_DECREF(uo);
+                    if (gt < 0)
+                        goto fail;
+                    prunes++;
+                    continue;
+                }
+            }
+            wh = uo != NULL ? PyNumber_Multiply(weight, ho) : NULL;
+            fo = wh != NULL ? PyNumber_Add(g2o, wh) : NULL;
+            Py_XDECREF(wh);
+        }
+        Py_XDECREF(ho);
+        tie = (fo != NULL && uo != NULL) ? next_tie(counter) : NULL;
+        if (tie == NULL) {
+            if (fo != NULL && uo != NULL && !PyErr_Occurred())
+                PyErr_SetString(PyExc_RuntimeError,
+                                "astar_push: tiebreak counter exhausted");
+            Py_DECREF(g2o);
+            Py_XDECREF(fo);
+            Py_XDECREF(uo);
+            goto fail;
+        }
+        entry = PyTuple_Pack(7, fo, g2o, tie, uo, nxt, prev, move);
+        Py_DECREF(fo);
+        Py_DECREF(g2o);
+        Py_DECREF(tie);
+        Py_DECREF(uo);
+        if (entry == NULL)
+            goto fail;
+        /* numbers, states and moves: never part of a cycle */
+        PyObject_GC_UnTrack(entry);
+        rc = heap_push(heap, entry);
+        Py_DECREF(entry);
+        if (rc < 0)
+            goto fail;
+        generated++;
+    }
+    PyMem_Free(es.i);
+    PyMem_Free(es.a);
+    Py_XDECREF(eps);
+    return Py_BuildValue("(nnn)", pruned, prunes, generated);
+fail:
+    PyMem_Free(es.i);
+    PyMem_Free(es.a);
+    Py_XDECREF(eps);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
 /* untrack(obj) -> obj                                                 */
 /* ------------------------------------------------------------------ */
 
@@ -2850,19 +3570,11 @@ static PyMethodDef fastcore_methods[] = {
      "column_counts(n, idx) -> list of per-qubit column weights."},
     {"entangled_qubits", fc_entangled_qubits, METH_VARARGS,
      "entangled_qubits(n, idx, amp) -> tuple of non-separable qubits."},
-    {"pin_separable", fc_pin_separable, METH_VARARGS,
-     "pin_separable(n, idx, amp, counts) -> None | (idx_b, amp_b)."},
-    {"orbit_hash", fc_orbit_hash, METH_VARARGS,
-     "orbit_hash(rows_2d_u64, heavy_pos, qamp) -> 128-bit int."},
-    {"orbit_hash_state", fc_orbit_hash_state, METH_VARARGS,
-     "orbit_hash_state(n, idx, qamp, tie_cap, orderings|None)"
-     " -> (128-bit int, num_heavy)."},
-    {"sig_tags", fc_sig_tags, METH_VARARGS,
-     "sig_tags(n, idx, absamp) -> flip-invariant qubit signature tags."},
     {"wl_pair_ids", fc_wl_pair_ids, METH_VARARGS,
      "wl_pair_ids(n, idx, ranks) -> n x n flip-minimized pair-table ids."},
-    {"cell_symmetric", fc_cell_symmetric, METH_VARARGS,
-     "cell_symmetric(n, idx, qamp, cell) -> bool."},
+    {"canon_key", fc_canon_key, METH_VARARGS,
+     "canon_key(ps, pu2, tie_cap, perm_cap, u2_data, automorphisms, timed, "
+     "scale) -> (key, u2_miss, hashing_seconds)."},
     {"pairs_singles", fc_pairs_singles, METH_VARARGS,
      "pairs_singles(n, idx, amp, tshift) -> (i0, a0, a1, singles)."},
     {"merge_reps_codes", fc_merge_reps_codes, METH_VARARGS,
@@ -2874,11 +3586,15 @@ static PyMethodDef fastcore_methods[] = {
      "merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol) -> "
      "(idx_bytes, amp_bytes)."},
     {"bind_kernel", fc_bind_kernel, METH_VARARGS,
-     "bind_kernel(PackedState, MergeMove): the classes successors() builds."},
+     "bind_kernel(PackedState, MergeMove, CXMove, CanonKey, refine): the "
+     "kernel classes and the tie-refinement callback."},
     {"successors", fc_successors, METH_VARARGS,
      "successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls, "
      "cx_phases, cx_targets, max_controls, neighbor_masks, atol, rtol, "
      "scale) -> (arcs, interned, hits, collisions)."},
+    {"astar_push", fc_astar_push, METH_VARARGS,
+     "astar_push(arcs, g, prev, g_pushed, heap, counter, h_of, ub, weight) "
+     "-> (pruned, incumbent_prunes, generated)."},
     {"untrack", fc_untrack, METH_O,
      "untrack(obj) -> obj, taken out of the cyclic garbage collector."},
     {NULL, NULL, 0, NULL},
@@ -2902,9 +3618,10 @@ PyInit__fastcore(void)
     str_target = PyUnicode_InternFromString("target");
     str_theta = PyUnicode_InternFromString("theta");
     str_controls = PyUnicode_InternFromString("controls");
+    str_cost = PyUnicode_InternFromString("cost");
     empty_tuple = PyTuple_New(0);
     if (str_target == NULL || str_theta == NULL || str_controls == NULL ||
-            empty_tuple == NULL)
+            str_cost == NULL || empty_tuple == NULL)
         return NULL;
     mod = PyModule_Create(&fastcore_module);
     if (mod == NULL)

@@ -62,6 +62,7 @@ from repro.core.heuristic import HeuristicFn
 from repro.core.kernel import (
     HashKeyedMap,
     PackedState,
+    entanglement_h_packed,
     num_entangled_packed,
     successors_packed,
 )
@@ -168,7 +169,19 @@ class AStarRun(EngineRun):
             phases.setdefault("canonicalization", 0.0)
             phases.setdefault("heuristic", 0.0)
             phases.setdefault("containers", 0.0)
-        h_seconds = 0.0  # accrued inside push(); subtracted from blocks
+        h_seconds = 0.0  # accrued by h_eval(); subtracted from blocks
+        if profile:
+            def h_eval(ps: PackedState) -> float:
+                nonlocal h_seconds
+                th = perf_counter()
+                h = h_of(ps)
+                h_seconds += perf_counter() - th
+                return h
+        else:
+            h_eval = h_of
+        # the child push evaluates the default bound itself (h_of=None)
+        # and calls any other heuristic back
+        default_h = h_of is entanglement_h_packed
         # Open-list entries hold numbers, states and moves, none of which
         # can reach back to an entry: with the extension loaded they leave
         # the cyclic collector (see kernel.PackedState).
@@ -192,31 +205,20 @@ class AStarRun(EngineRun):
             best_g = HashKeyedMap()
             parent: dict = {}
 
-            def push(ps: PackedState, g: int, prev, move) -> None:
-                nonlocal h_seconds
-                if profile:
-                    th = perf_counter()
-                    h = h_of(ps)
-                    h_seconds += perf_counter() - th
-                else:
-                    h = h_of(ps)
-                if self._ub is not None and g + h > self._ub - 1e-9:
-                    # the admissible (unweighted) h proves no completion
-                    # through this state beats the incumbent —
-                    # branch-and-bound prune
-                    stats.incumbent_prunes += 1
-                    return
-                entry = (g + weight * h, g, next(counter), g + h, ps, prev,
-                         move)
-                if untrack is not None:
-                    untrack(entry)
-                heapq.heappush(open_heap, entry)
-                stats.nodes_generated += 1
-                stats.max_queue = max(stats.max_queue, len(open_heap))
-
             start = ctx.start
             g_pushed[start] = 0
-            push(start, 0, None, None)
+            # the start's push, with _push_children's expressions at g = 0
+            h = h_eval(start)
+            if self._ub is not None and 0 + h > self._ub - 1e-9:
+                stats.incumbent_prunes += 1
+            else:
+                entry = (0 + weight * h, 0, next(counter), 0 + h, start,
+                         None, None)
+                if untrack is not None:
+                    untrack(entry)
+                open_heap.append(entry)
+                stats.nodes_generated += 1
+                stats.max_queue = max(stats.max_queue, 1)
             last_u = 0.0
 
             while open_heap:
@@ -289,16 +291,25 @@ class AStarRun(EngineRun):
                     tb = perf_counter()
                     phases["enumeration"] += tb - te
                     h_mark = h_seconds
-                for nmove, nxt in arcs:
-                    g2 = g + nmove.cost
-                    if g2 >= g_pushed.get(nxt, math.inf):
-                        stats.nodes_pruned += 1
-                        continue
-                    g_pushed[nxt] = g2
-                    push(nxt, g2, state, nmove)
+                fc = _fastcore.active
+                if fc is not None:
+                    # one native call (its heuristic time, callbacks
+                    # included, books under containers)
+                    pruned, prunes, generated = fc.astar_push(
+                        arcs, g, state, g_pushed, open_heap, counter,
+                        None if default_h else h_of, self._ub, weight)
+                else:
+                    pruned, prunes, generated = _push_children(
+                        arcs, g, state, g_pushed, open_heap, counter,
+                        h_eval, self._ub, weight)
+                stats.nodes_pruned += pruned
+                stats.incumbent_prunes += prunes
+                if generated:
+                    stats.nodes_generated += generated
+                    stats.max_queue = max(stats.max_queue, len(open_heap))
                 if profile:
                     # heap + dedup-map bookkeeping of this expansion, with
-                    # the heuristic time accrued inside push() carved out
+                    # the heuristic time accrued inside h_eval() carved out
                     phases["containers"] += (perf_counter() - tb) \
                         - (h_seconds - h_mark)
 
@@ -337,6 +348,40 @@ class AStarRun(EngineRun):
             if profile:
                 phases["heuristic"] = h_seconds
             ctx.finalize_stats()
+
+
+def _push_children(arcs, g: int, prev: PackedState, g_pushed: dict,
+                   open_heap: list, counter, h_of, ub, weight
+                   ) -> tuple[int, int, int]:
+    """Push the children of one expansion onto the open list.
+
+    The Python twin of ``_fastcore.astar_push``, with the same arguments
+    (``h_of=None`` is the default :func:`entanglement_h_packed` bound) and
+    the same result, the counter deltas ``(pruned, incumbent_prunes,
+    generated)``.  A child is pruned when ``g_pushed`` already holds it
+    at most as cheaply, and (after ``g_pushed`` records it) when its
+    unweighted ``g + h`` reaches the incumbent bound ``ub``: the
+    admissible ``h`` proves no completion through it beats the
+    incumbent.  Entries are ``(weighted f, g, tiebreak, unweighted g + h,
+    state, prev, move)``.
+    """
+    if h_of is None:
+        h_of = entanglement_h_packed
+    pruned = prunes = generated = 0
+    for move, nxt in arcs:
+        g2 = g + move.cost
+        if g2 >= g_pushed.get(nxt, math.inf):
+            pruned += 1
+            continue
+        g_pushed[nxt] = g2
+        h = h_of(nxt)
+        if ub is not None and g2 + h > ub - 1e-9:
+            prunes += 1
+            continue
+        heapq.heappush(open_heap, (g2 + weight * h, g2, next(counter),
+                                   g2 + h, nxt, prev, move))
+        generated += 1
+    return pruned, prunes, generated
 
 
 def _reconstruct_packed(parent: dict, start: PackedState,

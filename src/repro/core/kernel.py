@@ -701,18 +701,11 @@ def _pin_separable_arrays(ps: PackedState
     arrays are returned as-is so the caller can keep reusing the state's
     cached bit matrix.  The first sweep runs off the cached column counts,
     which rejects the (typical) nothing-separable state in one pass of
-    integer comparisons.
+    integer comparisons.  The native canonical key (``_fastcore.canon_key``)
+    runs the same sweep.
     """
     n = ps.n
     idx, amp = ps.idx, ps.amp
-    fc = _fastcore.active
-    if fc is not None:
-        res = fc.pin_separable(n, idx, amp, ps.column_counts)
-        if res is None:
-            return idx, amp, False
-        ib, ab = res
-        return (np.frombuffer(ib, dtype=np.int64),
-                np.frombuffer(ab, dtype=np.float64), True)
     counts = ps.column_counts
     changed = True
     pinned_any = False
@@ -770,9 +763,6 @@ def _cell_symmetric_arrays(idx: np.ndarray, qamp: np.ndarray, n: int,
     instead still arrive at the identical key.  It must never be used to
     steer anything else (e.g. whether refinement runs) — that would leak
     its flip-sensitivity into the class partition."""
-    fc = _fastcore.active
-    if fc is not None:
-        return fc.cell_symmetric(n, idx, qamp, list(cell))
     for a, b in zip(cell, cell[1:]):
         sa = n - 1 - a
         sb = n - 1 - b
@@ -793,8 +783,8 @@ def _partition_of(tags: list) -> list[tuple[int, ...]]:
     return sorted(tuple(cell) for cell in groups.values())
 
 
-def _wl_refine(idx: np.ndarray, bits: np.ndarray, ranks: np.ndarray, n: int,
-               sig_tags: list) -> list[int]:
+def _wl_refine(idx: np.ndarray, bits: np.ndarray | None, ranks: np.ndarray,
+               n: int, sig_tags: list) -> list[int]:
     """Iterated pairwise refinement of the qubit-signature partition.
 
     The analogue of ``canonical._pair_signature`` pushed to a fixpoint
@@ -804,7 +794,8 @@ def _wl_refine(idx: np.ndarray, bits: np.ndarray, ranks: np.ndarray, n: int,
     ``(pair table, partner tag)`` blobs.  Every ingredient is permutation-
     and flip-covariant, so the final tags are class invariants — refining
     cells with them never splits an equivalence class, it only shrinks the
-    candidate-ordering enumeration.
+    candidate-ordering enumeration.  ``bits`` is read only without the
+    extension, whose pair tables derive from ``idx``.
     """
     fc = _fastcore.active
     if fc is not None:
@@ -845,6 +836,13 @@ def _wl_refine(idx: np.ndarray, bits: np.ndarray, ranks: np.ndarray, n: int,
     return tags
 
 
+def _refine_tags(n: int, idx: np.ndarray, absamp: np.ndarray,
+                 sig_tags: list[int]) -> list[int]:
+    """The refinement the native ordering step calls back for oversized
+    ties: :func:`_wl_refine` over the dense ``|amp|`` ranks."""
+    return _wl_refine(idx, None, _dense_ranks(absamp), n, sig_tags)
+
+
 def _dense_ranks(absamp: np.ndarray) -> np.ndarray:
     """Dense integer ranks of ``absamp`` (order- and equality-preserving)."""
     if (absamp == absamp[0]).all():
@@ -861,12 +859,13 @@ def _dense_ranks(absamp: np.ndarray) -> np.ndarray:
 
 
 #: Refine the tie partition whenever the ordering enumeration would touch
-#: more candidate elements than this (orderings x masks x entries).
+#: more candidate elements than this (orderings x masks x entries); the
+#: native ordering step compiles in the same value (REFINE_WORK_LIMIT).
 _REFINE_WORK_LIMIT = 600
 
 
 def _orderings_packed(idx: np.ndarray, qamp: np.ndarray, n: int,
-                      perm_cap: int, bits: np.ndarray | None,
+                      perm_cap: int, bits: np.ndarray,
                       absamp: np.ndarray,
                       num_heavy: int = 1) -> list[list[int]]:
     """Candidate qubit orderings (vectorized analogue of
@@ -877,33 +876,27 @@ def _orderings_packed(idx: np.ndarray, qamp: np.ndarray, n: int,
     enumeration inside residual ties — with every fingerprint a count
     table (an exact stand-in for the reference's sorted multisets) and
     cells ordered by byte serialization (a kernel-native but equally
-    class-invariant total order)."""
+    class-invariant total order).  The Python twin of the ordering step
+    inside ``_fastcore.canon_key``, which calls back only for refinement
+    (:func:`_refine_tags`)."""
     m = len(idx)
-    fc = _fastcore.active
     # fast path: pairwise-distinct flip-invariant column weights already
     # order the qubits completely — no histograms, no ties, one ordering
-    if bits is None:
-        counts = fc.column_counts(n, idx)
-        weights = [c if 2 * c <= m else m - c for c in counts]
-    else:
-        counts = bits.sum(axis=1)
-        weights = np.minimum(counts, m - counts).tolist()
+    counts = bits.sum(axis=1)
+    weights = np.minimum(counts, m - counts).tolist()
     if len(set(weights)) == n:
         return [sorted(range(n), key=weights.__getitem__)]
     # per-qubit signature: commutative hash of the column's |amp| multiset,
     # flip-normalized by taking the smaller of (bit=1 sum, bit=0 sum).
     # A hash tie can only merge cells — covariant, hence still sound; the
     # enumeration below just visits a few extra orderings.
-    if fc is not None:
-        sig_tags = fc.sig_tags(n, idx, absamp)
-    else:
-        with np.errstate(over="ignore"):
-            mixed = _mix64(absamp.view(np.uint64), _MIX_A1, _MIX_A2)
-            column_sums = bits.astype(np.uint64) @ mixed
-            total = mixed.sum()
-            flip_sums = total - column_sums
-        sig_tags = [min(int(a), int(b))
-                    for a, b in zip(column_sums.tolist(), flip_sums.tolist())]
+    with np.errstate(over="ignore"):
+        mixed = _mix64(absamp.view(np.uint64), _MIX_A1, _MIX_A2)
+        column_sums = bits.astype(np.uint64) @ mixed
+        total = mixed.sum()
+        flip_sums = total - column_sums
+    sig_tags = [min(int(a), int(b))
+                for a, b in zip(column_sums.tolist(), flip_sums.tolist())]
 
     cells: dict[int, list[int]] = {}
     for q in range(n):
@@ -1104,19 +1097,6 @@ def _orbit_hash(idx: np.ndarray, qamp: np.ndarray, absamp: np.ndarray,
     identity_only = len(orderings) == 1 and orderings[0] == _identity(n)
     if heavy_pos is None:
         heavy_pos = np.flatnonzero(absamp == absamp.max())[:max(1, tie_cap)]
-    fc = _fastcore.active
-    if fc is not None:
-        # one native pass replaces both the scalar and the NumPy variants
-        # (prefilter, both lanes, per-candidate and per-ordering finalize)
-        if identity_only:
-            rows = idx.view(np.uint64)[None, :]
-        else:
-            weights = 1 << np.arange(n - 1, -1, -1)
-            perms = np.asarray(orderings, dtype=np.intp)
-            rows = np.ascontiguousarray(
-                np.einsum("i,kim->km", weights, bits[perms]).view(np.uint64))
-        return fc.orbit_hash(
-            rows, np.ascontiguousarray(heavy_pos, dtype=np.int64), qamp)
     num_masks = len(heavy_pos)
     if len(orderings) * num_masks * m <= _SCALAR_ORBIT_LIMIT:
         if identity_only:
@@ -1265,46 +1245,51 @@ class CanonContext:
         level = self.level
         if level is CanonLevel.NONE:
             return CanonKey(n, ps.hash64, ps.payload)
+        pu2 = level is CanonLevel.PU2
+        fc = _fastcore.active
+        if fc is not None:
+            # one native call: pinning, requantization, the U(2) hash and,
+            # on a U(2)-class miss, the orderings and the full hash; the
+            # tier's bookkeeping stays here
+            key, u2_miss, seconds = fc.canon_key(
+                ps, pu2, self.tie_cap, self.perm_cap,
+                self.u2_cache.data if pu2 else None,
+                None if self.topology is None else self._automorphisms(n),
+                self.timers is not None, _QUANT_SCALE)
+            if seconds is not None:
+                self.timers["hashing"] = self.timers.get("hashing", 0.0) \
+                    + seconds
+            if pu2:
+                if u2_miss is None:
+                    self.u2_cache.hits += 1
+                else:
+                    self.u2_cache.misses += 1
+                    self.full_computations += 1
+                    self.u2_cache.put(u2_miss, key)
+            return key
         idx, amp, pinned = _pin_separable_arrays(ps)
         if pinned:
             qamp = quantize_array(amp)
         else:
             qamp = ps.qamp
-        fc = _fastcore.active
-        if fc is not None:
-            # heavy-mask selection and row prep live inside the native
-            # call, so the hot path touches no NumPy temporaries at all
-            absamp = None
-            heavy_pos = None
-            if self.timers is not None:
-                t0 = _perf_counter()
-                u2_hash, num_heavy = fc.orbit_hash_state(
-                    n, idx, qamp, self.tie_cap, None)
-                self.timers["hashing"] = self.timers.get("hashing", 0.0) \
-                    + _perf_counter() - t0
-            else:
-                u2_hash, num_heavy = fc.orbit_hash_state(
-                    n, idx, qamp, self.tie_cap, None)
+        absamp = np.abs(qamp)
+        heavy_pos = np.flatnonzero(
+            absamp == absamp.max())[:max(1, self.tie_cap)]
+        if self.timers is not None:
+            t0 = _perf_counter()
+            u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
+                                  self.tie_cap, None, heavy_pos)
+            self.timers["hashing"] = self.timers.get("hashing", 0.0) \
+                + _perf_counter() - t0
         else:
-            absamp = np.abs(qamp)
-            heavy_pos = np.flatnonzero(
-                absamp == absamp.max())[:max(1, self.tie_cap)]
-            num_heavy = len(heavy_pos)
-            if self.timers is not None:
-                t0 = _perf_counter()
-                u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
-                                      self.tie_cap, None, heavy_pos)
-                self.timers["hashing"] = self.timers.get("hashing", 0.0) \
-                    + _perf_counter() - t0
-            else:
-                u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
-                                      self.tie_cap, None, heavy_pos)
-        if level is CanonLevel.U2:
+            u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
+                                  self.tie_cap, None, heavy_pos)
+        if not pu2:
             return CanonKey(n, u2_hash & _U64, u2_hash)
         full = self.u2_cache.get(u2_hash)
         if full is None:
             full = self._compute_full(n, idx, qamp, absamp, pinned, ps,
-                                      u2_hash, heavy_pos, num_heavy)
+                                      u2_hash, heavy_pos)
             self.u2_cache.put(u2_hash, full)
         return full
 
@@ -1315,25 +1300,14 @@ class CanonContext:
         return self._auto_orderings
 
     def _compute_full(self, n: int, idx: np.ndarray, qamp: np.ndarray,
-                      absamp: np.ndarray | None, pinned: bool,
-                      ps: PackedState, u2_hash: int,
-                      heavy_pos: np.ndarray | None,
-                      num_heavy: int) -> CanonKey:
+                      absamp: np.ndarray, pinned: bool, ps: PackedState,
+                      u2_hash: int, heavy_pos: np.ndarray) -> CanonKey:
         self.full_computations += 1
-        fc = _fastcore.active
-        if fc is not None:
-            # the native ordering signatures and hash derive everything
-            # from (idx, qamp); the bit matrix is never materialized
-            bits = None
-            if absamp is None:
-                absamp = np.abs(qamp)
-        elif pinned:
+        if pinned:
             shifts = np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
             bits = (idx[None, :] >> shifts) & 1
         else:
             bits = ps.bits
-        if absamp is None:
-            absamp = np.abs(qamp)
         if self.topology is not None:
             # restricted PU2: the free relabelings are exactly the coupling
             # automorphisms — a fixed ordering list shared by every state
@@ -1341,31 +1315,20 @@ class CanonContext:
         else:
             orderings = _orderings_packed(idx, qamp, n, self.perm_cap,
                                           bits, absamp,
-                                          num_heavy=num_heavy)
+                                          num_heavy=len(heavy_pos))
         if len(orderings) == 1 and orderings[0] == _identity(n):
             # the identity ordering's candidate set IS the U(2) orbit
             return CanonKey(n, u2_hash & _U64, u2_hash)
         if self.timers is not None:
             t0 = _perf_counter()
-            full_hash = self._full_hash(fc, n, idx, qamp, absamp,
-                                        orderings, bits, heavy_pos)
+            full_hash = _orbit_hash(idx, qamp, absamp, orderings, n,
+                                    self.tie_cap, bits, heavy_pos)
             self.timers["hashing"] = self.timers.get("hashing", 0.0) \
                 + _perf_counter() - t0
         else:
-            full_hash = self._full_hash(fc, n, idx, qamp, absamp,
-                                        orderings, bits, heavy_pos)
+            full_hash = _orbit_hash(idx, qamp, absamp, orderings, n,
+                                    self.tie_cap, bits, heavy_pos)
         return CanonKey(n, full_hash & _U64, full_hash)
-
-    def _full_hash(self, fc, n: int, idx: np.ndarray, qamp: np.ndarray,
-                   absamp: np.ndarray, orderings: list[list[int]],
-                   bits: np.ndarray | None,
-                   heavy_pos: np.ndarray | None) -> int:
-        if fc is not None:
-            full_hash, _ = fc.orbit_hash_state(n, idx, qamp, self.tie_cap,
-                                               orderings)
-            return full_hash
-        return _orbit_hash(idx, qamp, absamp, orderings, n,
-                           self.tie_cap, bits, heavy_pos)
 
 
 def canonical_key_packed(ps: PackedState, level: CanonLevel,
@@ -1717,5 +1680,7 @@ def successors_packed(pool: StatePool, ps: PackedState,
 
 
 if _fastcore.available():
-    # the native expansion builds PackedStates and MergeMoves itself
-    _fastcore._module.bind_kernel(PackedState, MergeMove)
+    # the native expansion and canonical key build kernel objects
+    # themselves, and the canonical key calls back for tie refinement
+    _fastcore._module.bind_kernel(PackedState, MergeMove, CXMove, CanonKey,
+                                  _refine_tags)

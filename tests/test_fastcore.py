@@ -10,6 +10,12 @@ that contract:
 * canonical keys, move sets, and successor states are compared bit-for-bit
   between the two paths on randomized sparse states (including the tiny
   candidate-count regime that exercises the scalar orbit-hash path);
+* the one-call native canonical key matches the Python twin at the
+  search's caps on the uniform-magnitude families the searches meet,
+  pinned-separable states and line/ring topologies, and that set reaches
+  every ordering branch;
+* A*'s native child push leaves the same open list (entries and heap
+  order), ``g_pushed`` and counters as the Python loop;
 * a forced global 64-bit hash collision must stay harmless with the native
   ``U64Map`` containers active, exactly as with dicts;
 * the one-call native expansion must reproduce the Python
@@ -31,6 +37,8 @@ always run.
 from __future__ import annotations
 
 import gc
+import heapq
+import itertools
 import os
 import re
 import subprocess
@@ -44,14 +52,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.astar as astar
 import repro.core.kernel as kernel
 from repro.arch.topologies import CouplingMap
+from repro.constants import SEARCH_PERM_CAP, SEARCH_TIE_CAP
 from repro.core import fastcore
 from repro.core.astar import AStarRun, SearchConfig, astar_search
 from repro.core.canonical import CanonLevel
+from repro.core.engine import _make_h_of
+from repro.core.heuristic import CouplingHeuristic
 from repro.core.memory import SearchMemory
 from repro.core.moves import MergeMove
 from repro.core.kernel import (
+    BoundedCache,
+    CanonContext,
     CanonKey,
     HashKeyedMap,
     StatePool,
@@ -62,6 +76,7 @@ from repro.core.kernel import (
     successors_packed,
 )
 from repro.core.splitmix import SPLITMIX_CONSTANTS
+from repro.exceptions import SearchBudgetExceeded
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
@@ -232,6 +247,314 @@ class TestCompiledPythonParity:
         assert fastcore.active is not None
         assert dict(fastcore.active.splitmix_constants()) == \
             SPLITMIX_CONSTANTS
+
+
+# ----------------------------------------------------------------------
+# The one-call native canonical key
+# ----------------------------------------------------------------------
+
+def _dense_state(rng, n: int) -> QState:
+    """The paper's dense suite: equal magnitudes over ``2**(n-1)`` random
+    basis states (signs random on half the draws)."""
+    idx = rng.choice(1 << n, size=1 << (n - 1), replace=False)
+    signs = rng.choice([-1.0, 1.0], size=len(idx)) if rng.random() < 0.5 \
+        else np.ones(len(idx))
+    return QState(n, {int(i): float(s) for i, s in zip(idx, signs)})
+
+
+def _with_separable_qubit(state: QState, kind: str) -> QState:
+    """``state`` plus a last qubit in |1> (pinned by an X flip) or in an
+    uneven superposition (pinned by the cofactor ratio)."""
+    out = {}
+    for i, a in state.items():
+        if kind == "one":
+            out[(i << 1) | 1] = a
+        else:
+            out[i << 1] = 0.6 * a
+            out[(i << 1) | 1] = 0.8 * a
+    return QState(state.num_qubits + 1, out)
+
+
+#: uniform-magnitude supports whose flip-normalized column weights are
+#: pairwise distinct (no 4-qubit support has that property)
+_WEIGHT_ORDERED = (
+    (5, (1, 9, 11, 16, 17, 19, 23, 24, 25, 27)),
+    (6, (2, 3, 8, 10, 14, 17, 20, 24, 33, 34, 36, 40, 41, 42, 43, 46, 56,
+         59)),
+)
+
+
+def _cyclic_blocks() -> QState:
+    """Two 4-qubit blocks, each invariant under rotating its qubits but
+    not under swapping two of them: refinement cannot split either cell
+    and the symmetric-cell probe cannot collapse it, so both enumerate
+    permutations and the second takes the budget the first leaves."""
+    pairs = (0b1100, 0b0110, 0b0011, 0b1001)
+    block = {x: 1.0 for x in pairs}
+    block.update({x: 2.0 for x in (0b1000, 0b0100, 0b0010, 0b0001)})
+    return QState(8, {(a << 4) | x: v for a in pairs
+                      for x, v in block.items()})
+
+
+def _coverage_states() -> list[QState]:
+    """Uniform-magnitude states the dense searches canonicalize: dense
+    states for n = 4..6 (seeds 24, 46 and 53 fill the permutation cap)
+    and Dicke states, each with a sample of the merge children of its
+    first two expansions, plus weight-ordered supports, two cyclic
+    blocks, pinned-separable states and a few random sparse states."""
+    roots = [_dense_state(np.random.default_rng(seed), n)
+             for n in (4, 5, 6) for seed in range(6)]
+    roots += [_dense_state(np.random.default_rng(24), 4),
+              _dense_state(np.random.default_rng(46), 5),
+              _dense_state(np.random.default_rng(53), 5)]
+    roots += [dicke_state(n, k) for n in range(3, 7) for k in range(1, n)]
+    roots += [QState(n, {i: 1.0 for i in support})
+              for n, support in _WEIGHT_ORDERED]
+    roots.append(_cyclic_blocks())
+    states = list(roots)
+    pool = StatePool()
+    for root in roots[::2]:
+        frontier = [pool.from_qstate(root)]
+        for _ in range(2):
+            merges = [child for ps in frontier
+                      for move, child in successors_packed(pool, ps)
+                      if isinstance(move, MergeMove)]
+            frontier = merges[::max(1, len(merges) // 3)]
+            states += [child.to_qstate() for child in frontier]
+    states += [random_state(seed) for seed in range(12)]
+    states += [_with_separable_qubit(dicke_state(4, 2), "one"),
+               _with_separable_qubit(dicke_state(3, 1), "split"),
+               _with_separable_qubit(roots[0], "split"),
+               _with_separable_qubit(ghz_state(3), "one")]
+    return states
+
+
+class _BranchProbe:
+    """Records which ordering branches the Python twin takes."""
+
+    def __init__(self, monkeypatch):
+        self.hits: dict[str, int] = {}
+        orderings = kernel._orderings_packed
+        symmetric = kernel._cell_symmetric_arrays
+        refine = kernel._wl_refine
+
+        def probe_orderings(idx, qamp, n, perm_cap, bits, absamp,
+                            num_heavy=1):
+            counts = bits.sum(axis=1)
+            weights = np.minimum(counts, len(idx) - counts).tolist()
+            result = orderings(idx, qamp, n, perm_cap, bits, absamp,
+                               num_heavy)
+            if len(set(weights)) == n:
+                self.hit("distinct weights")
+            if len(result) >= perm_cap:
+                self.hit("capped enumeration")
+            return result
+
+        def probe_symmetric(*args):
+            found = symmetric(*args)
+            if found:
+                self.hit("symmetric cell")
+            return found
+
+        def probe_refine(*args):
+            self.hit("refinement")
+            return refine(*args)
+
+        monkeypatch.setattr(kernel, "_orderings_packed", probe_orderings)
+        monkeypatch.setattr(kernel, "_cell_symmetric_arrays",
+                            probe_symmetric)
+        monkeypatch.setattr(kernel, "_wl_refine", probe_refine)
+
+    def hit(self, branch: str) -> None:
+        self.hits[branch] = self.hits.get(branch, 0) + 1
+
+
+def _search_key(state: QState, topology=None, level=CanonLevel.PU2):
+    ctx = CanonContext(level, SEARCH_TIE_CAP, SEARCH_PERM_CAP, cache_cap=8,
+                       topology=topology)
+    return ctx, ctx.key(StatePool().from_qstate(state))
+
+
+@needs_fastcore
+class TestNativeCanonicalKey:
+    def test_search_caps_bit_identical_and_every_branch_reached(
+            self, monkeypatch):
+        """Native keys equal the Python twin's at SEARCH_TIE_CAP /
+        SEARCH_PERM_CAP on the coverage set, full map and line/ring maps,
+        and the set reaches each ordering branch of the twin (the native
+        call reaches the refinement through the same callback)."""
+        probe = _BranchProbe(monkeypatch)
+        native_refinements = 0
+        compared = 0
+        for state in _coverage_states():
+            n = state.num_qubits
+            maps = [None]
+            if n >= 3:
+                maps += [CouplingMap.line(n), CouplingMap.ring(n)]
+            for topology in maps:
+                before = probe.hits.get("refinement", 0)
+                ctx, native = _search_key(state, topology)
+                native_refinements += probe.hits.get("refinement", 0) \
+                    - before
+                with python_path():
+                    pctx, pure = _search_key(state, topology)
+                assert (native.h, native.full) == (pure.h, pure.full)
+                assert ctx.full_computations == pctx.full_computations
+                if topology is not None and pctx.full_computations and \
+                        len(pctx._auto_orderings) > 1:
+                    probe.hit("automorphisms")
+                compared += 1
+        assert compared > 150
+        assert native_refinements > 0
+        for branch in ("distinct weights", "symmetric cell",
+                       "capped enumeration", "refinement", "automorphisms"):
+            assert probe.hits.get(branch, 0) > 0, (branch, probe.hits)
+
+    def test_u2_level_and_u2_tier_bit_identical(self):
+        """U2-level keys, and PU2 keys served by the U(2)-class tier, are
+        the twin's; the tier's counters move the same way."""
+        states = _coverage_states()[:40]
+        for level in (CanonLevel.U2, CanonLevel.PU2):
+            native_ctx = CanonContext(level, SEARCH_TIE_CAP, SEARCH_PERM_CAP,
+                                      cache_cap=1 << 12)
+            pool = StatePool()
+            native = [native_ctx.key(pool.from_qstate(s)) for s in states]
+            native += [native_ctx.key(pool.from_qstate(s.apply_x(0)))
+                       for s in states]
+            with python_path():
+                pure_ctx = CanonContext(level, SEARCH_TIE_CAP,
+                                        SEARCH_PERM_CAP, cache_cap=1 << 12)
+                pool = StatePool()
+                pure = [pure_ctx.key(pool.from_qstate(s)) for s in states]
+                pure += [pure_ctx.key(pool.from_qstate(s.apply_x(0)))
+                         for s in states]
+            assert [(k.h, k.full) for k in native] == \
+                [(k.h, k.full) for k in pure]
+            for tier in ("cache", "u2_cache"):
+                a, b = getattr(native_ctx, tier), getattr(pure_ctx, tier)
+                assert (a.hits, a.misses) == (b.hits, b.misses), tier
+            assert native_ctx.full_computations == pure_ctx.full_computations
+
+    def test_timed_keys_report_hashing(self):
+        ctx = CanonContext(CanonLevel.PU2, SEARCH_TIE_CAP, SEARCH_PERM_CAP,
+                           cache_cap=8)
+        ctx.timers = {}
+        ctx.key(StatePool().from_qstate(dicke_state(5, 2)))
+        assert ctx.timers["hashing"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# A*'s native child push
+# ----------------------------------------------------------------------
+
+def _entry_view(entry) -> tuple:
+    f, g, tie, u, state, prev, move = entry
+    return (f, type(f), g, tie, u, type(u), state.payload,
+            None if prev is None else prev.payload, move)
+
+
+def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
+                 rounds: int = 4):
+    """A few A*-style rounds on a fresh pool: pop the best entry, expand
+    it natively, push its children with the native call or the Python
+    twin; returns the open list, ``g_pushed`` and summed counters."""
+    pool = StatePool()
+    start = pool.from_qstate(state)
+    if h_kind == "default":
+        h_of = None
+    elif h_kind == "coupling":
+        h_of = _make_h_of(CouplingHeuristic(CouplingMap.line(state.num_qubits)),
+                          BoundedCache(1 << 10), None)
+    else:  # an int-valued heuristic: the generic arithmetic path
+        h_of = lambda ps: len(kernel.entangled_qubits_packed(ps))  # noqa
+    g_pushed = {start: 0}
+    heap = [(0.0, 0, -1, 0.0, start, None, None)]
+    counter = itertools.count()
+    totals = [0, 0, 0]
+    for _ in range(rounds):
+        if not heap:
+            break
+        _, g, _, _, ps, _, _ = heapq.heappop(heap)
+        arcs = successors_packed(pool, ps)
+        if native:
+            deltas = fastcore.active.astar_push(arcs, g, ps, g_pushed, heap,
+                                                counter, h_of, ub, weight)
+        else:
+            with python_path():
+                deltas = astar._push_children(arcs, g, ps, g_pushed, heap,
+                                              counter, h_of, ub, weight)
+        totals = [a + b for a, b in zip(totals, deltas)]
+    return heap, g_pushed, totals
+
+
+@needs_fastcore
+class TestNativeChildPush:
+    @given(st.integers(0, 3000), st.sampled_from([1.0, 2.0, 2]),
+           st.sampled_from([None, 2, 3, 5]),
+           st.sampled_from(["default", "coupling", "int"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_python_twin(self, seed, weight, ub, h_kind):
+        """Same entries in the same heap order, the same ``g_pushed`` (and
+        its insertion order), the same counters, and the same entangled
+        sets cached on the children."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        state = _dense_state(rng, n) if rng.random() < 0.7 else \
+            random_state(seed)
+        nheap, ng, ncount = _push_rounds(state, h_kind, ub, weight, True)
+        pheap, pg, pcount = _push_rounds(state, h_kind, ub, weight, False)
+        assert ncount == pcount
+        assert [_entry_view(e) for e in nheap] == \
+            [_entry_view(e) for e in pheap]
+        assert [(s.payload, g) for s, g in ng.items()] == \
+            [(s.payload, g) for s, g in pg.items()]
+        assert [s._entangled for s in ng] == [s._entangled for s in pg]
+        assert not any(gc.is_tracked(e) for e in nheap[1:])
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
+    @pytest.mark.parametrize("incumbent", [None, 7])
+    def test_budgeted_run_identical(self, weight, incumbent):
+        """A node-budgeted A* run stops with the same proven lower bound
+        and the same counters either way."""
+        target = _dense_state(np.random.default_rng(5), 5)
+        config = SearchConfig(max_nodes=300, weight=weight)
+
+        def run():
+            with pytest.raises(SearchBudgetExceeded) as info:
+                astar_search(target, config, incumbent=incumbent)
+            stats = info.value.stats
+            return (info.value.lower_bound, stats.nodes_expanded,
+                    stats.nodes_generated, stats.nodes_pruned,
+                    stats.incumbent_prunes, stats.max_queue)
+
+        native = run()
+        with python_path():
+            pure = run()
+        assert native == pure
+        if incumbent is not None:
+            assert native[4] > 0  # the incumbent prune fired
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
+    def test_paused_open_list_identical(self, weight):
+        """Mid-run, the open list, ``g_pushed`` and the counters agree."""
+        target = dicke_state(5, 2)
+
+        def paused():
+            run = AStarRun(target, SearchConfig(max_nodes=5_000,
+                                                weight=weight))
+            run.step(60)
+            frame = run._gen.gi_frame.f_locals
+            view = ([_entry_view(e) for e in frame["open_heap"]],
+                    [(s.payload, g) for s, g in frame["g_pushed"].items()],
+                    run.stats.nodes_generated, run.stats.nodes_pruned,
+                    run.stats.max_queue)
+            run.cancel()
+            return view
+
+        native = paused()
+        with python_path():
+            pure = paused()
+        assert native == pure
 
 
 # ----------------------------------------------------------------------

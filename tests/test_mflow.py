@@ -15,6 +15,7 @@ from repro.baselines.mflow import (
     mflow_reduction_moves,
     mflow_synthesize,
 )
+from repro.core.moves import MergeMove, apply_controlled_ry
 from repro.exceptions import SynthesisError
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
@@ -125,6 +126,36 @@ class TestDifQubitsOracle:
             assert moves == ref_moves
             assert list(after._amps.items()) == \
                 list(ref_after._amps.items())
+
+
+class TestFoldPair:
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=120)
+    def test_equals_controlled_ry_on_gh_steps(self, seed, minimize):
+        """The GH step's direct pair fold gives the state
+        apply_controlled_ry gives for its merge, entry for entry and in
+        the same dict order (registers past 64 qubits included)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([int(rng.integers(2, 21)), 70]))
+        m = int(rng.integers(2, min(4 * n, 1 << n) + 1))
+        idx = {int(rng.integers(0, 1 << min(n, 62))) << max(0, n - 62)
+               for _ in range(m)}
+        if len(idx) < 2:
+            idx |= {0, 1}
+        amps = rng.standard_normal(len(idx))
+        if rng.random() < 0.3:
+            amps = np.abs(amps)  # equal signs: pairs that merge exactly
+        state = QState(n, {i: float(a) for i, a in zip(sorted(idx), amps)})
+        moves, folded = _merge_step(state, minimize)
+        merge = moves[-1]
+        assert isinstance(merge, MergeMove)
+        aligned = state
+        for move in moves[:-1]:
+            aligned = move.apply(aligned)
+        expected = apply_controlled_ry(aligned, merge.controls, merge.target,
+                                       merge.theta)
+        assert list(folded._amps.items()) == list(expected._amps.items())
+        assert folded.cardinality == state.cardinality - 1
 
 
 class TestMflow:
