@@ -18,9 +18,14 @@ def default_exact_config() -> ExactConfig:
     The workflow only hands the engine entangled cores with ``n <= 4`` and
     ``m <= 16`` (the paper's activation thresholds), so a modest budget
     suffices; the beam fallback guarantees progress regardless.
+
+    The node budget, not the wall-clock limit, is what bounds memory: an
+    unsolvable dense ``n = 4`` core keeps up to about 115 KB of frontier
+    states per expansion, so 30,000 expansions peak below 4 GB on any
+    host, where a time-bound search would grow with the engine's speed.
     """
     return ExactConfig(
-        search=SearchConfig(max_nodes=150_000, time_limit=30.0),
+        search=SearchConfig(max_nodes=30_000, time_limit=30.0),
         beam=BeamConfig(width=128, time_limit=10.0),
         verify=False,  # the workflow verifies the assembled circuit instead
     )
