@@ -46,7 +46,7 @@ from repro.core.kernel import (
     num_entangled_packed,
     successors_packed,
 )
-from repro.core.moves import Move, moves_to_circuit
+from repro.core.moves import MergeMove, Move, moves_to_circuit
 from repro.exceptions import SynthesisError
 from repro.states.qstate import QState
 
@@ -143,9 +143,9 @@ class BeamRun(EngineRun):
         separable; the frontier still encodes real progress, and the
         m-flow completion tail can finish its best nodes in polynomial
         time.  The scheduler calls this at deadline expiry so an anytime
-        request gets a valid circuit instead of nothing.  Topology-native
-        runs skip the tail (its merges are not native) and just report
-        :meth:`best_feasible`.
+        request gets a valid circuit instead of nothing.  A tail outside
+        the run's move set (see :meth:`_complete_frontier`) is skipped,
+        and the run just reports :meth:`best_feasible`.
         """
         self._complete_frontier(self._beam)
         return self.best_feasible()
@@ -159,25 +159,22 @@ class BeamRun(EngineRun):
         """
         ctx = self._ctx
         config = self.config
-        n = ctx.target.num_qubits
         for node in beam:
-            if num_entangled_packed(node.state) == 0 and \
-                    (self._best is None or node.g < self._best.cnot_cost):
-                moves = list(node.path)
-                circuit = moves_to_circuit(moves, node.state.to_qstate(), n)
-                self._best = SearchResult(
-                    circuit=circuit, cnot_cost=node.g, optimal=False,
-                    moves=moves, stats=ctx.stats)
+            if num_entangled_packed(node.state) == 0:
+                self._record(list(node.path), node.state.to_qstate(), node.g)
 
         # Completion: finish the most promising frontier nodes with
         # cardinality reduction, so the beam always returns a feasible
         # circuit even when it timed out before disentangling anything.
-        # The m-flow merges are not topology-native, so a restricted run
-        # skips the tail — a native beam only ever returns circuits whose
-        # every CNOT sits on a coupled pair.
+        # A tail is recorded only inside the run's move set: the m-flow
+        # merges are not topology-native, so a restricted run skips the
+        # tail (a native beam only ever returns circuits whose every CNOT
+        # sits on a coupled pair), and a capped run skips a tail with a
+        # merge over ``max_merge_controls``.
         if ctx.topology is None:
             from repro.baselines.mflow import mflow_reduction_moves
 
+            cap = ctx.search.max_merge_controls
             frontier = sorted(beam, key=lambda nd: (
                 nd.g + config.heuristic_weight * ctx.h_of(nd.state)))
             for node in frontier[:3] if frontier else []:
@@ -185,13 +182,21 @@ class BeamRun(EngineRun):
                     continue
                 tail_moves, final_state = mflow_reduction_moves(
                     node.state.to_qstate())
-                g_total = node.g + sum(m.cost for m in tail_moves)
-                if self._best is None or g_total < self._best.cnot_cost:
-                    moves = list(node.path) + tail_moves
-                    circuit = moves_to_circuit(moves, final_state, n)
-                    self._best = SearchResult(
-                        circuit=circuit, cnot_cost=g_total, optimal=False,
-                        moves=moves, stats=ctx.stats)
+                if cap is None or all(
+                        len(m.controls) <= cap for m in tail_moves
+                        if isinstance(m, MergeMove)):
+                    self._record(list(node.path) + tail_moves, final_state,
+                                 node.g + sum(m.cost for m in tail_moves))
+
+    def _record(self, moves: list[Move], final_state: QState,
+                cost: int) -> None:
+        """Keep the circuit of ``moves`` if it beats the best so far."""
+        if self._best is None or cost < self._best.cnot_cost:
+            circuit = moves_to_circuit(moves, final_state,
+                                       self._ctx.target.num_qubits)
+            self._best = SearchResult(
+                circuit=circuit, cnot_cost=cost, optimal=False,
+                moves=moves, stats=self._ctx.stats)
 
     def _cost_limit(self) -> float:
         """Candidates at or above this cost cannot improve anything."""
@@ -236,14 +241,8 @@ class BeamRun(EngineRun):
                 tiebreak = 0
                 for node in beam:
                     if num_entangled_packed(node.state) == 0:
-                        if self._best is None or \
-                                node.g < self._best.cnot_cost:
-                            moves = list(node.path)
-                            circuit = moves_to_circuit(
-                                moves, node.state.to_qstate(), n)
-                            self._best = SearchResult(
-                                circuit=circuit, cnot_cost=node.g,
-                                optimal=False, moves=moves, stats=stats)
+                        self._record(list(node.path),
+                                     node.state.to_qstate(), node.g)
                         continue
                     stats.nodes_expanded += 1
                     yield  # slice boundary: one yield per expansion

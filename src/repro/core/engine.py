@@ -138,9 +138,9 @@ class SearchConfig:
         Canonicalization enumeration caps (soundness never depends on them);
         defaults shared via :mod:`repro.constants`.
     cache_cap:
-        Size cap of the canonical-key and heuristic caches (entries);
-        exceeding it evicts oldest-first.  Hit rates land in
-        :class:`SearchStats`.
+        Size cap of a run's own caches (entries): the key and heuristic
+        memos of a run without a ``SearchMemory``, the U(2)-class tier and
+        beam's dedup map; exceeding it evicts oldest-first.
     profile:
         Collect phase-level wall-clock timers (enumeration /
         canonicalization / hashing / heuristic / containers) into
@@ -181,6 +181,8 @@ class SearchStats:
     nodes_pruned: int = 0
     max_queue: int = 0
     elapsed_seconds: float = 0.0
+    #: this run's own lookups in its canonical-key and heuristic memos
+    #: (only a heuristic other than the built-in bounds has a memo)
     canon_cache_hits: int = 0
     canon_cache_misses: int = 0
     h_cache_hits: int = 0
@@ -200,13 +202,6 @@ class SearchStats:
     #: with their path condition (the pre-fix code wrote them as
     #: unconditional, universally reusable claims — the soundness bug)
     transposition_poisoned: int = 0
-    #: persistent-store traffic attributable to this search (0 when no
-    #: ``SearchMemory`` is attached); per-entry hit counts also drive the
-    #: stores' hit-weighted eviction
-    canon_store_hits: int = 0
-    canon_store_misses: int = 0
-    h_store_hits: int = 0
-    h_store_misses: int = 0
     #: phase-level wall-clock breakdown of the hot loop (seconds), filled
     #: only under ``SearchConfig(profile=True)`` by all three engines —
     #: A*, IDA*, and beam: "enumeration" (successor generation + move
@@ -232,13 +227,13 @@ class SearchStats:
 
     @property
     def canon_cache_hit_rate(self) -> float:
-        """Hit rate of the canonical-key cache (0.0 when never queried)."""
+        """Hit rate of the canonical-key memo (0.0 when never queried)."""
         total = self.canon_cache_hits + self.canon_cache_misses
         return self.canon_cache_hits / total if total else 0.0
 
     @property
     def h_cache_hit_rate(self) -> float:
-        """Hit rate of the heuristic cache (0.0 when never queried)."""
+        """Hit rate of the heuristic memo (0.0 when never queried)."""
         total = self.h_cache_hits + self.h_cache_misses
         return self.h_cache_hits / total if total else 0.0
 
@@ -298,61 +293,45 @@ class RunStatus(Enum):
         return self is not RunStatus.RUNNING
 
 
-def _make_h_of(heuristic: HeuristicFn, h_cache: BoundedCache, h_store):
+class _HeuristicMemo:
+    """A heuristic other than the built-in bounds behind one memo (the
+    memory's ``h_store`` or a per-run cache), counting this run's lookups."""
+
+    __slots__ = ("heuristic", "memo", "hits", "misses")
+
+    def __init__(self, heuristic: HeuristicFn, memo):
+        self.heuristic, self.memo = heuristic, memo
+        self.hits = self.misses = 0
+
+    def __call__(self, ps: PackedState) -> float:
+        val = self.memo.get(ps)
+        if val is None:
+            self.misses += 1
+            val = float(self.heuristic(ps.to_qstate()))
+            self.memo.put(ps, val)
+        else:
+            self.hits += 1
+        return val
+
+
+def _make_h_of(heuristic: HeuristicFn, memo):
     """Packed-state heuristic evaluator shared by all kernel engines.
 
-    The default entanglement bound is memoized on the interned state
-    object, so it needs no cache layer.  Any other heuristic goes through
-    the per-search cache with an optional persistent
-    :class:`repro.core.memory.HashStore` tier between cache and compute;
-    only a miss's computation differs: the coupling-aware bound reads the
-    cached entangled set off the interned state and memoizes its matching
-    per entangled support, a generic heuristic sees the sparse state.
+    The default entanglement bound is memoized on the interned state; the
+    coupling bound reads the state's memoized entangled set and memoizes
+    its matching per entangled support.  Any other heuristic sees the
+    sparse state behind ``memo``.
     """
     if heuristic is entanglement_heuristic:
         return entanglement_h_packed
-
     if isinstance(heuristic, CouplingHeuristic):
         bound = heuristic.bound
 
-        def compute(ps: PackedState) -> float:
+        def h_of(ps: PackedState) -> float:
             return bound(entangled_qubits_packed(ps))
-    else:
-        def compute(ps: PackedState) -> float:
-            return float(heuristic(ps.to_qstate()))
 
-    def h_of(ps: PackedState) -> float:
-        val = h_cache.get(ps)
-        if val is None:
-            if h_store is not None:
-                val = h_store.get(ps)
-            if val is None:
-                val = compute(ps)
-                if h_store is not None:
-                    h_store.put(ps, val)
-            h_cache.put(ps, val)
-        return val
-
-    return h_of
-
-
-def _store_hit_marks(canon_store, h_store) -> tuple[int, int, int, int]:
-    """Counter baseline so per-search store deltas can land in the stats."""
-    return (canon_store.hits if canon_store is not None else 0,
-            canon_store.misses if canon_store is not None else 0,
-            h_store.hits if h_store is not None else 0,
-            h_store.misses if h_store is not None else 0)
-
-
-def _finish_store_stats(stats: SearchStats, canon_store, h_store,
-                        marks: tuple[int, int, int, int]) -> None:
-    """Record this search's share of the persistent-store traffic."""
-    if canon_store is not None:
-        stats.canon_store_hits = canon_store.hits - marks[0]
-        stats.canon_store_misses = canon_store.misses - marks[1]
-    if h_store is not None:
-        stats.h_store_hits = h_store.hits - marks[2]
-        stats.h_store_misses = h_store.misses - marks[3]
+        return h_of
+    return _HeuristicMemo(heuristic, memo)
 
 
 def _proven_bound(current_u: float, open_entries, u_index: int) -> int:
@@ -379,16 +358,15 @@ class EngineContext:
     that topology, memory attach (which pins the regime fingerprint and
     may rotate the interning pool) or a fresh
     :class:`~repro.core.kernel.StatePool`, the canonicalization context
-    over the optional persistent store, the heuristic evaluator over the
-    per-run cache + optional store tier, and the stats/stopwatch
-    lifecycle.  :meth:`finalize_stats` flushes the cache/store counters
+    and the heuristic evaluator, each with one memo (the attached
+    memory's store, or a per-run cache), and the stats/stopwatch
+    lifecycle.  :meth:`finalize_stats` flushes this run's memo counters
     and the elapsed time into :attr:`stats`; it is idempotent, so every
     exit path (normal, budget, cancellation) may call it safely.
     """
 
-    __slots__ = ("target", "search", "topology", "pool", "canon_store",
-                 "h_store", "canon_ctx", "canon", "h_cache", "h_of",
-                 "stats", "stopwatch", "start", "_store_marks")
+    __slots__ = ("target", "search", "topology", "pool", "canon_ctx",
+                 "canon", "h_of", "stats", "stopwatch", "start")
 
     def __init__(self, target: QState, search: SearchConfig,
                  heuristic: HeuristicFn | None = None, memory=None):
@@ -406,26 +384,23 @@ class EngineContext:
                 max_merge_controls=search.max_merge_controls,
                 include_x_moves=search.include_x_moves, heuristic=heuristic,
                 topology=self.topology)
-            self.canon_store = memory.canon_store
-            self.h_store = memory.h_store
+            canon_store, h_memo = memory.canon_store, memory.h_store
         else:
             self.pool = StatePool()
-            self.canon_store = self.h_store = None
+            canon_store, h_memo = None, BoundedCache(search.cache_cap)
         self.canon_ctx = CanonContext(search.canon_level, search.tie_cap,
                                       search.perm_cap, search.cache_cap,
-                                      store=self.canon_store,
+                                      store=canon_store,
                                       topology=self.topology)
         if search.profile:
             # the hashing sub-bucket accrues directly into phase_seconds
             self.canon_ctx.timers = self.stats.phase_seconds
         self.canon = self.canon_ctx.key
-        self.h_cache = BoundedCache(search.cache_cap)
-        self.h_of = _make_h_of(heuristic, self.h_cache, self.h_store)
-        self._store_marks = _store_hit_marks(self.canon_store, self.h_store)
+        self.h_of = _make_h_of(heuristic, h_memo)
         self.start = self.pool.from_qstate(target)
 
     def finalize_stats(self) -> None:
-        """Flush elapsed time + cache/store counters into :attr:`stats`.
+        """Flush elapsed time + this run's memo counters into :attr:`stats`.
 
         Idempotent by construction (every field is recomputed from the
         live containers), so *every* exit path — normal return, budget
@@ -434,12 +409,11 @@ class EngineContext:
         """
         stats = self.stats
         stats.elapsed_seconds = self.stopwatch.elapsed()
-        stats.canon_cache_hits = self.canon_ctx.cache.hits
-        stats.canon_cache_misses = self.canon_ctx.cache.misses
-        stats.h_cache_hits = self.h_cache.hits
-        stats.h_cache_misses = self.h_cache.misses
-        _finish_store_stats(stats, self.canon_store, self.h_store,
-                            self._store_marks)
+        stats.canon_cache_hits = self.canon_ctx.hits
+        stats.canon_cache_misses = self.canon_ctx.misses
+        if isinstance(self.h_of, _HeuristicMemo):
+            stats.h_cache_hits = self.h_of.hits
+            stats.h_cache_misses = self.h_of.misses
 
 
 class StepwiseRun:
@@ -615,7 +589,7 @@ class EngineRun(StepwiseRun):
     docstring).  Adds to :class:`StepwiseRun` the pieces every kernel
     engine shares: the :class:`EngineContext` (whose stopwatch is the
     run's compute-budget clock) and the stats lifecycle — ``_finalize``
-    flushes elapsed time and cache/store counters so no exit path ever
+    flushes elapsed time and memo counters so no exit path ever
     reports half-finished stats.  Results are :class:`SearchResult`.
     """
 

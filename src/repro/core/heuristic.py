@@ -14,6 +14,7 @@ underestimate, exactly as the paper notes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable
@@ -117,10 +118,17 @@ def default_heuristic(topology=None) -> HeuristicFn:
 
     One definition shared by every engine *and* the regime fingerprint, so
     a service pinning ``search_regime_dict(config)`` and an engine
-    attaching with its resolved default can never disagree.
+    attaching with its resolved default can never disagree.  A device
+    gets one :class:`CouplingHeuristic` (maps compare by canonical key),
+    so its per-support matching memo outlives a run.
     """
     if topology is None:
         return entanglement_heuristic
+    return _coupling_heuristic(topology)
+
+
+@functools.lru_cache(maxsize=32)
+def _coupling_heuristic(topology) -> CouplingHeuristic:
     return CouplingHeuristic(topology)
 
 

@@ -79,6 +79,7 @@ __all__ = [
     "BoundedCache",
     "state_hash64",
     "quantize_array",
+    "qstate_payload",
     "enumerate_cx_packed",
     "enumerate_merges_packed",
     "successors_packed",
@@ -299,6 +300,14 @@ class StatePool:
         """Bridge a dict-backed state into the pool."""
         idx, amp = state.packed_arrays()
         return self.intern(state.num_qubits, idx, amp)
+
+
+def qstate_payload(state: QState) -> bytes:
+    """The quantized payload :meth:`StatePool.from_qstate` keys ``state``
+    by, without interning it: the identity of a state for the request
+    cache and the exact-core and batch dedupe."""
+    idx, amp = state.packed_arrays()
+    return _payload(state.num_qubits, idx, quantize_array(amp))
 
 
 # ----------------------------------------------------------------------
@@ -1169,29 +1178,24 @@ def _orbit_hash(idx: np.ndarray, qamp: np.ndarray, absamp: np.ndarray,
 
 
 class CanonContext:
-    """Per-search canonicalization engine with two memo tiers.
+    """Per-run canonicalization engine: one key memo and a U(2)-class tier.
 
-    Tier 1 memoizes keys per interned state (identity-keyed, bounded).
-    Tier 2 exploits that the U(2) orbit hash (pin + X-translations of the
+    ``key`` looks a state up in one memo, ``store`` (an attached memory's
+    hash-keyed ``canon_store``, shared across searches) or else a per-run
+    :class:`BoundedCache`, and computes and stores the key on a miss;
+    ``hits``/``misses`` count this run's lookups only.  The U(2)-class
+    tier exploits that the U(2) orbit hash (pin + X-translations of the
     identity ordering) is cheaper than the full permutation enumeration:
     the full PU2 key is computed once per *U(2) class* and shared by every
     member state, which in Dicke-family searches cuts full computations
-    several-fold.  Both tiers only deduplicate identical key computations,
-    so the class partition is unchanged.
+    several-fold.  Both only deduplicate identical key computations, so
+    the class partition is unchanged.
 
     Class identity at the U2/PU2 levels is the 128-bit orbit hash —
     transposition-table style (Zobrist hashing): two inequivalent classes
     share a key only on a 128-bit collision (probability < 2**-90 for any
     realistic search), while state identity, parent chains, and circuit
     verification remain exact.  ``CanonLevel.NONE`` keys stay fully exact.
-
-    ``store`` optionally plugs a persistent cross-search tier between the
-    per-search memo and the computation (``get(ps)``/``put(ps, key)``,
-    e.g. :class:`repro.core.memory.HashStore`): it is consulted on a tier-1
-    miss and filled on a computation, so a warm store turns the expensive
-    orbit-hash computation into a hash lookup across searches.  The store
-    only deduplicates identical computations — the produced keys, and hence
-    the class partition, are unchanged.
 
     ``topology`` restricts the PU2 permutation freedom to coupling-graph
     *automorphisms*: on a restricted device, relabeling qubits is free
@@ -1207,18 +1211,18 @@ class CanonContext:
     fingerprint.
     """
 
-    __slots__ = ("level", "tie_cap", "perm_cap", "cache", "u2_cache",
-                 "store", "full_computations", "topology", "_auto_orderings",
-                 "timers")
+    __slots__ = ("level", "tie_cap", "perm_cap", "memo", "hits", "misses",
+                 "u2_cache", "full_computations", "topology",
+                 "_auto_orderings", "timers")
 
     def __init__(self, level: CanonLevel, tie_cap: int, perm_cap: int,
                  cache_cap: int, store=None, topology=None):
         self.level = level
         self.tie_cap = tie_cap
         self.perm_cap = perm_cap
-        self.cache = BoundedCache(cache_cap)
+        self.memo = BoundedCache(cache_cap) if store is None else store
+        self.hits = self.misses = 0
         self.u2_cache = BoundedCache(cache_cap)
-        self.store = store
         self.topology = topology
         self._auto_orderings: list[list[int]] | None = None
         self.full_computations = 0
@@ -1228,16 +1232,13 @@ class CanonContext:
         self.timers = None
 
     def key(self, ps: PackedState) -> CanonKey:
-        val = self.cache.get(ps)
+        val = self.memo.get(ps)
         if val is None:
-            if self.store is not None:
-                val = self.store.get(ps)
-                if val is None:
-                    val = self._compute(ps)
-                    self.store.put(ps, val)
-            else:
-                val = self._compute(ps)
-            self.cache.put(ps, val)
+            self.misses += 1
+            val = self._compute(ps)
+            self.memo.put(ps, val)
+        else:
+            self.hits += 1
         return val
 
     def _compute(self, ps: PackedState) -> CanonKey:
@@ -1275,15 +1276,8 @@ class CanonContext:
         absamp = np.abs(qamp)
         heavy_pos = np.flatnonzero(
             absamp == absamp.max())[:max(1, self.tie_cap)]
-        if self.timers is not None:
-            t0 = _perf_counter()
-            u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
-                                  self.tie_cap, None, heavy_pos)
-            self.timers["hashing"] = self.timers.get("hashing", 0.0) \
-                + _perf_counter() - t0
-        else:
-            u2_hash = _orbit_hash(idx, qamp, absamp, [_identity(n)], n,
-                                  self.tie_cap, None, heavy_pos)
+        u2_hash = self._timed_hash(idx, qamp, absamp, [_identity(n)], n,
+                                   None, heavy_pos)
         if not pu2:
             return CanonKey(n, u2_hash & _U64, u2_hash)
         full = self.u2_cache.get(u2_hash)
@@ -1292,6 +1286,19 @@ class CanonContext:
                                       u2_hash, heavy_pos)
             self.u2_cache.put(u2_hash, full)
         return full
+
+    def _timed_hash(self, idx, qamp, absamp, orderings, n, bits,
+                    heavy_pos) -> int:
+        """:func:`_orbit_hash`, timed into ``timers`` when profiling."""
+        if self.timers is None:
+            return _orbit_hash(idx, qamp, absamp, orderings, n,
+                               self.tie_cap, bits, heavy_pos)
+        t0 = _perf_counter()
+        value = _orbit_hash(idx, qamp, absamp, orderings, n, self.tie_cap,
+                            bits, heavy_pos)
+        self.timers["hashing"] = self.timers.get("hashing", 0.0) \
+            + _perf_counter() - t0
+        return value
 
     def _automorphisms(self, n: int) -> list[list[int]]:
         if self._auto_orderings is None:
@@ -1319,15 +1326,8 @@ class CanonContext:
         if len(orderings) == 1 and orderings[0] == _identity(n):
             # the identity ordering's candidate set IS the U(2) orbit
             return CanonKey(n, u2_hash & _U64, u2_hash)
-        if self.timers is not None:
-            t0 = _perf_counter()
-            full_hash = _orbit_hash(idx, qamp, absamp, orderings, n,
-                                    self.tie_cap, bits, heavy_pos)
-            self.timers["hashing"] = self.timers.get("hashing", 0.0) \
-                + _perf_counter() - t0
-        else:
-            full_hash = _orbit_hash(idx, qamp, absamp, orderings, n,
-                                    self.tie_cap, bits, heavy_pos)
+        full_hash = self._timed_hash(idx, qamp, absamp, orderings, n, bits,
+                                     heavy_pos)
         return CanonKey(n, full_hash & _U64, full_hash)
 
 
@@ -1345,7 +1345,8 @@ def canonical_key_packed(ps: PackedState, level: CanonLevel,
     hash; keys are not interchangeable with the legacy tuple keys.
 
     Stateless convenience wrapper; searches use :class:`CanonContext`,
-    which adds the two memo tiers on top of the same computation.
+    which adds its key memo and U(2)-class tier on top of the same
+    computation.
     """
     return CanonContext(level, tie_cap, perm_cap, cache_cap=2).key(ps)
 

@@ -1,21 +1,23 @@
 """Persistent cross-search memory: canon keys, heuristics, transpositions.
 
-A single search already memoizes aggressively (interned states, bounded
-canonical-key and heuristic caches), but every call to a search engine
-starts cold: the same Dicke row searched twice recomputes every orbit hash
-from scratch, and IDA* even threw its transposition table away at each
-deepening round.  :class:`SearchMemory` is the process-lifetime answer —
+Without a memory every call to a search engine starts cold, with its own
+interning pool and canonical-key cache: the same Dicke row searched twice
+recomputes every orbit hash, and IDA* used to throw its transposition
+table away at each deepening round.  :class:`SearchMemory` is the
+process-lifetime answer —
 one object shared across searches in a batch (the paper's family sweeps,
 the repeated-traffic regime of the ROADMAP) holding everything that is
 *state-intrinsic* or otherwise search-independent:
 
 * a shared :class:`~repro.core.kernel.StatePool` (rotated when it outgrows
   its cap), so interned states and their on-object memos survive calls;
-* :class:`HashStore` tiers for canonical keys and heuristic values, keyed
+* :class:`HashStore` memos for canonical keys and heuristic values, keyed
   by the 64-bit structural hash with payload verification, so entries
   survive pool rotation and are shared by searches whose pools differ.
-  They are caches (every value is recomputable): explicit snapshots
-  carry them, the service WAL and worker deltas do not;
+  An attached run's only memo for each value (``h_store`` serves only
+  heuristics other than the built-in bounds); each run counts its own
+  lookups.  They are caches (every value is recomputable): explicit
+  snapshots carry them, the service WAL and worker deltas do not;
 * a :class:`TranspositionTable` for IDA*: ``class -> max remaining cost
   budget proven exhausted``.
 
@@ -91,9 +93,7 @@ class HashStore:
     instead of FIFO order — the states repeated traffic keeps asking about
     are exactly the ones worth keeping, while a one-shot frontier state
     from an old search is the cheapest to recompute.  Dropping any entry
-    is always sound (stores only deduplicate recomputation).  Per-search
-    shares of the hit traffic surface in
-    :class:`~repro.core.astar.SearchStats`.
+    is always sound (stores only deduplicate recomputation).
     """
 
     __slots__ = ("cap", "_primary", "_spill", "hits", "misses",
@@ -165,6 +165,10 @@ class HashStore:
         were written under.
         """
         self.put(_PayloadKey(state_hash64(payload), payload), value)
+
+    def get_payload(self, payload: bytes):
+        """Look up by raw payload (the twin of :meth:`put_payload`)."""
+        return self.get(_PayloadKey(state_hash64(payload), payload))
 
     def items_payload(self):
         """Iterate ``(payload, value)`` pairs (process-portable form).

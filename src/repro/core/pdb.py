@@ -368,43 +368,45 @@ class PatternDatabase:
         return {"entries": [[signature_to_list(signature), list(row)]
                             for signature, row in items]}
 
-    def merge_dict(self, data: dict) -> None:
-        """Pour a dump in (improve-only, idempotent — WAL replay safe)."""
+    @staticmethod
+    def decode_dict(data: dict) -> list[tuple]:
+        """Decode a dump into ``(signature, lb, solved, optimal, count)``
+        rows, merging nothing (raises on any malformed row)."""
         try:
             entries = data["entries"]
         except (KeyError, TypeError) as exc:
             raise MemoryCompatibilityError(
                 f"corrupted PDB snapshot section: {exc!r}") from exc
+        rows = []
         for enc, row in entries:
             signature = signature_from_list(enc)
             try:
-                lb, solved, optimal_cost, count = (
+                rows.append((
+                    signature,
                     None if row[_LB] is None else int(row[_LB]),
                     None if row[_SOLVED] is None else int(row[_SOLVED]),
                     None if row[_OPTIMAL] is None else int(row[_OPTIMAL]),
-                    int(row[_COUNT]))
+                    int(row[_COUNT])))
             except (ValueError, TypeError, IndexError) as exc:
                 raise MemoryCompatibilityError(
                     f"corrupted PDB evidence row {row!r}: {exc}") from exc
+        return rows
+
+    def merge_dict(self, data: dict) -> None:
+        """Pour a dump in (improve-only, idempotent — WAL replay safe)."""
+        self.merge_rows(self.decode_dict(data))
+
+    def merge_rows(self, rows: list[tuple]) -> None:
+        """Pour :meth:`decode_dict` rows in (improve-only, idempotent)."""
+        for signature, lb, solved, optimal_cost, count in rows:
             mine = self._evidence.get(signature)
+            before = None if mine is None else list(mine)
             if mine is None:
                 if len(self._evidence) >= self.cap:
                     victim = next(iter(self._evidence))
                     del self._evidence[victim]
                     self.evictions += 1
                 mine = self._evidence[signature] = [None, None, None, 0]
-            else:
-                changed = (
-                    (lb is not None and
-                     (mine[_LB] is None or lb > mine[_LB])) or
-                    (solved is not None and
-                     (mine[_SOLVED] is None or solved < mine[_SOLVED])) or
-                    (optimal_cost is not None and
-                     (mine[_OPTIMAL] is None
-                      or optimal_cost < mine[_OPTIMAL])) or
-                    count > mine[_COUNT])
-                if changed:
-                    self._log_touch(signature)
             if lb is not None and (mine[_LB] is None or lb > mine[_LB]):
                 mine[_LB] = lb
             if solved is not None and (mine[_SOLVED] is None
@@ -416,6 +418,8 @@ class PatternDatabase:
             # max-merge, not add: replaying the same WAL delta twice (the
             # crash-recovery path) must not inflate the count
             mine[_COUNT] = max(mine[_COUNT], count)
+            if before is not None and mine != before:
+                self._log_touch(signature)
 
     def snapshot(self) -> dict:
         """JSON-safe counters (stats responses, benches, obs gauges)."""

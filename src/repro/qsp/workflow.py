@@ -42,7 +42,7 @@ from repro.baselines.nflow import nflow_synthesize, qubit_reduction_prefix
 from repro.circuits.circuit import QCircuit
 from repro.core.engine import RunStatus, SearchStats, StepwiseRun
 from repro.core.exact import ExactSynthesizer
-from repro.core.kernel import StatePool
+from repro.core.kernel import qstate_payload
 from repro.core.moves import Move
 from repro.qsp.config import QSPConfig
 from repro.qsp.extraction import embed_core_circuit, extract_core
@@ -133,9 +133,8 @@ class WorkflowRun(StepwiseRun):
         #: demand, so losing candidates are never assembled
         self._best_partial: tuple[int, bool | None,
                                   Callable[[], QCircuit]] | None = None
-        # sparse-path core dedupe: structural core identity -> search output
+        # sparse-path core dedupe: core payload -> search output
         self._core_cache: dict = {}
-        self._core_pool = StatePool()
         #: exact-core searches skipped because an earlier candidate in
         #: this run produced a structurally identical core
         self.core_reuse = 0
@@ -280,7 +279,7 @@ class WorkflowRun(StepwiseRun):
         core = extraction.core
         trace.append(f"core: n_eff={core.num_qubits} m={core.cardinality}")
         if config.use_exact:
-            key = self._core_pool.from_qstate(core)
+            key = qstate_payload(core)
             cached = self._core_cache.get(key)
             if cached is not None:
                 self.core_reuse += 1

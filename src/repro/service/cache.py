@@ -36,7 +36,7 @@ from repro.constants import (
     SERVICE_REQUEST_CACHE_CAP,
     SIGNATURE_INDEX_CAP,
 )
-from repro.core.kernel import PACKED_MAX_QUBITS, StatePool
+from repro.core.kernel import PACKED_MAX_QUBITS, qstate_payload
 from repro.core.memory import HashStore
 from repro.core.pdb import (
     coarse_signature,
@@ -48,10 +48,6 @@ from repro.states.qstate import QState
 
 __all__ = ["RequestCache", "request_cache_to_dict",
            "request_cache_from_dict"]
-
-#: Interned request states before the keying pool is rotated (requests
-#: are tiny compared to search frontiers, so a small pool suffices).
-_POOL_ROTATE_CAP = 1 << 16
 
 
 class RequestCache:
@@ -67,7 +63,7 @@ class RequestCache:
     travel without moves and count toward occupancy, not adaptation).
     """
 
-    __slots__ = ("cap", "regime", "_stores", "_pool",
+    __slots__ = ("cap", "regime", "_stores",
                  "_sig_index", "_coarse_index", "_donors", "sig_entries")
 
     def __init__(self, regime: dict | None = None,
@@ -75,7 +71,6 @@ class RequestCache:
         self.cap = max(1, int(cap))
         self.regime = regime
         self._stores: dict[str, HashStore] = {}
-        self._pool = StatePool()
         #: mode -> full signature -> payloads of cached member states
         self._sig_index: dict[str, dict[tuple, list[bytes]]] = {}
         #: mode -> coarse key (signature minus rank profile) -> payloads
@@ -94,14 +89,12 @@ class RequestCache:
                 f"RequestCache holds results for regime {self.regime!r} "
                 f"and cannot serve regime {regime!r}")
 
-    def _key(self, state: QState):
-        """The interned key of ``state``, or ``None`` past the packed
+    def _key(self, state: QState) -> bytes | None:
+        """The quantized payload of ``state``, or ``None`` past the packed
         kernel's index width (such registers are served uncached)."""
         if state.num_qubits > PACKED_MAX_QUBITS:
             return None
-        if len(self._pool) > _POOL_ROTATE_CAP:
-            self._pool = StatePool()
-        return self._pool.from_qstate(state)
+        return qstate_payload(state)
 
     def _store(self, mode: str) -> HashStore:
         store = self._stores.get(mode)
@@ -112,16 +105,16 @@ class RequestCache:
     def get(self, mode: str, state: QState):
         """Cached result for ``state`` under ``mode``, or ``None``."""
         key = self._key(state)
-        return None if key is None else self._store(mode).get(key)
+        return None if key is None else self._store(mode).get_payload(key)
 
     def put(self, mode: str, state: QState, result,
             signature: tuple | None = None) -> None:
         key = self._key(state)
         if key is None:
             return
-        self._store(mode).put(key, result)
+        self._store(mode).put_payload(key, result)
         if signature is not None:
-            self._register(mode, bytes(key.payload), signature, result)
+            self._register(mode, key, signature, result)
 
     def _register(self, mode: str, payload: bytes, signature: tuple,
                   result=None) -> None:
@@ -283,8 +276,7 @@ def request_cache_from_dict(data: dict,
     the snapshot's recorded cap, so a warm boot never exceeds the
     operator's memory bound.
     """
-    import base64
-    import binascii
+    from repro.utils.serialization import _unb64
 
     if not isinstance(data, dict) or data.get("kind") != "request_cache":
         raise MemoryCompatibilityError(
@@ -297,7 +289,7 @@ def request_cache_from_dict(data: dict,
             f"supported version {REQUEST_CACHE_SNAPSHOT_VERSION}; "
             f"regenerate the snapshot with this build")
     if cap is None:
-        cap = int(data.get("cap", SERVICE_REQUEST_CACHE_CAP))
+        cap = data.get("cap", SERVICE_REQUEST_CACHE_CAP)
     snap_regime = data.get("regime")
     if not isinstance(snap_regime, dict):
         # a regime-less snapshot would silently adopt whatever regime the
@@ -305,27 +297,24 @@ def request_cache_from_dict(data: dict,
         raise MemoryCompatibilityError(
             "request-cache snapshot carries no regime fingerprint; "
             "refusing to serve unattributed cached results")
-    cache = RequestCache(snap_regime, cap)
-    if regime is not None:
-        cache.pin(regime)  # raises on mismatch before any entry lands
     try:
+        cache = RequestCache(snap_regime, cap)
+        if regime is not None:
+            cache.pin(regime)  # raises on mismatch before any entry lands
         for mode, rows in data["entries"].items():
             store = cache._store(str(mode))
             for payload_b64, result_enc in rows:
-                payload = base64.b64decode(payload_b64.encode("ascii"),
-                                           validate=True)
-                store.put_payload(payload, _result_dec(result_enc))
+                store.put_payload(_unb64(payload_b64),
+                                  _result_dec(result_enc))
         # additive: snapshots from before the signature index simply
         # lack the section and load with an empty index
         for mode, rows in (data.get("signatures") or {}).items():
             for sig_enc, payloads_b64 in rows:
                 signature = signature_from_list(sig_enc)
                 for payload_b64 in payloads_b64:
-                    payload = base64.b64decode(
-                        payload_b64.encode("ascii"), validate=True)
-                    cache._register(str(mode), payload, signature)
-    except (KeyError, ValueError, TypeError, AttributeError,
-            binascii.Error) as exc:
+                    cache._register(str(mode), _unb64(payload_b64),
+                                    signature)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise MemoryCompatibilityError(
             f"corrupted request-cache snapshot: {exc!r}") from exc
     return cache

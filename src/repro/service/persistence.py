@@ -28,6 +28,7 @@ import gzip
 import json
 import os
 import pathlib
+import zlib
 
 from repro.constants import WAL_COMPACT_INTERVAL
 from repro.core.memory import SearchMemory
@@ -100,7 +101,7 @@ def _read_snapshot_dict(path: str | os.PathLike) -> dict:
             return json.load(handle)
     except FileNotFoundError:
         raise
-    except (OSError, EOFError, ValueError, UnicodeDecodeError) as exc:
+    except (OSError, EOFError, ValueError, zlib.error) as exc:
         raise MemoryCompatibilityError(
             f"unreadable SearchMemory snapshot {path}: {exc}") from exc
 
@@ -274,7 +275,9 @@ class MemoryWAL:
         if self._path.parent and not self._path.parent.exists():
             self._path.parent.mkdir(parents=True, exist_ok=True)
         if self._path.exists() and self._path.stat().st_size > 0:
-            with open(self._path, "r+", encoding="utf-8") as handle:
+            # bytes, so a line that is not UTF-8 fails in json.loads
+            # (a ValueError) like any other corrupt line, not in readline
+            with open(self._path, "r+b") as handle:
                 self._replay(handle)
         self._handle = open(self._path, "a", encoding="utf-8")
 
@@ -286,13 +289,12 @@ class MemoryWAL:
 
     def _replay(self, handle) -> None:
         header_line = handle.readline()
-        if not header_line.endswith("\n"):
+        if not header_line.endswith(b"\n"):
             # the log died inside its very first line: nothing replayable
             handle.seek(0)
             handle.truncate(0)
             if header_line:
-                self._truncated("torn_header",
-                                len(header_line.encode("utf-8")))
+                self._truncated("torn_header", len(header_line))
             return
         try:
             header = json.loads(header_line)
@@ -311,7 +313,7 @@ class MemoryWAL:
             line = handle.readline()
             if not line:
                 break  # clean EOF
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 reason = "torn_final_line"  # mid-append crash signature
                 break
             stripped = line.strip()

@@ -159,7 +159,7 @@ from repro.constants import (
 from repro.obs import ObsConfig, build_obs
 from repro.circuits.circuit import QCircuit
 from repro.core.astar import SearchConfig, SearchResult
-from repro.core.kernel import PACKED_MAX_QUBITS, StatePool
+from repro.core.kernel import PACKED_MAX_QUBITS, qstate_payload
 from repro.core.memory import SearchMemory
 from repro.core.pdb import entanglement_signature
 from repro.exceptions import MemoryCompatibilityError
@@ -913,11 +913,10 @@ class SynthesisService:
         # request's effective deadline, so a deadline-truncated answer
         # never fans out to a duplicate that asked for a full search.
         groups: dict[object, list[int]] = {}
-        interner = StatePool()
         for pos, request in requests:
             try:
                 state = parse_request_state(request)
-                key = (interner.from_qstate(state).payload,
+                key = (qstate_payload(state),
                        self._request_deadline(request))
             except Exception:
                 key = pos  # its own group: submit() reports the error

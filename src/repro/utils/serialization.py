@@ -440,49 +440,64 @@ def _check_memory_header(data: dict[str, Any]) -> None:
             f"the snapshot with this build")
 
 
-def _fill_memory(memory, data: dict[str, Any]) -> None:
-    """Pour snapshot entries into ``memory`` (re-keyed for this process)."""
+def _decode_memory(data: dict[str, Any]) -> tuple:
+    """Decode every section of a snapshot or delta before any is applied
+    (raising :class:`MemoryCompatibilityError` on any malformed entry)."""
+    from repro.core.pdb import PatternDatabase
+    from repro.utils.fingerprint import fingerprint_from_dict
+
     try:
-        for payload_b64, value_enc in data["canon_store"]:
-            memory.canon_store.put_payload(_unb64(payload_b64),
-                                           _canon_key_dec(value_enc))
-        for payload_b64, value in data["h_store"]:
-            memory.h_store.put_payload(_unb64(payload_b64), float(value))
+        fp = data.get("fingerprint")
+        canon = [(_unb64(payload_b64), _canon_key_dec(value_enc))
+                 for payload_b64, value_enc in data["canon_store"]]
+        heuristic = [(_unb64(payload_b64), float(value))
+                     for payload_b64, value in data["h_store"]]
         table = data["transposition"]
         # entries are [key, budget, gen] / [key, budget, required, gen];
         # v1 snapshots carry the shorter stamp-less forms and no table
         # generation — their entries load as epoch 0, which is exactly
         # their age relative to the aging introduced with v2
-        memory.transposition.generation = max(
-            memory.transposition.generation,
-            int(table.get("generation", 0)))
-        for entry in table["data"]:
-            key_enc, budget = entry[0], entry[1]
-            gen = int(entry[2]) if len(entry) > 2 else 0
-            memory.transposition.record(_canon_key_dec(key_enc),
-                                        float(budget), frozenset(),
-                                        generation=gen)
-        for entry in table["cond"]:
-            key_enc, budget, required_enc = entry[0], entry[1], entry[2]
-            gen = int(entry[3]) if len(entry) > 3 else 0
-            memory.transposition.record(
-                _canon_key_dec(key_enc), float(budget),
-                frozenset(_canon_key_dec(c) for c in required_enc),
-                generation=gen)
+        entries = [(_canon_key_dec(entry[0]), float(entry[1]), frozenset(),
+                    int(entry[2]) if len(entry) > 2 else 0)
+                   for entry in table["data"]]
+        entries += [(_canon_key_dec(entry[0]), float(entry[1]),
+                     frozenset(_canon_key_dec(c) for c in entry[2]),
+                     int(entry[3]) if len(entry) > 3 else 0)
+                    for entry in table["cond"]]
         # additive: snapshots from before the pattern database simply
         # lack the section (v1, or early v2) and load with an empty PDB
-        pdb_section = data.get("pdb")
-        if pdb_section is not None:
-            memory.pdb.merge_dict(pdb_section)
-        for name, row in data.get("lane_stats", {}).items():
-            stats_row = memory.lane_stats.setdefault(
-                str(name), {"runs": 0, "wins": 0, "feasible": 0,
-                            "timeouts": 0})
-            for counter, value in row.items():
-                stats_row[counter] = stats_row.get(counter, 0) + int(value)
-    except (KeyError, ValueError, TypeError) as exc:
+        pdb = data.get("pdb")
+        lane_stats = {str(name): {counter: int(value)
+                                  for counter, value in row.items()}
+                      for name, row in data.get("lane_stats", {}).items()}
+        return (None if fp is None else fingerprint_from_dict(fp), canon,
+                heuristic, int(table.get("generation", 0)), entries,
+                [] if pdb is None else PatternDatabase.decode_dict(pdb),
+                lane_stats)
+    except (KeyError, ValueError, TypeError, AttributeError,
+            IndexError) as exc:
         raise MemoryCompatibilityError(
             f"corrupted SearchMemory snapshot: {exc!r}") from exc
+
+
+def _fill_memory(memory, decoded: tuple) -> None:
+    """Pour decoded entries into ``memory`` (re-keyed for this process)."""
+    _fp, canon, heuristic, generation, entries, pdb_rows, lane_stats = \
+        decoded
+    for payload, key in canon:
+        memory.canon_store.put_payload(payload, key)
+    for payload, value in heuristic:
+        memory.h_store.put_payload(payload, value)
+    table = memory.transposition
+    table.generation = max(table.generation, generation)
+    for key, budget, required, gen in entries:
+        table.record(key, budget, required, generation=gen)
+    memory.pdb.merge_rows(pdb_rows)
+    for name, row in lane_stats.items():
+        stats_row = memory.lane_stats.setdefault(
+            name, {"runs": 0, "wins": 0, "feasible": 0, "timeouts": 0})
+        for counter, value in row.items():
+            stats_row[counter] = stats_row.get(counter, 0) + value
 
 
 def memory_from_dict(data: dict[str, Any]):
@@ -494,7 +509,6 @@ def memory_from_dict(data: dict[str, Any]):
     Corrupted or version-mismatched snapshots raise the same error.
     """
     from repro.core.memory import SearchMemory
-    from repro.utils.fingerprint import fingerprint_from_dict
 
     _check_memory_header(data)
     try:
@@ -505,9 +519,7 @@ def memory_from_dict(data: dict[str, Any]):
     except (KeyError, ValueError, TypeError) as exc:
         raise MemoryCompatibilityError(
             f"corrupted SearchMemory snapshot: {exc!r}") from exc
-    if data.get("fingerprint") is not None:
-        memory.pin(fingerprint_from_dict(data["fingerprint"]))
-    _fill_memory(memory, data)
+    memory_merge_dict(memory, data)
     return memory
 
 
@@ -519,13 +531,14 @@ def memory_merge_dict(memory, data: dict[str, Any]) -> None:
     in — store entries overwrite by payload identity (the values are
     deterministic per regime, so this only deduplicates), and
     transposition entries merge under the table's improve-only rule.
+    Every section is decoded before the pin, so a malformed snapshot
+    raises :class:`MemoryCompatibilityError` with ``memory`` untouched.
     """
-    from repro.utils.fingerprint import fingerprint_from_dict
-
     _check_memory_header(data)
-    if data.get("fingerprint") is not None:
-        memory.pin(fingerprint_from_dict(data["fingerprint"]))
-    _fill_memory(memory, data)
+    decoded = _decode_memory(data)
+    if decoded[0] is not None:
+        memory.pin(decoded[0])
+    _fill_memory(memory, decoded)
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,15 @@ import pytest
 from repro.arch.topologies import CouplingMap
 from repro.circuits.decompose import decompose_circuit
 from repro.core.astar import SearchConfig
-from repro.core.beam import BeamConfig, beam_search
+from repro.core.beam import BeamConfig, BeamRun, beam_search
 from repro.core.exact import ExactConfig, ExactSynthesizer, synthesize_exact
 from repro.core.memory import SearchMemory
+from repro.core.moves import MergeMove
+from repro.exceptions import SynthesisError
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
+from repro.states.random_states import random_dense_state
 
 
 class TestBeam:
@@ -105,3 +108,34 @@ class TestOneSearchRegime:
         assert all(line.is_adjacent(c, t) for c, t in pairs), pairs
         if memory is not None:
             assert memory.searches == 2  # A* and its fallback, one regime
+
+
+class TestMergeCap:
+    """A capped run returns a circuit inside its move set: the beam's
+    m-flow completion tail is recorded only when every merge fits
+    ``max_merge_controls``."""
+
+    @staticmethod
+    def _max_controls(result) -> int:
+        return max((len(m.controls) for m in result.moves
+                    if isinstance(m, MergeMove)), default=0)
+
+    def test_dense_tail_stays_inside_the_cap(self):
+        state = random_dense_state(5, seed=1)
+        search = SearchConfig(max_merge_controls=1)
+        try:
+            result = beam_search(state, BeamConfig(width=16), search=search)
+        except SynthesisError:
+            return  # no feasible circuit inside the move set
+        assert self._max_controls(result) <= 1
+        assert prepares_state(result.circuit, state)
+
+    def test_dicke_still_answered_within_the_cap(self):
+        state = dicke_state(5, 2)
+        run = BeamRun(state, BeamConfig(width=16),
+                      search=SearchConfig(max_merge_controls=1))
+        result = run.run_to_completion()
+        assert self._max_controls(result) <= 1
+        assert prepares_state(result.circuit, state)
+        flushed = run.flush_feasible()
+        assert self._max_controls(flushed) <= 1

@@ -64,7 +64,6 @@ from repro.core.heuristic import CouplingHeuristic
 from repro.core.memory import SearchMemory
 from repro.core.moves import MergeMove
 from repro.core.kernel import (
-    BoundedCache,
     CanonContext,
     CanonKey,
     HashKeyedMap,
@@ -430,7 +429,7 @@ class TestNativeCanonicalKey:
                          for s in states]
             assert [(k.h, k.full) for k in native] == \
                 [(k.h, k.full) for k in pure]
-            for tier in ("cache", "u2_cache"):
+            for tier in ("memo", "u2_cache"):
                 a, b = getattr(native_ctx, tier), getattr(pure_ctx, tier)
                 assert (a.hits, a.misses) == (b.hits, b.misses), tier
             assert native_ctx.full_computations == pure_ctx.full_computations
@@ -464,7 +463,7 @@ def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
         h_of = None
     elif h_kind == "coupling":
         h_of = _make_h_of(CouplingHeuristic(CouplingMap.line(state.num_qubits)),
-                          BoundedCache(1 << 10), None)
+                          None)
     else:  # an int-valued heuristic: the generic arithmetic path
         h_of = lambda ps: len(kernel.entangled_qubits_packed(ps))  # noqa
     g_pushed = {start: 0}

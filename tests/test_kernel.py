@@ -33,6 +33,7 @@ from repro.core.kernel import (
     enumerate_cx_packed,
     enumerate_merges_packed,
     num_entangled_packed,
+    qstate_payload,
     successors_packed,
 )
 from repro.core.transitions import enumerate_cx, enumerate_merges, successors
@@ -305,6 +306,13 @@ class TestStatePool:
         assert result.optimal
         assert prepares_state(result.circuit, w_state(3))
 
+    @given(seed=st.integers(0, 10_000))
+    def test_qstate_payload_is_the_interned_payload(self, seed):
+        """The request-cache, core and batch dedupe keys are the payload a
+        pool would intern the state under, with no pool."""
+        state = random_state(seed)
+        assert qstate_payload(state) == StatePool().from_qstate(state).payload
+
 
 class TestHashKeyedMap:
     def test_basic_roundtrip(self):
@@ -430,7 +438,7 @@ class TestCanonContext:
         first = ctx.key(ps)
         second = ctx.key(ps)
         assert first is second
-        assert ctx.cache.hits == 1
+        assert (ctx.hits, ctx.misses) == (1, 1)
 
     def test_u2_tier_shares_full_key_across_flips(self):
         ctx = CanonContext(CanonLevel.PU2, 256, 24, cache_cap=1024)

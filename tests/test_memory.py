@@ -179,6 +179,67 @@ class TestSearchMemoryLifecycle:
         json.dumps(memory.snapshot())
 
 
+class TestPerRunMemoCounters:
+    """Each derived value has one memo, and each run counts only its own
+    lookups in it, also when runs share a store."""
+
+    def test_lanes_sharing_a_memory_sum_to_the_store(self):
+        from repro.service.portfolio import LaneScheduler, default_portfolio
+
+        memory = SearchMemory()
+        store = memory.canon_store
+        for state in (dicke_state(4, 2), dicke_state(4, 2), w_state(4)):
+            hits, misses = store.hits, store.misses
+            scheduler = LaneScheduler(state, SearchConfig(max_nodes=3_000),
+                                      default_portfolio(), memory=memory)
+            while scheduler.run_round():
+                pass
+            scheduler.finish()
+            lanes = [lane.run.stats for lane in scheduler.lanes]
+            assert len(lanes) == 4
+            assert sum(s.canon_cache_hits for s in lanes) == \
+                store.hits - hits
+            assert sum(s.canon_cache_misses for s in lanes) == \
+                store.misses - misses
+        assert store.hits > 0
+
+    def test_other_heuristic_counts_its_memo(self):
+        from repro.core.heuristic import combined_heuristic
+
+        memory = SearchMemory()
+        runs = []
+        for _ in range(2):
+            hits, misses = memory.h_store.hits, memory.h_store.misses
+            result = astar_search(dicke_state(4, 2), SearchConfig(),
+                                  heuristic=combined_heuristic,
+                                  memory=memory)
+            stats = result.stats
+            assert (stats.h_cache_hits, stats.h_cache_misses) == \
+                (memory.h_store.hits - hits, memory.h_store.misses - misses)
+            runs.append(stats)
+        # the repeat run finds every value the first run stored
+        assert runs[1].h_cache_misses == 0 < runs[1].h_cache_hits
+        cold = astar_search(dicke_state(4, 2), SearchConfig(),
+                            heuristic=combined_heuristic).stats
+        assert cold.h_cache_misses == runs[0].h_cache_misses
+        assert cold.nodes_expanded == runs[0].nodes_expanded
+
+    def test_builtin_bounds_have_no_memo_lookups(self):
+        from repro.arch.topologies import CouplingMap
+        from repro.core.heuristic import default_heuristic
+
+        memory = SearchMemory()
+        line = CouplingMap.line(4)
+        stats = astar_search(w_state(4), SearchConfig(topology=line),
+                             memory=memory).stats
+        assert (stats.h_cache_hits, stats.h_cache_misses) == (0, 0)
+        assert memory.h_store.hits + memory.h_store.misses == 0
+        # one coupling bound per device: its matching memo outlives a run
+        bound = default_heuristic(CouplingMap.line(4))
+        assert bound is default_heuristic(line)
+        assert bound._matching
+
+
 class TestWarmColdEquivalence:
     """Same circuits, same costs, with and without persistent memory."""
 

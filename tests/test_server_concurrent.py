@@ -29,16 +29,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.astar import SearchConfig
+from repro.core.idastar import idastar_search
 from repro.core.memory import SearchMemory
 from repro.core.pdb import entanglement_signature, signature_to_list
+from repro.exceptions import MemoryCompatibilityError
 from repro.qsp.workflow import prepare_state
-from repro.service.persistence import MemoryWAL, merge_wal_delta, \
-    save_memory_snapshot, load_memory_snapshot
+from repro.service.persistence import MemoryWAL, load_memory_snapshot, \
+    load_request_cache, merge_wal_delta, save_memory_snapshot, \
+    save_request_cache
 from repro.service.portfolio import autotune_specs, default_portfolio, \
     interleaved_portfolio
 from repro.service.scheduler import RequestScheduler, RequestSession
 from repro.service.server import ServiceConfig, SynthesisService, \
     parse_request_state, serve_loop
+from repro.states.families import dicke_state
 from repro.utils.serialization import memory_baseline, \
     memory_delta_is_empty, memory_merge_dict, memory_to_dict, \
     wal_header_to_dict, wal_record_to_dict
@@ -582,6 +586,89 @@ class TestWALTruncation:
         assert _memory_state(memory) == states[complete]
 
 
+class TestWALMalformedRecord:
+    def test_boot_drops_the_whole_record(self, wal_prefixes, tmp_path):
+        """A record with one malformed entry is truncated away whole: the
+        boot holds exactly the records before it, none of its prefix."""
+        lines, states = wal_prefixes
+        record = json.loads(lines[2])
+        lane_stats = record["delta"]["lane_stats"]
+        assert lane_stats and record["delta"]["pdb"]["entries"]
+        # lane stats decode last: every other section precedes them
+        lane_stats[list(lane_stats)[-1]]["runs"] = "x"
+        path = tmp_path / "bad.qspwal"
+        path.write_bytes(lines[0] + lines[1]
+                         + json.dumps(record).encode() + b"\n")
+        memory, wal = MemoryWAL.boot(path)
+        wal.close(compact=False)
+        assert wal.replayed == 1
+        assert wal.truncations == {"corrupt_tail": 1}
+        assert _memory_state(memory) == states[1]
+
+
+def _corrupt(raw: bytes, data) -> bytes:
+    """``raw`` cut at any byte, or with any one bit flipped."""
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@pytest.fixture(scope="module")
+def gz_snapshots(tmp_path_factory):
+    """The bytes of a ``.gz`` memory snapshot and a ``.gz`` request-cache
+    snapshot written by a service that served a few requests."""
+    directory = tmp_path_factory.mktemp("snapshots")
+    service = SynthesisService(_config())
+    _drive(service, [dict(target, id=index, op="exact") for index, target
+                     in enumerate(({"w": 3}, {"ghz": 3}, {"w": 4}))])
+    memory_path = directory / "memory.json.gz"
+    cache_path = directory / "cache.json.gz"
+    save_memory_snapshot(service.memory, memory_path)
+    save_request_cache(service.cache, cache_path)
+    return memory_path.read_bytes(), cache_path.read_bytes()
+
+
+class TestPersistedFaults:
+    """Fault injection: persisted bytes cut at any byte or with any bit
+    flipped either boot/load or raise ``MemoryCompatibilityError`` —
+    never another exception.  A flip that still parses may load: records
+    carry no checksum yet, so this does not claim corruption is always
+    caught."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_wal(self, wal_prefixes, data):
+        corrupt = _corrupt(b"".join(wal_prefixes[0]), data)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "corrupt.qspwal")
+            with open(path, "wb") as handle:
+                handle.write(corrupt)
+            try:
+                _memory, wal = MemoryWAL.boot(path)
+            except MemoryCompatibilityError:
+                return
+            wal.close(compact=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_gz_snapshots(self, gz_snapshots, data):
+        memory_raw, cache_raw = gz_snapshots
+        with tempfile.TemporaryDirectory() as directory:
+            for raw, name, load in (
+                    (memory_raw, "memory.json.gz", load_memory_snapshot),
+                    (cache_raw, "cache.json.gz", load_request_cache)):
+                path = os.path.join(directory, name)
+                with open(path, "wb") as handle:
+                    handle.write(_corrupt(raw, data))
+                try:
+                    load(path)
+                except MemoryCompatibilityError:
+                    pass
+
+
 # ----------------------------------------------------------------------
 # autotuning
 # ----------------------------------------------------------------------
@@ -897,6 +984,20 @@ class TestPoolCrossMerge:
         with pytest.raises(Exception):
             merge_wal_delta(memory, {"kind": "nonsense"})
         assert _memory_state(memory) == _memory_state(SearchMemory())
+
+    def test_malformed_entry_merges_nothing(self):
+        """A delta whose last unconditional budget is malformed raises
+        before its first entry merges (every section decodes first)."""
+        source = SearchMemory()
+        idastar_search(dicke_state(4, 2), memory=source)
+        delta = memory_to_dict(source, caches=False)
+        assert len(delta["transposition"]["data"]) >= 2
+        delta["transposition"]["data"][-1][1] = "not a budget"
+        memory = SearchMemory()
+        with pytest.raises(MemoryCompatibilityError):
+            merge_wal_delta(memory, wal_record_to_dict(1, delta))
+        assert _memory_state(memory) == _memory_state(SearchMemory())
+        assert memory.fingerprint is None
 
     def test_worker_pull_ships_knowledge_not_caches(self):
         """A worker's ``pull`` answer carries its learned knowledge and no
