@@ -134,8 +134,9 @@ SCHEDULER_FAIRNESS_STRIDE: int = 4
 #: On-disk format version of the incremental snapshot WAL
 #: (``serve --wal``).  Gated like the memory snapshot: any other version
 #: or a regime-fingerprint mismatch raises ``MemoryCompatibilityError``
-#: at boot, before a single record is replayed.
-MEMORY_WAL_VERSION: int = 1
+#: at boot, before a single record is replayed.  Version 2 ends every
+#: line with the CRC32 of its JSON.
+MEMORY_WAL_VERSION: int = 2
 
 #: Appended WAL records between automatic compactions: each compaction
 #: rewrites the full snapshot and truncates the log, bounding both replay

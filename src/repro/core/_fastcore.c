@@ -2991,8 +2991,9 @@ heap_push(PyObject *heap, PyObject *item)
  * loop in astar.AStarRun._main): the g_pushed check and update, the
  * heuristic (h_of None = the default ceil(k/2) bound on the entangled
  * set, else called back), the incumbent prune against ub, and the
- * open-list entry (f, g, tiebreak, g + h, state, prev, move), untracked
- * and pushed as heapq pushes it.  Returns the counter deltas. */
+ * open-list entry (f, -g, tiebreak, g + h, state, prev, move), untracked
+ * and pushed as heapq pushes it (equal f pops the deepest entry first).
+ * Returns the counter deltas. */
 static PyObject *
 fc_astar_push(PyObject *self, PyObject *args)
 {
@@ -3030,6 +3031,7 @@ fc_astar_push(PyObject *self, PyObject *args)
     for (a = 0; a < PyList_GET_SIZE(arcs); a++) {
         PyObject *arc = PyList_GET_ITEM(arcs, a), *move, *nxt, *existing;
         PyObject *g2o, *ho = NULL, *fo = NULL, *uo = NULL, *tie, *entry;
+        PyObject *neg;
         Py_hash_t hash;
         long cost, g2;
         double hd = 0.0;
@@ -3154,9 +3156,12 @@ fc_astar_push(PyObject *self, PyObject *args)
             Py_XDECREF(uo);
             goto fail;
         }
-        entry = PyTuple_Pack(7, fo, g2o, tie, uo, nxt, prev, move);
-        Py_DECREF(fo);
         Py_DECREF(g2o);
+        neg = PyLong_FromLong(-g2);
+        entry = neg != NULL ? PyTuple_Pack(7, fo, neg, tie, uo, nxt, prev,
+                                           move) : NULL;
+        Py_DECREF(fo);
+        Py_XDECREF(neg);
         Py_DECREF(tie);
         Py_DECREF(uo);
         if (entry == NULL)

@@ -189,8 +189,10 @@ class AStarRun(EngineRun):
         untrack = fc.untrack if fc is not None else None
         try:
             counter = itertools.count()
-            # entry: (weighted f, g, tiebreak, unweighted g + h, state,
-            #         prev, move)
+            # entry: (weighted f, -g, tiebreak, unweighted g + h, state,
+            #         prev, move): among equal f the deepest entry pops
+            #         first, which reaches a goal in the last f-layer
+            #         before most of that layer is expanded
             open_heap: list = []
             # Duplicate detection is two-tier and *lazy*: at generation
             # time only the (nearly free) exact-state tier prunes —
@@ -222,7 +224,8 @@ class AStarRun(EngineRun):
             last_u = 0.0
 
             while open_heap:
-                _, g, _, u, state, prev, move = heapq.heappop(open_heap)
+                _, neg_g, _, u, state, prev, move = heapq.heappop(open_heap)
+                g = -neg_g
                 if g > g_pushed.get(state, g):
                     stats.nodes_pruned += 1
                     continue  # superseded by a cheaper push of the state
@@ -313,27 +316,27 @@ class AStarRun(EngineRun):
                     phases["containers"] += (perf_counter() - tb) \
                         - (h_seconds - h_mark)
 
-            if self._incumbent_result is not None:
+            inc = self._incumbent_result
+            if inc is not None and self._ub >= inc.cnot_cost:
                 # Everything at or above the incumbent cost was pruned and
                 # nothing cheaper exists, so the incumbent's cost is the
                 # optimum (under an admissible ordering; weighted runs
                 # keep their anytime flag).
-                inc = self._incumbent_result
                 self._finish(RunStatus.SOLVED, result=SearchResult(
                     circuit=inc.circuit, cnot_cost=inc.cnot_cost,
                     optimal=(weight <= 1.0), moves=list(inc.moves),
                     stats=stats))
                 return
             if self._ub is not None:
-                # Injected bound, no circuit of our own: the incumbent
-                # holder's cost is proven optimal.  The one-shot wrapper
-                # surfaces this as the historical exception; the
+                # Injected bound tighter than any circuit we hold: the
+                # bound holder's cost is proven optimal.  The one-shot
+                # wrapper surfaces this as the historical exception; the
                 # scheduler reads the PROVEN status instead.
                 self._finish(
                     RunStatus.PROVEN,
                     error=SearchBudgetExceeded(
                         f"incumbent bound {self._ub} proven optimal, but "
-                        f"no incumbent circuit was supplied to return",
+                        f"no circuit of that cost was supplied to return",
                         lower_bound=self._ub, stats=stats))
                 return
             self._finish(
@@ -362,8 +365,8 @@ def _push_children(arcs, g: int, prev: PackedState, g_pushed: dict,
     at most as cheaply, and (after ``g_pushed`` records it) when its
     unweighted ``g + h`` reaches the incumbent bound ``ub``: the
     admissible ``h`` proves no completion through it beats the
-    incumbent.  Entries are ``(weighted f, g, tiebreak, unweighted g + h,
-    state, prev, move)``.
+    incumbent.  Entries are ``(weighted f, -g, tiebreak, unweighted
+    g + h, state, prev, move)``, so equal f pops the deepest entry first.
     """
     if h_of is None:
         h_of = entanglement_h_packed
@@ -378,7 +381,7 @@ def _push_children(arcs, g: int, prev: PackedState, g_pushed: dict,
         if ub is not None and g2 + h > ub - 1e-9:
             prunes += 1
             continue
-        heapq.heappush(open_heap, (g2 + weight * h, g2, next(counter),
+        heapq.heappush(open_heap, (g2 + weight * h, -g2, next(counter),
                                    g2 + h, nxt, prev, move))
         generated += 1
     return pruned, prunes, generated

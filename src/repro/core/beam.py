@@ -23,8 +23,9 @@ portfolio's *anytime* lane: :meth:`BeamRun.best_feasible` exposes the
 best circuit found so far while the run is still ``RUNNING``, so an
 interleaved scheduler can hand that cost to the exact lanes'
 branch-and-bound the moment it appears; an injected sibling incumbent in
-turn tightens beam's own candidate pruning (a candidate that cannot beat
-the portfolio-wide best is dead weight in the beam).
+turn tightens beam's own candidate pruning (a candidate whose admissible
+``g + h`` reaches the portfolio-wide best is dead weight in the beam, and
+is dropped before it is canonicalized).
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ class BeamRun(EngineRun):
                 moves=moves, stats=self._ctx.stats)
 
     def _cost_limit(self) -> float:
-        """Candidates at or above this cost cannot improve anything."""
+        """Candidates whose ``g + h`` reaches this cost cannot improve
+        anything."""
         limit = float("inf")
         if self._best is not None:
             limit = self._best.cnot_cost
@@ -227,6 +229,13 @@ class BeamRun(EngineRun):
             phases.setdefault("enumeration", 0.0)
             phases.setdefault("canonicalization", 0.0)
             phases.setdefault("heuristic", 0.0)
+            untimed_h = h_of
+
+            def h_of(state):
+                th = perf_counter()
+                h = untimed_h(state)
+                phases["heuristic"] += perf_counter() - th
+                return h
         try:
             start = ctx.start
             beam = self._beam  # the one-node frontier built in __init__
@@ -252,6 +261,10 @@ class BeamRun(EngineRun):
                     # before this expansion — so hoist it out of the
                     # successor loop
                     cost_limit = self._cost_limit()
+                    # only a bound (passed in or injected) prunes on
+                    # g + h; an unbounded beam keeps its g-only prune and
+                    # pays h only for the children deduplication keeps
+                    bounded = self._ub is not None
                     if profile:
                         te = perf_counter()
                         arcs = successors_packed(
@@ -268,8 +281,15 @@ class BeamRun(EngineRun):
                             topology=ctx.topology)
                     for move, nxt in arcs:
                         g2 = node.g + move.cost
-                        if g2 >= cost_limit:
-                            continue  # cannot improve the incumbent
+                        if bounded:
+                            # the admissible h proves no completion
+                            # through it beats the limit: drop it before
+                            # it pays for canonicalization
+                            h = h_of(nxt)
+                            if g2 + h > cost_limit - 1e-9:
+                                continue
+                        elif g2 >= cost_limit:
+                            continue  # cannot improve the best circuit
                         if profile:
                             tc = perf_counter()
                             ckey = canon(nxt)
@@ -283,11 +303,7 @@ class BeamRun(EngineRun):
                             continue
                         seen_g.put(ckey, g2)
                         stats.nodes_generated += 1
-                        if profile:
-                            th = perf_counter()
-                            h = h_of(nxt)
-                            phases["heuristic"] += perf_counter() - th
-                        else:
+                        if not bounded:
                             h = h_of(nxt)
                         score = g2 + config.heuristic_weight * h
                         tiebreak += 1

@@ -266,9 +266,10 @@ class RunStatus(Enum):
         ``optimal`` flag says whether the cost is proven minimal.
     ``PROVEN``
         The run exhausted its space under an *injected* incumbent bound
-        without holding a circuit of its own: no solution strictly
-        cheaper than :attr:`EngineRun.incumbent_bound` exists, so the
-        incumbent (held by whoever injected it) is optimal.
+        without holding a circuit of that cost (none of its own, or only
+        a costlier incumbent): no solution strictly cheaper than
+        :attr:`EngineRun.incumbent_bound` exists, so the incumbent (held
+        by whoever injected it) is optimal.
     ``EXHAUSTED``
         The run ran out of node/time budget (or move space) without a
         result; :attr:`EngineRun.error` carries the same

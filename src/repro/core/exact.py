@@ -54,30 +54,44 @@ class ExactSynthesizer:
     def __init__(self, config: ExactConfig | None = None):
         self.config = config or ExactConfig()
 
-    def runs(self, state: QState, memory=None, topology=None):
+    def runs(self, state: QState, memory=None, topology=None,
+             incumbent: SearchResult | None = None):
         """The exact-core sequence, as a generator of engine runs.
 
         Yields the A* run and, if it exhausts its budget, the beam run;
         the caller drives each to a terminal status before resuming.
         Returns the verified result (beam answers ``optimal=False``), or
         ``None`` when an injected incumbent proved the space (``PROVEN``).
+
+        ``incumbent`` is a circuit already in hand for ``state``: both
+        runs then search only for what can beat it.  A* prunes every node
+        whose ``g + h`` reaches its cost and, when nothing cheaper exists,
+        returns the incumbent itself, proven optimal; the beam prunes
+        likewise.  A beam answer may still cost more than the incumbent,
+        and a beam that finds no circuit leaves the incumbent as the
+        answer (``optimal=False``).
         """
         search = self.config.search
         if topology is not None:
             search = replace(search, topology=topology)
-        run = AStarRun(state, search, memory=memory)
+        run = AStarRun(state, search, memory=memory, incumbent=incumbent)
         yield run
         fallback = run.status is RunStatus.EXHAUSTED and \
             isinstance(run.error, SearchBudgetExceeded)
         if fallback:
             run = BeamRun(state, self.config.beam, memory=memory,
-                          search=search)
+                          incumbent=incumbent, search=search)
             yield run
         if run.status is RunStatus.PROVEN:
             return None
-        if run.status is not RunStatus.SOLVED:
+        if run.status is RunStatus.SOLVED:
+            result = run.result()
+        elif fallback and incumbent is not None:
+            # the bounded beam found no circuit at all (a merge cap can
+            # rule out its completions): the incumbent stands
+            result = incumbent
+        else:
             raise run.error
-        result = run.result()
         if fallback:
             result = replace(result, optimal=False)
         if self.config.verify and state.num_qubits <= _VERIFY_MAX_QUBITS:

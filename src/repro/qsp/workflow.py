@@ -13,16 +13,18 @@ Every path ends in the exact-core sequence of
 :meth:`repro.core.exact.ExactSynthesizer.runs` — budgeted A*, then beam
 search as the anytime fallback — unless ``use_exact`` is off (the
 ablation mode), and the assembled full-register circuit is verified by
-simulation for small ``n``.  When that search ends non-optimal and the
-n-flow or reduction-only circuit of the core is cheaper, the cheaper one
-is served, and the trace line names it next to the search's own cost.
+simulation for small ``n``.  The cheaper of the core's n-flow and
+reduction-only circuits is built first and bounds that search, which
+then looks only for what can beat it.  When A* proves nothing cheaper
+exists, or the anytime fallback does not beat it, that baseline is
+served, and the trace line names it (next to the fallback's own cost).
 
 :class:`WorkflowRun` subclasses :class:`repro.core.engine.StepwiseRun`, so
 a ``prepare`` request can be time-sliced by the request scheduler exactly
 like ``exact`` traffic — paused at flow boundaries and between inner-engine
 expansions, fed incumbents, cancelled on disconnect, and flushed to a
-verified best-so-far circuit at a deadline (falling back to the
-reduction-only completion when the exact core is cut short).  It drives
+verified best-so-far circuit at a deadline (falling back to the core's
+baseline circuit when the exact core is cut short).  It drives
 the same engine runs as
 :meth:`~repro.core.exact.ExactSynthesizer.synthesize`, one expansion per
 step, and folds their counters into :attr:`WorkflowRun.stats` with
@@ -40,7 +42,7 @@ from typing import Callable
 from repro.baselines.mflow import mflow_reduction_moves
 from repro.baselines.nflow import nflow_synthesize, qubit_reduction_prefix
 from repro.circuits.circuit import QCircuit
-from repro.core.engine import RunStatus, SearchStats, StepwiseRun
+from repro.core.engine import RunStatus, SearchResult, SearchStats, StepwiseRun
 from repro.core.exact import ExactSynthesizer
 from repro.core.kernel import qstate_payload
 from repro.core.moves import Move
@@ -98,8 +100,8 @@ class WorkflowRun(StepwiseRun):
     ``flush_feasible()`` (deadline expiry / drain) returns the best
     verified circuit obtainable *now*: the best fully-assembled candidate
     so far, the active engine's anytime flush completed through the
-    stage's assembly, the reduction-only completion of the active core,
-    or — last resort — the plain m-flow circuit on the full register.
+    stage's assembly, the active core's baseline circuit assembled, or —
+    last resort — the plain m-flow circuit on the full register.
     Topology-native runs skip the reduction fallbacks (their moves are
     not native) and may flush nothing, mirroring the one-shot contract.
 
@@ -246,7 +248,7 @@ class WorkflowRun(StepwiseRun):
             self.stats.merge(replace(run.stats, nodes_expanded=0))
 
     def _exact(self, state: QState, topology=None, prefix_cost: int = 0,
-               assemble=None, fallback=None):
+               assemble=None, fallback=None, incumbent=None):
         """:meth:`~repro.core.exact.ExactSynthesizer.runs`, each run
         driven by :meth:`_drive` in the stage context that incumbents
         and deadline flushes need."""
@@ -254,7 +256,8 @@ class WorkflowRun(StepwiseRun):
         self._active_assemble = assemble
         self._active_fallback = fallback
         runs = ExactSynthesizer(self.config.exact).runs(
-            state, memory=self.memory, topology=topology)
+            state, memory=self.memory, topology=topology,
+            incumbent=incumbent)
         try:
             while True:
                 yield from self._drive(next(runs))
@@ -289,28 +292,32 @@ class WorkflowRun(StepwiseRun):
                     embedded = embed_core_circuit(extraction, core_circuit)
                     return finish(embedded) if finish else embedded
 
-                def fallback() -> QCircuit:
-                    return assemble(_reduction_only_circuit(core))
-
+                # Bound first: the cheaper reduction-flow circuit of the
+                # core is in hand before the search, which then looks
+                # only for what can beat it.
+                label, baseline = min(
+                    (("n-flow", nflow_synthesize(core, prune=True)),
+                     ("reduction-only", _reduction_only_circuit(core))),
+                    key=lambda item: item[1].cnot_cost())
                 result = yield from self._exact(
                     core, prefix_cost=prefix_cost, assemble=assemble,
-                    fallback=fallback)
+                    fallback=partial(assemble, baseline),
+                    incumbent=SearchResult(
+                        circuit=baseline, cnot_cost=baseline.cnot_cost(),
+                        optimal=False))
                 if result is None:
                     return None
                 best_circuit, optimal = result.circuit, result.optimal
                 source = ""
-                if not optimal:
-                    # Budgeted search fell back to the anytime engine;
-                    # never let the core cost exceed what the reduction
-                    # flows achieve on it, and name the circuit served.
-                    for label, alternative in (
-                            ("n-flow", nflow_synthesize(core, prune=True)),
-                            ("reduction-only",
-                             _reduction_only_circuit(core))):
-                        if alternative.cnot_cost() < \
-                                best_circuit.cnot_cost():
-                            best_circuit = alternative
-                            source = f", {label}; search {result.cnot_cost}"
+                if best_circuit is baseline:
+                    # A* proved nothing cheaper exists, or the beam
+                    # found no circuit at all
+                    source = f", {label}"
+                elif baseline.cnot_cost() < result.cnot_cost:
+                    # the anytime engine did not beat it: serve it, and
+                    # name it next to the search's own cost
+                    best_circuit = baseline
+                    source = f", {label}; search {result.cnot_cost}"
                 line = (f"exact: {best_circuit.cnot_cost()} CNOTs "
                         f"(optimal={optimal}{source})")
                 self._core_cache[key] = (best_circuit, optimal, line)

@@ -41,6 +41,8 @@ from repro.utils.serialization import (
     memory_to_dict,
     wal_header_check,
     wal_header_to_dict,
+    wal_line,
+    wal_line_body,
     wal_record_from_dict,
     wal_record_to_dict,
 )
@@ -201,14 +203,18 @@ class MemoryWAL:
     the two steps leaves old records that replay onto the new snapshot
     as harmless no-ops.  The replay path tolerates a torn final line
     (the mid-append crash signature) by truncating it away; any other
-    malformed content is likewise dropped from the first bad line on.
-    Version and regime-fingerprint gates mirror the snapshot codec's:
-    a log written by an incompatible build or for a different device
-    raises :class:`MemoryCompatibilityError` before a single record is
-    replayed.
+    malformed content, a record failing its checksum included, is
+    likewise dropped from the first bad line on.  Version and
+    regime-fingerprint gates mirror the snapshot codec's: a log written
+    by an incompatible build or for a different device, or a header
+    failing its checksum, raises :class:`MemoryCompatibilityError`
+    before a single record is replayed.
 
-    The log is plain JSONL (no ``.gz`` — compression would break
-    appending); the sidecar snapshot follows the normal snapshot rules.
+    Each line is a JSON document, a tab and the CRC32 of the document's
+    bytes (:func:`repro.utils.serialization.wal_line`), so a flipped bit
+    is caught instead of booting as other knowledge.  The log is never
+    ``.gz`` (compression would break appending); the sidecar snapshot
+    follows the normal snapshot rules.
     """
 
     def __init__(self, path: str | os.PathLike, memory: SearchMemory,
@@ -296,13 +302,19 @@ class MemoryWAL:
             if header_line:
                 self._truncated("torn_header", len(header_line))
             return
+        body = wal_line_body(header_line)
         try:
-            header = json.loads(header_line)
+            # a line failing its checksum is decoded whole, so the log of
+            # an older format meets the version gate below
+            header = json.loads(header_line if body is None else body)
         except ValueError as exc:
             raise MemoryCompatibilityError(
                 f"unreadable memory WAL header in {self._path}: "
                 f"{exc}") from exc
         fp = wal_header_check(header)
+        if body is None:
+            raise MemoryCompatibilityError(
+                f"memory WAL header in {self._path} fails its checksum")
         if fp is not None:
             # raises on mismatch with the sidecar/fallback fingerprint
             self.memory.pin(fp)
@@ -316,12 +328,11 @@ class MemoryWAL:
             if not line.endswith(b"\n"):
                 reason = "torn_final_line"  # mid-append crash signature
                 break
-            stripped = line.strip()
-            if not stripped:
-                good = handle.tell()
-                continue
+            body = wal_line_body(line)
             try:
-                seq, delta = wal_record_from_dict(json.loads(stripped))
+                if body is None:
+                    raise ValueError("record fails its checksum")
+                seq, delta = wal_record_from_dict(json.loads(body))
                 memory_merge_dict(self.memory, delta)
             except (ValueError, MemoryCompatibilityError):
                 reason = "corrupt_tail"  # drop it and everything after
@@ -340,15 +351,15 @@ class MemoryWAL:
 
     def _ensure_header(self) -> None:
         if not self._header_written:
-            self._handle.write(json.dumps(
-                wal_header_to_dict(self.memory.fingerprint)) + "\n")
+            self._handle.write(wal_line(
+                wal_header_to_dict(self.memory.fingerprint)))
             self._header_written = True
 
     def append(self, delta: dict) -> int:
         """Append one delta record (and maybe auto-compact); returns seq."""
         self.seq += 1
         self._ensure_header()
-        payload = json.dumps(wal_record_to_dict(self.seq, delta)) + "\n"
+        payload = wal_line(wal_record_to_dict(self.seq, delta))
         self._handle.write(payload)
         self._handle.flush()
         self.records += 1
@@ -387,8 +398,8 @@ class MemoryWAL:
         self._handle.close()
         tmp = self._path.with_name(self._path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                wal_header_to_dict(self.memory.fingerprint)) + "\n")
+            handle.write(wal_line(
+                wal_header_to_dict(self.memory.fingerprint)))
         tmp.replace(self._path)
         self._handle = open(self._path, "a", encoding="utf-8")
         self._header_written = True

@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import zlib
 from typing import Any
 
 from repro.circuits.circuit import QCircuit
@@ -75,6 +76,8 @@ __all__ = [
     "wal_header_check",
     "wal_record_to_dict",
     "wal_record_from_dict",
+    "wal_line",
+    "wal_line_body",
     "dumps",
     "loads",
 ]
@@ -545,10 +548,26 @@ def memory_merge_dict(memory, data: dict[str, Any]) -> None:
 # Memory-WAL records (service-layer incremental persistence)
 # ----------------------------------------------------------------------
 #
-# The service's write-ahead log is a JSONL file: one header line followed
-# by one record per settled request.  The codec lives here next to the
-# snapshot codec it wraps; the file handling (append/replay/compaction)
-# is :class:`repro.service.persistence.MemoryWAL`.
+# The service's write-ahead log is a line file: one header line followed
+# by one record per settled request, each line a JSON document followed by
+# a tab and the CRC32 of the document's bytes.  The codec lives here next
+# to the snapshot codec it wraps; the file handling (append/replay/
+# compaction) is :class:`repro.service.persistence.MemoryWAL`.
+
+
+def wal_line(data: dict[str, Any]) -> str:
+    """One WAL line: ``data`` as JSON, a tab, the CRC32 of the JSON bytes
+    as eight hex digits, and a newline (all ASCII, so ``len`` counts
+    bytes)."""
+    body = json.dumps(data)
+    return f"{body}\t{zlib.crc32(body.encode()):08x}\n"
+
+
+def wal_line_body(line: bytes) -> bytes | None:
+    """The JSON bytes of a WAL line, or ``None`` when the line's checksum
+    does not match them (a flipped bit anywhere in the line)."""
+    body, _, crc = line.rstrip(b"\n").rpartition(b"\t")
+    return body if crc == b"%08x" % zlib.crc32(body) else None
 
 
 def wal_header_to_dict(fingerprint) -> dict[str, Any]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -31,3 +32,15 @@ def small_search_config():
     from repro.core.astar import SearchConfig
 
     return SearchConfig(max_nodes=20_000, time_limit=15.0)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report the session's peak resident set size, for this process and
+    for its children: memory, not time, is what limits the suite."""
+    # ru_maxrss is in KiB on Linux
+    peaks = {name: resource.getrusage(who).ru_maxrss / 1024
+             for name, who in (("process", resource.RUSAGE_SELF),
+                               ("children", resource.RUSAGE_CHILDREN))}
+    terminalreporter.write_line(
+        "peak RSS: " + ", ".join(f"{name} {mb:,.0f} MB"
+                                 for name, mb in peaks.items()))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.arch.topologies import CouplingMap
+from repro.baselines.nflow import nflow_synthesize
 from repro.circuits.decompose import decompose_circuit
 from repro.core.astar import SearchConfig
 from repro.core.beam import BeamConfig, BeamRun, beam_search
 from repro.core.exact import ExactConfig, ExactSynthesizer, synthesize_exact
+from repro.core.kernel import successors_packed
 from repro.core.memory import SearchMemory
 from repro.core.moves import MergeMove
 from repro.exceptions import SynthesisError
@@ -139,3 +141,43 @@ class TestMergeCap:
         assert prepares_state(result.circuit, state)
         flushed = run.flush_feasible()
         assert self._max_controls(flushed) <= 1
+
+
+class TestBoundedBeam:
+    """Under a cost bound the beam drops a child whose admissible
+    ``g + h`` reaches the bound before it is canonicalized."""
+
+    @pytest.mark.parametrize("state,width", [
+        (dicke_state(5, 2), 8), (dicke_state(5, 2), 32),
+        (random_dense_state(4, seed=1), 32)])
+    def test_bound_prunes_before_canonicalizing(self, state, width):
+        bound = nflow_synthesize(state, prune=True).cnot_cost()
+        run = BeamRun(state, BeamConfig(width=width), incumbent=bound)
+        ctx = run._ctx
+        keyed: list = []
+        key = ctx.canon
+        ctx.canon = lambda ps: keyed.append(ps) or key(ps)
+        parent, checked = None, 0
+        while True:
+            keyed.clear()
+            status = run.step(1)
+            # every key between two pauses is a child of the node the
+            # earlier pause was about to expand (the start's, at first)
+            for child in keyed if parent is not None else ():
+                cheapest = min(
+                    parent.g + move.cost
+                    for move, nxt in successors_packed(ctx.pool, parent.state)
+                    if nxt is child)
+                assert cheapest + ctx.h_of(child) < bound
+                checked += 1
+            if status.terminal:
+                break
+            parent = run._gen.gi_frame.f_locals["node"]
+        assert checked == ctx.canon_ctx.hits + ctx.canon_ctx.misses - 1 > 0
+        # served as the workflow serves it (the cheaper of the answer and
+        # the bound's circuit), the bounded beam never loses
+        bounded = run.result()
+        free = beam_search(state, BeamConfig(width=width))
+        assert prepares_state(bounded.circuit, state)
+        assert min(bounded.cnot_cost, bound) <= min(free.cnot_cost, bound)
+        assert bounded.stats.nodes_expanded <= free.stats.nodes_expanded

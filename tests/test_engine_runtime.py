@@ -227,6 +227,19 @@ class TestIncumbentInjection:
         _drive(run, 100)
         assert run.status is RunStatus.PROVEN
 
+    def test_stale_result_incumbent_is_never_claimed_optimal(self):
+        """A tighter injected bound than the result incumbent held: the
+        emptied open list proves the bound, not the stale circuit."""
+        target = dicke_state(4, 2)
+        held = beam_search(target, BeamConfig(width=1))
+        optimal = astar_search(target).cnot_cost
+        assert held.cnot_cost > optimal
+        run = AStarRun(target, SearchConfig(), incumbent=held)
+        run.inject_incumbent(optimal)
+        _drive(run, 64)
+        assert run.status is RunStatus.PROVEN
+        assert run.error.lower_bound == optimal
+
     def test_tighter_injection_wins(self):
         run = AStarRun(dicke_state(4, 2), SearchConfig())
         run.inject_incumbent(9)

@@ -447,8 +447,8 @@ class TestNativeCanonicalKey:
 # ----------------------------------------------------------------------
 
 def _entry_view(entry) -> tuple:
-    f, g, tie, u, state, prev, move = entry
-    return (f, type(f), g, tie, u, type(u), state.payload,
+    f, neg_g, tie, u, state, prev, move = entry
+    return (f, type(f), neg_g, type(neg_g), tie, u, type(u), state.payload,
             None if prev is None else prev.payload, move)
 
 
@@ -473,7 +473,8 @@ def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
     for _ in range(rounds):
         if not heap:
             break
-        _, g, _, _, ps, _, _ = heapq.heappop(heap)
+        _, neg_g, _, _, ps, _, _ = heapq.heappop(heap)
+        g = -neg_g
         arcs = successors_packed(pool, ps)
         if native:
             deltas = fastcore.active.astar_push(arcs, g, ps, g_pushed, heap,
@@ -484,6 +485,23 @@ def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
                                               counter, h_of, ub, weight)
         totals = [a + b for a, b in zip(totals, deltas)]
     return heap, g_pushed, totals
+
+
+@pytest.mark.parametrize("native", [
+    pytest.param(True, marks=needs_fastcore), False], ids=["native", "python"])
+def test_equal_f_pops_deepest_first(native):
+    """Both twins push ``(f, -g, ...)``: emptying the open list pops
+    every f-layer deepest entry first, depth ties in push order.  At
+    weight 2 an entry's depth is ``2 * (g + h) - f``, read from its
+    other slots."""
+    heap, _, _ = _push_rounds(w_state(5), "default", None, 2.0, native)
+    popped = [heapq.heappop(heap) for _ in range(len(heap))]
+    order = [(f, 2 * u - f, tie) for f, _, tie, u, *_ in popped]
+    assert [-neg_g for _, neg_g, *_ in popped] == [g for _, g, _ in order]
+    assert order == sorted(order, key=lambda e: (e[0], -e[1], e[2]))
+    # some f-layer holds entries of different depths
+    assert any(f1 == f2 and g1 > g2 for (f1, g1, _), (f2, g2, _)
+               in zip(order, order[1:]))
 
 
 @needs_fastcore

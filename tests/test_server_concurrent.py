@@ -45,7 +45,7 @@ from repro.service.server import ServiceConfig, SynthesisService, \
 from repro.states.families import dicke_state
 from repro.utils.serialization import memory_baseline, \
     memory_delta_is_empty, memory_merge_dict, memory_to_dict, \
-    wal_header_to_dict, wal_record_to_dict
+    wal_header_to_dict, wal_line, wal_line_body, wal_record_to_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -416,10 +416,9 @@ class TestMemoryWAL:
         assert service.wal.compactions >= 1
         service.shutdown()
         # post-shutdown: log is just a header, sidecar holds everything
-        with open(wal_path, encoding="utf-8") as handle:
-            lines = [ln for ln in handle if ln.strip()]
+        lines = wal_path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 1
-        assert json.loads(lines[0])["kind"] == "memory_wal"
+        assert json.loads(wal_line_body(lines[0]))["kind"] == "memory_wal"
         rebooted, _wal = MemoryWAL.boot(wal_path)
         assert _memory_state(rebooted) == live
 
@@ -451,8 +450,8 @@ class TestMemoryWAL:
             wal_compact_interval=0))
         _drive(service, _requests()[:3])
         assert len(service.memory.canon_store) > 0
-        with open(wal_path, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle][1:]
+        records = [json.loads(wal_line_body(line))
+                   for line in wal_path.read_bytes().splitlines()][1:]
         assert len(records) == service.wal.records > 0
         shape = memory_to_dict(service.memory).keys()
         for record in records:
@@ -509,10 +508,10 @@ class TestMemoryWAL:
         _drive(source, _requests()[:2])
         wal_path = tmp_path / "old.qspwal"
         with open(wal_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                wal_header_to_dict(source.memory.fingerprint)) + "\n")
-            handle.write(json.dumps(wal_record_to_dict(
-                1, memory_to_dict(source.memory))) + "\n")
+            handle.write(wal_line(
+                wal_header_to_dict(source.memory.fingerprint)))
+            handle.write(wal_line(wal_record_to_dict(
+                1, memory_to_dict(source.memory))))
         memory, wal = MemoryWAL.boot(wal_path)
         wal.close(compact=False)
         assert wal.replayed == 1 and not wal.truncations
@@ -591,14 +590,13 @@ class TestWALMalformedRecord:
         """A record with one malformed entry is truncated away whole: the
         boot holds exactly the records before it, none of its prefix."""
         lines, states = wal_prefixes
-        record = json.loads(lines[2])
+        record = json.loads(wal_line_body(lines[2]))
         lane_stats = record["delta"]["lane_stats"]
         assert lane_stats and record["delta"]["pdb"]["entries"]
         # lane stats decode last: every other section precedes them
         lane_stats[list(lane_stats)[-1]]["runs"] = "x"
         path = tmp_path / "bad.qspwal"
-        path.write_bytes(lines[0] + lines[1]
-                         + json.dumps(record).encode() + b"\n")
+        path.write_bytes(lines[0] + lines[1] + wal_line(record).encode())
         memory, wal = MemoryWAL.boot(path)
         wal.close(compact=False)
         assert wal.replayed == 1
@@ -634,23 +632,49 @@ def gz_snapshots(tmp_path_factory):
 class TestPersistedFaults:
     """Fault injection: persisted bytes cut at any byte or with any bit
     flipped either boot/load or raise ``MemoryCompatibilityError`` —
-    never another exception.  A flip that still parses may load: records
-    carry no checksum yet, so this does not claim corruption is always
-    caught."""
+    never another exception.  WAL lines carry a checksum, so a flipped
+    bit in a WAL never boots other knowledge."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_wal(self, wal_prefixes, data):
-        corrupt = _corrupt(b"".join(wal_prefixes[0]), data)
+        """A flipped bit truncates the log from the record it lands in
+        (one truncation) and boots exactly the records before it, or, in
+        the header, refuses the log; a cut WAL boots or raises
+        (``TestWALTruncation`` pins the records it keeps)."""
+        lines, states = wal_prefixes
+        raw = b"".join(lines)
+        corrupt = _corrupt(raw, data)
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "corrupt.qspwal")
             with open(path, "wb") as handle:
                 handle.write(corrupt)
             try:
-                _memory, wal = MemoryWAL.boot(path)
+                memory, wal = MemoryWAL.boot(path)
             except MemoryCompatibilityError:
-                return
-            wal.close(compact=False)
+                memory = None
+            else:
+                wal.close(compact=False)
+        if len(corrupt) < len(raw):
+            return
+        byte = next(i for i, (a, b) in enumerate(zip(raw, corrupt))
+                    if a != b)
+        line = sum(end <= byte for end in accumulate(map(len, lines)))
+        if line == 0:
+            assert memory is None
+            return
+        assert memory is not None
+        assert wal.replayed == line - 1
+        assert sum(wal.truncations.values()) == 1
+        assert _memory_state(memory) == states[line - 1]
+
+    def test_wal_of_an_older_format_is_refused(self, tmp_path):
+        """A log whose lines carry no checksum meets the version gate."""
+        path = tmp_path / "v1.qspwal"
+        header = dict(wal_header_to_dict(None), version=1)
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        with pytest.raises(MemoryCompatibilityError, match="version 1"):
+            MemoryWAL.boot(path)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -928,7 +952,8 @@ class TestConcurrentPrepare:
     def test_prepare_cancelled_mid_flow_on_disconnect(self):
         service = SynthesisService(_config(use_cache=False))
         replies: list[dict] = []
-        service.submit({"id": "gone", "op": "prepare", "dicke": [6, 3]},
+        # D(7,3)'s core is still searching after two turns
+        service.submit({"id": "gone", "op": "prepare", "dicke": [7, 3]},
                        replies.append, client="dropper")
         for _ in range(2):
             service.scheduler.run_turn()

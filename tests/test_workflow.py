@@ -187,6 +187,19 @@ class TestWorkflowRun:
         assert any("deadline flush" in line for line in result.trace)
         assert result.trace[-1] == "verified by simulation"
 
+    def test_deadline_flush_mid_core_offers_the_best_baseline(self):
+        """Cut inside the core's search, a flush assembles the core's
+        cheaper baseline circuit (n-flow's 14 CNOTs after 16 for qubit
+        reduction), which is what the finished run serves."""
+        state = random_dense_state(5, seed=1)
+        run = WorkflowRun(state)
+        run.step(50)
+        assert run._active is not None  # inside the core's search
+        result = run.flush_feasible()
+        assert result.cnot_cost <= 30
+        assert prepares_state(result.circuit, state)
+        assert result.trace[-1] == "verified by simulation"
+
     def test_incumbent_injection_is_monotone(self):
         run = WorkflowRun(random_sparse_state(6, seed=1))
         run.step(1)
@@ -240,14 +253,15 @@ class TestExactCoreLine:
 
     @staticmethod
     def _stepwise(state, exact, topology=None):
-        """The exact-core results of a workflow driven one step at a time."""
+        """The exact-core results of a workflow driven one step at a time,
+        each with the incumbent the workflow bounded its search by."""
         run = WorkflowRun(state, QSPConfig(exact=exact), topology=topology)
         results = []
         drive = run._exact
 
         def recording(*args, **kwargs):
             result = yield from drive(*args, **kwargs)
-            results.append(result)
+            results.append((result, kwargs.get("incumbent")))
             return result
 
         run._exact = recording
@@ -255,6 +269,20 @@ class TestExactCoreLine:
             pass
         assert run.status is RunStatus.SOLVED
         return results
+
+    @staticmethod
+    def _one_shot(target, exact, topology, incumbent):
+        """The same sequence under the same incumbent, driven to
+        completion by :meth:`ExactSynthesizer.synthesize`'s loop."""
+        runs = ExactSynthesizer(exact).runs(target, topology=topology,
+                                            incumbent=incumbent)
+        try:
+            while True:
+                run = next(runs)
+                while not run.step(1 << 20).terminal:
+                    pass
+        except StopIteration as done:
+            return done.value
 
     @pytest.mark.parametrize("state,exact,topology,optimal", [
         (dicke_state(4, 2), ExactConfig(verify=False), None, True),
@@ -266,16 +294,42 @@ class TestExactCoreLine:
     ], ids=["astar", "beam-fallback", "native"])
     def test_one_shot_equals_stepwise(self, state, exact, topology,
                                       optimal):
-        [stepped] = self._stepwise(state, exact, topology)
+        [(stepped, incumbent)] = self._stepwise(state, exact, topology)
         target = state if topology is not None else extract_core(state).core
-        one_shot = ExactSynthesizer(exact).synthesize(target,
-                                                      topology=topology)
+        one_shot = self._one_shot(target, exact, topology, incumbent)
         assert one_shot.optimal is stepped.optimal is optimal
         assert one_shot.cnot_cost == stepped.cnot_cost
         assert [repr(g) for g in one_shot.circuit.gates] == \
             [repr(g) for g in stepped.circuit.gates]
         assert one_shot.stats.nodes_expanded == \
             stepped.stats.nodes_expanded
+
+    @pytest.mark.parametrize("state,cost", [(ghz_state(4), 3),
+                                            (w_state(3), 4)],
+                             ids=["ghz4", "w3"])
+    def test_search_proves_the_baseline_optimal(self, state, cost):
+        """The core's search runs under its baseline circuit; when
+        nothing cheaper exists, A* proves the baseline optimal and the
+        trace names it."""
+        result = prepare_state(state)
+        [line] = [t for t in result.trace if t.startswith("exact:")]
+        assert line == f"exact: {cost} CNOTs (optimal=True, reduction-only)"
+        assert result.exact_optimal is True
+        assert result.cnot_cost == cost
+        assert result.trace[-1] == "verified by simulation"
+        assert prepares_state(result.circuit, state)
+
+    def test_beam_without_a_circuit_leaves_the_baseline(self):
+        """Under a merge cap the bounded beam can end without any
+        circuit; the core's baseline then stands, as before the bound."""
+        state = random_dense_state(5, seed=1)
+        config = QSPConfig(exact=ExactConfig(search=SearchConfig(
+            max_nodes=300, max_merge_controls=1)))
+        result = prepare_state(state, config)
+        [line] = [t for t in result.trace if t.startswith("exact:")]
+        assert line == "exact: 14 CNOTs (optimal=False, n-flow)"
+        assert result.cnot_cost == 30
+        assert prepares_state(result.circuit, state)
 
     def test_trace_names_the_circuit_served_over_the_search(self):
         """A non-optimal search that loses to n-flow (or reduction-only)
