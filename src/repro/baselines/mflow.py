@@ -26,6 +26,13 @@ reconstruction and verification reuse the exact-synthesis machinery.  The
 seed's per-bit ``dif_qubits`` loop and per-CNOT alignment live on as test
 oracles in ``tests/mflow_oracle.py``; both steps must stay move-identical
 to them.
+
+Between steps the reduction carries its state in one of two forms (see
+:func:`carry`).  With the extension loaded and a register the kernel's
+int64 indices hold, the state is a :class:`PackedSparse` (sorted index and
+amplitude arrays), and a step is one ``_fastcore.gh_step`` call.
+Otherwise it is a :class:`QState`, stepped by :func:`_merge_step`: the
+Python twin, which the native step matches move for move and bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ import numpy as np
 
 from repro.circuits.circuit import QCircuit
 from repro.constants import ATOL
+from repro.core import fastcore as _fastcore
+from repro.core.kernel import PACKED_MAX_QUBITS
 from repro.core.moves import CXMove, MergeMove, Move, merge_angle, moves_to_circuit
 from repro.exceptions import SynthesisError
 from repro.states.qstate import QState
@@ -109,6 +118,64 @@ def dif_qubits(indices: list[int], num_qubits: int,
     return kept, pair
 
 
+class PackedSparse:
+    """A state between reduction steps as the kernel's sorted ``int64``
+    indices and aligned ``float64`` amplitudes.
+
+    Made by :func:`carry` while the extension is loaded; its steps run on
+    the loaded extension even if :func:`repro.core.fastcore.set_enabled`
+    turns it off mid-run, so a run keeps one carrier.  Its arrays come
+    from a :class:`QState` or from native steps that make ``QState``'s
+    checks, so they are sorted, in range, nonzero and normalized.
+    """
+
+    __slots__ = ("num_qubits", "idx", "amp")
+
+    def __init__(self, num_qubits: int, idx: np.ndarray, amp: np.ndarray):
+        self.num_qubits = num_qubits
+        self.idx = idx
+        self.amp = amp
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.idx)
+
+
+#: The reduction's state between steps: packed arrays on the native path,
+#: a ``QState`` on the Python twin and on registers past int64 indices.
+Carrier = PackedSparse | QState
+
+
+def carry(state: QState) -> Carrier:
+    """``state`` in the form the reduction carries between steps."""
+    if _fastcore.active is None or state.num_qubits > PACKED_MAX_QUBITS:
+        return state
+    return PackedSparse(state.num_qubits, *state.packed_arrays())
+
+
+def as_qstate(current: Carrier) -> QState:
+    """The ``QState`` a carrier holds."""
+    if isinstance(current, PackedSparse):
+        return QState.from_packed(current.num_qubits, current.idx,
+                                  current.amp)
+    return current
+
+
+def _gh_step(current: Carrier, minimize_literals: bool = False
+             ) -> tuple[list[Move], Carrier]:
+    """One GH merge of the carried state: one ``_fastcore.gh_step`` call
+    on packed arrays, :func:`_merge_step` on a ``QState``."""
+    if not isinstance(current, PackedSparse):
+        return _merge_step(current, minimize_literals)
+    n = current.num_qubits
+    literals, p, targets, theta, idx, amp = _fastcore._module.gh_step(
+        n, current.idx, current.amp, minimize_literals)
+    moves: list[Move] = [CXMove(control=p, phase=1, target=r)
+                         for r in targets]
+    moves.append(MergeMove(target=p, theta=theta, controls=literals))
+    return moves, PackedSparse(n, idx, amp)
+
+
 def _merge_step(state: QState, minimize_literals: bool = False
                 ) -> tuple[list[Move], QState]:
     """One GH merge: isolate a pair, align it, fold it.  Returns the moves
@@ -176,11 +243,11 @@ def mflow_reduction_moves(state: QState,
     if stop_cardinality < 1:
         raise SynthesisError("stop_cardinality must be >= 1")
     moves: list[Move] = []
-    current = state
+    current = carry(state)
     while current.cardinality > stop_cardinality:
-        step_moves, current = _merge_step(current, minimize_literals)
+        step_moves, current = _gh_step(current, minimize_literals)
         moves.extend(step_moves)
-    return moves, current
+    return moves, as_qstate(current) if moves else state
 
 
 def mflow_synthesize(state: QState) -> QCircuit:

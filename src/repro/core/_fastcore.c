@@ -1,9 +1,10 @@
 /* _fastcore: native hot-loop kernels for repro.core.kernel.
  *
  * Every function is a bit-for-bit twin of a Python/NumPy reference in
- * core/kernel.py (astar_push: core/astar.py); the Python code stays the
- * behavioral reference and the property tests in tests/test_fastcore.py
- * assert identity on random packed states.  Three rules keep the float paths identical:
+ * core/kernel.py (astar_push: core/astar.py; gh_step: baselines/mflow.py;
+ * best_merge: qsp/reduction.py); the Python code stays the behavioral
+ * reference and the property tests in tests/test_fastcore.py assert
+ * identity on random packed states.  Three rules keep the float paths identical:
  *
  *   1. Compile with -ffp-contract=off: expressions like c*a0 - s*a1 must
  *      not be FMA-fused, or results drift from the NumPy evaluation.
@@ -84,58 +85,6 @@ get_buf(PyObject *obj, Py_buffer *view, int writable)
         return 0;
     }
     return PyObject_GetBuffer(obj, view, flags);
-}
-
-static int64_t *
-list_to_i64(PyObject *lst, Py_ssize_t *len_out)
-{
-    Py_ssize_t i, count;
-    int64_t *arr;
-    if (!PyList_Check(lst)) {
-        PyErr_SetString(PyExc_TypeError, "expected a list of ints");
-        return NULL;
-    }
-    count = PyList_GET_SIZE(lst);
-    arr = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(int64_t));
-    if (arr == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < count; i++) {
-        arr[i] = (int64_t)PyLong_AsLongLong(PyList_GET_ITEM(lst, i));
-        if (arr[i] == -1 && PyErr_Occurred()) {
-            PyMem_Free(arr);
-            return NULL;
-        }
-    }
-    *len_out = count;
-    return arr;
-}
-
-static double *
-list_to_f64(PyObject *lst, Py_ssize_t *len_out)
-{
-    Py_ssize_t i, count;
-    double *arr;
-    if (!PyList_Check(lst)) {
-        PyErr_SetString(PyExc_TypeError, "expected a list of floats");
-        return NULL;
-    }
-    count = PyList_GET_SIZE(lst);
-    arr = PyMem_Malloc((size_t)(count ? count : 1) * sizeof(double));
-    if (arr == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (i = 0; i < count; i++) {
-        arr[i] = PyFloat_AsDouble(PyList_GET_ITEM(lst, i));
-        if (arr[i] == -1.0 && PyErr_Occurred()) {
-            PyMem_Free(arr);
-            return NULL;
-        }
-    }
-    *len_out = count;
-    return arr;
 }
 
 /* Serialized state payload: n (2 bytes LE) + idx bytes + qamp bytes. */
@@ -795,8 +744,8 @@ fc_wl_pair_ids(PyObject *self, PyObject *args)
         PyList_SET_ITEM(res, q, inner);
         for (p = 0; p < n; p++) {
             const int64_t *row = table + ((Py_ssize_t)q * n + p) * width;
-            PyObject *blob, *hv;
-            Py_hash_t hash;
+            PyObject *hv;
+            uint64_t fold;
             memcpy(bestbuf, row, (size_t)width * sizeof(int64_t));
             /* minimize over the four flip variants (column xor) */
             for (flip = 1; flip < 4; flip++) {
@@ -815,15 +764,12 @@ fc_wl_pair_ids(PyObject *self, PyObject *args)
                         bestbuf[w] = row[w ^ flip];
                 }
             }
-            blob = PyBytes_FromStringAndSize((char *)bestbuf,
-                                             (Py_ssize_t)width * 8);
-            if (blob == NULL) {
-                Py_CLEAR(res);
-                goto done;
-            }
-            hash = PyObject_Hash(blob);
-            Py_DECREF(blob);
-            hv = PyLong_FromSsize_t(hash);
+            /* the row's id: its counts folded by splitmix64, so it
+             * does not depend on the interpreter's hash seed */
+            fold = 0;
+            for (w = 0; w < width; w++)
+                fold = mix_a(fold ^ (uint64_t)bestbuf[w]);
+            hv = PyLong_FromUnsignedLongLong(fold);
             if (hv == NULL) {
                 Py_CLEAR(res);
                 goto done;
@@ -1295,11 +1241,12 @@ apply_scratch_free(apply_scratch *sc)
 
 /* (Multi-)controlled Ry on target bit `tmask` over the cube
  * (idx & cmask) == cval (twin of kernel._merge_arrays).  Writes the result
- * to sc->out sorted by index and returns its length. */
+ * to sc->out, sorted by index when `sort_out` is set, and returns its
+ * length. */
 static Py_ssize_t
 merge_apply_core(const int64_t *idx, const double *amp, Py_ssize_t m,
                  int64_t cmask, int64_t cval, int64_t tmask, double theta,
-                 double atol, apply_scratch *sc)
+                 double atol, apply_scratch *sc, int sort_out)
 {
     Py_ssize_t j, n0 = 0, n1 = 0, count = 0, p1 = 0, t;
     int64_t *g0i = sc->g0i, *g1i = sc->g1i;
@@ -1367,7 +1314,8 @@ merge_apply_core(const int64_t *idx, const double *amp, Py_ssize_t m,
             out[count++].a = new1;
         }
     }
-    qsort(out, (size_t)count, sizeof(ia_pair), cmp_ia_pair);
+    if (sort_out)
+        qsort(out, (size_t)count, sizeof(ia_pair), cmp_ia_pair);
     return count;
 }
 
@@ -1400,261 +1348,6 @@ merge_angle(double a0, double a1, int direction)
     if (direction == 0)
         return -2.0 * py_atan2(a1, a0);
     return 2.0 * py_atan2(a0, a1);
-}
-
-/* ------------------------------------------------------------------ */
-/* pairs_singles(n, idx, amp, tshift)                                  */
-/*   -> (i0 list, a0 list, a1 list, singles list)                      */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_pairs_singles(PyObject *self, PyObject *args)
-{
-    int n, tshift;
-    PyObject *idx_o, *amp_o, *res = NULL;
-    PyObject *i0_l = NULL, *a0_l = NULL, *a1_l = NULL, *singles_l = NULL;
-    Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m, P, S;
-    int64_t *i0 = NULL, *singles = NULL;
-    double *a0 = NULL, *a1 = NULL;
-
-    if (!PyArg_ParseTuple(args, "iOOi", &n, &idx_o, &amp_o, &tshift))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(amp_o, &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    if (i0 == NULL || singles == NULL || a0 == NULL || a1 == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    P = split_pairs((const int64_t *)idx_b.buf, (const double *)amp_b.buf,
-                    m, (int64_t)1 << tshift, i0, a0, a1, singles, &S);
-    i0_l = PyList_New(P);
-    a0_l = PyList_New(P);
-    a1_l = PyList_New(P);
-    singles_l = PyList_New(S);
-    if (i0_l == NULL || a0_l == NULL || a1_l == NULL || singles_l == NULL)
-        goto done;
-    for (j = 0; j < P; j++) {
-        PyObject *vi = PyLong_FromLongLong(i0[j]);
-        PyObject *v0 = PyFloat_FromDouble(a0[j]);
-        PyObject *v1 = PyFloat_FromDouble(a1[j]);
-        if (vi == NULL || v0 == NULL || v1 == NULL) {
-            Py_XDECREF(vi);
-            Py_XDECREF(v0);
-            Py_XDECREF(v1);
-            goto done;
-        }
-        PyList_SET_ITEM(i0_l, j, vi);
-        PyList_SET_ITEM(a0_l, j, v0);
-        PyList_SET_ITEM(a1_l, j, v1);
-    }
-    for (j = 0; j < S; j++) {
-        PyObject *v = PyLong_FromLongLong(singles[j]);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(singles_l, j, v);
-    }
-    res = PyTuple_Pack(4, i0_l, a0_l, a1_l, singles_l);
-done:
-    Py_XDECREF(i0_l);
-    Py_XDECREF(a0_l);
-    Py_XDECREF(a1_l);
-    Py_XDECREF(singles_l);
-    PyMem_Free(i0);
-    PyMem_Free(singles);
-    PyMem_Free(a0);
-    PyMem_Free(a1);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
-    return res;
-}
-
-/* ------------------------------------------------------------------ */
-/* merge_reps_codes(n, i0, singles, other)                             */
-/*   -> (reps list, pcodes list, scodes list)                          */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-i64_list(const int64_t *vals, Py_ssize_t count)
-{
-    Py_ssize_t j;
-    PyObject *lst = PyList_New(count);
-    if (lst == NULL)
-        return NULL;
-    for (j = 0; j < count; j++) {
-        PyObject *v = PyLong_FromLongLong(vals[j]);
-        if (v == NULL) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, j, v);
-    }
-    return lst;
-}
-
-static PyObject *
-fc_merge_reps_codes(PyObject *self, PyObject *args)
-{
-    int n, nreps;
-    PyObject *i0_o, *singles_o, *other_o, *res = NULL;
-    PyObject *reps_l = NULL, *pcodes_l = NULL, *scodes_l = NULL;
-    Py_ssize_t P, S, O;
-    int64_t *i0 = NULL, *singles = NULL, *other = NULL;
-    int64_t *pcodes = NULL, *scodes = NULL, reps[64];
-    unsigned char *cols = NULL;
-
-    if (!PyArg_ParseTuple(args, "iOOO", &n, &i0_o, &singles_o, &other_o))
-        return NULL;
-    i0 = list_to_i64(i0_o, &P);
-    if (i0 == NULL)
-        return NULL;
-    singles = list_to_i64(singles_o, &S);
-    if (singles == NULL)
-        goto done;
-    other = list_to_i64(other_o, &O);
-    if (other == NULL)
-        goto done;
-    cols = PyMem_Malloc((size_t)((O ? O : 1) * (P + S ? P + S : 1) + 1));
-    pcodes = PyMem_Malloc((size_t)(P + 1) * sizeof(int64_t));
-    scodes = PyMem_Malloc((size_t)(S + 1) * sizeof(int64_t));
-    if (cols == NULL || pcodes == NULL || scodes == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    nreps = rep_codes(n, i0, P, singles, S, other, O, cols, reps, pcodes,
-                      scodes);
-    reps_l = i64_list(reps, nreps);
-    pcodes_l = i64_list(pcodes, P);
-    scodes_l = i64_list(scodes, S);
-    if (reps_l != NULL && pcodes_l != NULL && scodes_l != NULL)
-        res = PyTuple_Pack(3, reps_l, pcodes_l, scodes_l);
-done:
-    Py_XDECREF(reps_l);
-    Py_XDECREF(pcodes_l);
-    Py_XDECREF(scodes_l);
-    PyMem_Free(i0);
-    PyMem_Free(singles);
-    PyMem_Free(other);
-    PyMem_Free(cols);
-    PyMem_Free(pcodes);
-    PyMem_Free(scodes);
-    return res;
-}
-
-/* ------------------------------------------------------------------ */
-/* merge_walk(pcodes, scodes, a0, a1, num_reps, kmax, rtol)            */
-/*   -> list[(smask, ref, direction)]                                  */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_merge_walk(PyObject *self, PyObject *args)
-{
-    PyObject *pcodes_o, *scodes_o, *a0_o, *a1_o, *res = NULL;
-    int num_reps, kmax;
-    double rtol;
-    Py_ssize_t P, S, na0, na1, i;
-    int64_t *pcl = NULL, *scl = NULL;
-    double *a0 = NULL, *a1 = NULL;
-    walk_list wl = {NULL, 0, 0};
-
-    if (!PyArg_ParseTuple(args, "OOOOiid", &pcodes_o, &scodes_o, &a0_o,
-                          &a1_o, &num_reps, &kmax, &rtol))
-        return NULL;
-    pcl = list_to_i64(pcodes_o, &P);
-    if (pcl == NULL)
-        return NULL;
-    scl = list_to_i64(scodes_o, &S);
-    if (scl == NULL)
-        goto done;
-    a0 = list_to_f64(a0_o, &na0);
-    if (a0 == NULL)
-        goto done;
-    a1 = list_to_f64(a1_o, &na1);
-    if (a1 == NULL)
-        goto done;
-    if (merge_walk_core(pcl, P, scl, S, a0, a1, num_reps, kmax, rtol,
-                        &wl) < 0)
-        goto done;
-    res = PyList_New(wl.count);
-    if (res == NULL)
-        goto done;
-    for (i = 0; i < wl.count; i++) {
-        PyObject *t = Py_BuildValue("(Lni)", (long long)wl.hits[i].smask,
-                                    wl.hits[i].ref, wl.hits[i].direction);
-        if (t == NULL) {
-            Py_CLEAR(res);
-            goto done;
-        }
-        PyList_SET_ITEM(res, i, t);
-    }
-done:
-    PyMem_Free(pcl);
-    PyMem_Free(scl);
-    PyMem_Free(a0);
-    PyMem_Free(a1);
-    PyMem_Free(wl.hits);
-    return res;
-}
-
-/* ------------------------------------------------------------------ */
-/* merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol)          */
-/*   -> (idx_bytes, amp_bytes)                                         */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-fc_merge_apply(PyObject *self, PyObject *args)
-{
-    int n, tshift;
-    long long cmask_ll, cval_ll;
-    double theta, atol;
-    PyObject *idx_o, *amp_o, *res = NULL, *ib = NULL, *ab = NULL;
-    Py_buffer idx_b, amp_b;
-    Py_ssize_t j, m, count;
-    apply_scratch sc = {NULL, NULL, NULL, NULL, NULL, NULL};
-
-    if (!PyArg_ParseTuple(args, "iOOLLidd", &n, &idx_o, &amp_o, &cmask_ll,
-                          &cval_ll, &tshift, &theta, &atol))
-        return NULL;
-    if (get_buf(idx_o, &idx_b, 0) < 0)
-        return NULL;
-    if (get_buf(amp_o, &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return NULL;
-    }
-    m = idx_b.len / 8;
-    if (apply_scratch_alloc(&sc, m) < 0)
-        goto done;
-    count = merge_apply_core((const int64_t *)idx_b.buf,
-                             (const double *)amp_b.buf, m,
-                             (int64_t)cmask_ll, (int64_t)cval_ll,
-                             (int64_t)1 << tshift, theta, atol, &sc);
-    ib = PyBytes_FromStringAndSize(NULL, count * 8);
-    ab = PyBytes_FromStringAndSize(NULL, count * 8);
-    if (ib != NULL && ab != NULL) {
-        int64_t *ip = (int64_t *)PyBytes_AS_STRING(ib);
-        double *ap = (double *)PyBytes_AS_STRING(ab);
-        for (j = 0; j < count; j++) {
-            ip[j] = sc.out[j].v;
-            ap[j] = sc.out[j].a;
-        }
-        res = PyTuple_Pack(2, ib, ab);
-    }
-done:
-    Py_XDECREF(ib);
-    Py_XDECREF(ab);
-    apply_scratch_free(&sc);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
-    return res;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2192,7 +1885,7 @@ fc_successors(PyObject *self, PyObject *args)
             if (move == NULL)
                 goto fail;
             count = merge_apply_core(idx, amp, m, cmask, cval, tmask, theta,
-                                     atol, &sc);
+                                     atol, &sc, 1);
             for (j = 0; j < count; j++) {
                 double qv = rint(sc.out[j].a * scale) / scale;
                 if (qv == 0.0)
@@ -2235,6 +1928,494 @@ done:
     PyMem_Free(wl.hits);
     while (nbuf > 0)
         PyBuffer_Release(bufs[--nbuf]);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
+/* the sparse reduction's steps on packed arrays (twins of             */
+/* baselines.mflow._merge_step and qsp.reduction._best_multi_merge)    */
+/* ------------------------------------------------------------------ */
+
+/* constants.ATOL and constants.MERGE_RATIO_RTOL (tests/test_fastcore.py
+ * pins both to the Python values) */
+#define REDUCE_ATOL 5e-11
+#define REDUCE_RTOL 1e-9
+
+/* Raise repro.exceptions.<name>(msg), the error the twin raises; steals
+ * msg (NULL: an error is already set). */
+static void
+raise_repro(const char *name, PyObject *msg)
+{
+    PyObject *mod, *cls;
+    if (msg == NULL)
+        return;
+    mod = PyImport_ImportModule("repro.exceptions");
+    cls = mod == NULL ? NULL : PyObject_GetAttrString(mod, name);
+    if (cls != NULL)
+        PyErr_SetObject(cls, msg);
+    Py_XDECREF(cls);
+    Py_XDECREF(mod);
+    Py_DECREF(msg);
+}
+
+/* The checks QState(n, amps, normalize=False) makes on a result row
+ * whose entries at or below ATOL were never written: indices in range,
+ * at least one entry, norm within 1e-6 of 1.  Returns 0, or -1 with
+ * QState's exception set. */
+static int
+qstate_checks(int n, const ia_pair *row, Py_ssize_t count)
+{
+    Py_ssize_t j;
+    double sq = 0.0, norm;
+    for (j = 0; j < count; j++) {
+        if (row[j].v < 0 || row[j].v >= ((int64_t)1 << n)) {
+            raise_repro("StateError", PyUnicode_FromFormat(
+                "basis index %lld out of range for %d qubits",
+                (long long)row[j].v, n));
+            return -1;
+        }
+        sq += row[j].a * row[j].a;
+    }
+    if (count == 0) {
+        raise_repro("StateError",
+                    PyUnicode_FromString("state has no nonzero amplitude"));
+        return -1;
+    }
+    norm = sqrt(sq);
+    if (fabs(norm - 1.0) > 1e-6) {
+        PyObject *nv = PyFloat_FromDouble(norm);
+        raise_repro("NormalizationError", nv == NULL ? NULL :
+                    PyUnicode_FromFormat("state norm %R != 1", nv));
+        Py_XDECREF(nv);
+        return -1;
+    }
+    return 0;
+}
+
+/* GH Algorithm 1 (twin of mflow.dif_qubits): narrow the index set to a
+ * pair by literals (q, v), each time taking the smallest side that keeps
+ * two or more indices, ties to the lowest qubit, then to value 0; with
+ * `minimize`, keep a literal only when the literals after it and the
+ * ones kept before it still select an index outside the pair.  bucket
+ * holds m slots; the pair's positions come back ascending in pair[].
+ * Returns the literal count, or -1 with SynthesisError set. */
+static int
+dif_qubits_core(int n, const int64_t *idx, Py_ssize_t m, int minimize,
+                Py_ssize_t *bucket, int *lq, int *lv, Py_ssize_t *pair)
+{
+    Py_ssize_t size = m, j, k;
+    int nl = 0, nk = 0, q, pos, t;
+
+    if (m < 2) {
+        raise_repro("SynthesisError", PyUnicode_FromString(
+            "need at least two indices to isolate a pair"));
+        return -1;
+    }
+    for (j = 0; j < m; j++)
+        bucket[j] = j;
+    while (size > 2) {
+        int bq = -1, bv = 0, shift;
+        Py_ssize_t best = size;  /* a usable side is smaller than size */
+        for (q = 0; q < n; q++) {
+            Py_ssize_t ones = 0, zeros;
+            shift = n - 1 - q;
+            for (j = 0; j < size; j++)
+                ones += (idx[bucket[j]] >> shift) & 1;
+            zeros = size - ones;
+            if (zeros >= 2 && zeros < best) {
+                best = zeros;
+                bq = q;
+                bv = 0;
+            }
+            if (ones >= 2 && ones < best) {
+                best = ones;
+                bq = q;
+                bv = 1;
+            }
+        }
+        if (bq < 0) {
+            raise_repro("SynthesisError", PyUnicode_FromString(
+                "identical indices in the bucket"));
+            return -1;
+        }
+        /* the chosen column is constant on what is left: at most n rounds */
+        lq[nl] = bq;
+        lv[nl++] = bv;
+        shift = n - 1 - bq;
+        for (j = 0, k = 0; j < size; j++) {
+            if (((idx[bucket[j]] >> shift) & 1) == bv)
+                bucket[k++] = bucket[j];
+        }
+        size = k;
+    }
+    pair[0] = bucket[0];
+    pair[1] = bucket[1];
+    if (!minimize)
+        return nl;
+    for (pos = 0; pos < nl; pos++) {
+        int needed = 0;
+        for (j = 0; j < m && !needed; j++) {
+            int64_t v = idx[j];
+            int selected = 1;
+            if (v == idx[pair[0]] || v == idx[pair[1]])
+                continue;
+            for (t = 0; t < nk && selected; t++)
+                selected = ((v >> (n - 1 - lq[t])) & 1) == lv[t];
+            for (t = pos + 1; t < nl && selected; t++)
+                selected = ((v >> (n - 1 - lq[t])) & 1) == lv[t];
+            needed = selected;
+        }
+        if (needed) {  /* kept literals compact in place: nk <= pos */
+            lq[nk] = lq[pos];
+            lv[nk++] = lv[pos];
+        }
+    }
+    return nk;
+}
+
+/* The (idx, amp) ndarrays of a result row, or -1 with an exception. */
+static int
+row_arrays(const ia_pair *row, Py_ssize_t count, PyObject **ia,
+           PyObject **aa)
+{
+    npy_intp dims[1];
+    Py_ssize_t j;
+    int64_t *ip;
+    double *ap;
+    dims[0] = (npy_intp)count;
+    *ia = PyArray_SimpleNew(1, dims, NPY_INT64);
+    *aa = PyArray_SimpleNew(1, dims, NPY_FLOAT64);
+    if (*ia == NULL || *aa == NULL) {
+        Py_CLEAR(*ia);
+        Py_CLEAR(*aa);
+        return -1;
+    }
+    ip = (int64_t *)PyArray_DATA((PyArrayObject *)*ia);
+    ap = (double *)PyArray_DATA((PyArrayObject *)*aa);
+    for (j = 0; j < count; j++) {
+        ip[j] = row[j].v;
+        ap[j] = row[j].a;
+    }
+    return 0;
+}
+
+/* A tuple of (qubit, value) literal tuples. */
+static PyObject *
+literal_tuple(const int *qs, const int *vs, int count)
+{
+    PyObject *res = PyTuple_New(count);
+    int j;
+    if (res == NULL)
+        return NULL;
+    for (j = 0; j < count; j++) {
+        PyObject *lit = Py_BuildValue("(ii)", qs[j], vs[j]);
+        if (lit == NULL) {
+            Py_DECREF(res);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(res, j, lit);
+    }
+    return res;
+}
+
+/* The (idx, amp) arguments of a reduction step: an ascending int64 and
+ * a float64 ndarray of one length m.  Returns 0, or -1 with an exception
+ * (no buffer held). */
+static int
+reduce_args(const char *fn, int n, PyObject *idx_o, PyObject *amp_o,
+            Py_buffer *idx_b, Py_buffer *amp_b, Py_ssize_t *m)
+{
+    Py_ssize_t j;
+    const int64_t *idx;
+    if (n < 1 || n > 62) {
+        PyErr_Format(PyExc_ValueError, "%s: bad width %d", fn, n);
+        return -1;
+    }
+    if (!PyArray_Check(idx_o) || !PyArray_Check(amp_o) ||
+            PyArray_TYPE((PyArrayObject *)idx_o) != NPY_INT64 ||
+            PyArray_TYPE((PyArrayObject *)amp_o) != NPY_FLOAT64) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: idx must be an int64, amp a float64 ndarray", fn);
+        return -1;
+    }
+    if (get_buf(idx_o, idx_b, 0) < 0)
+        return -1;
+    if (get_buf(amp_o, amp_b, 0) < 0) {
+        PyBuffer_Release(idx_b);
+        return -1;
+    }
+    *m = idx_b->len / 8;
+    idx = (const int64_t *)idx_b->buf;
+    for (j = 1; j < *m && idx[j - 1] <= idx[j]; j++)
+        ;
+    if (idx_b->len != amp_b->len || j < *m) {
+        PyErr_Format(PyExc_ValueError, "%s: idx must be ascending and as "
+                     "long as amp", fn);
+        PyBuffer_Release(idx_b);
+        PyBuffer_Release(amp_b);
+        return -1;
+    }
+    return 0;
+}
+
+/* gh_step(n, idx, amp, minimize_literals)
+ *   -> (literals, p, targets, theta, idx, amp)
+ * One GH merge of a sorted packed state (twin of mflow._merge_step):
+ * dif_qubits, then CX(p -> r) for every other position r where the pair
+ * differs, applied as one fan-out and re-sorted, then the fold of the
+ * aligned pair by Ry(theta) on p (mflow._fold_pair, same expressions).
+ * Entries at or below ATOL are dropped, and the aligned state (when there
+ * are CNOTs) and the folded one get QState's checks. */
+static PyObject *
+fc_gh_step(PyObject *self, PyObject *args)
+{
+    int n, minimize, nl, q, p = -1, ntargets = 0, lq[64], lv[64];
+    int targets[64];
+    PyObject *idx_o, *amp_o, *res = NULL, *lits, *tg, *ia, *aa;
+    Py_buffer idx_b, amp_b;
+    const int64_t *idx;
+    const double *amp;
+    Py_ssize_t m, j, k, count = 0, pair[2], lo_at = -1;
+    Py_ssize_t *bucket = NULL;
+    ia_pair *row = NULL;
+    int64_t pmask, flip = 0, lo, hi;
+    double a0 = 0.0, a1 = 0.0, theta, c, s, new0, new1;
+
+    if (!PyArg_ParseTuple(args, "iOOp", &n, &idx_o, &amp_o, &minimize))
+        return NULL;
+    if (reduce_args("gh_step", n, idx_o, amp_o, &idx_b, &amp_b, &m) < 0)
+        return NULL;
+    idx = (const int64_t *)idx_b.buf;
+    amp = (const double *)amp_b.buf;
+    bucket = PyMem_Malloc((size_t)(m + 1) * sizeof(Py_ssize_t));
+    row = PyMem_Malloc((size_t)(m + 2) * sizeof(ia_pair));
+    if (bucket == NULL || row == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    nl = dif_qubits_core(n, idx, m, minimize, bucket, lq, lv, pair);
+    if (nl < 0)
+        goto done;
+    for (q = 0; q < n; q++) {
+        if (((idx[pair[0]] ^ idx[pair[1]]) >> (n - 1 - q)) & 1) {
+            if (p < 0)
+                p = q;
+            else
+                targets[ntargets++] = q;
+        }
+    }
+    if (p < 0) {
+        raise_repro("SynthesisError", PyUnicode_FromString(
+            "identical indices in the bucket"));
+        goto done;
+    }
+    pmask = (int64_t)1 << (n - 1 - p);
+    for (q = 0; q < ntargets; q++)
+        flip ^= (int64_t)1 << (n - 1 - targets[q]);
+    /* the pair member with p clear; its partner aligns to lo | pmask */
+    lo = (idx[pair[0]] & pmask) ? idx[pair[1]] : idx[pair[0]];
+    hi = lo | pmask;
+    for (j = 0; j < m; j++) {
+        int64_t v = idx[j];
+        if (fabs(amp[j]) <= REDUCE_ATOL)
+            continue;
+        row[count].v = (v & pmask) ? v ^ flip : v;
+        row[count++].a = amp[j];
+    }
+    if (ntargets > 0 && qstate_checks(n, row, count) < 0)
+        goto done;
+    for (j = 0; j < count; j++) {
+        if (row[j].v == lo) {
+            lo_at = j;
+            a0 = row[j].a;
+        }
+        else if (row[j].v == hi) {
+            a1 = row[j].a;
+        }
+    }
+    theta = merge_angle(a0, a1, 0);
+    c = cos(theta / 2.0);
+    s = sin(theta / 2.0);
+    new0 = c * a0 - s * a1;
+    new1 = s * a0 + c * a1;
+    for (j = 0, k = 0; j < count; j++) {
+        if (row[j].v != lo && row[j].v != hi)
+            row[k++] = row[j];
+    }
+    if (lo_at >= 0) {  /* _fold_pair writes the pair where lo was */
+        if (fabs(new0) > REDUCE_ATOL) {
+            row[k].v = lo;
+            row[k++].a = new0;
+        }
+        if (fabs(new1) > REDUCE_ATOL) {
+            row[k].v = hi;
+            row[k++].a = new1;
+        }
+    }
+    qsort(row, (size_t)k, sizeof(ia_pair), cmp_ia_pair);
+    if (qstate_checks(n, row, k) < 0)
+        goto done;
+    if (row_arrays(row, k, &ia, &aa) < 0)
+        goto done;
+    lits = literal_tuple(lq, lv, nl);
+    tg = int_tuple(targets, ntargets);
+    if (lits == NULL || tg == NULL) {
+        Py_XDECREF(lits);
+        Py_XDECREF(tg);
+        Py_DECREF(ia);
+        Py_DECREF(aa);
+        goto done;
+    }
+    res = Py_BuildValue("(NiNdNN)", lits, p, tg, theta, ia, aa);
+done:
+    PyMem_Free(bucket);
+    PyMem_Free(row);
+    PyBuffer_Release(&idx_b);
+    PyBuffer_Release(&amp_b);
+    return res;
+}
+
+/* best_merge(n, idx, amp, max_controls)
+ *   -> None | (target, theta, controls, drop, idx, amp)
+ * The greedy's multi-pair scoring on a sorted packed state (twin of
+ * reduction._best_multi_merge): every merge enumerate_merges_packed makes
+ * without a topology, target by target in its order, is applied to count
+ * the indices it folds away (`drop`), with QState's checks as Move.apply
+ * makes them.  The winner has the lowest cost / drop, ties to the larger
+ * drop, then to the first enumerated; it comes back with its merged,
+ * sorted arrays. */
+static PyObject *
+fc_best_merge(PyObject *self, PyObject *args)
+{
+    int n, max_controls, target, q, r, have = 0;
+    int best_target = 0, best_nctl = 0, best_cq[64], best_cv[64];
+    PyObject *idx_o, *amp_o, *res = NULL, *ctl, *ia, *aa;
+    Py_buffer idx_b, amp_b;
+    const int64_t *idx;
+    const double *amp;
+    Py_ssize_t m, h, count, best_drop = 0;
+    int64_t *i0 = NULL, *singles = NULL, *pcodes = NULL, *scodes = NULL;
+    int64_t other[64], reps[64], best_cmask = 0, best_cval = 0;
+    double *a0 = NULL, *a1 = NULL, best_score = 0.0, best_theta = 0.0;
+    unsigned char *cols = NULL;
+    apply_scratch sc = {NULL, NULL, NULL, NULL, NULL, NULL};
+    walk_list wl = {NULL, 0, 0};
+
+    if (!PyArg_ParseTuple(args, "iOOi", &n, &idx_o, &amp_o, &max_controls))
+        return NULL;
+    if (reduce_args("best_merge", n, idx_o, amp_o, &idx_b, &amp_b, &m) < 0)
+        return NULL;
+    idx = (const int64_t *)idx_b.buf;
+    amp = (const double *)amp_b.buf;
+    if (max_controls > n - 1)
+        max_controls = n - 1;
+    i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    pcodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    scodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    cols = PyMem_Malloc((size_t)(n + 1) * (size_t)(m + 1));
+    if (i0 == NULL || singles == NULL || pcodes == NULL || scodes == NULL ||
+            a0 == NULL || a1 == NULL || cols == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (apply_scratch_alloc(&sc, m) < 0)
+        goto done;
+    for (target = 0; target < n; target++) {
+        int tshift = n - 1 - target, nreps, kmax;
+        int64_t tmask = (int64_t)1 << tshift;
+        Py_ssize_t P, S, O = 0;
+        P = split_pairs(idx, amp, m, tmask, i0, a0, a1, singles, &S);
+        if (P == 0)
+            continue;
+        for (q = 0; q < n; q++) {
+            if (q != target)
+                other[O++] = q;
+        }
+        nreps = rep_codes(n, i0, P, singles, S, other, O, cols, reps,
+                          pcodes, scodes);
+        kmax = max_controls < nreps ? max_controls : nreps;
+        wl.count = 0;
+        if (merge_walk_core(pcodes, P, scodes, S, a0, a1, nreps, kmax,
+                            REDUCE_RTOL, &wl) < 0)
+            goto done;
+        for (h = 0; h < wl.count; h++) {
+            int64_t smask = wl.hits[h].smask, ref_idx = i0[wl.hits[h].ref];
+            int64_t cmask = 0, cval = 0;
+            double theta = merge_angle(a0[wl.hits[h].ref],
+                                       a1[wl.hits[h].ref],
+                                       wl.hits[h].direction);
+            double score;
+            int nctl = 0;
+            Py_ssize_t drop;
+            for (r = 0; r < nreps; r++) {
+                int shift = n - 1 - (int)reps[r];
+                if (!((smask >> r) & 1))
+                    continue;
+                cmask |= (int64_t)1 << shift;
+                cval |= ((ref_idx >> shift) & 1) << shift;
+                nctl++;
+            }
+            count = merge_apply_core(idx, amp, m, cmask, cval, tmask, theta,
+                                     REDUCE_ATOL, &sc, 0);
+            if (qstate_checks(n, sc.out, count) < 0)
+                goto done;
+            drop = m - count;
+            if (drop < 1)
+                continue;
+            /* mcry_cnot_cost(nctl) / drop, as Python's int / int */
+            score = (double)(nctl ? (int64_t)1 << nctl : 0) / (double)drop;
+            if (have && !(score < best_score ||
+                          (score == best_score && drop > best_drop)))
+                continue;
+            have = 1;
+            best_score = score;
+            best_drop = drop;
+            best_target = target;
+            best_theta = theta;
+            best_cmask = cmask;
+            best_cval = cval;
+            best_nctl = 0;
+            for (r = 0; r < nreps; r++) {
+                if ((smask >> r) & 1) {
+                    best_cq[best_nctl] = (int)reps[r];
+                    best_cv[best_nctl++] =
+                        (int)((ref_idx >> (n - 1 - (int)reps[r])) & 1);
+                }
+            }
+        }
+    }
+    if (!have) {
+        res = Py_NewRef(Py_None);
+        goto done;
+    }
+    count = merge_apply_core(idx, amp, m, best_cmask, best_cval,
+                             (int64_t)1 << (n - 1 - best_target), best_theta,
+                             REDUCE_ATOL, &sc, 1);
+    if (row_arrays(sc.out, count, &ia, &aa) < 0)
+        goto done;
+    ctl = literal_tuple(best_cq, best_cv, best_nctl);
+    if (ctl == NULL) {
+        Py_DECREF(ia);
+        Py_DECREF(aa);
+        goto done;
+    }
+    res = Py_BuildValue("(idNnNN)", best_target, best_theta, ctl, best_drop,
+                        ia, aa);
+done:
+    PyMem_Free(i0);
+    PyMem_Free(singles);
+    PyMem_Free(pcodes);
+    PyMem_Free(scodes);
+    PyMem_Free(a0);
+    PyMem_Free(a1);
+    PyMem_Free(cols);
+    apply_scratch_free(&sc);
+    PyMem_Free(wl.hits);
+    PyBuffer_Release(&idx_b);
+    PyBuffer_Release(&amp_b);
     return res;
 }
 
@@ -3580,16 +3761,12 @@ static PyMethodDef fastcore_methods[] = {
     {"canon_key", fc_canon_key, METH_VARARGS,
      "canon_key(ps, pu2, tie_cap, perm_cap, u2_data, automorphisms, timed, "
      "scale) -> (key, u2_miss, hashing_seconds)."},
-    {"pairs_singles", fc_pairs_singles, METH_VARARGS,
-     "pairs_singles(n, idx, amp, tshift) -> (i0, a0, a1, singles)."},
-    {"merge_reps_codes", fc_merge_reps_codes, METH_VARARGS,
-     "merge_reps_codes(n, i0, singles, other) -> (reps, pcodes, scodes)."},
-    {"merge_walk", fc_merge_walk, METH_VARARGS,
-     "merge_walk(pcodes, scodes, a0, a1, num_reps, kmax, rtol) -> "
-     "list of (smask, ref, direction)."},
-    {"merge_apply", fc_merge_apply, METH_VARARGS,
-     "merge_apply(n, idx, amp, cmask, cval, tshift, theta, atol) -> "
-     "(idx_bytes, amp_bytes)."},
+    {"gh_step", fc_gh_step, METH_VARARGS,
+     "gh_step(n, idx, amp, minimize_literals) -> (literals, p, targets, "
+     "theta, idx, amp): one GH merge of a sorted packed state."},
+    {"best_merge", fc_best_merge, METH_VARARGS,
+     "best_merge(n, idx, amp, max_controls) -> None | (target, theta, "
+     "controls, drop, idx, amp): the cheapest-per-pair merge."},
     {"bind_kernel", fc_bind_kernel, METH_VARARGS,
      "bind_kernel(PackedState, MergeMove, CXMove, CanonKey, refine): the "
      "kernel classes and the tie-refinement callback."},

@@ -596,12 +596,6 @@ def _merge_arrays(ps: PackedState, controls: tuple[tuple[int, int], ...],
         shift = n - 1 - q
         cmask |= 1 << shift
         cval |= p << shift
-    fc = _fastcore.active
-    if fc is not None:
-        ib, ab = fc.merge_apply(n, ps.idx, ps.amp, cmask, cval,
-                                n - 1 - target, theta, ATOL)
-        return (np.frombuffer(ib, dtype=np.int64),
-                np.frombuffer(ab, dtype=np.float64))
     if ps.m <= _SCALAR_MERGE_LIMIT:
         return _merge_arrays_scalar(ps, cmask, cval, target, theta)
     return _merge_arrays_numpy(ps, cmask, cval, target, theta)
@@ -823,12 +817,17 @@ def _wl_refine(idx: np.ndarray, bits: np.ndarray | None, ranks: np.ndarray,
             less = _rowwise_less(variant.reshape(-1, width),
                                  best.reshape(-1, width)).reshape(n, n)
             best = np.where(less[..., None], variant, best)
-        # Content-derived integer tags: equal content always hashes
+        # Content-derived integer tags: equal content always folds
         # equally, so tag equality — and the final sort of cells by tag —
-        # is class covariant.  (Only within-process stability is needed;
-        # keys never leave the search.)
-        pair_ids = [[hash(best[q, p].tobytes()) for p in range(n)]
-                    for q in range(n)]
+        # is class covariant.  Each row's counts are folded by splitmix64,
+        # not by the seeded ``hash`` of their bytes, so the cell order
+        # (and every capped ordering behind a key) is the same in every
+        # process.
+        rows = best.reshape(n * n, width).T.astype(np.uint64)
+        fold = np.zeros(n * n, dtype=np.uint64)
+        for counts in rows:
+            fold = _mix64(fold ^ counts, _MIX_A1, _MIX_A2)
+        pair_ids = fold.reshape(n, n).tolist()
     tags = [hash(tag) for tag in sig_tags]
     partition = _partition_of(tags)
     for _round in range(n):
@@ -1495,7 +1494,9 @@ def enumerate_merges_packed(ps: PackedState, target: int,
     per-pair bit codes precomputed from the bit matrix.  A ``topology``
     restricts control qubits to coupled neighbors of ``target`` (the
     multiplexor decomposition only emits control-target CNOTs), mirroring
-    the reference enumeration.
+    the reference enumeration.  Its native counterpart has no entry point
+    of its own: it runs inside ``_fastcore.successors`` (every target of
+    an expansion) and ``_fastcore.best_merge`` (the sparse reduction).
     """
     n = ps.n
     if max_controls is None:
@@ -1506,30 +1507,6 @@ def enumerate_merges_packed(ps: PackedState, target: int,
     else:
         tmask = topology.neighbor_masks()[target]
         other = [q for q in range(n) if q != target and (tmask >> q) & 1]
-    fc = _fastcore.active
-    if fc is not None:
-        # native lattice walk: pair split, representative selection, and
-        # the cube enumeration with its consistency test and first-cube
-        # dedupe all run in C; only the surviving (cube, ref, direction)
-        # triples come back to be wrapped as MergeMoves.
-        i0l, a0l, a1l, singles = fc.pairs_singles(
-            n, ps.idx, ps.amp, n - 1 - target)
-        if not i0l:
-            return []
-        reps, pcodes, scodes = fc.merge_reps_codes(n, i0l, singles, other)
-        kmax = min(max_controls, len(reps))
-        walk = fc.merge_walk(pcodes, scodes, a0l, a1l, len(reps), kmax,
-                             MERGE_RATIO_RTOL)
-        moves = []
-        for smask, ref, direction in walk:
-            ref_idx = i0l[ref]
-            controls = tuple(
-                (reps[j], (ref_idx >> (n - 1 - reps[j])) & 1)
-                for j in range(len(reps)) if (smask >> j) & 1)
-            theta = merge_angle(a0l[ref], a1l[ref], direction)
-            moves.append(MergeMove(target=target, theta=theta,
-                                   controls=controls))
-        return moves
     i0, a0, a1, pair_mask, single_mask = _pairs_and_singles_packed(ps, target)
     num_pairs = len(i0)
     if num_pairs == 0:

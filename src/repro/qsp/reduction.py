@@ -15,16 +15,25 @@ consistent across many pairs, so multi-pair merges fire often — this is
 where the workflow's sparse-state advantage over the m-flow baseline comes
 from (Sec. VI-C reports 32% on average).
 
-The merges are enumerated on the packed kernel
-(:func:`repro.core.kernel.enumerate_merges_packed`, native when the
-extension is loaded), which is move-set- and order-identical to the
-reference in :mod:`repro.core.transitions` (still used for registers wider
-than the kernel's int64 indices); the greedy still carries its
-state as a :class:`QState` and applies moves with
-:meth:`~repro.core.moves.Move.apply`.  The plain GH trajectory to the same
-thresholds is a :class:`GHTrajectory`, computed once: the greedy walks its
-prefix for as long as it takes GH steps, the result falls back to it when
-it is cheaper, and the workflow serves it as its GH candidate.
+The greedy and the GH trajectory carry their state in the form
+:func:`repro.baselines.mflow.carry` picks.  With the extension loaded (and
+a register the kernel's int64 indices hold) that is a
+:class:`~repro.baselines.mflow.PackedSparse`: each GH step is one
+``_fastcore.gh_step`` call and each greedy scoring one
+``_fastcore.best_merge`` call, which enumerates, applies and scores every
+merge natively and returns the winner's merged arrays.  Otherwise it is a
+:class:`QState`, and :func:`_best_multi_merge` is the Python twin: it
+enumerates with :func:`repro.core.kernel.enumerate_merges_packed` (bound to
+the module name ``enumerate_merges``), or with the reference in
+:mod:`repro.core.transitions` for registers wider than int64 indices, and
+applies each move with :meth:`~repro.core.moves.Move.apply`.  Both make the
+same moves in the same order and bit-identical states.  The loops below
+are written once, over either carrier.
+
+The plain GH trajectory to the same thresholds is a :class:`GHTrajectory`,
+computed once: the greedy walks its prefix for as long as it takes GH
+steps, the result falls back to it when it is cheaper, and the workflow
+serves it as its GH candidate.
 """
 
 from __future__ import annotations
@@ -32,11 +41,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.baselines.mflow import _merge_step
+from repro.baselines.mflow import (
+    Carrier,
+    PackedSparse,
+    _gh_step,
+    as_qstate,
+    carry,
+)
+from repro.core import fastcore as _fastcore
 from repro.core import transitions
 from repro.core.kernel import PACKED_MAX_QUBITS, StatePool
 from repro.core.kernel import enumerate_merges_packed as enumerate_merges
-from repro.core.moves import Move
+from repro.core.moves import MergeMove, Move
 from repro.exceptions import SynthesisError
 from repro.states.analysis import num_entangled_qubits
 from repro.states.qstate import QState
@@ -62,11 +78,12 @@ class ReductionConfig:
 class GHTrajectory:
     """The plain GH merge steps from ``state`` to the stop thresholds.
 
-    One GH step (:func:`repro.baselines.mflow._merge_step` with literal
+    One GH step (:func:`repro.baselines.mflow._gh_step` with literal
     minimization) after another, while the cardinality is above
     ``stop_cardinality`` or (when given) more than ``stop_entangled``
     qubits are entangled, and more than one index is left.  The steps are
-    computed on first use and then shared by everyone who reads them.
+    computed on first use, on the carrier :func:`carry` picks, and then
+    shared by everyone who reads them.
     """
 
     def __init__(self, state: QState, stop_cardinality: int = 1,
@@ -77,20 +94,25 @@ class GHTrajectory:
         self.stop_cardinality = stop_cardinality
         self.stop_entangled = stop_entangled
 
-    def reached(self, current: QState) -> bool:
+    def reached(self, current: Carrier) -> bool:
         """True when ``current`` meets the stop thresholds."""
         if current.cardinality > self.stop_cardinality:
             return False
         return self.stop_entangled is None or \
-            num_entangled_qubits(current) <= self.stop_entangled
+            _num_entangled(current) <= self.stop_entangled
 
     @cached_property
-    def steps(self) -> list[tuple[list[Move], QState]]:
+    def start(self) -> Carrier:
+        """``state`` as the reduction carries it."""
+        return carry(self.state)
+
+    @cached_property
+    def steps(self) -> list[tuple[list[Move], Carrier]]:
         """``(moves, next_state)`` of every GH step, in order."""
-        steps: list[tuple[list[Move], QState]] = []
-        current = self.state
+        steps: list[tuple[list[Move], Carrier]] = []
+        current = self.start
         while not self.reached(current) and current.cardinality > 1:
-            step = _merge_step(current, minimize_literals=True)
+            step = _gh_step(current, minimize_literals=True)
             steps.append(step)
             current = step[1]
         return steps
@@ -100,19 +122,45 @@ class GHTrajectory:
         """All moves of the trajectory."""
         return [move for step_moves, _ in self.steps for move in step_moves]
 
-    @property
+    @cached_property
     def final(self) -> QState:
         """The state the trajectory ends in."""
-        return self.steps[-1][1] if self.steps else self.state
+        return as_qstate(self.steps[-1][1]) if self.steps else self.state
 
 
-def _cardinality_drop(state: QState, move: Move) -> int:
-    return state.cardinality - move.apply(state).cardinality
+def _num_entangled(current: Carrier) -> int:
+    """Entangled qubits of the carried state, by the rule of
+    :func:`repro.states.analysis._cofactor_ratio`."""
+    if isinstance(current, PackedSparse):
+        return len(_fastcore._module.entangled_qubits(
+            current.num_qubits, current.idx, current.amp))
+    return num_entangled_qubits(current)
+
+
+def _best_merge(current: Carrier, config: ReductionConfig
+                ) -> tuple[MergeMove, int, Carrier] | None:
+    """Cheapest-per-pair AP merge from the carried state, its cardinality
+    drop and the merged state, if any merge folds an index away: one
+    ``_fastcore.best_merge`` call on packed arrays,
+    :func:`_best_multi_merge` on a ``QState``."""
+    if not isinstance(current, PackedSparse):
+        return _best_multi_merge(current, config)
+    n = current.num_qubits
+    cap = config.max_merge_controls
+    found = _fastcore._module.best_merge(
+        n, current.idx, current.amp, n - 1 if cap is None else cap)
+    if found is None:
+        return None
+    target, theta, controls, drop, idx, amp = found
+    return (MergeMove(target=target, theta=theta, controls=controls), drop,
+            PackedSparse(n, idx, amp))
 
 
 def _best_multi_merge(state: QState, config: ReductionConfig
-                      ) -> tuple[Move, int] | None:
-    """Cheapest-per-pair AP merge currently available, if any.
+                      ) -> tuple[MergeMove, int, QState] | None:
+    """Python twin of ``_fastcore.best_merge``: the lowest ``cost / drop``
+    over every merge, ties to the larger drop, then to the first
+    enumerated.
 
     Enumerated on the packed kernel; a register too wide for its int64
     indices goes to the reference enumeration, which makes the same moves
@@ -122,24 +170,25 @@ def _best_multi_merge(state: QState, config: ReductionConfig
         subject, merges = StatePool().from_qstate(state), enumerate_merges
     else:
         subject, merges = state, transitions.enumerate_merges
-    best: tuple[float, int, Move] | None = None
+    best: tuple[float, int, MergeMove, QState] | None = None
     for target in range(state.num_qubits):
         for move in merges(subject, target,
                            max_controls=config.max_merge_controls):
-            drop = _cardinality_drop(state, move)
+            merged = move.apply(state)
+            drop = state.cardinality - merged.cardinality
             if drop < 1:
                 continue
             score = move.cost / drop
             if best is None or score < best[0] or \
                     (score == best[0] and drop > best[1]):
-                best = (score, drop, move)
+                best = (score, drop, move, merged)
     if best is None:
         return None
-    return best[2], best[1]
+    return best[2], best[1], best[3]
 
 
 def _greedy(gh: GHTrajectory, config: ReductionConfig
-            ) -> tuple[list[Move], QState]:
+            ) -> tuple[list[Move], Carrier]:
     """Multi-pair merges where they pay, GH steps elsewhere.
 
     Until its first multi-pair merge the greedy stands on ``gh``'s
@@ -147,7 +196,7 @@ def _greedy(gh: GHTrajectory, config: ReductionConfig
     step it compares against is the step it takes.
     """
     moves: list[Move] = []
-    current = gh.state
+    current = gh.start
     on_gh: int | None = 0  # GH steps taken so far, while on the trajectory
     while True:
         if on_gh is not None:
@@ -155,20 +204,20 @@ def _greedy(gh: GHTrajectory, config: ReductionConfig
                 break
         elif gh.reached(current) or current.cardinality == 1:
             break  # a basis state needs only free gates
-        choice = _best_multi_merge(current, config)
+        choice = _best_merge(current, config)
         if choice is not None and choice[0].cost == 0:
             moves.append(choice[0])
-            current = choice[0].apply(current)
+            current = choice[2]
             on_gh = None
             continue
         step_moves, after = gh.steps[on_gh] if on_gh is not None else \
-            _merge_step(current, minimize_literals=True)
+            _gh_step(current, minimize_literals=True)
         if choice is not None:
-            move, drop = choice
+            move, drop, merged = choice
             gh_cost = sum(m.cost for m in step_moves)
             if move.cost <= max(gh_cost, 1) * drop:
                 moves.append(move)
-                current = move.apply(current)
+                current = merged
                 on_gh = None
                 continue
         moves.extend(step_moves)
@@ -209,5 +258,6 @@ def reduce_cardinality(state: QState, stop_cardinality: int = 1,
     greedy_moves, greedy_state = _greedy(gh, config)
     gh_moves = gh.moves
     if sum(m.cost for m in greedy_moves) <= sum(m.cost for m in gh_moves):
-        return greedy_moves, greedy_state
+        return greedy_moves, \
+            as_qstate(greedy_state) if greedy_moves else state
     return gh_moves, gh.final

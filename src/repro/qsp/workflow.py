@@ -342,13 +342,14 @@ class WorkflowRun(StepwiseRun):
         # only the winner is assembled.
         candidates: list[tuple[str, list[Move], QState]] = []
         yield  # flow boundary: reduction candidates next
-        gh = GHTrajectory(state,
-                          stop_cardinality=max(1, config.exact_cardinality),
+        # a state of cardinality 1 needs no reduction, so 0 means 1
+        stop_cardinality = max(1, config.exact_cardinality)
+        gh = GHTrajectory(state, stop_cardinality=stop_cardinality,
                           stop_entangled=config.exact_qubits)
         if config.improved_reduction:
             moves, reduced = reduce_cardinality(
                 state,
-                stop_cardinality=config.exact_cardinality,
+                stop_cardinality=stop_cardinality,
                 stop_entangled=config.exact_qubits,
                 config=config.reduction, gh=gh)
             candidates.append(("multi-pair", moves, reduced))

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.arch.topologies import CouplingMap
@@ -18,6 +23,8 @@ from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
 from repro.states.random_states import random_dense_state
+
+SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestBeam:
@@ -59,6 +66,28 @@ class TestBeam:
         assert budgeted.cnot_cost == plain.cnot_cost
         assert budgeted.stats.nodes_expanded == plain.stats.nodes_expanded
         assert budgeted.moves == plain.moves
+
+
+    def test_answer_independent_of_hash_seed(self):
+        """The canonical keys the beam dedupes on do not read the
+        interpreter's hash seed (the WL refinement folds its pair tables
+        with splitmix64), so processes at different ``PYTHONHASHSEED``
+        answer with the same cost after the same expansions."""
+        code = ("from repro.core.beam import BeamConfig, beam_search\n"
+                "from repro.states.families import dicke_state\n"
+                "res = beam_search(dicke_state(6, 3), BeamConfig(width=16))\n"
+                "print(res.cnot_cost, res.stats.nodes_expanded)\n")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_ROOT))
+            for seed in ("0", "1")]
+        answers = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            answers.append(out.split())
+        assert answers[0] == answers[1]
 
 
 class TestExactSynthesizer:

@@ -23,6 +23,8 @@ that contract:
   under every move-set option, and honour a patched ``state_hash64``;
 * the acyclic kernel objects leave the cyclic collector only with the
   extension loaded, and untracked states are still freed;
+* the sparse reduction's native GH step and merge scoring make the
+  Python twins' moves and merged states, bit for bit;
 * ``U64Map`` itself is differentially tested against a plain dict;
 * ``REPRO_NO_FASTCORE=1`` must select the fallback in a fresh process;
 * the splitmix64 constant table in ``_splitmix.h`` is parsed and compared
@@ -55,7 +57,20 @@ from hypothesis import strategies as st
 import repro.core.astar as astar
 import repro.core.kernel as kernel
 from repro.arch.topologies import CouplingMap
-from repro.constants import SEARCH_PERM_CAP, SEARCH_TIE_CAP
+from repro.baselines.mflow import (
+    PackedSparse,
+    _gh_step,
+    _merge_step,
+    as_qstate,
+    carry,
+    dif_qubits,
+)
+from repro.constants import (
+    ATOL,
+    MERGE_RATIO_RTOL,
+    SEARCH_PERM_CAP,
+    SEARCH_TIE_CAP,
+)
 from repro.core import fastcore
 from repro.core.astar import AStarRun, SearchConfig, astar_search
 from repro.core.canonical import CanonLevel
@@ -75,7 +90,16 @@ from repro.core.kernel import (
     successors_packed,
 )
 from repro.core.splitmix import SPLITMIX_CONSTANTS
-from repro.exceptions import SearchBudgetExceeded
+from repro.exceptions import (
+    NormalizationError,
+    SearchBudgetExceeded,
+    SynthesisError,
+)
+from repro.qsp.reduction import (
+    ReductionConfig,
+    _best_merge,
+    _best_multi_merge,
+)
 from repro.sim.verify import prepares_state
 from repro.states.families import dicke_state, ghz_state, w_state
 from repro.states.qstate import QState
@@ -440,6 +464,136 @@ class TestNativeCanonicalKey:
         ctx.timers = {}
         ctx.key(StatePool().from_qstate(dicke_state(5, 2)))
         assert ctx.timers["hashing"] > 0.0
+
+
+# ----------------------------------------------------------------------
+# The sparse reduction's native steps
+# ----------------------------------------------------------------------
+
+def _sparse_case(seed: int, max_n: int = 62) -> QState:
+    """A random sparse state: n = 2..max_n, m = 2..min(4n, 2**n) indices,
+    uniform or Gaussian amplitudes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_n + 1))
+    m = int(rng.integers(2, min(4 * n, 1 << n) + 1))
+    idx: set[int] = set()
+    while len(idx) < m:
+        idx.add(int(rng.integers(0, 1 << n)))
+    if rng.random() < 0.4:
+        amps = np.ones(m)
+    else:
+        amps = rng.standard_normal(m)
+    return QState(n, {i: float(a) for i, a in zip(sorted(idx), amps)})
+
+
+def _step_bits(moves, after) -> tuple:
+    """Moves with their angles' bit patterns, and the state's entries."""
+    return ([(m, m.theta.hex()) if isinstance(m, MergeMove) else (m, None)
+             for m in moves],
+            [(i, a.hex()) for i, a in as_qstate(after).items()])
+
+
+@needs_fastcore
+class TestNativeReduction:
+    """``_fastcore.gh_step`` against ``mflow._merge_step`` and
+    ``_fastcore.best_merge`` against ``reduction._best_multi_merge``:
+    the same moves, angles bit for bit, and the same merged entries."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_gh_step_equals_merge_step(self, seed):
+        state = _sparse_case(seed)
+        for minimize in (False, True):
+            native = _gh_step(carry(state), minimize)
+            assert isinstance(native[1], PackedSparse)
+            assert _step_bits(*native) == \
+                _step_bits(*_merge_step(state, minimize))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 62])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_gh_step_on_pairs_and_one_index_splits(self, n, minimize):
+        """Two-index sets (no literal), one-hot sets and their complements
+        (every column splits one index off)."""
+        full = (1 << n) - 1
+        one_hot = [1 << (n - 1 - q) for q in range(n)]
+        cases = [[0, full], [1, 2], [0, one_hot[0]], one_hot,
+                 [0] + one_hot[1:], [full ^ i for i in one_hot]]
+        for indices in cases:
+            amps = np.linspace(0.5, 1.5, len(indices))
+            state = QState(n, {i: float(a) for i, a in
+                               zip(sorted(set(indices)), amps)})
+            assert _step_bits(*_gh_step(carry(state), minimize)) == \
+                _step_bits(*_merge_step(state, minimize))
+
+    @pytest.mark.parametrize("indices", [[5, 5, 5], [0, 0, 0, 0], [3, 3],
+                                         [3]])
+    def test_gh_step_identical_indices_error(self, indices):
+        """Index sets ``dif_qubits`` cannot split raise its error."""
+        idx = np.array(indices, dtype=np.int64)
+        amp = np.full(len(indices), 1.0 / np.sqrt(len(indices)))
+        with pytest.raises(SynthesisError):
+            fastcore.active.gh_step(4, idx, amp, True)
+        if len(set(indices)) == 1 and len(indices) > 2:
+            with pytest.raises(SynthesisError):
+                dif_qubits(indices, 4)
+
+    def test_gh_step_keeps_qstate_checks(self):
+        idx = np.array([1, 6], dtype=np.int64)
+        with pytest.raises(NormalizationError):
+            fastcore.active.gh_step(3, idx, np.array([1.0, 1.0]), False)
+
+    @pytest.mark.parametrize("step", ["gh_step", "best_merge"])
+    def test_rejects_malformed_arrays(self, step):
+        """Only ascending int64 indices with float64 amplitudes of the
+        same length reach the native loops."""
+        call = getattr(fastcore.active, step)
+        amp = np.array([0.6, 0.8])
+        for idx, amps, error in (
+                (np.array([3, 1]), amp, ValueError),
+                (np.array([1, 3]), amp[:1], ValueError),
+                (np.array([1, 3], dtype=np.int32), amp, TypeError),
+                (np.array([1, 3]), amp.astype(np.float32), TypeError),
+                ([1, 3], amp, TypeError)):
+            with pytest.raises(error):
+                call(4, idx, amps, 1)
+        with pytest.raises(ValueError):
+            call(63, np.array([1, 3]), amp, 1)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=120, deadline=None)
+    def test_best_merge_equals_python_scoring(self, seed):
+        state = _sparse_case(seed, max_n=20)
+        caps = [0, 1, 2] + ([None] if state.num_qubits <= 8 else [])
+        for cap in caps:
+            config = ReductionConfig(max_merge_controls=cap)
+            native = _best_merge(carry(state), config)
+            with python_path():
+                pure = _best_multi_merge(state, config)
+            if pure is None:
+                assert native is None
+                continue
+            assert native is not None
+            assert native[1] == pure[1]
+            assert _step_bits([native[0]], native[2]) == \
+                _step_bits([pure[0]], pure[2])
+
+    def test_best_merge_on_free_and_absent_merges(self):
+        """|+++> folds four pairs for free; a two-index state whose pair
+        differs on two qubits has no merge."""
+        plus = QState.uniform(3, list(range(8)))
+        move, drop, merged = _best_merge(carry(plus), ReductionConfig())
+        assert (move.cost, drop, merged.cardinality) == (0, 4, 4)
+        assert _best_merge(carry(QState.uniform(3, [0, 3])),
+                           ReductionConfig()) is None
+
+    def test_tolerances_match_python(self):
+        """The reduction's compiled-in ATOL and merge-ratio tolerance are
+        the library's (parsed from the source, like the splitmix header)."""
+        source = (SRC_ROOT / "repro" / "core" / "_fastcore.c").read_text()
+        defines = dict(re.findall(
+            r"#define\s+(REDUCE_\w+)\s+([0-9.eE+-]+)", source))
+        assert float(defines["REDUCE_ATOL"]) == ATOL
+        assert float(defines["REDUCE_RTOL"]) == MERGE_RATIO_RTOL
 
 
 # ----------------------------------------------------------------------

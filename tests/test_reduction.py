@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 import repro.qsp.reduction as reduction_module
 from mflow_oracle import gh_reduction_reference, reduce_cardinality_reference
-from repro.baselines.mflow import mflow_reduction_moves
+from repro.baselines.mflow import PackedSparse, carry, mflow_reduction_moves
+from repro.core import fastcore
 from repro.core.kernel import PACKED_MAX_QUBITS
-from repro.core.moves import moves_to_circuit
+from repro.core.moves import MergeMove, moves_to_circuit
 from repro.exceptions import SynthesisError
 from repro.qsp.config import QSPConfig
 from repro.qsp.reduction import (
@@ -83,24 +86,39 @@ class TestReduceCardinality:
 
     def test_config_max_controls(self, monkeypatch):
         """On every state the greedy visits, the multi-pair proposal stays
-        within the control cap; on this state the proposals reach it."""
+        within the control cap; on this state the proposals reach it.  The
+        spy wraps the dispatch that both carriers go through, and the
+        greedy runs on each carrier this process has."""
         s = random_uniform_state(6, 10, seed=3)
-        best_multi_merge = reduction_module._best_multi_merge
+        best_merge = reduction_module._best_merge
         proposed: list[int] = []
 
-        def spy(state, config):
-            choice = best_multi_merge(state, config)
+        def spy(current, config):
+            choice = best_merge(current, config)
             if choice is not None:
                 proposed.append(len(choice[0].controls))
             return choice
 
-        monkeypatch.setattr(reduction_module, "_best_multi_merge", spy)
-        for cap in (0, 1, 2):
-            proposed.clear()
-            reduce_cardinality(s, config=ReductionConfig(
-                max_merge_controls=cap))
-            assert proposed, cap
-            assert max(proposed) == cap
+        monkeypatch.setattr(reduction_module, "_best_merge", spy)
+        for native in (True, False) if fastcore.available() else (False,):
+            with fastcore_enabled(native):
+                for cap in (0, 1, 2):
+                    proposed.clear()
+                    reduce_cardinality(s, config=ReductionConfig(
+                        max_merge_controls=cap))
+                    assert proposed, (native, cap)
+                    assert max(proposed) == cap
+
+
+@contextmanager
+def fastcore_enabled(flag: bool):
+    """Run the body with the compiled path on or off, restoring it after."""
+    before = fastcore.active is not None
+    fastcore.set_enabled(flag)
+    try:
+        yield
+    finally:
+        fastcore.set_enabled(before)
 
 
 def _suite_state(n: int, m: int, uniform: bool) -> QState:
@@ -182,3 +200,79 @@ class TestReferenceParity:
         with pytest.raises(SynthesisError):
             reduce_cardinality(s, stop_cardinality=8, stop_entangled=4,
                                gh=GHTrajectory(s, 16, 4))
+
+
+#: the whole sparse suite: n = 8..20, m in (n, 2n, 4n), n * m < 2**n
+WIDE_ROWS = [(n, m) for n in range(8, 21) for m in (n, 2 * n, 4 * n)
+             if n * m < (1 << n)]
+
+
+def _bits(moves: list, final: QState) -> tuple:
+    """Moves with their angles' bit patterns, and the final amplitudes'."""
+    return ([(m, m.theta.hex()) if isinstance(m, MergeMove) else (m, None)
+             for m in moves],
+            [(i, a.hex()) for i, a in final.items()])
+
+
+@pytest.mark.skipif(not fastcore.available(),
+                    reason="compiled _fastcore unavailable")
+class TestNativeCarrier:
+    """The reduction on packed arrays (one native call per GH step and
+    per greedy scoring) makes the ``QState`` twin's moves and states, bit
+    for bit, in one process."""
+
+    @staticmethod
+    def _both(run) -> tuple:
+        with fastcore_enabled(True):
+            native = run()
+        with fastcore_enabled(False):
+            twin = run()
+        return native, twin
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "gaussian"])
+    def test_reduce_cardinality(self, uniform, cap):
+        config = QSPConfig()
+        reduction = ReductionConfig(max_merge_controls=cap)
+        for n, m in WIDE_ROWS:
+            s = _suite_state(n, m, uniform)
+            for stop in ((config.exact_cardinality, config.exact_qubits),
+                         (1, None)):
+                native, twin = self._both(lambda: _bits(*reduce_cardinality(
+                    s, *stop, config=reduction)))
+                assert native == twin, (n, m, stop)
+
+    def test_gh_trajectory_and_mflow(self):
+        config = QSPConfig()
+        for n, m in WIDE_ROWS:
+            s = _suite_state(n, m, uniform=False)
+
+            def run():
+                gh = GHTrajectory(s, config.exact_cardinality,
+                                  config.exact_qubits)
+                return (_bits(gh.moves, gh.final),
+                        _bits(*mflow_reduction_moves(s)),
+                        _bits(*mflow_reduction_moves(s, 16, True)))
+
+            native, twin = self._both(run)
+            assert native == twin, (n, m)
+
+    def test_uncapped_merges(self):
+        """``max_merge_controls=None`` on rows small enough to walk every
+        cube."""
+        reduction = ReductionConfig(max_merge_controls=None)
+        for n in (3, 5, 7, 9):
+            for m in (n, 2 * n):
+                s = _suite_state(n, min(m, (1 << n) - 1), uniform=False)
+                native, twin = self._both(lambda: _bits(*reduce_cardinality(
+                    s, config=reduction)))
+                assert native == twin, (n, m)
+
+    def test_carrier_choice(self):
+        s = _suite_state(10, 20, uniform=False)
+        with fastcore_enabled(True):
+            assert isinstance(carry(s), PackedSparse)
+        with fastcore_enabled(False):
+            assert carry(s) is s
+        assert reduce_cardinality(s, stop_cardinality=s.cardinality)[1] is s

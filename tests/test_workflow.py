@@ -227,23 +227,37 @@ class TestWorkflowRun:
     def test_sparse_prepare_computes_gh_trajectory_once(self, monkeypatch):
         """The greedy reduction, its GH peeks and the workflow's GH
         candidate share one GH trajectory: no state of a sparse prepare is
-        GH-stepped twice, the target included."""
+        GH-stepped twice, the target included.  The spy wraps the GH step
+        both carriers go through."""
         state = random_real_state(8, 16, seed=4)
         stepped: Counter = Counter()
 
         def counting(step):
             def spy(current, minimize_literals=False):
-                stepped[current.key()] += 1
+                stepped[mflow_module.as_qstate(current).key()] += 1
                 return step(current, minimize_literals)
             return spy
 
         for module in (reduction_module, mflow_module):
-            monkeypatch.setattr(module, "_merge_step",
-                                counting(module._merge_step))
+            monkeypatch.setattr(module, "_gh_step",
+                                counting(module._gh_step))
         result = prepare_state(state)
         assert prepares_state(result.circuit, state)
         assert stepped[state.key()] == 1
         assert max(stepped.values()) == 1
+
+    def test_exact_cardinality_zero_reads_as_one(self):
+        """No state needs a reduction below cardinality 1, so
+        ``exact_cardinality=0`` serves what ``exact_cardinality=1``
+        serves, with the improved reduction on or off."""
+        state = random_real_state(8, 8, seed=1)
+        one = prepare_state(state, QSPConfig(exact_cardinality=1))
+        assert one.circuit.cnot_cost() == 33
+        for improved in (True, False):
+            zero = prepare_state(state, QSPConfig(
+                exact_cardinality=0, improved_reduction=improved))
+            assert prepares_state(zero.circuit, state)
+            assert zero.circuit.cnot_cost() == one.circuit.cnot_cost()
 
 
 class TestExactCoreLine:
@@ -384,12 +398,13 @@ class _AssembleEveryCandidate(WorkflowRun):
         trace.append(f"sparse path: n={n} m={state.cardinality}")
         candidates = []
         yield
+        stop_cardinality = max(1, config.exact_cardinality)
         gh = reduction_module.GHTrajectory(
-            state, stop_cardinality=max(1, config.exact_cardinality),
+            state, stop_cardinality=stop_cardinality,
             stop_entangled=config.exact_qubits)
         if config.improved_reduction:
             moves, reduced = workflow_module.reduce_cardinality(
-                state, stop_cardinality=config.exact_cardinality,
+                state, stop_cardinality=stop_cardinality,
                 stop_entangled=config.exact_qubits,
                 config=config.reduction, gh=gh)
             candidates.append(("multi-pair", moves, reduced))
