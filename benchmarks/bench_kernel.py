@@ -5,7 +5,7 @@ benchmark family (the rows of Table IV) and reports search throughput:
 
 * ``fastcore`` — the packed kernel with the native ``_fastcore`` C
   extension driving the hot loop (orbit hash, one native call per
-  expansion, native hash containers);
+  expansion into a native open list, native hash containers);
 * ``kernel`` — the same packed kernel forced onto its pure-Python
   reference paths (``fastcore.set_enabled(False)``);
 * ``legacy`` — the dict-based seed loop, kept as the test oracle

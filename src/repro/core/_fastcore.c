@@ -1,7 +1,7 @@
 /* _fastcore: native hot-loop kernels for repro.core.kernel.
  *
  * Every function is a bit-for-bit twin of a Python/NumPy reference in
- * core/kernel.py (astar_push: core/astar.py; gh_step: baselines/mflow.py;
+ * core/kernel.py (OpenList: core/astar.py; gh_step: baselines/mflow.py;
  * best_merge: qsp/reduction.py); the Python code stays the behavioral
  * reference and the property tests in tests/test_fastcore.py assert
  * identity on random packed states.  Three rules keep the float paths identical:
@@ -127,6 +127,44 @@ cmp_ij_pair(const void *pa, const void *pb)
     int64_t a = ((const ij_pair *)pa)->v;
     int64_t b = ((const ij_pair *)pb)->v;
     return (a > b) - (a < b);
+}
+
+/* Rows up to this length sort by insertion, longer ones by qsort.  The
+ * rows sorted this way hold distinct keys, so either order is the one
+ * ascending order (the dense search's rows hold 8-16 entries, the
+ * sparse reduction's are wider). */
+#define SHORT_SORT 32
+
+static void
+sort_ia_rows(ia_pair *a, Py_ssize_t m)
+{
+    Py_ssize_t i, j;
+    if (m > SHORT_SORT) {
+        qsort(a, (size_t)m, sizeof(ia_pair), cmp_ia_pair);
+        return;
+    }
+    for (i = 1; i < m; i++) {
+        ia_pair x = a[i];
+        for (j = i; j > 0 && a[j - 1].v > x.v; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+static void
+sort_ij_rows(ij_pair *a, Py_ssize_t m)
+{
+    Py_ssize_t i, j;
+    if (m > SHORT_SORT) {
+        qsort(a, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
+        return;
+    }
+    for (i = 1; i < m; i++) {
+        ij_pair x = a[i];
+        for (j = i; j > 0 && a[j - 1].v > x.v; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -447,7 +485,7 @@ pin_core(int n, int64_t *idx, double *amp, Py_ssize_t *m_io,
                     pairs[j].v = idx[j] ^ bit;
                     pairs[j].a = amp[j];
                 }
-                qsort(pairs, (size_t)m, sizeof(ia_pair), cmp_ia_pair);
+                sort_ia_rows(pairs, m);
                 for (j = 0; j < m; j++) {
                     idx[j] = pairs[j].v;
                     amp[j] = pairs[j].a;
@@ -671,7 +709,7 @@ cell_symmetric_core(int n, const int64_t *idx, const double *qamp,
             pairs[j].v = idx[j] ^ (diff * both);
             pairs[j].j = j;
         }
-        qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
+        sort_ij_rows(pairs, m);
         for (j = 0; j < m; j++) {
             if (pairs[j].v != idx[j] || qamp[pairs[j].j] != qamp[j])
                 return 0;
@@ -1315,7 +1353,7 @@ merge_apply_core(const int64_t *idx, const double *amp, Py_ssize_t m,
         }
     }
     if (sort_out)
-        qsort(out, (size_t)count, sizeof(ia_pair), cmp_ia_pair);
+        sort_ia_rows(out, count);
     return count;
 }
 
@@ -1354,11 +1392,13 @@ merge_angle(double a0, double a1, int direction)
 /* kernel objects built natively                                       */
 /* ------------------------------------------------------------------ */
 
-/* The one-call expansion builds kernel.PackedState and moves.MergeMove
- * objects itself, and canon_key builds kernel.CanonKey objects.
- * bind_kernel(PackedState, MergeMove, CXMove, CanonKey, refine) records
- * the classes, the __slots__ offsets of PackedState and CanonKey, and
- * canon_key's refinement callback; kernel.py calls it once at import.
+/* The expansion and A*'s open list build kernel.PackedState and
+ * moves.MergeMove objects themselves and intern them into a
+ * kernel.StatePool; canon_key builds kernel.CanonKey objects.
+ * bind_kernel(PackedState, MergeMove, CanonKey, StatePool, refine)
+ * records the classes, the __slots__ offsets of PackedState, CanonKey
+ * and StatePool, and canon_key's refinement callback; kernel.py calls it
+ * once at import.
  *
  * Objects built here leave CPython's cyclic collector
  * (PyObject_GC_UnTrack): none of them can be part of a reference cycle.
@@ -1377,19 +1417,26 @@ static PyTypeObject *ps_type = NULL;
 static Py_ssize_t ps_off[PS_NSLOTS];
 static PyTypeObject *mm_type = NULL;
 static PyObject *str_target = NULL, *str_theta = NULL, *str_controls = NULL;
-static PyObject *str_cost = NULL;
 static PyObject *empty_tuple = NULL;
 
 #define PS_SLOT(obj, i) (*(PyObject **)((char *)(obj) + ps_off[i]))
 
-/* astar_push prices CXMoves without the property call */
 enum { CK_N, CK_H, CK_FULL, CK_NSLOTS };
 static const char *const ck_slot_names[CK_NSLOTS] = {"n", "h", "full"};
 static PyTypeObject *ck_type = NULL;
 static Py_ssize_t ck_off[CK_NSLOTS];
-static PyTypeObject *cx_type = NULL;
 
 #define CK_SLOT(obj, i) (*(PyObject **)((char *)(obj) + ck_off[i]))
+
+/* the pool's table and its counters (interning outside an expansion
+ * call updates them in place) */
+enum { SP_TABLE, SP_INTERNED, SP_HITS, SP_COLLISIONS, SP_NSLOTS };
+static const char *const sp_slot_names[SP_NSLOTS] = {
+    "_table", "interned", "hits", "hash_collisions"};
+static PyTypeObject *sp_type = NULL;
+static Py_ssize_t sp_off[SP_NSLOTS];
+
+#define SP_SLOT(obj, i) (*(PyObject **)((char *)(obj) + sp_off[i]))
 
 /* kernel._refine_tags(n, idx, absamp, sig_tags): the Python refinement
  * of oversized ties, called back by canon_key */
@@ -1421,30 +1468,32 @@ slot_offsets(PyObject *cls, const char *const *names, int count,
 static PyObject *
 fc_bind_kernel(PyObject *self, PyObject *args)
 {
-    PyObject *pst, *mmt, *cxt, *ckt, *refine;
-    Py_ssize_t off[PS_NSLOTS], coff[CK_NSLOTS];
+    PyObject *pst, *mmt, *ckt, *spt, *refine;
+    Py_ssize_t off[PS_NSLOTS], coff[CK_NSLOTS], soff[SP_NSLOTS];
 
     if (!PyArg_ParseTuple(args, "O!O!O!O!O", &PyType_Type, &pst,
-                          &PyType_Type, &mmt, &PyType_Type, &cxt,
-                          &PyType_Type, &ckt, &refine))
+                          &PyType_Type, &mmt, &PyType_Type, &ckt,
+                          &PyType_Type, &spt, &refine))
         return NULL;
     if (!PyCallable_Check(refine)) {
         PyErr_SetString(PyExc_TypeError, "bind_kernel: refine not callable");
         return NULL;
     }
     if (slot_offsets(pst, ps_slot_names, PS_NSLOTS, off) < 0 ||
-            slot_offsets(ckt, ck_slot_names, CK_NSLOTS, coff) < 0)
+            slot_offsets(ckt, ck_slot_names, CK_NSLOTS, coff) < 0 ||
+            slot_offsets(spt, sp_slot_names, SP_NSLOTS, soff) < 0)
         return NULL;
     memcpy(ps_off, off, sizeof(off));
     memcpy(ck_off, coff, sizeof(coff));
+    memcpy(sp_off, soff, sizeof(soff));
     Py_INCREF(pst);
     Py_XSETREF(ps_type, (PyTypeObject *)pst);
     Py_INCREF(mmt);
     Py_XSETREF(mm_type, (PyTypeObject *)mmt);
-    Py_INCREF(cxt);
-    Py_XSETREF(cx_type, (PyTypeObject *)cxt);
     Py_INCREF(ckt);
     Py_XSETREF(ck_type, (PyTypeObject *)ckt);
+    Py_INCREF(spt);
+    Py_XSETREF(sp_type, (PyTypeObject *)spt);
     Py_INCREF(refine);
     Py_XSETREF(refine_fn, refine);
     Py_RETURN_NONE;
@@ -1521,6 +1570,37 @@ new_merge_move(int target, double theta, PyObject *controls)
     return mv;
 }
 
+/* The MergeMove of a merge on `target` over the control cube
+ * (idx & cmask) == cval: its controls are the cube's qubits in
+ * ascending order (the lattice walk picks its representatives in that
+ * order), each with its bit in cval. */
+static PyObject *
+merge_move_of(int n, int target, double theta, int64_t cmask, int64_t cval)
+{
+    PyObject *ctl = PyTuple_New(__builtin_popcountll((uint64_t)cmask));
+    PyObject *move;
+    int q, c = 0;
+    if (ctl == NULL)
+        return NULL;
+    for (q = 0; q < n; q++) {
+        int shift = n - 1 - q;
+        PyObject *lit;
+        if (!((cmask >> shift) & 1))
+            continue;
+        lit = Py_BuildValue("(ii)", q, (int)((cval >> shift) & 1));
+        if (lit == NULL) {
+            Py_DECREF(ctl);
+            return NULL;
+        }
+        PyObject_GC_UnTrack(lit);
+        PyTuple_SET_ITEM(ctl, c++, lit);
+    }
+    PyObject_GC_UnTrack(ctl);
+    move = new_merge_move(target, theta, ctl);
+    Py_DECREF(ctl);
+    return move;
+}
+
 /* ------------------------------------------------------------------ */
 /* interning (twin of StatePool._intern)                               */
 /* ------------------------------------------------------------------ */
@@ -1549,41 +1629,30 @@ same_state(PyObject *state, int n, PyObject *payload)
                (size_t)PyBytes_GET_SIZE(payload)) == 0;
 }
 
-/* Lookup-or-insert of one state: a new reference to the interned
- * PackedState, or NULL with an exception set. */
+/* Lookup-or-insert of the state with this payload under the pool key
+ * hkey: a new reference to the interned PackedState, or NULL with an
+ * exception set. */
 static PyObject *
-pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
-            const double *qamp, Py_ssize_t m)
+pool_intern_keyed(pool_ctx *pc, PyObject *payload, PyObject *hkey,
+                  const int64_t *idx, const double *amp, const double *qamp,
+                  Py_ssize_t m)
 {
-    PyObject *payload, *hkey = NULL, *entry, *chain = NULL, *state = NULL;
+    PyObject *entry, *chain = NULL, *state = NULL;
     Py_ssize_t i;
 
-    payload = build_payload(pc->n, idx, qamp, m);
-    if (payload == NULL)
-        return NULL;
-    if (pc->hash_fn != NULL) {
-        hkey = PyObject_CallOneArg(pc->hash_fn, payload);
-    }
-    else {
-        Py_hash_t h = PyObject_Hash(payload);
-        if (h != -1)
-            hkey = PyLong_FromSsize_t(h);
-    }
-    if (hkey == NULL)
-        goto done;
     entry = PyDict_GetItemWithError(pc->table, hkey);
     if (entry == NULL) {
         if (PyErr_Occurred())
-            goto done;
+            return NULL;
         state = new_packed(pc->nobj, idx, amp, qamp, m, payload, hkey);
         if (state == NULL)
-            goto done;
+            return NULL;
         if (PyDict_SetItem(pc->table, hkey, state) < 0) {
-            Py_CLEAR(state);
-            goto done;
+            Py_DECREF(state);
+            return NULL;
         }
         pc->interned++;
-        goto done;
+        return state;
     }
     if (PyList_CheckExact(entry)) {
         chain = entry;
@@ -1602,12 +1671,11 @@ pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
         if (same_state(entry, pc->n, payload)) {
             pc->hits++;
             Py_INCREF(entry);
-            state = entry;
-            goto done;
+            return entry;
         }
         chain = PyList_New(1);
         if (chain == NULL)
-            goto done;
+            return NULL;
         Py_INCREF(entry);
         PyList_SET_ITEM(chain, 0, entry);
         if (PyDict_SetItem(pc->table, hkey, chain) < 0)
@@ -1624,9 +1692,58 @@ pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
     pc->interned++;
 done:
     Py_XDECREF(chain);
+    return state;
+}
+
+/* Lookup-or-insert of one state by its rows. */
+static PyObject *
+pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
+            const double *qamp, Py_ssize_t m)
+{
+    PyObject *payload, *hkey = NULL, *state = NULL;
+
+    payload = build_payload(pc->n, idx, qamp, m);
+    if (payload == NULL)
+        return NULL;
+    if (pc->hash_fn != NULL) {
+        hkey = PyObject_CallOneArg(pc->hash_fn, payload);
+    }
+    else {
+        Py_hash_t h = PyObject_Hash(payload);
+        if (h != -1)
+            hkey = PyLong_FromSsize_t(h);
+    }
+    if (hkey != NULL)
+        state = pool_intern_keyed(pc, payload, hkey, idx, amp, qamp, m);
     Py_XDECREF(hkey);
     Py_DECREF(payload);
     return state;
+}
+
+/* Add the interning counts of pc to the pool's own counters. */
+static int
+pool_count(PyObject *pool, const pool_ctx *pc)
+{
+    Py_ssize_t deltas[3] = {pc->interned, pc->hits, pc->collisions};
+    int i;
+    for (i = 0; i < 3; i++) {
+        PyObject **slot = &SP_SLOT(pool, SP_INTERNED + i), *sum;
+        Py_ssize_t cur;
+        if (deltas[i] == 0)
+            continue;
+        if (*slot == NULL || !PyLong_Check(*slot)) {
+            PyErr_SetString(PyExc_TypeError, "pool counter is not an int");
+            return -1;
+        }
+        cur = PyLong_AsSsize_t(*slot);
+        if (cur == -1 && PyErr_Occurred())
+            return -1;
+        sum = PyLong_FromSsize_t(cur + deltas[i]);
+        if (sum == NULL)
+            return -1;
+        Py_SETREF(*slot, sum);
+    }
+    return 0;
 }
 
 /* Append (move, state) to the arc list; the pair tuple is untracked like
@@ -1652,7 +1769,7 @@ gather_sorted(ij_pair *pairs, Py_ssize_t m, const double *amp,
               double *row_q)
 {
     Py_ssize_t j;
-    qsort(pairs, (size_t)m, sizeof(ij_pair), cmp_ij_pair);
+    sort_ij_rows(pairs, m);
     for (j = 0; j < m; j++) {
         row_i[j] = pairs[j].v;
         row_a[j] = amp[pairs[j].j];
@@ -1661,38 +1778,317 @@ gather_sorted(ij_pair *pairs, Py_ssize_t m, const double *amp,
 }
 
 /* ------------------------------------------------------------------ */
+/* one expansion, child by child                                       */
+/* ------------------------------------------------------------------ */
+
+/* The parent state and the move set of one expansion. */
+typedef struct {
+    int n;
+    const int64_t *idx;
+    const double *amp, *qamp;
+    Py_ssize_t m;
+    int x_moves;                 /* emit the n X children */
+    const int64_t *controls, *phases, *targets;  /* the K CX moves */
+    Py_ssize_t K;
+    int max_controls;
+    const int64_t *nbr;          /* per-qubit coupling masks, or NULL */
+    double atol, rtol, scale;
+} expand_spec;
+
+enum { CHILD_X, CHILD_CX, CHILD_MERGE };
+
+/* One child as the expansion hands it to its visitor: the move and the
+ * sorted, quantized rows (scratch, valid during the visit only). */
+typedef struct {
+    int kind;
+    Py_ssize_t pos;              /* X: the qubit; CX: the move's position */
+    int target, nctl;            /* a merge: its target, angle and the */
+    double theta;                /* control cube (idx & cmask) == cval */
+    int64_t cmask, cval;
+    const int64_t *idx;
+    const double *amp, *qamp;
+    Py_ssize_t m;
+} child_view;
+
+typedef int (*child_visitor)(void *ctx, const child_view *cv);
+
+/* scratch of expand_children, sized for parents up to mcap entries on
+ * up to ncap qubits */
+typedef struct {
+    Py_ssize_t mcap;
+    int ncap;
+    ij_pair *pairs;
+    int64_t *row_i, *i0, *singles, *pcodes, *scodes;
+    double *row_a, *row_q, *a0, *a1;
+    unsigned char *cols;
+    apply_scratch sc;
+    walk_list wl;
+} expand_scratch;
+
+static void
+expand_scratch_init(expand_scratch *es)
+{
+    memset(es, 0, sizeof(*es));
+    es->mcap = -1;
+}
+
+static void
+expand_scratch_free(expand_scratch *es)
+{
+    PyMem_Free(es->pairs);
+    PyMem_Free(es->row_i);
+    PyMem_Free(es->row_a);
+    PyMem_Free(es->row_q);
+    PyMem_Free(es->i0);
+    PyMem_Free(es->singles);
+    PyMem_Free(es->pcodes);
+    PyMem_Free(es->scodes);
+    PyMem_Free(es->a0);
+    PyMem_Free(es->a1);
+    PyMem_Free(es->cols);
+    apply_scratch_free(&es->sc);
+    PyMem_Free(es->wl.hits);
+    expand_scratch_init(es);
+}
+
+static int
+expand_scratch_reserve(expand_scratch *es, int n, Py_ssize_t m)
+{
+    if (m <= es->mcap && n <= es->ncap)
+        return 0;
+    if (m < es->mcap)
+        m = es->mcap;
+    if (n < es->ncap)
+        n = es->ncap;
+    expand_scratch_free(es);
+    es->pairs = PyMem_Malloc((size_t)(m + 1) * sizeof(ij_pair));
+    es->row_i = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(int64_t));
+    es->row_a = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
+    es->row_q = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
+    es->i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    es->singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    es->pcodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    es->scodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
+    es->a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    es->a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
+    es->cols = PyMem_Malloc((size_t)(n + 1) * (size_t)(m + 1));
+    if (es->pairs == NULL || es->row_i == NULL || es->row_a == NULL ||
+            es->row_q == NULL || es->i0 == NULL || es->singles == NULL ||
+            es->pcodes == NULL || es->scodes == NULL || es->a0 == NULL ||
+            es->a1 == NULL || es->cols == NULL) {
+        expand_scratch_free(es);
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (apply_scratch_alloc(&es->sc, m) < 0) {
+        expand_scratch_free(es);
+        return -1;
+    }
+    es->mcap = m;
+    es->ncap = n;
+    return 0;
+}
+
+/* One whole expansion of kernel.successors_packed, in the Python path's
+ * order: the X children (when asked for), the CX children of the
+ * memoized move list, then every merge of every target (twin of
+ * enumerate_merges_packed followed by _merge_arrays and the
+ * quantization pass).  Each child's rows are computed into the scratch
+ * and handed to visit(ctx, child); X and CX children equal to the parent
+ * are handed over too (the visitor drops them).  Returns 0, or -1 with
+ * an exception set (a visitor's error stops the expansion). */
+static int
+expand_children(const expand_spec *sp, expand_scratch *es,
+                child_visitor visit, void *ctx)
+{
+    int n = sp->n, q, target;
+    Py_ssize_t m = sp->m, k, j, h;
+    const int64_t *idx = sp->idx;
+    const double *amp = sp->amp, *qamp = sp->qamp;
+    int64_t other[64], reps[64];
+    child_view cv;
+
+    cv.idx = es->row_i;
+    cv.amp = es->row_a;
+    cv.qamp = es->row_q;
+    cv.target = cv.nctl = 0;
+    cv.theta = 0.0;
+    cv.cmask = cv.cval = 0;
+    cv.m = m;
+    /* X moves (twin of apply_x_packed) */
+    cv.kind = CHILD_X;
+    for (q = 0; sp->x_moves && q < n; q++) {
+        int64_t mask = (int64_t)1 << (n - 1 - q);
+        for (j = 0; j < m; j++) {
+            es->pairs[j].v = idx[j] ^ mask;
+            es->pairs[j].j = j;
+        }
+        gather_sorted(es->pairs, m, amp, qamp, es->row_i, es->row_a,
+                      es->row_q);
+        cv.pos = q;
+        if (visit(ctx, &cv) < 0)
+            return -1;
+    }
+    /* CX moves (twin of _batch_cx_successors) */
+    cv.kind = CHILD_CX;
+    for (k = 0; k < sp->K; k++) {
+        int cshift = n - 1 - (int)sp->controls[k];
+        int64_t phase = sp->phases[k];
+        int64_t tmask = (int64_t)1 << (n - 1 - (int)sp->targets[k]);
+        for (j = 0; j < m; j++) {
+            int64_t v = idx[j];
+            if (((v >> cshift) & 1) == phase)
+                v ^= tmask;
+            es->pairs[j].v = v;
+            es->pairs[j].j = j;
+        }
+        gather_sorted(es->pairs, m, amp, qamp, es->row_i, es->row_a,
+                      es->row_q);
+        cv.pos = k;
+        if (visit(ctx, &cv) < 0)
+            return -1;
+    }
+    /* merges, target by target */
+    cv.kind = CHILD_MERGE;
+    cv.pos = 0;
+    for (target = 0; target < n; target++) {
+        int tshift = n - 1 - target, nreps, kmax;
+        int64_t tmask = (int64_t)1 << tshift;
+        int64_t tnbr = sp->nbr != NULL ? sp->nbr[target] : -1;
+        Py_ssize_t P, S, O = 0;
+        P = split_pairs(idx, amp, m, tmask, es->i0, es->a0, es->a1,
+                        es->singles, &S);
+        if (P == 0)
+            continue;
+        for (q = 0; q < n; q++) {
+            if (q != target && ((tnbr >> q) & 1))
+                other[O++] = q;
+        }
+        nreps = rep_codes(n, es->i0, P, es->singles, S, other, O, es->cols,
+                          reps, es->pcodes, es->scodes);
+        kmax = sp->max_controls < nreps ? sp->max_controls : nreps;
+        es->wl.count = 0;
+        if (merge_walk_core(es->pcodes, P, es->scodes, S, es->a0, es->a1,
+                            nreps, kmax, sp->rtol, &es->wl) < 0)
+            return -1;
+        for (h = 0; h < es->wl.count; h++) {
+            const walk_hit *hit = &es->wl.hits[h];
+            int64_t smask = hit->smask, ref_idx = es->i0[hit->ref];
+            int64_t cmask = 0, cval = 0;
+            int r, nctl = 0;
+            Py_ssize_t count;
+            double theta = merge_angle(es->a0[hit->ref], es->a1[hit->ref],
+                                       hit->direction);
+            for (r = 0; r < nreps; r++) {
+                int shift;
+                if (!((smask >> r) & 1))
+                    continue;
+                shift = n - 1 - (int)reps[r];
+                cmask |= (int64_t)1 << shift;
+                cval |= ((ref_idx >> shift) & 1) << shift;
+                nctl++;
+            }
+            count = merge_apply_core(idx, amp, m, cmask, cval, tmask, theta,
+                                     sp->atol, &es->sc, 1);
+            for (j = 0; j < count; j++) {
+                double qv = rint(es->sc.out[j].a * sp->scale) / sp->scale;
+                if (qv == 0.0)
+                    qv = 0.0;  /* normalize -0.0 */
+                es->row_i[j] = es->sc.out[j].v;
+                es->row_a[j] = es->sc.out[j].a;
+                es->row_q[j] = qv;
+            }
+            cv.target = target;
+            cv.nctl = nctl;
+            cv.theta = theta;
+            cv.cmask = cmask;
+            cv.cval = cval;
+            cv.m = count;
+            if (visit(ctx, &cv) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls,      */
 /*            cx_phases, cx_targets, max_controls, neighbor_masks,     */
 /*            atol, rtol, scale) -> (arcs, interned, hits, collisions) */
 /* ------------------------------------------------------------------ */
 
-/* One whole expansion of kernel.successors_packed: X moves (x_moves is the
- * list of n XMoves, or None), the CX moves of the memoized move list, then
- * every merge of every target (neighbor_masks: None, or per-qubit coupling
- * masks restricting merge controls).  Each child is materialized, quantized,
- * serialized, hashed and interned into the pool's table here; the arcs
- * come back in the Python path's order, with the pool counter deltas. */
+typedef struct {
+    pool_ctx pc;
+    PyObject *ps, *out, *x_moves, *cx_moves;
+} arc_ctx;
+
+/* Intern the child and append its arc (an X or CX child equal to the
+ * parent is dropped, as the Python path drops it). */
+static int
+arc_visit(void *vctx, const child_view *cv)
+{
+    arc_ctx *ac = vctx;
+    PyObject *move, *nxt;
+    int rc = 0;
+    if (cv->kind == CHILD_MERGE) {
+        move = merge_move_of(ac->pc.n, cv->target, cv->theta, cv->cmask,
+                             cv->cval);
+        if (move == NULL)
+            return -1;
+    }
+    else {
+        move = PyList_GET_ITEM(cv->kind == CHILD_X ? ac->x_moves
+                                                   : ac->cx_moves, cv->pos);
+        Py_INCREF(move);
+    }
+    nxt = pool_intern(&ac->pc, cv->idx, cv->amp, cv->qamp, cv->m);
+    if (nxt == NULL) {
+        Py_DECREF(move);
+        return -1;
+    }
+    if (cv->kind == CHILD_MERGE || nxt != ac->ps)
+        rc = push_arc(ac->out, move, nxt);
+    Py_DECREF(move);
+    Py_DECREF(nxt);
+    return rc;
+}
+
+/* Read n per-qubit coupling masks from a list or tuple of ints. */
+static int
+neighbor_masks(PyObject *nbr, int n, int64_t *masks)
+{
+    int q;
+    for (q = 0; q < n; q++) {
+        masks[q] = (int64_t)PyLong_AsLongLong(
+            PySequence_Fast_GET_ITEM(nbr, q));
+        if (masks[q] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* One whole expansion (x_moves is the list of n XMoves, or None; the CX
+ * moves are the memoized list and its arrays; neighbor_masks None, or
+ * per-qubit coupling masks restricting merge controls).  Each child is
+ * quantized, serialized, hashed and interned into the pool's table; the
+ * arcs come back in the Python path's order, with the pool counter
+ * deltas. */
 static PyObject *
 fc_successors(PyObject *self, PyObject *args)
 {
     PyObject *table, *hash_fn, *ps, *x_moves, *cx_moves, *nbr;
-    PyObject *c_o, *p_o, *t_o, *out = NULL, *res = NULL, *nobj;
-    int max_controls, n, q, target, nbuf = 0;
+    PyObject *c_o, *p_o, *t_o, *res = NULL, *nobj;
+    int max_controls, n, nbuf = 0;
     double atol, rtol, scale;
     Py_buffer idx_b, amp_b, qamp_b, c_b, p_b, t_b;
     Py_buffer *bufs[6] = {&idx_b, &amp_b, &qamp_b, &c_b, &p_b, &t_b};
-    const int64_t *idx, *controls, *phases, *targets;
-    const double *amp, *qamp;
-    Py_ssize_t m, K, k, j, h;
-    pool_ctx pc;
-    ij_pair *pairs = NULL;
-    int64_t *row_i = NULL, *i0 = NULL, *singles = NULL, *pcodes = NULL;
-    int64_t *scodes = NULL, other[64], reps[64];
-    double *row_a = NULL, *row_q = NULL, *a0 = NULL, *a1 = NULL;
-    unsigned char *cols = NULL;
-    apply_scratch sc = {NULL, NULL, NULL, NULL, NULL, NULL};
-    walk_list wl = {NULL, 0, 0};
+    int64_t masks[64];
+    expand_spec sp;
+    expand_scratch es;
+    arc_ctx ac;
 
+    expand_scratch_init(&es);
+    ac.out = NULL;
     if (!PyArg_ParseTuple(args, "OOOOOOOOiOddd", &table, &hash_fn, &ps,
                           &x_moves, &cx_moves, &c_o, &p_o, &t_o,
                           &max_controls, &nbr, &atol, &rtol, &scale))
@@ -1721,6 +2117,8 @@ fc_successors(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "successors: short move list");
         return NULL;
     }
+    if (nbr != Py_None && neighbor_masks(nbr, n, masks) < 0)
+        return NULL;
     {
         PyObject *objs[6] = {PS_SLOT(ps, PS_IDX), PS_SLOT(ps, PS_AMP),
                              PS_SLOT(ps, PS_QAMP), c_o, p_o, t_o};
@@ -1733,199 +2131,47 @@ fc_successors(PyObject *self, PyObject *args)
                 goto done;
         }
     }
-    m = idx_b.len / 8;
-    K = c_b.len / 8;
-    if (PyList_GET_SIZE(cx_moves) != K || p_b.len / 8 != K ||
-            t_b.len / 8 != K) {
+    sp.n = n;
+    sp.m = idx_b.len / 8;
+    sp.K = c_b.len / 8;
+    if (PyList_GET_SIZE(cx_moves) != sp.K || p_b.len / 8 != sp.K ||
+            t_b.len / 8 != sp.K) {
         PyErr_SetString(PyExc_ValueError, "successors: CX list mismatch");
         goto done;
     }
-    idx = (const int64_t *)idx_b.buf;
-    amp = (const double *)amp_b.buf;
-    qamp = (const double *)qamp_b.buf;
-    controls = (const int64_t *)c_b.buf;
-    phases = (const int64_t *)p_b.buf;
-    targets = (const int64_t *)t_b.buf;
-
-    pairs = PyMem_Malloc((size_t)(m + 1) * sizeof(ij_pair));
-    row_i = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(int64_t));
-    row_a = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
-    row_q = PyMem_Malloc((size_t)(2 * m + 1) * sizeof(double));
-    i0 = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    singles = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    pcodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    scodes = PyMem_Malloc((size_t)(m + 1) * sizeof(int64_t));
-    a0 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    a1 = PyMem_Malloc((size_t)(m + 1) * sizeof(double));
-    cols = PyMem_Malloc((size_t)(n + 1) * (size_t)(m + 1));
-    if (pairs == NULL || row_i == NULL || row_a == NULL || row_q == NULL ||
-            i0 == NULL || singles == NULL || pcodes == NULL ||
-            scodes == NULL || a0 == NULL || a1 == NULL || cols == NULL) {
-        PyErr_NoMemory();
+    sp.idx = (const int64_t *)idx_b.buf;
+    sp.amp = (const double *)amp_b.buf;
+    sp.qamp = (const double *)qamp_b.buf;
+    sp.x_moves = x_moves != Py_None;
+    sp.controls = (const int64_t *)c_b.buf;
+    sp.phases = (const int64_t *)p_b.buf;
+    sp.targets = (const int64_t *)t_b.buf;
+    sp.max_controls = max_controls;
+    sp.nbr = nbr != Py_None ? masks : NULL;
+    sp.atol = atol;
+    sp.rtol = rtol;
+    sp.scale = scale;
+    if (expand_scratch_reserve(&es, n, sp.m) < 0)
         goto done;
-    }
-    if (apply_scratch_alloc(&sc, m) < 0)
+    ac.out = PyList_New(0);
+    if (ac.out == NULL)
         goto done;
-    out = PyList_New(0);
-    if (out == NULL)
+    ac.pc.table = table;
+    ac.pc.hash_fn = hash_fn == Py_None ? NULL : hash_fn;
+    ac.pc.nobj = nobj;
+    ac.pc.n = n;
+    ac.pc.interned = ac.pc.hits = ac.pc.collisions = 0;
+    ac.ps = ps;
+    ac.x_moves = x_moves;
+    ac.cx_moves = cx_moves;
+    /* on an error the pool keeps whatever was interned before it */
+    if (expand_children(&sp, &es, arc_visit, &ac) < 0)
         goto done;
-    pc.table = table;
-    pc.hash_fn = hash_fn == Py_None ? NULL : hash_fn;
-    pc.nobj = nobj;
-    pc.n = n;
-    pc.interned = pc.hits = pc.collisions = 0;
-
-    /* X moves (twin of apply_x_packed), identity children dropped */
-    if (x_moves != Py_None) {
-        for (q = 0; q < n; q++) {
-            int64_t mask = (int64_t)1 << (n - 1 - q);
-            PyObject *nxt;
-            int rc = 0;
-            for (j = 0; j < m; j++) {
-                pairs[j].v = idx[j] ^ mask;
-                pairs[j].j = j;
-            }
-            gather_sorted(pairs, m, amp, qamp, row_i, row_a, row_q);
-            nxt = pool_intern(&pc, row_i, row_a, row_q, m);
-            if (nxt == NULL)
-                goto fail;
-            if (nxt != ps)
-                rc = push_arc(out, PyList_GET_ITEM(x_moves, q), nxt);
-            Py_DECREF(nxt);
-            if (rc < 0)
-                goto fail;
-        }
-    }
-    /* CX moves (twin of _batch_cx_successors), identity children dropped */
-    for (k = 0; k < K; k++) {
-        int cshift = n - 1 - (int)controls[k];
-        int64_t phase = phases[k];
-        int64_t tmask = (int64_t)1 << (n - 1 - (int)targets[k]);
-        PyObject *nxt;
-        int rc = 0;
-        for (j = 0; j < m; j++) {
-            int64_t v = idx[j];
-            if (((v >> cshift) & 1) == phase)
-                v ^= tmask;
-            pairs[j].v = v;
-            pairs[j].j = j;
-        }
-        gather_sorted(pairs, m, amp, qamp, row_i, row_a, row_q);
-        nxt = pool_intern(&pc, row_i, row_a, row_q, m);
-        if (nxt == NULL)
-            goto fail;
-        if (nxt != ps)
-            rc = push_arc(out, PyList_GET_ITEM(cx_moves, k), nxt);
-        Py_DECREF(nxt);
-        if (rc < 0)
-            goto fail;
-    }
-    /* merges, target by target (twin of enumerate_merges_packed followed
-     * by _merge_arrays, the quantization pass and interning) */
-    for (target = 0; target < n; target++) {
-        int tshift = n - 1 - target, nreps, kmax;
-        int64_t tmask = (int64_t)1 << tshift, tnbr = -1;
-        Py_ssize_t P, S, O = 0;
-        P = split_pairs(idx, amp, m, tmask, i0, a0, a1, singles, &S);
-        if (P == 0)
-            continue;
-        if (nbr != Py_None) {
-            tnbr = (int64_t)PyLong_AsLongLong(
-                PySequence_Fast_GET_ITEM(nbr, target));
-            if (tnbr == -1 && PyErr_Occurred())
-                goto fail;
-        }
-        for (q = 0; q < n; q++) {
-            if (q != target && ((tnbr >> q) & 1))
-                other[O++] = q;
-        }
-        nreps = rep_codes(n, i0, P, singles, S, other, O, cols, reps,
-                          pcodes, scodes);
-        kmax = max_controls < nreps ? max_controls : nreps;
-        wl.count = 0;
-        if (merge_walk_core(pcodes, P, scodes, S, a0, a1, nreps, kmax, rtol,
-                            &wl) < 0)
-            goto fail;
-        for (h = 0; h < wl.count; h++) {
-            int64_t smask = wl.hits[h].smask, ref_idx = i0[wl.hits[h].ref];
-            int64_t cmask = 0, cval = 0;
-            double theta = merge_angle(a0[wl.hits[h].ref],
-                                       a1[wl.hits[h].ref],
-                                       wl.hits[h].direction);
-            Py_ssize_t nctl = 0, count, c = 0;
-            PyObject *ctl, *move, *nxt;
-            int r, rc;
-            for (r = 0; r < nreps; r++)
-                nctl += (smask >> r) & 1;
-            ctl = PyTuple_New(nctl);
-            if (ctl == NULL)
-                goto fail;
-            for (r = 0; r < nreps; r++) {
-                int shift;
-                int64_t bit;
-                PyObject *lit;
-                if (!((smask >> r) & 1))
-                    continue;
-                shift = n - 1 - (int)reps[r];
-                bit = (ref_idx >> shift) & 1;
-                cmask |= (int64_t)1 << shift;
-                cval |= bit << shift;
-                lit = Py_BuildValue("(LL)", (long long)reps[r],
-                                    (long long)bit);
-                if (lit == NULL) {
-                    Py_DECREF(ctl);
-                    goto fail;
-                }
-                PyObject_GC_UnTrack(lit);
-                PyTuple_SET_ITEM(ctl, c++, lit);
-            }
-            PyObject_GC_UnTrack(ctl);
-            move = new_merge_move(target, theta, ctl);
-            Py_DECREF(ctl);
-            if (move == NULL)
-                goto fail;
-            count = merge_apply_core(idx, amp, m, cmask, cval, tmask, theta,
-                                     atol, &sc, 1);
-            for (j = 0; j < count; j++) {
-                double qv = rint(sc.out[j].a * scale) / scale;
-                if (qv == 0.0)
-                    qv = 0.0;  /* normalize -0.0 */
-                row_i[j] = sc.out[j].v;
-                row_a[j] = sc.out[j].a;
-                row_q[j] = qv;
-            }
-            nxt = pool_intern(&pc, row_i, row_a, row_q, count);
-            if (nxt == NULL) {
-                Py_DECREF(move);
-                goto fail;
-            }
-            rc = push_arc(out, move, nxt);
-            Py_DECREF(move);
-            Py_DECREF(nxt);
-            if (rc < 0)
-                goto fail;
-        }
-    }
-    res = Py_BuildValue("(Onnn)", out, pc.interned, pc.hits, pc.collisions);
-    goto done;
-fail:
-    /* the pool keeps whatever was interned before the error */
-    res = NULL;
+    res = Py_BuildValue("(Onnn)", ac.out, ac.pc.interned, ac.pc.hits,
+                        ac.pc.collisions);
 done:
-    Py_XDECREF(out);
-    PyMem_Free(pairs);
-    PyMem_Free(row_i);
-    PyMem_Free(row_a);
-    PyMem_Free(row_q);
-    PyMem_Free(i0);
-    PyMem_Free(singles);
-    PyMem_Free(pcodes);
-    PyMem_Free(scodes);
-    PyMem_Free(a0);
-    PyMem_Free(a1);
-    PyMem_Free(cols);
-    apply_scratch_free(&sc);
-    PyMem_Free(wl.hits);
+    Py_XDECREF(ac.out);
+    expand_scratch_free(&es);
     while (nbuf > 0)
         PyBuffer_Release(bufs[--nbuf]);
     return res;
@@ -3012,359 +3258,929 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* astar_push(arcs, g, prev, g_pushed, heap, counter, h_of, ub, weight)*/
-/*   -> (pruned, incumbent_prunes, generated)                          */
+/* OpenList: A*'s open list, children native until popped              */
 /* ------------------------------------------------------------------ */
 
-/* g_pushed is keyed by interned states: with the state's precomputed
- * hash the lookups skip PackedState.__hash__ (Python level). */
-#if PY_VERSION_HEX < 0x030D0000
-#define DICT_GET_KNOWN(d, k, h) _PyDict_GetItem_KnownHash((d), (k), (h))
-#define DICT_SET_KNOWN(d, k, v, h) _PyDict_SetItem_KnownHash((d), (k), (v), (h))
+/* The open list of one A* run; its Python twin is astar._OpenList (a
+ * heapq list, the g_pushed dict and astar._push_children).
+ *
+ * expand() runs one expansion through expand_children.  Per child: the
+ * exact-state tier (the lowest g pushed per state, keyed by the child's
+ * quantized payload, its hash the pool's and its key compared byte for
+ * byte), the heuristic (h_of None: the default ceil(k/2) bound on the
+ * child's rows; any other heuristic gets the child interned into the
+ * pool first and is called back), the incumbent prune, and a heap entry
+ * ordered as heapq orders the twin's (f, -g, tiebreak, g + h, state,
+ * prev, move) tuples.  A child stays rows in the tier's arena until
+ * pop() returns it: only then is it interned into the run's pool, and
+ * only then is a merge's MergeMove built.  Most pushed children are
+ * never popped, and they cost no Python objects.  The heap runs heapq's
+ * own siftdown and siftup, so its array order equals the twin's list.
+ *
+ * The object holds kernel objects (states, moves), the pool, the move
+ * list callback and a patched hash function, none of which refers back
+ * to it, so it stays out of the cyclic collector. */
+
+/* hash(bytes) of a buffer, without building the bytes object */
+#if PY_VERSION_HEX >= 0x030E0000
+#define HASH_BYTES(p, len) Py_HashBuffer((p), (len))
 #else
-#define DICT_GET_KNOWN(d, k, h) ((void)(h), PyDict_GetItemWithError((d), (k)))
-#define DICT_SET_KNOWN(d, k, v, h) ((void)(h), PyDict_SetItem((d), (k), (v)))
+#if PY_VERSION_HEX >= 0x030D0000
+/* 3.13 still exports it, but declares it in an internal header */
+PyAPI_FUNC(Py_hash_t) _Py_HashBytes(const void *, Py_ssize_t);
+#endif
+#define HASH_BYTES(p, len) _Py_HashBytes((p), (len))
 #endif
 
-/* hash(state), as PackedState.__hash__ (return self.hash64) makes it. */
-static Py_hash_t
-state_hash(PyObject *st)
-{
-    PyObject *hv = PyObject_TypeCheck(st, ps_type) ? PS_SLOT(st, PS_HASH64)
-                                                   : NULL;
-    if (hv != NULL && PyLong_CheckExact(hv)) {
-        Py_ssize_t h = PyLong_AsSsize_t(hv);
-        if (h != -1)
-            return h;
-        PyErr_Clear();  /* out of range or -1: let the slot decide */
-    }
-    return PyObject_Hash(st);
-}
-
-/* The CNOT cost of a move (Move.cost without the property call for the
- * kernel's own move kinds); -1 with an exception set on error. */
-static long
-move_cost(PyObject *move)
-{
-    PyObject *v;
-    long cost;
-    if (Py_IS_TYPE(move, cx_type))
-        return 1;
-    if (Py_IS_TYPE(move, mm_type)) {
-        PyObject *ctl = PyObject_GetAttr(move, str_controls);
-        Py_ssize_t k;
-        if (ctl == NULL)
-            return -1;
-        k = PyObject_Length(ctl);
-        Py_DECREF(ctl);
-        if (k < 0)
-            return -1;
-        return k == 0 ? 0 : 1L << k;  /* constants.mcry_cnot_cost */
-    }
-    v = PyObject_GetAttr(move, str_cost);
-    if (v == NULL)
-        return -1;
-    cost = PyLong_AsLong(v);
-    Py_DECREF(v);
-    return cost;
-}
+typedef struct {
+    double f, u;           /* weighted and unweighted g + h */
+    uint64_t tie;
+    long g;
+    Py_ssize_t child;      /* its tier entry */
+    PyObject *prev;        /* the expanded parent; NULL: the start */
+    PyObject *move;        /* an X or CX move; NULL: a merge (below) */
+    double theta;
+    int64_t cmask, cval;
+    int target;
+} ol_entry;
 
 typedef struct {
-    int64_t *i;
-    double *a;
-    Py_ssize_t cap;
-} ent_scratch;
-
-/* len(entangled_qubits_packed(st)): the cached set, or computed and
- * cached on the state as the Python function does. */
-static Py_ssize_t
-entangled_count(PyObject *st, ent_scratch *es)
-{
-    PyObject *cached, *tup;
-    Py_buffer idx_b, amp_b;
-    int n, count, ent[64];
+    int64_t *data;         /* arena rows: idx[m], then qamp[m] and amp[m] */
     Py_ssize_t m;
+    uint64_t hash;         /* the pool hash of the payload (low 64 bits) */
+    long g;                /* the lowest g pushed */
+    int nent;              /* entangled count; -1: not computed */
+    uint64_t ent;          /* the entangled qubits (bit q: qubit q) */
+    PyObject *state;       /* the interned state, once materialized */
+} ol_child;
 
-    if (!PyObject_TypeCheck(st, ps_type)) {
-        PyErr_SetString(PyExc_TypeError, "astar_push: not a PackedState");
-        return -1;
+typedef struct {
+    PyObject_HEAD
+    PyObject *pool, *table, *hash_fn, *cx_of, *x_moves, *nobj;
+    int n, max_controls, have_nbr;
+    int64_t nbr[64];
+    double weight, atol, rtol, scale;
+    ol_entry *heap;
+    Py_ssize_t len, cap;
+    uint64_t ties;
+    ol_child *kids;        /* the exact-state tier, in insertion order */
+    Py_ssize_t nkids, kcap;
+    Py_ssize_t *index;     /* open addressing over kids; -1 = empty */
+    size_t imask;
+    int64_t **blocks;      /* the arena */
+    Py_ssize_t nblocks, bcap;
+    int64_t *cur;
+    size_t left;
+    expand_scratch es;
+    char *pbuf;            /* payload scratch */
+    Py_ssize_t pcap;
+    int64_t *ent_i;        /* entangled_core scratch */
+    double *ent_a;
+    Py_ssize_t ecap;
+} OpenListObject;
+
+#define OL_BLOCK_WORDS 65536
+
+static inline const double *
+child_qamp(const ol_child *c)
+{
+    return (const double *)(c->data + c->m);
+}
+
+static inline const double *
+child_amp(const ol_child *c)
+{
+    return (const double *)(c->data + 2 * c->m);
+}
+
+/* heapq's order on (f, -g, tie) */
+static inline int
+ol_lt(const ol_entry *a, const ol_entry *b)
+{
+    if (a->f != b->f)
+        return a->f < b->f;
+    if (a->g != b->g)
+        return a->g > b->g;
+    return a->tie < b->tie;
+}
+
+/* heapq._siftdown */
+static void
+ol_siftdown(ol_entry *heap, Py_ssize_t startpos, Py_ssize_t pos)
+{
+    ol_entry item = heap[pos];
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        if (!ol_lt(&item, &heap[parentpos]))
+            break;
+        heap[pos] = heap[parentpos];
+        pos = parentpos;
     }
-    cached = PS_SLOT(st, PS_ENTANGLED);
-    if (cached != NULL && PyTuple_Check(cached))
-        return PyTuple_GET_SIZE(cached);
-    if (PS_SLOT(st, PS_N) == NULL || PS_SLOT(st, PS_IDX) == NULL ||
-            PS_SLOT(st, PS_AMP) == NULL) {
-        PyErr_SetString(PyExc_ValueError, "astar_push: unset slot");
-        return -1;
+    heap[pos] = item;
+}
+
+/* heapq._siftup */
+static void
+ol_siftup(ol_entry *heap, Py_ssize_t endpos, Py_ssize_t pos)
+{
+    Py_ssize_t startpos = pos, childpos = 2 * pos + 1;
+    ol_entry item = heap[pos];
+    while (childpos < endpos) {
+        Py_ssize_t rightpos = childpos + 1;
+        if (rightpos < endpos && !ol_lt(&heap[childpos], &heap[rightpos]))
+            childpos = rightpos;
+        heap[pos] = heap[childpos];
+        pos = childpos;
+        childpos = 2 * pos + 1;
     }
-    n = (int)PyLong_AsLong(PS_SLOT(st, PS_N));
-    if (n < 0 || n > 62) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "astar_push: bad width");
-        return -1;
-    }
-    if (get_buf(PS_SLOT(st, PS_IDX), &idx_b, 0) < 0)
-        return -1;
-    if (get_buf(PS_SLOT(st, PS_AMP), &amp_b, 0) < 0) {
-        PyBuffer_Release(&idx_b);
-        return -1;
-    }
-    m = idx_b.len / 8;
-    if (2 * m + 1 > es->cap) {
-        Py_ssize_t want = 2 * m + 1;
-        int64_t *gi = PyMem_Realloc(es->i, (size_t)want * sizeof(int64_t));
-        double *ga;
-        if (gi != NULL)
-            es->i = gi;
-        ga = gi != NULL ? PyMem_Realloc(es->a, (size_t)want * sizeof(double))
-                        : NULL;
-        if (ga == NULL) {
-            PyBuffer_Release(&idx_b);
-            PyBuffer_Release(&amp_b);
+    heap[pos] = item;
+    ol_siftdown(heap, startpos, pos);
+}
+
+static int
+ol_heappush(OpenListObject *ol, const ol_entry *e)
+{
+    if (ol->len == ol->cap) {
+        Py_ssize_t cap = ol->cap ? 2 * ol->cap : 256;
+        ol_entry *grown = PyMem_Realloc(ol->heap,
+                                        (size_t)cap * sizeof(ol_entry));
+        if (grown == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        es->a = ga;
-        es->cap = want;
+        ol->heap = grown;
+        ol->cap = cap;
     }
-    count = entangled_core(n, (const int64_t *)idx_b.buf,
-                           (const double *)amp_b.buf, m, es->i, es->a, ent);
-    PyBuffer_Release(&idx_b);
-    PyBuffer_Release(&amp_b);
-    tup = int_tuple(ent, count);
-    if (tup == NULL)
-        return -1;
-    Py_XSETREF(PS_SLOT(st, PS_ENTANGLED), tup);
-    return count;
+    ol->heap[ol->len++] = *e;
+    ol_siftdown(ol->heap, 0, ol->len - 1);
+    return 0;
 }
 
-/* heapq.heappush: append, then sift the new item up. */
-static int
-heap_push(PyObject *heap, PyObject *item)
+static void
+ol_heappop(OpenListObject *ol, ol_entry *out)
 {
-    Py_ssize_t pos;
-    PyObject **arr;
-    if (PyList_Append(heap, item) < 0)
-        return -1;
-    pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        PyObject *parent;
-        int lt;
-        arr = ((PyListObject *)heap)->ob_item;
-        parent = arr[parentpos];
-        Py_INCREF(parent);
-        lt = PyObject_RichCompareBool(item, parent, Py_LT);
-        Py_DECREF(parent);
-        if (lt < 0)
+    ol_entry last = ol->heap[--ol->len];
+    if (ol->len == 0) {
+        *out = last;
+        return;
+    }
+    *out = ol->heap[0];
+    ol->heap[0] = last;
+    ol_siftup(ol->heap, ol->len, 0);
+}
+
+static int64_t *
+ol_arena(OpenListObject *ol, size_t words)
+{
+    int64_t *p;
+    if (words > ol->left) {
+        size_t size = words > OL_BLOCK_WORDS ? words : OL_BLOCK_WORDS;
+        int64_t *block;
+        if (ol->nblocks == ol->bcap) {
+            Py_ssize_t cap = ol->bcap ? 2 * ol->bcap : 16;
+            int64_t **grown = PyMem_Realloc(ol->blocks, (size_t)cap
+                                            * sizeof(int64_t *));
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                return NULL;
+            }
+            ol->blocks = grown;
+            ol->bcap = cap;
+        }
+        block = PyMem_Malloc(size * sizeof(int64_t));
+        if (block == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        ol->blocks[ol->nblocks++] = block;
+        ol->cur = block;
+        ol->left = size;
+    }
+    p = ol->cur;
+    ol->cur += words;
+    ol->left -= words;
+    return p;
+}
+
+/* Serialize the rows into ol->pbuf (as build_payload does) and set
+ * *hash to the pool's hash of that payload: hash(payload), or the
+ * patched state_hash64's value. */
+static int
+ol_hash(OpenListObject *ol, const int64_t *idx, const double *qamp,
+        Py_ssize_t m, uint64_t *hash)
+{
+    Py_ssize_t len = 2 + 16 * m;
+    if (len > ol->pcap) {
+        Py_ssize_t cap = len > 2 * ol->pcap ? len : 2 * ol->pcap;
+        char *grown = PyMem_Realloc(ol->pbuf, (size_t)cap);
+        if (grown == NULL) {
+            PyErr_NoMemory();
             return -1;
-        if (!lt)
-            break;
-        arr = ((PyListObject *)heap)->ob_item;
-        arr[pos] = parent;
-        arr[parentpos] = item;
-        pos = parentpos;
+        }
+        ol->pbuf = grown;
+        ol->pcap = cap;
+    }
+    ol->pbuf[0] = (char)(ol->n & 0xff);
+    ol->pbuf[1] = (char)((ol->n >> 8) & 0xff);
+    memcpy(ol->pbuf + 2, idx, (size_t)m * 8);
+    memcpy(ol->pbuf + 2 + 8 * m, qamp, (size_t)m * 8);
+    if (ol->hash_fn != NULL) {
+        PyObject *payload = PyBytes_FromStringAndSize(ol->pbuf, len), *hv;
+        if (payload == NULL)
+            return -1;
+        hv = PyObject_CallOneArg(ol->hash_fn, payload);
+        Py_DECREF(payload);
+        if (hv == NULL)
+            return -1;
+        *hash = PyLong_AsUnsignedLongLongMask(hv);
+        Py_DECREF(hv);
+        return *hash == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+    }
+    *hash = (uint64_t)HASH_BYTES(ol->pbuf, len);
+    return 0;
+}
+
+static int
+ol_grow_index(OpenListObject *ol)
+{
+    size_t mask = ol->imask * 2 + 1, slot;
+    Py_ssize_t id, *index = PyMem_Malloc((mask + 1) * sizeof(Py_ssize_t));
+    if (index == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (slot = 0; slot <= mask; slot++)
+        index[slot] = -1;
+    for (id = 0; id < ol->nkids; id++) {
+        slot = (size_t)ol->kids[id].hash & mask;
+        while (index[slot] >= 0)
+            slot = (slot + 1) & mask;
+        index[slot] = id;
+    }
+    PyMem_Free(ol->index);
+    ol->index = index;
+    ol->imask = mask;
+    return 0;
+}
+
+/* The tier entry of the state with these rows, added (g unset, *fresh
+ * = 1) when the tier has none; -1 on error. */
+static Py_ssize_t
+ol_find(OpenListObject *ol, const int64_t *idx, const double *amp,
+        const double *qamp, Py_ssize_t m, int *fresh)
+{
+    uint64_t hash;
+    size_t slot;
+    Py_ssize_t id;
+    ol_child *c;
+    int64_t *data;
+
+    if (ol_hash(ol, idx, qamp, m, &hash) < 0)
+        return -1;
+    slot = (size_t)hash & ol->imask;
+    while ((id = ol->index[slot]) >= 0) {
+        c = &ol->kids[id];
+        if (c->hash == hash && c->m == m &&
+                memcmp(c->data, idx, (size_t)m * 8) == 0 &&
+                memcmp(c->data + m, qamp, (size_t)m * 8) == 0) {
+            *fresh = 0;
+            return id;
+        }
+        slot = (slot + 1) & ol->imask;
+    }
+    if (ol->nkids == ol->kcap) {
+        Py_ssize_t cap = ol->kcap ? 2 * ol->kcap : 256;
+        ol_child *grown = PyMem_Realloc(ol->kids,
+                                        (size_t)cap * sizeof(ol_child));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        ol->kids = grown;
+        ol->kcap = cap;
+    }
+    data = ol_arena(ol, (size_t)(3 * m + 1));
+    if (data == NULL)
+        return -1;
+    memcpy(data, idx, (size_t)m * 8);
+    memcpy(data + m, qamp, (size_t)m * 8);
+    memcpy(data + 2 * m, amp, (size_t)m * 8);
+    id = ol->nkids++;
+    c = &ol->kids[id];
+    c->data = data;
+    c->m = m;
+    c->hash = hash;
+    c->g = 0;
+    c->nent = -1;
+    c->ent = 0;
+    c->state = NULL;
+    ol->index[slot] = id;
+    *fresh = 1;
+    if ((size_t)ol->nkids * 2 > ol->imask && ol_grow_index(ol) < 0)
+        return -1;
+    return id;
+}
+
+/* Compute the child's entangled set from its rows (the tier keeps it). */
+static int
+ol_entangled(OpenListObject *ol, ol_child *c, const int64_t *idx_rows,
+             const double *amp_rows)
+{
+    int ent[64], count, j;
+    Py_ssize_t want = 2 * c->m + 1;
+    if (want > ol->ecap) {
+        int64_t *gi = PyMem_Realloc(ol->ent_i, (size_t)want
+                                    * sizeof(int64_t));
+        double *ga;
+        if (gi != NULL)
+            ol->ent_i = gi;
+        ga = gi != NULL ? PyMem_Realloc(ol->ent_a, (size_t)want
+                                        * sizeof(double)) : NULL;
+        if (ga == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        ol->ent_a = ga;
+        ol->ecap = want;
+    }
+    count = entangled_core(ol->n, idx_rows, amp_rows, c->m, ol->ent_i,
+                           ol->ent_a, ent);
+    c->nent = count;
+    c->ent = 0;
+    for (j = 0; j < count; j++)
+        c->ent |= (uint64_t)1 << ent[j];
+    return 0;
+}
+
+/* A tuple of the qubits set in mask, ascending, untracked. */
+static PyObject *
+mask_tuple(uint64_t mask, int n)
+{
+    int vals[64], q, count = 0;
+    for (q = 0; q < n; q++)
+        if ((mask >> q) & 1)
+            vals[count++] = q;
+    return int_tuple(vals, count);
+}
+
+/* The child's interned state (borrowed): interned into the run's pool on
+ * the first call, with the entangled set the tier holds. */
+static PyObject *
+ol_state(OpenListObject *ol, ol_child *c)
+{
+    PyObject *payload, *hkey, *state;
+    pool_ctx pc;
+
+    if (c->state != NULL)
+        return c->state;
+    payload = build_payload(ol->n, c->data, child_qamp(c), c->m);
+    if (payload == NULL)
+        return NULL;
+    if (ol->hash_fn != NULL)
+        hkey = PyObject_CallOneArg(ol->hash_fn, payload);
+    else
+        hkey = PyLong_FromSsize_t((Py_ssize_t)(Py_hash_t)c->hash);
+    if (hkey == NULL) {
+        Py_DECREF(payload);
+        return NULL;
+    }
+    pc.table = ol->table;
+    pc.hash_fn = ol->hash_fn;
+    pc.nobj = ol->nobj;
+    pc.n = ol->n;
+    pc.interned = pc.hits = pc.collisions = 0;
+    state = pool_intern_keyed(&pc, payload, hkey, c->data, child_amp(c),
+                              child_qamp(c), c->m);
+    Py_DECREF(hkey);
+    Py_DECREF(payload);
+    if (state == NULL)
+        return NULL;
+    if (pool_count(ol->pool, &pc) < 0) {
+        Py_DECREF(state);
+        return NULL;
+    }
+    if (c->nent >= 0 && PS_SLOT(state, PS_ENTANGLED) == Py_None) {
+        PyObject *tup = mask_tuple(c->ent, ol->n);
+        if (tup == NULL) {
+            Py_DECREF(state);
+            return NULL;
+        }
+        Py_SETREF(PS_SLOT(state, PS_ENTANGLED), tup);
+    }
+    c->state = state;
+    return state;
+}
+
+/* The move of an entry (a new reference; None for the start). */
+static PyObject *
+ol_move(OpenListObject *ol, const ol_entry *e)
+{
+    if (e->prev == NULL)
+        return Py_NewRef(Py_None);
+    if (e->move != NULL)
+        return Py_NewRef(e->move);
+    return merge_move_of(ol->n, e->target, e->theta, e->cmask, e->cval);
+}
+
+typedef struct {
+    OpenListObject *ol;
+    PyObject *parent, *h_of, *cx_moves;
+    const int64_t *idx;    /* the parent's rows: an X or CX child equal */
+    const double *qamp;    /* to them is dropped, as successors drops it */
+    Py_ssize_t m;
+    long g;
+    int has_ub;
+    double thr;            /* ub - 1e-9 */
+    Py_ssize_t pruned, prunes, generated;
+} ol_visit_ctx;
+
+/* One child of expand(): the twin of one pass of _push_children's loop. */
+static int
+ol_visit(void *vctx, const child_view *cv)
+{
+    ol_visit_ctx *vc = vctx;
+    OpenListObject *ol = vc->ol;
+    Py_ssize_t m = cv->m, id;
+    long g2;
+    int fresh;
+    double hd;
+    ol_child *c;
+    ol_entry e;
+
+    if (cv->kind != CHILD_MERGE && m == vc->m &&
+            memcmp(cv->idx, vc->idx, (size_t)m * 8) == 0 &&
+            memcmp(cv->qamp, vc->qamp, (size_t)m * 8) == 0)
+        return 0;
+    /* Move.cost: X 0, CX 1, a merge constants.mcry_cnot_cost */
+    g2 = vc->g + (cv->kind == CHILD_X ? 0 : cv->kind == CHILD_CX ? 1
+                  : cv->nctl == 0 ? 0 : 1L << cv->nctl);
+    id = ol_find(ol, cv->idx, cv->amp, cv->qamp, m, &fresh);
+    if (id < 0)
+        return -1;
+    c = &ol->kids[id];
+    if (!fresh && g2 >= c->g) {
+        vc->pruned++;
+        return 0;
+    }
+    c->g = g2;
+    if (vc->h_of == NULL) {
+        if (c->nent < 0 && ol_entangled(ol, c, cv->idx, cv->amp) < 0)
+            return -1;
+        hd = (double)((c->nent + 1) / 2);
+    }
+    else {
+        PyObject *state = ol_state(ol, c), *ho;
+        if (state == NULL)
+            return -1;
+        ho = PyObject_CallOneArg(vc->h_of, state);
+        if (ho == NULL)
+            return -1;
+        hd = PyFloat_AsDouble(ho);
+        Py_DECREF(ho);
+        if (hd == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    if (vc->has_ub && (double)g2 + hd > vc->thr) {
+        /* the admissible h proves no completion through this state
+         * beats the incumbent */
+        vc->prunes++;
+        return 0;
+    }
+    e.f = (double)g2 + ol->weight * hd;
+    e.u = (double)g2 + hd;
+    e.tie = ol->ties++;
+    e.g = g2;
+    e.child = id;
+    e.prev = Py_NewRef(vc->parent);
+    e.target = cv->target;
+    e.theta = cv->theta;
+    e.cmask = cv->cmask;
+    e.cval = cv->cval;
+    e.move = cv->kind == CHILD_MERGE ? NULL : Py_NewRef(PyList_GET_ITEM(
+        cv->kind == CHILD_X ? ol->x_moves : vc->cx_moves, cv->pos));
+    if (ol_heappush(ol, &e) < 0) {
+        Py_DECREF(e.prev);
+        Py_XDECREF(e.move);
+        return -1;
+    }
+    vc->generated++;
+    return 0;
+}
+
+/* The rows of a PackedState, read-only. */
+static int
+state_bufs(PyObject *st, int n, Py_buffer *bufs)
+{
+    PyObject *objs[3];
+    int i;
+    if (!PyObject_TypeCheck(st, ps_type) || PS_SLOT(st, PS_N) == NULL ||
+            PyLong_AsLong(PS_SLOT(st, PS_N)) != n) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "OpenList: not a PackedState of the run's width");
+        return -1;
+    }
+    objs[0] = PS_SLOT(st, PS_IDX);
+    objs[1] = PS_SLOT(st, PS_QAMP);
+    objs[2] = PS_SLOT(st, PS_AMP);
+    for (i = 0; i < 3; i++) {
+        if (objs[i] == NULL || get_buf(objs[i], &bufs[i], 0) < 0) {
+            if (objs[i] == NULL)
+                PyErr_SetString(PyExc_ValueError, "OpenList: unset slot");
+            while (i > 0)
+                PyBuffer_Release(&bufs[--i]);
+            return -1;
+        }
+    }
+    if (bufs[1].len != bufs[0].len || bufs[2].len != bufs[0].len) {
+        for (i = 0; i < 3; i++)
+            PyBuffer_Release(&bufs[i]);
+        PyErr_SetString(PyExc_ValueError, "OpenList: ragged state rows");
+        return -1;
     }
     return 0;
 }
 
-/* A*'s per-child loop over one expansion's arcs (twin of the Python
- * loop in astar.AStarRun._main): the g_pushed check and update, the
- * heuristic (h_of None = the default ceil(k/2) bound on the entangled
- * set, else called back), the incumbent prune against ub, and the
- * open-list entry (f, -g, tiebreak, g + h, state, prev, move), untracked
- * and pushed as heapq pushes it (equal f pops the deepest entry first).
- * Returns the counter deltas. */
-static PyObject *
-fc_astar_push(PyObject *self, PyObject *args)
+static int
+ol_threshold(PyObject *ubo, int *has_ub, double *thr)
 {
-    PyObject *arcs, *prev, *g_pushed, *heap, *counter, *h_of, *ub, *weight;
-    PyObject *eps = NULL;
-    long g;
-    Py_ssize_t a, pruned = 0, prunes = 0, generated = 0;
-    double wd, thr = 0.0;
-    iternextfunc next_tie;
-    ent_scratch es = {NULL, NULL, 0};
-
-    if (!PyArg_ParseTuple(args, "OlOOOOOOO", &arcs, &g, &prev, &g_pushed,
-                          &heap, &counter, &h_of, &ub, &weight))
-        return NULL;
-    if (ps_type == NULL || cx_type == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "astar_push: bind_kernel() was not called");
-        return NULL;
+    *has_ub = ubo != Py_None;
+    *thr = 0.0;
+    if (*has_ub) {
+        *thr = PyFloat_AsDouble(ubo);
+        if (*thr == -1.0 && PyErr_Occurred())
+            return -1;
+        *thr -= 1e-9;  /* ub - 1e-9 */
     }
-    if (!PyList_Check(arcs) || !PyDict_Check(g_pushed) ||
-            !PyList_Check(heap) || Py_TYPE(counter)->tp_iternext == NULL) {
-        PyErr_SetString(PyExc_TypeError, "astar_push: bad argument types");
-        return NULL;
-    }
-    next_tie = Py_TYPE(counter)->tp_iternext;
-    wd = PyFloat_AsDouble(weight);
-    if (wd == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (ub != Py_None) {
-        thr = PyFloat_AsDouble(ub);
-        if (thr == -1.0 && PyErr_Occurred())
-            return NULL;
-        thr = thr - 1e-9;  /* self._ub - 1e-9 */
-    }
-    for (a = 0; a < PyList_GET_SIZE(arcs); a++) {
-        PyObject *arc = PyList_GET_ITEM(arcs, a), *move, *nxt, *existing;
-        PyObject *g2o, *ho = NULL, *fo = NULL, *uo = NULL, *tie, *entry;
-        PyObject *neg;
-        Py_hash_t hash;
-        long cost, g2;
-        double hd = 0.0;
-        int fast, rc;
-
-        if (!PyTuple_Check(arc) || PyTuple_GET_SIZE(arc) != 2) {
-            PyErr_SetString(PyExc_TypeError, "astar_push: bad arc");
-            goto fail;
-        }
-        move = PyTuple_GET_ITEM(arc, 0);
-        nxt = PyTuple_GET_ITEM(arc, 1);
-        cost = move_cost(move);
-        if (cost == -1 && PyErr_Occurred())
-            goto fail;
-        g2 = g + cost;
-        hash = state_hash(nxt);
-        if (hash == -1)
-            goto fail;
-        existing = DICT_GET_KNOWN(g_pushed, nxt, hash);
-        if (existing != NULL) {
-            int ge;
-            if (PyLong_CheckExact(existing)) {
-                long ev = PyLong_AsLong(existing);
-                if (ev == -1 && PyErr_Occurred())
-                    goto fail;
-                ge = g2 >= ev;
-            }
-            else {
-                PyObject *tmp = PyLong_FromLong(g2);
-                if (tmp == NULL)
-                    goto fail;
-                Py_INCREF(existing);
-                ge = PyObject_RichCompareBool(tmp, existing, Py_GE);
-                Py_DECREF(existing);
-                Py_DECREF(tmp);
-                if (ge < 0)
-                    goto fail;
-            }
-            if (ge) {
-                pruned++;
-                continue;
-            }
-        }
-        else if (PyErr_Occurred()) {
-            goto fail;
-        }
-        g2o = PyLong_FromLong(g2);
-        if (g2o == NULL)
-            goto fail;
-        if (DICT_SET_KNOWN(g_pushed, nxt, g2o, hash) < 0) {
-            Py_DECREF(g2o);
-            goto fail;
-        }
-        if (h_of == Py_None) {
-            Py_ssize_t k = entangled_count(nxt, &es);
-            if (k < 0) {
-                Py_DECREF(g2o);
-                goto fail;
-            }
-            hd = (double)((k + 1) / 2);
-            fast = 1;
-        }
-        else {
-            ho = PyObject_CallOneArg(h_of, nxt);
-            if (ho == NULL) {
-                Py_DECREF(g2o);
-                goto fail;
-            }
-            fast = PyFloat_CheckExact(ho);
-            if (fast)
-                hd = PyFloat_AS_DOUBLE(ho);
-        }
-        if (fast) {
-            double ud = (double)g2 + hd;
-            if (ub != Py_None && ud > thr) {
-                /* the admissible h proves no completion through this
-                 * state beats the incumbent */
-                prunes++;
-                Py_DECREF(g2o);
-                Py_XDECREF(ho);
-                continue;
-            }
-            fo = PyFloat_FromDouble((double)g2 + wd * hd);
-            uo = PyFloat_FromDouble(ud);
-        }
-        else {
-            /* a heuristic returning a non-float: Python arithmetic */
-            PyObject *wh;
-            uo = PyNumber_Add(g2o, ho);
-            if (uo != NULL && ub != Py_None) {
-                PyObject *limit;
-                int gt = -1;
-                if (eps == NULL)
-                    eps = PyFloat_FromDouble(1e-9);
-                limit = eps != NULL ? PyNumber_Subtract(ub, eps) : NULL;
-                if (limit != NULL) {
-                    gt = PyObject_RichCompareBool(uo, limit, Py_GT);
-                    Py_DECREF(limit);
-                }
-                if (gt != 0) {
-                    Py_DECREF(g2o);
-                    Py_DECREF(ho);
-                    Py_DECREF(uo);
-                    if (gt < 0)
-                        goto fail;
-                    prunes++;
-                    continue;
-                }
-            }
-            wh = uo != NULL ? PyNumber_Multiply(weight, ho) : NULL;
-            fo = wh != NULL ? PyNumber_Add(g2o, wh) : NULL;
-            Py_XDECREF(wh);
-        }
-        Py_XDECREF(ho);
-        tie = (fo != NULL && uo != NULL) ? next_tie(counter) : NULL;
-        if (tie == NULL) {
-            if (fo != NULL && uo != NULL && !PyErr_Occurred())
-                PyErr_SetString(PyExc_RuntimeError,
-                                "astar_push: tiebreak counter exhausted");
-            Py_DECREF(g2o);
-            Py_XDECREF(fo);
-            Py_XDECREF(uo);
-            goto fail;
-        }
-        Py_DECREF(g2o);
-        neg = PyLong_FromLong(-g2);
-        entry = neg != NULL ? PyTuple_Pack(7, fo, neg, tie, uo, nxt, prev,
-                                           move) : NULL;
-        Py_DECREF(fo);
-        Py_XDECREF(neg);
-        Py_DECREF(tie);
-        Py_DECREF(uo);
-        if (entry == NULL)
-            goto fail;
-        /* numbers, states and moves: never part of a cycle */
-        PyObject_GC_UnTrack(entry);
-        rc = heap_push(heap, entry);
-        Py_DECREF(entry);
-        if (rc < 0)
-            goto fail;
-        generated++;
-    }
-    PyMem_Free(es.i);
-    PyMem_Free(es.a);
-    Py_XDECREF(eps);
-    return Py_BuildValue("(nnn)", pruned, prunes, generated);
-fail:
-    PyMem_Free(es.i);
-    PyMem_Free(es.a);
-    Py_XDECREF(eps);
-    return NULL;
+    return 0;
 }
+
+/* start(state, h, ub) -> bool: record the start at g = 0 and push it
+ * unless h reaches the incumbent bound ub. */
+static PyObject *
+ol_start(OpenListObject *self, PyObject *args)
+{
+    PyObject *st, *ubo;
+    double h, thr;
+    int has_ub, fresh;
+    Py_buffer bufs[3];
+    Py_ssize_t id, m, i;
+    ol_entry e;
+
+    if (!PyArg_ParseTuple(args, "OdO", &st, &h, &ubo) ||
+            ol_threshold(ubo, &has_ub, &thr) < 0 ||
+            state_bufs(st, self->n, bufs) < 0)
+        return NULL;
+    m = bufs[0].len / 8;
+    id = ol_find(self, bufs[0].buf, bufs[2].buf, bufs[1].buf, m, &fresh);
+    for (i = 0; i < 3; i++)
+        PyBuffer_Release(&bufs[i]);
+    if (id < 0)
+        return NULL;
+    self->kids[id].g = 0;
+    if (self->kids[id].state == NULL)
+        self->kids[id].state = Py_NewRef(st);
+    if (has_ub && 0.0 + h > thr)
+        Py_RETURN_FALSE;
+    memset(&e, 0, sizeof(e));
+    e.f = 0.0 + self->weight * h;
+    e.u = 0.0 + h;
+    e.tie = self->ties++;
+    e.child = id;
+    if (ol_heappush(self, &e) < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+/* expand(state, g, ub, h_of) -> (pruned, incumbent_prunes, generated) */
+static PyObject *
+ol_expand(OpenListObject *self, PyObject *args)
+{
+    PyObject *st, *ubo, *h_of, *entry = NULL, *res = NULL, *cx_moves;
+    long g;
+    int nbuf = 0, i;
+    Py_buffer bufs[6];
+    expand_spec sp;
+    ol_visit_ctx vc;
+
+    if (!PyArg_ParseTuple(args, "OlOO", &st, &g, &ubo, &h_of) ||
+            ol_threshold(ubo, &vc.has_ub, &vc.thr) < 0)
+        return NULL;
+    if (state_bufs(st, self->n, bufs) < 0)
+        return NULL;
+    nbuf = 3;
+    entry = PyObject_CallOneArg(self->cx_of, st);
+    if (entry == NULL)
+        goto done;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4 ||
+            !PyList_Check(PyTuple_GET_ITEM(entry, 0))) {
+        PyErr_SetString(PyExc_TypeError, "OpenList: bad CX move entry");
+        goto done;
+    }
+    cx_moves = PyTuple_GET_ITEM(entry, 0);
+    for (i = 1; i < 4; i++) {
+        if (get_buf(PyTuple_GET_ITEM(entry, i), &bufs[nbuf], 0) < 0)
+            goto done;
+        nbuf++;
+    }
+    sp.n = self->n;
+    sp.m = bufs[0].len / 8;
+    sp.K = bufs[3].len / 8;
+    if (PyList_GET_SIZE(cx_moves) != sp.K || bufs[4].len / 8 != sp.K ||
+            bufs[5].len / 8 != sp.K) {
+        PyErr_SetString(PyExc_ValueError, "OpenList: CX list mismatch");
+        goto done;
+    }
+    sp.idx = bufs[0].buf;
+    sp.qamp = bufs[1].buf;
+    sp.amp = bufs[2].buf;
+    sp.x_moves = self->x_moves != NULL;
+    sp.controls = bufs[3].buf;
+    sp.phases = bufs[4].buf;
+    sp.targets = bufs[5].buf;
+    sp.max_controls = self->max_controls;
+    sp.nbr = self->have_nbr ? self->nbr : NULL;
+    sp.atol = self->atol;
+    sp.rtol = self->rtol;
+    sp.scale = self->scale;
+    if (expand_scratch_reserve(&self->es, sp.n, sp.m) < 0)
+        goto done;
+    vc.ol = self;
+    vc.parent = st;
+    vc.h_of = h_of == Py_None ? NULL : h_of;
+    vc.cx_moves = cx_moves;
+    vc.idx = sp.idx;
+    vc.qamp = sp.qamp;
+    vc.m = sp.m;
+    vc.g = g;
+    vc.pruned = vc.prunes = vc.generated = 0;
+    if (expand_children(&sp, &self->es, ol_visit, &vc) < 0)
+        goto done;
+    res = Py_BuildValue("(nnn)", vc.pruned, vc.prunes, vc.generated);
+done:
+    Py_XDECREF(entry);
+    while (nbuf > 0)
+        PyBuffer_Release(&bufs[--nbuf]);
+    return res;
+}
+
+/* pop() -> (g, u, state, prev, move, skipped): the best entry that is not
+ * superseded by a cheaper push of its state, its state interned and its
+ * move built; skipped counts the superseded entries dropped on the way.
+ * An empty list answers (None, None, None, None, None, skipped). */
+static PyObject *
+ol_pop(OpenListObject *self, PyObject *noargs)
+{
+    Py_ssize_t skipped = 0;
+    while (self->len > 0) {
+        ol_entry e;
+        PyObject *state, *move, *res = NULL;
+        ol_heappop(self, &e);
+        if (e.g > self->kids[e.child].g) {
+            skipped++;
+            Py_XDECREF(e.prev);
+            Py_XDECREF(e.move);
+            continue;
+        }
+        state = ol_state(self, &self->kids[e.child]);
+        move = state != NULL ? ol_move(self, &e) : NULL;
+        if (move != NULL) {
+            res = Py_BuildValue("(ldOOOn)", e.g, e.u, state,
+                                e.prev != NULL ? e.prev : Py_None, move,
+                                skipped);
+            Py_DECREF(move);
+        }
+        Py_XDECREF(e.prev);
+        Py_XDECREF(e.move);
+        return res;
+    }
+    return Py_BuildValue("(OOOOOn)", Py_None, Py_None, Py_None, Py_None,
+                         Py_None, skipped);
+}
+
+/* proven_bound(u) -> int: ceil(min(u, every entry's g + h) - 1e-9), the
+ * twin of engine._proven_bound over the open list */
+static PyObject *
+ol_proven_bound(OpenListObject *self, PyObject *arg)
+{
+    double best = PyFloat_AsDouble(arg);
+    Py_ssize_t i;
+    if (best == -1.0 && PyErr_Occurred())
+        return NULL;
+    for (i = 0; i < self->len; i++)
+        if (self->heap[i].u < best)
+            best = self->heap[i].u;
+    return PyLong_FromDouble(ceil(best - 1e-9));
+}
+
+/* entries() -> [(f, -g, tiebreak, g + h, payload, prev, move)] in heap
+ * order: the twin's open-list tuples, with the state's payload. */
+static PyObject *
+ol_entries(OpenListObject *self, PyObject *noargs)
+{
+    PyObject *res = PyList_New(self->len);
+    Py_ssize_t i;
+    if (res == NULL)
+        return NULL;
+    for (i = 0; i < self->len; i++) {
+        const ol_entry *e = &self->heap[i];
+        const ol_child *c = &self->kids[e->child];
+        PyObject *payload = build_payload(self->n, c->data, child_qamp(c),
+                                          c->m);
+        PyObject *move = payload != NULL ? ol_move(self, e) : NULL;
+        PyObject *item = move != NULL ? Py_BuildValue(
+            "(dlKdNON)", e->f, -e->g, (unsigned long long)e->tie, e->u,
+            payload, e->prev != NULL ? e->prev : Py_None, move) : NULL;
+        if (item == NULL) {
+            if (move == NULL)
+                Py_XDECREF(payload);
+            Py_DECREF(res);
+            return NULL;
+        }
+        PyList_SET_ITEM(res, i, item);
+    }
+    return res;
+}
+
+/* pushed() -> [(payload, g, entangled)] in insertion order: the twin's
+ * g_pushed, with each state's cached entangled set (None: not
+ * computed). */
+static PyObject *
+ol_pushed(OpenListObject *self, PyObject *noargs)
+{
+    PyObject *res = PyList_New(self->nkids);
+    Py_ssize_t i;
+    if (res == NULL)
+        return NULL;
+    for (i = 0; i < self->nkids; i++) {
+        const ol_child *c = &self->kids[i];
+        PyObject *payload = build_payload(self->n, c->data, child_qamp(c),
+                                          c->m), *ent, *item;
+        if (c->state != NULL)
+            ent = Py_NewRef(PS_SLOT(c->state, PS_ENTANGLED));
+        else if (c->nent >= 0)
+            ent = mask_tuple(c->ent, self->n);
+        else
+            ent = Py_NewRef(Py_None);
+        item = payload != NULL && ent != NULL
+            ? Py_BuildValue("(NlN)", payload, c->g, ent) : NULL;
+        if (item == NULL) {
+            if (payload == NULL || ent == NULL) {
+                Py_XDECREF(payload);
+                Py_XDECREF(ent);
+            }
+            Py_DECREF(res);
+            return NULL;
+        }
+        PyList_SET_ITEM(res, i, item);
+    }
+    return res;
+}
+
+static Py_ssize_t
+ol_length(OpenListObject *self)
+{
+    return self->len;
+}
+
+static void
+ol_dealloc(OpenListObject *self)
+{
+    Py_ssize_t i;
+    for (i = 0; i < self->len; i++) {
+        Py_XDECREF(self->heap[i].prev);
+        Py_XDECREF(self->heap[i].move);
+    }
+    for (i = 0; i < self->nkids; i++)
+        Py_XDECREF(self->kids[i].state);
+    for (i = 0; i < self->nblocks; i++)
+        PyMem_Free(self->blocks[i]);
+    PyMem_Free(self->blocks);
+    PyMem_Free(self->heap);
+    PyMem_Free(self->kids);
+    PyMem_Free(self->index);
+    PyMem_Free(self->pbuf);
+    PyMem_Free(self->ent_i);
+    PyMem_Free(self->ent_a);
+    expand_scratch_free(&self->es);
+    Py_XDECREF(self->pool);
+    Py_XDECREF(self->table);
+    Py_XDECREF(self->hash_fn);
+    Py_XDECREF(self->cx_of);
+    Py_XDECREF(self->x_moves);
+    Py_XDECREF(self->nobj);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* OpenList(pool, n, hash_fn, cx_of, x_moves, max_controls,
+ *          neighbor_masks, weight, atol, rtol, scale) */
+static PyObject *
+ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *pool, *hash_fn, *cx_of, *x_moves, *nbr, *table;
+    int n, max_controls;
+    double weight, atol, rtol, scale;
+    OpenListObject *self;
+    size_t slot;
+
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
+        PyErr_SetString(PyExc_TypeError, "OpenList: no keyword arguments");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "OiOOOiOdddd", &pool, &n, &hash_fn, &cx_of,
+                          &x_moves, &max_controls, &nbr, &weight, &atol,
+                          &rtol, &scale))
+        return NULL;
+    if (ps_type == NULL || mm_type == NULL || sp_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "OpenList: bind_kernel() was not called");
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(pool, sp_type) || !PyCallable_Check(cx_of) ||
+            (hash_fn != Py_None && !PyCallable_Check(hash_fn)) ||
+            (x_moves != Py_None && !PyList_Check(x_moves)) ||
+            (nbr != Py_None && !PyList_Check(nbr) && !PyTuple_Check(nbr))) {
+        PyErr_SetString(PyExc_TypeError, "OpenList: bad argument types");
+        return NULL;
+    }
+    if (n < 0 || n > 62) {
+        PyErr_SetString(PyExc_ValueError, "OpenList: bad width");
+        return NULL;
+    }
+    if ((x_moves != Py_None && PyList_GET_SIZE(x_moves) < n) ||
+            (nbr != Py_None && PySequence_Fast_GET_SIZE(nbr) < n)) {
+        PyErr_SetString(PyExc_ValueError, "OpenList: short move list");
+        return NULL;
+    }
+    table = SP_SLOT(pool, SP_TABLE);
+    if (table == NULL || !PyDict_Check(table)) {
+        PyErr_SetString(PyExc_TypeError, "OpenList: the pool has no table");
+        return NULL;
+    }
+    self = (OpenListObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    expand_scratch_init(&self->es);
+    self->pool = Py_NewRef(pool);
+    self->table = Py_NewRef(table);
+    self->hash_fn = hash_fn != Py_None ? Py_NewRef(hash_fn) : NULL;
+    self->cx_of = Py_NewRef(cx_of);
+    self->x_moves = x_moves != Py_None ? Py_NewRef(x_moves) : NULL;
+    self->nobj = PyLong_FromLong(n);
+    self->n = n;
+    self->max_controls = max_controls;
+    self->weight = weight;
+    self->atol = atol;
+    self->rtol = rtol;
+    self->scale = scale;
+    self->have_nbr = nbr != Py_None;
+    self->imask = 255;
+    self->index = PyMem_Malloc((self->imask + 1) * sizeof(Py_ssize_t));
+    if (self->nobj == NULL || self->index == NULL ||
+            (self->have_nbr && neighbor_masks(nbr, n, self->nbr) < 0)) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        Py_DECREF(self);
+        return NULL;
+    }
+    for (slot = 0; slot <= self->imask; slot++)
+        self->index[slot] = -1;
+    return (PyObject *)self;
+}
+
+static PyMethodDef ol_methods[] = {
+    {"start", (PyCFunction)ol_start, METH_VARARGS,
+     "start(state, h, ub) -> bool: record the start at g = 0 and push it "
+     "unless g + h reaches ub."},
+    {"expand", (PyCFunction)ol_expand, METH_VARARGS,
+     "expand(state, g, ub, h_of) -> (pruned, incumbent_prunes, generated):"
+     " push the children of one expansion."},
+    {"pop", (PyCFunction)ol_pop, METH_NOARGS,
+     "pop() -> (g, u, state, prev, move, skipped)."},
+    {"proven_bound", (PyCFunction)ol_proven_bound, METH_O,
+     "proven_bound(u) -> int: the exhaustion bound over u and the list."},
+    {"entries", (PyCFunction)ol_entries, METH_NOARGS,
+     "entries() -> list of (f, -g, tiebreak, g + h, payload, prev, move)."},
+    {"pushed", (PyCFunction)ol_pushed, METH_NOARGS,
+     "pushed() -> list of (payload, g, entangled), insertion order."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods ol_as_sequence = {
+    .sq_length = (lenfunc)ol_length,
+};
+
+static PyTypeObject OpenListType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core._fastcore.OpenList",
+    .tp_basicsize = sizeof(OpenListObject),
+    .tp_dealloc = (destructor)ol_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A*'s open list: children stay rows until popped.",
+    .tp_methods = ol_methods,
+    .tp_as_sequence = &ol_as_sequence,
+    .tp_new = ol_new,
+};
 
 /* ------------------------------------------------------------------ */
 /* untrack(obj) -> obj                                                 */
@@ -3768,15 +4584,12 @@ static PyMethodDef fastcore_methods[] = {
      "best_merge(n, idx, amp, max_controls) -> None | (target, theta, "
      "controls, drop, idx, amp): the cheapest-per-pair merge."},
     {"bind_kernel", fc_bind_kernel, METH_VARARGS,
-     "bind_kernel(PackedState, MergeMove, CXMove, CanonKey, refine): the "
-     "kernel classes and the tie-refinement callback."},
+     "bind_kernel(PackedState, MergeMove, CanonKey, StatePool, refine): "
+     "the kernel classes and the tie-refinement callback."},
     {"successors", fc_successors, METH_VARARGS,
      "successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls, "
      "cx_phases, cx_targets, max_controls, neighbor_masks, atol, rtol, "
      "scale) -> (arcs, interned, hits, collisions)."},
-    {"astar_push", fc_astar_push, METH_VARARGS,
-     "astar_push(arcs, g, prev, g_pushed, heap, counter, h_of, ub, weight) "
-     "-> (pruned, incumbent_prunes, generated)."},
     {"untrack", fc_untrack, METH_O,
      "untrack(obj) -> obj, taken out of the cyclic garbage collector."},
     {NULL, NULL, 0, NULL},
@@ -3795,15 +4608,14 @@ PyInit__fastcore(void)
 {
     PyObject *mod;
     import_array();
-    if (PyType_Ready(&U64MapType) < 0)
+    if (PyType_Ready(&U64MapType) < 0 || PyType_Ready(&OpenListType) < 0)
         return NULL;
     str_target = PyUnicode_InternFromString("target");
     str_theta = PyUnicode_InternFromString("theta");
     str_controls = PyUnicode_InternFromString("controls");
-    str_cost = PyUnicode_InternFromString("cost");
     empty_tuple = PyTuple_New(0);
     if (str_target == NULL || str_theta == NULL || str_controls == NULL ||
-            str_cost == NULL || empty_tuple == NULL)
+            empty_tuple == NULL)
         return NULL;
     mod = PyModule_Create(&fastcore_module);
     if (mod == NULL)
@@ -3814,5 +4626,16 @@ PyInit__fastcore(void)
         Py_DECREF(mod);
         return NULL;
     }
+    Py_INCREF(&OpenListType);
+    if (PyModule_AddObject(mod, "OpenList", (PyObject *)&OpenListType) < 0) {
+        Py_DECREF(&OpenListType);
+        Py_DECREF(mod);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(mod, "SHORT_SORT", SHORT_SORT) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
     return mod;
 }
+

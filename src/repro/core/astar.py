@@ -18,20 +18,35 @@ to) the ground state.  Key implementation points:
 * **Packed kernel.**  The hot loop runs on the packed-array kernel
   (:mod:`repro.core.kernel`): interned array states, vectorized
   successor enumeration, and two-tier *lazy* duplicate detection — the
-  exact-state tier (interned identity) prunes at generation time for
-  nearly free, while the canonical-class tier (``best_g`` keyed by the
-  64-bit canonical hash with a collision spill) runs only when a node is
-  popped, so frontier states that are never expanded never pay for
-  canonicalization.  The dict-based seed loop (eager per-generation
-  canonicalization) lives on as the test oracle in
+  exact-state tier (the lowest ``g`` pushed per state) prunes at
+  generation time for nearly free, while the canonical-class tier
+  (``best_g`` keyed by the 64-bit canonical hash with a collision spill)
+  runs only when a node is popped, so frontier states that are never
+  expanded never pay for canonicalization.  The dict-based seed loop
+  (eager per-generation canonicalization) lives on as the test oracle in
   ``tests/astar_oracle.py``; the kernel is move-set-identical to it by
   construction, the differential tests assert identical proven costs and
   optimality flags, and ``benchmarks/bench_kernel.py`` measures
   expansions/sec against it.
+* **Children are materialized when popped.**  The open list is picked
+  once per run.  With the extension it is ``_fastcore.OpenList``: one
+  ``expand`` call per expansion computes every child into scratch rows,
+  keys the exact-state tier by the child's quantized payload, prices it
+  with the default ``ceil(k/2)`` bound, prunes it against the live
+  incumbent and pushes a C struct.  Only ``pop`` interns the child into
+  the run's pool and builds its ``MergeMove``, so the children a search
+  pushes but never pops (most of them on budget-bound searches) never
+  become Python objects.  Any other heuristic (the coupling bound under
+  a topology, a custom one) is called back on a child interned first.
+  Without the extension :class:`_OpenList` is the twin: ``heapq`` over
+  tuples, a ``g_pushed`` dict of interned states, ``successors_packed``
+  and :func:`_push_children`.  Both pop the same entries in the same
+  order, with the same counters (``tests/test_fastcore.py``).
 * **Proven lower bounds.**  On budget exhaustion the reported bound is
   ``min(g + h)`` over the open list with the *unweighted* heuristic, which
   stays a true lower bound even for ``weight > 1`` (the weighted ``f`` of a
-  popped node proves nothing).
+  popped node proves nothing); the open list computes it
+  (``proven_bound``).
 * **Stepwise runtime.**  The kernel loop is implemented as
   :class:`AStarRun` on the shared :class:`~repro.core.engine.EngineRun`
   protocol — pausable/resumable in expansion slices, incumbent-injectable
@@ -48,7 +63,6 @@ import itertools
 import math
 from time import perf_counter
 
-from repro.core import fastcore as _fastcore
 from repro.core.engine import (
     EngineContext,
     EngineRun,
@@ -63,6 +77,7 @@ from repro.core.kernel import (
     HashKeyedMap,
     PackedState,
     entanglement_h_packed,
+    native_open_list,
     num_entangled_packed,
     successors_packed,
 )
@@ -123,12 +138,12 @@ def astar_search(target: QState, config: SearchConfig | None = None,
 class AStarRun(EngineRun):
     """Stepwise A* over the packed kernel (best-first, branch-and-bound).
 
-    The generator body below is the former ``_astar_kernel`` loop, with
-    one ``yield`` inserted per node expansion (between the budget check
-    and successor generation) — slicing cannot change expansion order or
-    any counter.  ``inject_incumbent`` tightens ``self._ub``, which the
-    loop reads live at every push and pop, so a sibling's feasible cost
-    starts pruning immediately, mid-slice semantics included.
+    The generator body below yields once per node expansion (between the
+    budget check and successor generation) — slicing cannot change
+    expansion order or any counter.  ``inject_incumbent`` tightens
+    ``self._ub``, which the loop hands to every expansion's pushes and
+    reads at every pop, so a sibling's feasible cost starts pruning
+    immediately, mid-slice semantics included.
     """
 
     engine = "astar"
@@ -179,56 +194,46 @@ class AStarRun(EngineRun):
                 return h
         else:
             h_eval = h_of
-        # the child push evaluates the default bound itself (h_of=None)
-        # and calls any other heuristic back
-        default_h = h_of is entanglement_h_packed
-        # Open-list entries hold numbers, states and moves, none of which
-        # can reach back to an entry: with the extension loaded they leave
-        # the cyclic collector (see kernel.PackedState).
-        fc = _fastcore.active
-        untrack = fc.untrack if fc is not None else None
+        # the open list evaluates the default bound itself (None) and
+        # calls any other heuristic back
+        h_arg = None if h_of is entanglement_h_packed else h_eval
         try:
-            counter = itertools.count()
-            # entry: (weighted f, -g, tiebreak, unweighted g + h, state,
-            #         prev, move): among equal f the deepest entry pops
-            #         first, which reaches a goal in the last f-layer
-            #         before most of that layer is expanded
-            open_heap: list = []
             # Duplicate detection is two-tier and *lazy*: at generation
-            # time only the (nearly free) exact-state tier prunes —
-            # ``g_pushed`` is keyed by interned identity — while the
+            # time only the (nearly free) exact-state tier prunes — the
+            # open list keeps the lowest g pushed per state — while the
             # expensive canonical-class tier runs at pop time.  Frontier
             # states that are never popped therefore never pay for
             # canonicalization, which on budget-bound searches is the bulk
             # of all generated states.  Soundness is unchanged: a class is
             # expanded only with a strictly improving ``g`` (re-expansion
             # safe), exactly as the eager reference loop does.
-            g_pushed: dict = {}
+            start = ctx.start
+            move_set = (config.max_merge_controls, config.include_x_moves,
+                        ctx.topology)
+            open_list = native_open_list(ctx.pool, target.num_qubits,
+                                         weight, *move_set)
+            if open_list is None:
+                open_list = _OpenList(ctx.pool, weight, *move_set)
             best_g = HashKeyedMap()
             parent: dict = {}
 
-            start = ctx.start
-            g_pushed[start] = 0
-            # the start's push, with _push_children's expressions at g = 0
-            h = h_eval(start)
-            if self._ub is not None and 0 + h > self._ub - 1e-9:
-                stats.incumbent_prunes += 1
-            else:
-                entry = (0 + weight * h, 0, next(counter), 0 + h, start,
-                         None, None)
-                if untrack is not None:
-                    untrack(entry)
-                open_heap.append(entry)
+            if open_list.start(start, h_eval(start), self._ub):
                 stats.nodes_generated += 1
                 stats.max_queue = max(stats.max_queue, 1)
+            else:
+                stats.incumbent_prunes += 1
             last_u = 0.0
 
-            while open_heap:
-                _, neg_g, _, u, state, prev, move = heapq.heappop(open_heap)
-                g = -neg_g
-                if g > g_pushed.get(state, g):
-                    stats.nodes_pruned += 1
-                    continue  # superseded by a cheaper push of the state
+            while True:
+                if profile:
+                    tp = perf_counter()
+                g, u, state, prev, move, superseded = open_list.pop()
+                if profile:
+                    phases["containers"] += perf_counter() - tp
+                if superseded:
+                    stats.nodes_pruned += superseded
+                if state is None:
+                    break
                 last_u = u
 
                 if num_entangled_packed(state) == 0:
@@ -270,7 +275,7 @@ class AStarRun(EngineRun):
                 stats.nodes_expanded += 1
                 if stats.nodes_expanded > config.max_nodes or \
                         stopwatch.expired():
-                    bound = _proven_bound(u, open_heap, u_index=3)
+                    bound = open_list.proven_bound(u)
                     self._finish(
                         RunStatus.EXHAUSTED,
                         error=SearchBudgetExceeded(
@@ -285,35 +290,18 @@ class AStarRun(EngineRun):
 
                 if profile:
                     te = perf_counter()
-                arcs = successors_packed(
-                    ctx.pool, state,
-                    max_merge_controls=config.max_merge_controls,
-                    include_x_moves=config.include_x_moves,
-                    topology=ctx.topology)
-                if profile:
-                    tb = perf_counter()
-                    phases["enumeration"] += tb - te
                     h_mark = h_seconds
-                fc = _fastcore.active
-                if fc is not None:
-                    # one native call (its heuristic time, callbacks
-                    # included, books under containers)
-                    pruned, prunes, generated = fc.astar_push(
-                        arcs, g, state, g_pushed, open_heap, counter,
-                        None if default_h else h_of, self._ub, weight)
-                else:
-                    pruned, prunes, generated = _push_children(
-                        arcs, g, state, g_pushed, open_heap, counter,
-                        h_eval, self._ub, weight)
+                pruned, prunes, generated = open_list.expand(
+                    state, g, self._ub, h_arg)
                 stats.nodes_pruned += pruned
                 stats.incumbent_prunes += prunes
                 if generated:
                     stats.nodes_generated += generated
-                    stats.max_queue = max(stats.max_queue, len(open_heap))
+                    stats.max_queue = max(stats.max_queue, len(open_list))
                 if profile:
-                    # heap + dedup-map bookkeeping of this expansion, with
-                    # the heuristic time accrued inside h_eval() carved out
-                    phases["containers"] += (perf_counter() - tb) \
+                    # successor generation and the pushes, with the
+                    # heuristic time accrued inside h_eval() carved out
+                    phases["enumeration"] += (perf_counter() - te) \
                         - (h_seconds - h_mark)
 
             inc = self._incumbent_result
@@ -353,20 +341,86 @@ class AStarRun(EngineRun):
             ctx.finalize_stats()
 
 
+class _OpenList:
+    """The Python twin of ``_fastcore.OpenList`` (A*'s open list).
+
+    ``heap`` holds entries ``(weighted f, -g, tiebreak, unweighted
+    g + h, state, prev, move)`` as floats, ints and kernel objects: among
+    equal f the deepest entry pops first, which reaches a goal in the
+    last f-layer before most of that layer is expanded.  ``g_pushed`` is
+    the exact-state tier, the lowest g pushed per interned state.  The
+    native list keeps the same tier keyed by payload and the same heap
+    order, but holds a child as rows until it is popped; both give the
+    same counters and the same pops (``tests/test_fastcore.py``).
+    """
+
+    __slots__ = ("pool", "weight", "max_merge_controls", "include_x_moves",
+                 "topology", "heap", "g_pushed", "counter")
+
+    def __init__(self, pool, weight, max_merge_controls: int | None = None,
+                 include_x_moves: bool = False, topology=None):
+        self.pool = pool
+        self.weight = weight
+        self.max_merge_controls = max_merge_controls
+        self.include_x_moves = include_x_moves
+        self.topology = topology
+        self.heap: list = []
+        self.g_pushed: dict = {}
+        self.counter = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+    def start(self, state: PackedState, h, ub) -> bool:
+        """Record the start at g = 0; push it unless ``h`` reaches ``ub``
+        (the start's push, with ``_push_children``'s expressions)."""
+        self.g_pushed[state] = 0
+        if ub is not None and 0 + h > ub - 1e-9:
+            return False
+        self.heap.append((float(0 + self.weight * h), 0, next(self.counter),
+                          float(0 + h), state, None, None))
+        return True
+
+    def expand(self, state: PackedState, g: int, ub, h_of
+               ) -> tuple[int, int, int]:
+        """Push the children of one expansion (see ``_push_children``)."""
+        arcs = successors_packed(self.pool, state, self.max_merge_controls,
+                                 self.include_x_moves, self.topology)
+        return _push_children(arcs, g, state, self.g_pushed, self.heap,
+                              self.counter, h_of, ub, self.weight)
+
+    def pop(self) -> tuple:
+        """``(g, u, state, prev, move, superseded)`` of the best entry not
+        superseded by a cheaper push of its state (all None but the count
+        of superseded entries dropped, when the list runs empty)."""
+        heap, g_pushed = self.heap, self.g_pushed
+        superseded = 0
+        while heap:
+            _, neg_g, _, u, state, prev, move = heapq.heappop(heap)
+            g = -neg_g
+            if g > g_pushed.get(state, g):
+                superseded += 1
+                continue
+            return g, u, state, prev, move, superseded
+        return None, None, None, None, None, superseded
+
+    def proven_bound(self, u) -> int:
+        return _proven_bound(u, self.heap, u_index=3)
+
+
 def _push_children(arcs, g: int, prev: PackedState, g_pushed: dict,
                    open_heap: list, counter, h_of, ub, weight
                    ) -> tuple[int, int, int]:
     """Push the children of one expansion onto the open list.
 
-    The Python twin of ``_fastcore.astar_push``, with the same arguments
-    (``h_of=None`` is the default :func:`entanglement_h_packed` bound) and
-    the same result, the counter deltas ``(pruned, incumbent_prunes,
+    The Python twin of ``_fastcore.OpenList.expand`` past the expansion
+    itself (``h_of=None`` is the default :func:`entanglement_h_packed`
+    bound); returns the counter deltas ``(pruned, incumbent_prunes,
     generated)``.  A child is pruned when ``g_pushed`` already holds it
     at most as cheaply, and (after ``g_pushed`` records it) when its
     unweighted ``g + h`` reaches the incumbent bound ``ub``: the
     admissible ``h`` proves no completion through it beats the
-    incumbent.  Entries are ``(weighted f, -g, tiebreak, unweighted
-    g + h, state, prev, move)``, so equal f pops the deepest entry first.
+    incumbent.
     """
     if h_of is None:
         h_of = entanglement_h_packed
@@ -381,8 +435,9 @@ def _push_children(arcs, g: int, prev: PackedState, g_pushed: dict,
         if ub is not None and g2 + h > ub - 1e-9:
             prunes += 1
             continue
-        heapq.heappush(open_heap, (g2 + weight * h, -g2, next(counter),
-                                   g2 + h, nxt, prev, move))
+        heapq.heappush(open_heap, (float(g2 + weight * h), -g2,
+                                   next(counter), float(g2 + h), nxt, prev,
+                                   move))
         generated += 1
     return pruned, prunes, generated
 

@@ -205,10 +205,12 @@ class SearchStats:
     #: phase-level wall-clock breakdown of the hot loop (seconds), filled
     #: only under ``SearchConfig(profile=True)`` by all three engines —
     #: A*, IDA*, and beam: "enumeration" (successor generation + move
-    #: application + interning), "canonicalization" (canonical-key
-    #: computation, inclusive), "hashing" (the orbit-hash portion of
-    #: canonicalization, a sub-bucket), "heuristic" (h evaluation),
-    #: "containers" (open-heap + dedup-map bookkeeping, A* only)
+    #: application + interning; for A* also the open-list pushes),
+    #: "canonicalization" (canonical-key computation, inclusive),
+    #: "hashing" (the orbit-hash portion of canonicalization, a
+    #: sub-bucket), "heuristic" (h evaluation called back from Python),
+    #: "containers" (A*'s open-list pops, a popped child's interning
+    #: included)
     phase_seconds: dict = field(default_factory=dict)
 
     def merge(self, other: "SearchStats") -> None:

@@ -44,6 +44,7 @@ that both paths prove the same optimal CNOT counts.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations, islice, permutations
 from itertools import product as iter_product
 from time import perf_counter as _perf_counter
@@ -83,6 +84,7 @@ __all__ = [
     "enumerate_cx_packed",
     "enumerate_merges_packed",
     "successors_packed",
+    "native_open_list",
     "apply_move_packed",
     "entangled_qubits_packed",
     "num_entangled_packed",
@@ -1598,7 +1600,9 @@ def successors_packed(pool: StatePool, ps: PackedState,
     (``_fastcore.successors``): it materializes every X, CX and merge
     child, builds the ``MergeMove``s, quantizes, serializes, hashes and
     interns each child into ``pool`` (collision chains included), and
-    returns the arcs plus the pool counter deltas.  The Python path below
+    returns the arcs plus the pool counter deltas.  A*'s native open list
+    (:func:`native_open_list`) runs the same expansion code but interns
+    only the children it pops.  The Python path below
     is its bit-identical twin: CX successors are materialized in one
     batched array pass, and all merge results of the expansion are
     quantized in a single frontier-batched pass before interning
@@ -1657,8 +1661,35 @@ def successors_packed(pool: StatePool, ps: PackedState,
     return out
 
 
+def native_open_list(pool: StatePool, n: int, weight: float,
+                     max_merge_controls: int | None = None,
+                     include_x_moves: bool = False, topology=None):
+    """A*'s native open list over ``pool`` (``_fastcore.OpenList``), or
+    ``None`` when the extension is not active.
+
+    It takes the move set :func:`successors_packed` takes, and its
+    ``expand`` runs the same native expansion: the children of a
+    ``successors_packed`` call, in its order, but kept as rows until the
+    open list pops them (see ``core/astar.py``).  A patched
+    :func:`state_hash64` is passed through, as the expansion passes it.
+    """
+    fc = _fastcore.active
+    if fc is None:
+        return None
+    return fc.OpenList(
+        pool, n, None if state_hash64 is _SIPHASH64 else state_hash64,
+        _cx_moves_entry if topology is None
+        else partial(_cx_moves_entry, topology=topology),
+        _x_moves(n) if include_x_moves else None,
+        n - 1 if max_merge_controls is None
+        else min(max_merge_controls, n - 1),
+        None if topology is None else topology.neighbor_masks(),
+        weight, ATOL, MERGE_RATIO_RTOL, _QUANT_SCALE)
+
+
 if _fastcore.available():
-    # the native expansion and canonical key build kernel objects
-    # themselves, and the canonical key calls back for tie refinement
-    _fastcore._module.bind_kernel(PackedState, MergeMove, CXMove, CanonKey,
-                                  _refine_tags)
+    # the native expansion, open list and canonical key build kernel
+    # objects themselves, and the canonical key calls back for tie
+    # refinement
+    _fastcore._module.bind_kernel(PackedState, MergeMove, CanonKey,
+                                  StatePool, _refine_tags)

@@ -20,9 +20,14 @@ def default_exact_config() -> ExactConfig:
     suffices; the beam fallback guarantees progress regardless.
 
     The node budget, not the wall-clock limit, is what bounds memory: an
-    unsolvable dense ``n = 4`` core keeps up to about 115 KB of frontier
-    states per expansion, so 30,000 expansions peak below 4 GB on any
-    host, where a time-bound search would grow with the engine's speed.
+    unsolvable dense ``n = 4`` core keeps up to about 40 KB of frontier
+    per expansion with the extension, whose open list holds a child as
+    rows until it pops it, and about 130 KB on the Python path, which
+    interns every child (the core of ``random_dense_state(6, seed=0)``,
+    searched alone to 30,000 expansions, peaks at 1.2 GB and 3.8 GB;
+    that state's prepare at 1.1 GB).  So 30,000 expansions peak below
+    4 GB on any host, where a time-bound search would grow with the
+    engine's speed.
     """
     return ExactConfig(
         search=SearchConfig(max_nodes=30_000, time_limit=30.0),

@@ -2,8 +2,8 @@
 
 This module substitutes the Qiskit simulator the paper uses for verification
 (Sec. VI-A): it applies each gate — uniformly modeled as a controlled
-single-qubit operation — to a dense ``2**n`` vector with vectorized numpy
-index arithmetic.
+single-qubit operation — to a dense ``2**n`` vector through numpy views of
+the vector as a ``2 x ... x 2`` tensor.
 
 Qubit 0 is the most significant bit of the basis index, matching
 :mod:`repro.states.qstate`.
@@ -21,35 +21,39 @@ from repro.states.qstate import QState
 __all__ = ["apply_gate", "simulate_circuit", "simulate_to_state"]
 
 
-def _selection(num_qubits: int, gate: Gate) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i0, i1)`` the gate mixes: ``i0`` has target bit 0,
-    ``i1`` target bit 1, and both satisfy every control."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim, dtype=np.intp)
-    t_shift = num_qubits - 1 - gate.target
-    sel = ((idx >> t_shift) & 1) == 0
-    for q, p in gate.controls:
-        shift = num_qubits - 1 - q
-        sel &= ((idx >> shift) & 1) == p
-    i0 = idx[sel]
-    i1 = i0 | (1 << t_shift)
-    return i0, i1
-
-
 def apply_gate(vector: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Apply one gate in place and return the vector."""
+    """Apply one gate in place and return the vector.
+
+    The vector is viewed as an ``n``-axis ``2 x ... x 2`` tensor (axis
+    ``q`` is qubit ``q``), and the 2x2 matrix mixes the two basic-slice
+    views that fix every control axis to its phase and the target axis
+    to 0 and to 1.  Reshaping a 1-D array only splits its one axis, so the
+    views write through to ``vector`` also when it is strided (a column
+    of a matrix).
+    """
     if vector.shape[0] != (1 << num_qubits):
         raise CircuitError(
             f"vector length {vector.shape[0]} != 2**{num_qubits}")
+    if any(q < 0 or q >= num_qubits for q in gate.qubits()):
+        raise CircuitError(
+            f"gate {gate} outside the {num_qubits}-qubit register")
     mat = gate.base_matrix()
     if np.iscomplexobj(mat) and not np.iscomplexobj(vector):
         raise CircuitError("complex gate on real vector; "
                            "allocate the vector as complex128")
-    i0, i1 = _selection(num_qubits, gate)
-    a = vector[i0]
-    b = vector[i1]
-    vector[i0] = mat[0, 0] * a + mat[0, 1] * b
-    vector[i1] = mat[1, 0] * a + mat[1, 1] * b
+    tensor = vector.reshape((2,) * num_qubits)
+    # the trailing Ellipsis keeps a view when every axis is fixed
+    index: list = [slice(None)] * num_qubits + [Ellipsis]
+    for q, p in gate.controls:
+        index[q] = p
+    index[gate.target] = 0
+    a = tensor[tuple(index)]
+    index[gate.target] = 1
+    b = tensor[tuple(index)]
+    new0 = mat[0, 0] * a + mat[0, 1] * b
+    new1 = mat[1, 0] * a + mat[1, 1] * b
+    a[...] = new0
+    b[...] = new1
     return vector
 
 

@@ -14,8 +14,11 @@ that contract:
   search's caps on the uniform-magnitude families the searches meet,
   pinned-separable states and line/ring topologies, and that set reaches
   every ordering branch;
-* A*'s native child push leaves the same open list (entries and heap
-  order), ``g_pushed`` and counters as the Python loop;
+* A*'s native open list leaves the same entries in the same heap order,
+  the same exact-state tier and counters as its Python twin, and whole
+  A* runs on either (weights, incumbents, topologies, heuristics, an
+  attached memory, a forced hash collision) are the same run; a
+  cancelled run releases its states;
 * a forced global 64-bit hash collision must stay harmless with the native
   ``U64Map`` containers active, exactly as with dicts;
 * the one-call native expansion must reproduce the Python
@@ -24,7 +27,9 @@ that contract:
 * the acyclic kernel objects leave the cyclic collector only with the
   extension loaded, and untracked states are still freed;
 * the sparse reduction's native GH step and merge scoring make the
-  Python twins' moves and merged states, bit for bit;
+  Python twins' moves and merged states, bit for bit (also on rows at
+  and around the length where the native row sort leaves insertion
+  sort);
 * ``U64Map`` itself is differentially tested against a plain dict;
 * ``REPRO_NO_FASTCORE=1`` must select the fallback in a fresh process;
 * the splitmix64 constant table in ``_splitmix.h`` is parsed and compared
@@ -40,13 +45,12 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
 import os
 import re
 import subprocess
 import sys
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +78,8 @@ from repro.constants import (
 from repro.core import fastcore
 from repro.core.astar import AStarRun, SearchConfig, astar_search
 from repro.core.canonical import CanonLevel
-from repro.core.engine import _make_h_of
-from repro.core.heuristic import CouplingHeuristic
+from repro.core.engine import RunStatus, _make_h_of
+from repro.core.heuristic import CouplingHeuristic, entanglement_heuristic
 from repro.core.memory import SearchMemory
 from repro.core.moves import MergeMove
 from repro.core.kernel import (
@@ -111,6 +115,9 @@ needs_fastcore = pytest.mark.skipif(
 )
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+#: rows up to this length are sorted by insertion in the extension
+SHORT_SORT = getattr(fastcore._module, "SHORT_SORT", 32)
 
 
 def random_state(seed: int, uniform_bias: float = 0.4) -> QState:
@@ -559,11 +566,8 @@ class TestNativeReduction:
         with pytest.raises(ValueError):
             call(63, np.array([1, 3]), amp, 1)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=120, deadline=None)
-    def test_best_merge_equals_python_scoring(self, seed):
-        state = _sparse_case(seed, max_n=20)
-        caps = [0, 1, 2] + ([None] if state.num_qubits <= 8 else [])
+    @staticmethod
+    def _assert_best_merges_equal(state: QState, caps) -> None:
         for cap in caps:
             config = ReductionConfig(max_merge_controls=cap)
             native = _best_merge(carry(state), config)
@@ -576,6 +580,26 @@ class TestNativeReduction:
             assert native[1] == pure[1]
             assert _step_bits([native[0]], native[2]) == \
                 _step_bits([pure[0]], pure[2])
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=120, deadline=None)
+    def test_best_merge_equals_python_scoring(self, seed):
+        state = _sparse_case(seed, max_n=20)
+        self._assert_best_merges_equal(
+            state, [0, 1, 2] + ([None] if state.num_qubits <= 8 else []))
+
+    @pytest.mark.parametrize("m", [1, 2, SHORT_SORT, SHORT_SORT + 1,
+                                   SHORT_SORT + 2])
+    def test_best_merge_rows_around_the_sort_cut(self, m):
+        """Merged rows shorter than, at and just above the insertion-sort
+        cut come out as the twin's."""
+        rng = np.random.default_rng(m)
+        for trial in range(6):
+            idx = rng.choice(1 << 7, size=m, replace=False)
+            amps = rng.standard_normal(m) if trial % 2 else np.ones(m)
+            self._assert_best_merges_equal(
+                QState(7, {int(i): float(a) for i, a in zip(idx, amps)}),
+                (0, 1, 2))
 
     def test_best_merge_on_free_and_absent_merges(self):
         """|+++> folds four pairs for free; a two-index state whose pair
@@ -597,58 +621,76 @@ class TestNativeReduction:
 
 
 # ----------------------------------------------------------------------
-# A*'s native child push
+# A*'s open list: the native one against its Python twin
 # ----------------------------------------------------------------------
 
+def _open_list(pool, n: int, weight, native: bool):
+    """A fresh open list over ``pool``: the native one or the twin."""
+    if native:
+        return kernel.native_open_list(pool, n, weight)
+    return astar._OpenList(pool, weight)
+
+
 def _entry_view(entry) -> tuple:
+    """An open-list entry with its state as a payload, so the twin's heap
+    tuples and the native ``entries()`` rows compare directly."""
     f, neg_g, tie, u, state, prev, move = entry
-    return (f, type(f), neg_g, type(neg_g), tie, u, type(u), state.payload,
+    payload = state if isinstance(state, bytes) else state.payload
+    return (f, type(f), neg_g, type(neg_g), tie, u, type(u), payload,
             None if prev is None else prev.payload, move)
+
+
+def _open_views(open_list) -> tuple[list, list]:
+    """Either twin's entries in heap order, and its exact-state tier in
+    insertion order as ``(payload, g, cached entangled set)``."""
+    if isinstance(open_list, astar._OpenList):
+        entries = open_list.heap
+        pushed = [(s.payload, g, s._entangled)
+                  for s, g in open_list.g_pushed.items()]
+    else:
+        entries = open_list.entries()
+        pushed = open_list.pushed()
+    return [_entry_view(e) for e in entries], pushed
 
 
 def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
                  rounds: int = 4):
-    """A few A*-style rounds on a fresh pool: pop the best entry, expand
-    it natively, push its children with the native call or the Python
-    twin; returns the open list, ``g_pushed`` and summed counters."""
-    pool = StatePool()
-    start = pool.from_qstate(state)
-    if h_kind == "default":
-        h_of = None
-    elif h_kind == "coupling":
-        h_of = _make_h_of(CouplingHeuristic(CouplingMap.line(state.num_qubits)),
-                          None)
-    else:  # an int-valued heuristic: the generic arithmetic path
-        h_of = lambda ps: len(kernel.entangled_qubits_packed(ps))  # noqa
-    g_pushed = {start: 0}
-    heap = [(0.0, 0, -1, 0.0, start, None, None)]
-    counter = itertools.count()
-    totals = [0, 0, 0]
-    for _ in range(rounds):
-        if not heap:
-            break
-        _, neg_g, _, _, ps, _, _ = heapq.heappop(heap)
-        g = -neg_g
-        arcs = successors_packed(pool, ps)
-        if native:
-            deltas = fastcore.active.astar_push(arcs, g, ps, g_pushed, heap,
-                                                counter, h_of, ub, weight)
-        else:
-            with python_path():
-                deltas = astar._push_children(arcs, g, ps, g_pushed, heap,
-                                              counter, h_of, ub, weight)
-        totals = [a + b for a, b in zip(totals, deltas)]
-    return heap, g_pushed, totals
+    """A few A*-style rounds on a fresh pool: pop the best entry and
+    expand it, through the native open list or, on the Python path, its
+    twin; returns the open list and the summed counters ``(pruned,
+    incumbent_prunes, generated, superseded)``."""
+    with nullcontext() if native else python_path():
+        pool = StatePool()
+        start = pool.from_qstate(state)
+        if h_kind == "default":
+            h_of = None
+        elif h_kind == "coupling":
+            h_of = _make_h_of(
+                CouplingHeuristic(CouplingMap.line(state.num_qubits)), None)
+        else:  # an int-valued heuristic
+            h_of = lambda ps: len(kernel.entangled_qubits_packed(ps))  # noqa
+        open_list = _open_list(pool, state.num_qubits, weight, native)
+        assert open_list.start(start, 0.0, ub)
+        totals = [0, 0, 0, 0]
+        for _ in range(rounds):
+            g, _, ps, _, _, superseded = open_list.pop()
+            totals[3] += superseded
+            if ps is None:
+                break
+            deltas = open_list.expand(ps, g, ub, h_of)
+            totals[:3] = [a + b for a, b in zip(totals, deltas)]
+    return open_list, totals
 
 
 @pytest.mark.parametrize("native", [
     pytest.param(True, marks=needs_fastcore), False], ids=["native", "python"])
 def test_equal_f_pops_deepest_first(native):
-    """Both twins push ``(f, -g, ...)``: emptying the open list pops
-    every f-layer deepest entry first, depth ties in push order.  At
-    weight 2 an entry's depth is ``2 * (g + h) - f``, read from its
-    other slots."""
-    heap, _, _ = _push_rounds(w_state(5), "default", None, 2.0, native)
+    """Both twins order entries as ``(f, -g, ...)``: emptying the open
+    list pops every f-layer deepest entry first, depth ties in push
+    order.  At weight 2 an entry's depth is ``2 * (g + h) - f``, read
+    from its other slots."""
+    open_list, _ = _push_rounds(w_state(5), "default", None, 2.0, native)
+    heap = list(open_list.entries() if native else open_list.heap)
     popped = [heapq.heappop(heap) for _ in range(len(heap))]
     order = [(f, 2 * u - f, tie) for f, _, tie, u, *_ in popped]
     assert [-neg_g for _, neg_g, *_ in popped] == [g for _, g, _ in order]
@@ -665,22 +707,27 @@ class TestNativeChildPush:
            st.sampled_from(["default", "coupling", "int"]))
     @settings(max_examples=120, deadline=None)
     def test_matches_python_twin(self, seed, weight, ub, h_kind):
-        """Same entries in the same heap order, the same ``g_pushed`` (and
-        its insertion order), the same counters, and the same entangled
-        sets cached on the children."""
+        """Same entries in the same heap order, the same exact-state tier
+        (and its insertion order), the same counters, and the same
+        entangled sets cached on the children."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 6))
         state = _dense_state(rng, n) if rng.random() < 0.7 else \
             random_state(seed)
-        nheap, ng, ncount = _push_rounds(state, h_kind, ub, weight, True)
-        pheap, pg, pcount = _push_rounds(state, h_kind, ub, weight, False)
+        nlist, ncount = _push_rounds(state, h_kind, ub, weight, True)
+        plist, pcount = _push_rounds(state, h_kind, ub, weight, False)
         assert ncount == pcount
-        assert [_entry_view(e) for e in nheap] == \
-            [_entry_view(e) for e in pheap]
-        assert [(s.payload, g) for s, g in ng.items()] == \
-            [(s.payload, g) for s, g in pg.items()]
-        assert [s._entangled for s in ng] == [s._entangled for s in pg]
-        assert not any(gc.is_tracked(e) for e in nheap[1:])
+        nentries, npushed = _open_views(nlist)
+        pentries, ppushed = _open_views(plist)
+        assert nentries == pentries
+        assert [(p, g) for p, g, _ in npushed] == \
+            [(p, g) for p, g, _ in ppushed]
+        assert [e for _, _, e in npushed] == [e for _, _, e in ppushed]
+        # the entries are C structs of an object the collector never
+        # tracks, and the moves they hand out are untracked too
+        assert not gc.is_tracked(nlist)
+        assert not any(gc.is_tracked(e[6]) for e in nlist.entries())
+        assert len(nlist) == len(plist.heap)
 
     @pytest.mark.parametrize("weight", [1.0, 2.0])
     @pytest.mark.parametrize("incumbent", [None, 7])
@@ -707,16 +754,17 @@ class TestNativeChildPush:
 
     @pytest.mark.parametrize("weight", [1.0, 2.0])
     def test_paused_open_list_identical(self, weight):
-        """Mid-run, the open list, ``g_pushed`` and the counters agree."""
+        """Mid-run, the open list, its exact-state tier and the counters
+        agree."""
         target = dicke_state(5, 2)
 
         def paused():
             run = AStarRun(target, SearchConfig(max_nodes=5_000,
                                                 weight=weight))
             run.step(60)
-            frame = run._gen.gi_frame.f_locals
-            view = ([_entry_view(e) for e in frame["open_heap"]],
-                    [(s.payload, g) for s, g in frame["g_pushed"].items()],
+            entries, pushed = _open_views(
+                run._gen.gi_frame.f_locals["open_list"])
+            view = (entries, [(p, g) for p, g, _ in pushed],
                     run.stats.nodes_generated, run.stats.nodes_pruned,
                     run.stats.max_queue)
             run.cancel()
@@ -726,6 +774,165 @@ class TestNativeChildPush:
         with python_path():
             pure = paused()
         assert native == pure
+
+
+def _moves_bits(moves) -> list:
+    return [(m, m.theta.hex()) if isinstance(m, MergeMove) else (m, None)
+            for m in moves]
+
+
+def _drive(run, slice_size: int = 1 << 20, inject=None) -> None:
+    """Step the run to its end (``inject`` goes to ``inject_incumbent``
+    after the second slice)."""
+    slices = 0
+    while not run.step(slice_size).terminal:
+        slices += 1
+        if slices == 2 and inject is not None:
+            run.inject_incumbent(inject)
+
+
+def _view(run) -> tuple:
+    """Everything the two open lists must agree on, of an ended run."""
+    if run.status is RunStatus.SOLVED:
+        result = run.result()
+        outcome = (result.cnot_cost, result.optimal,
+                   _moves_bits(result.moves))
+    else:
+        outcome = (type(run.error).__name__, run.error.lower_bound)
+    stats = run.stats
+    return (run.status, outcome, stats.nodes_expanded,
+            stats.nodes_generated, stats.nodes_pruned,
+            stats.incumbent_prunes, stats.bnb_transposition_prunes,
+            stats.max_queue)
+
+
+def _run_view(target: QState, config: SearchConfig, *, incumbent=None,
+              heuristic=None, memory=None, slice_size: int = 1 << 20,
+              inject=None) -> tuple:
+    run = AStarRun(target, config, heuristic=heuristic, memory=memory,
+                   incumbent=incumbent)
+    _drive(run, slice_size, inject)
+    return _view(run)
+
+
+def _both_ways(build) -> tuple:
+    """``build()`` with the extension, then on the Python path."""
+    native = build()
+    with python_path():
+        pure = build()
+    return native, pure
+
+
+@needs_fastcore
+class TestNativeOpenList:
+    """Whole A* runs on the native open list and on the Python twin:
+    statuses, costs and move lists, every counter and the exhaustion
+    bound are equal."""
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["none", "int", "result"])
+    @pytest.mark.parametrize("budget", [150, 20_000])
+    def test_incumbents_and_weights(self, weight, kind, budget):
+        for seed in (0, 1):
+            target = _dense_state(np.random.default_rng(seed), 4)
+            config = SearchConfig(max_nodes=budget, weight=weight)
+            incumbent = None
+            if kind == "int":
+                incumbent = 9
+            elif kind == "result":
+                incumbent = astar_search(target, SearchConfig(weight=3.0))
+            native, pure = _both_ways(
+                lambda: _run_view(target, config, incumbent=incumbent))
+            assert native == pure
+            if kind != "none":
+                assert native[5] > 0
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
+    def test_injected_between_slices(self, weight):
+        target = dicke_state(5, 2)
+        config = SearchConfig(max_nodes=3_000, weight=weight)
+        native, pure = _both_ways(lambda: _run_view(
+            target, config, slice_size=25, inject=9))
+        assert native == pure
+        assert native[5] > 0
+
+    def test_line_topology_and_int_heuristic(self):
+        """The coupling bound and a custom heuristic are called back on a
+        child interned before its callback."""
+        target = _dense_state(np.random.default_rng(3), 4)
+        line = SearchConfig(max_nodes=2_000,
+                            topology=CouplingMap.line(4))
+        native, pure = _both_ways(lambda: _run_view(target, line))
+        assert native == pure
+        custom = SearchConfig(max_nodes=400)
+        int_h = lambda qs: int(entanglement_heuristic(qs))  # noqa: E731
+        native, pure = _both_ways(lambda: _run_view(
+            target, custom, heuristic=int_h, incumbent=11))
+        assert native == pure
+
+    def test_attached_memory_prunes_by_transposition(self):
+        from repro.core.beam import BeamConfig, beam_search
+        from repro.core.idastar import idastar_search
+        from repro.states.random_states import random_uniform_state
+
+        def build(seed):
+            state = random_uniform_state(3, 4, seed=seed)
+            memory = SearchMemory()
+            idastar_search(state, memory=memory)
+            incumbent = beam_search(state, BeamConfig(width=64),
+                                    memory=memory)
+            return _run_view(state, SearchConfig(max_nodes=120_000),
+                             memory=memory, incumbent=incumbent)
+
+        views = [_both_ways(lambda: build(seed)) for seed in range(6)]
+        for native, pure in views:
+            assert native == pure
+        assert sum(native[6] for native, _ in views) > 0
+
+    def test_patched_hash_interns_each_popped_state_once(self, monkeypatch):
+        """With ``state_hash64`` forced to a constant the exact-state tier
+        still keys by payload, so the run is the unpatched one, and every
+        popped child lands in the pool's one collision chain exactly
+        once."""
+        target = _dense_state(np.random.default_rng(7), 4)
+        config = SearchConfig(max_nodes=120)
+        reference = _run_view(target, config)
+        monkeypatch.setattr(kernel, "state_hash64", lambda payload: 42)
+        run = AStarRun(target, config)
+        run.step(config.max_nodes)
+        expanded = list(run._gen.gi_frame.f_locals["parent"])
+        pool = run._ctx.pool
+        chain = pool._table[42]
+        assert list(pool._table) == [42]
+        assert len({s.payload for s in chain}) == len(chain) == pool.interned
+        assert pool.hash_collisions == pool.interned - 1
+        assert len(expanded) > 50
+        assert all(any(s is c for c in chain) for s in expanded)
+        _drive(run)
+        assert _view(run) == reference
+
+    def test_cancel_releases_every_state(self):
+        """A run cancelled mid-search holds no state once its memory's
+        pool rotates: the open list releases the states it interned, the
+        parents its entries hold and the moves it built."""
+        memory = SearchMemory(pool_rotate_cap=1)
+        target = dicke_state(5, 2)
+        run = AStarRun(target, SearchConfig(max_nodes=5_000), memory=memory)
+        run.step(80)
+        assert not run.status.terminal
+        first_pool = memory.pool
+        open_list = run._gen.gi_frame.f_locals["open_list"]
+        assert len(open_list) > 100
+        refs = [weakref.ref(s.idx) for entry in first_pool._table.values()
+                for s in (entry if isinstance(entry, list) else [entry])]
+        assert len(refs) > 50
+        run.cancel()
+        del run, open_list, first_pool
+        astar_search(ghz_state(3), SearchConfig(max_nodes=2_000),
+                     memory=memory)
+        assert memory.pool_rotations >= 1
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
 
 
 # ----------------------------------------------------------------------
@@ -773,12 +980,11 @@ def _identity_pattern(states) -> list[int]:
 
 @needs_fastcore
 class TestNativeExpansion:
-    @given(st.integers(0, 5000))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_python_twin(self, seed):
+    @staticmethod
+    def _assert_expansions_equal(state, cap, topology, x_moves) -> list:
         """Same arcs in the same order, bit-identical children, the same
-        interned identities and the same pool counters."""
-        state, cap, topology, x_moves = _expansion_case(seed)
+        interned identities and the same pool counters; returns the
+        native arcs."""
         npool, nstart, native = _expand_twice(state, cap, topology, x_moves)
         with python_path():
             ppool, pstart, pure = _expand_twice(state, cap, topology,
@@ -791,6 +997,26 @@ class TestNativeExpansion:
             _identity_pattern([pstart] + [s for _, s in pure])
         assert (npool.interned, npool.hits, npool.hash_collisions) == \
             (ppool.interned, ppool.hits, ppool.hash_collisions)
+        return native
+
+    @given(st.integers(0, 5000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_python_twin(self, seed):
+        self._assert_expansions_equal(*_expansion_case(seed))
+
+    @pytest.mark.parametrize("m", [1, 2, SHORT_SORT, SHORT_SORT + 1,
+                                   SHORT_SORT + 2])
+    def test_rows_around_the_sort_cut(self, m):
+        """X and CX children of an m-entry state are rows of m entries,
+        its merge children a little shorter: at, below and above the
+        insertion-sort cut the arcs are the twin's."""
+        rng = np.random.default_rng(m)
+        for trial in range(3):
+            idx = rng.choice(1 << 6, size=m, replace=False)
+            amps = rng.standard_normal(m) if trial else np.ones(m)
+            state = QState(6, {int(i): float(a) for i, a in zip(idx, amps)})
+            native = self._assert_expansions_equal(state, 2, None, True)
+            assert m in {child.m for _, child in native}
 
     @pytest.mark.parametrize("name", ["ghz4", "w4", "dicke42", "random5"])
     def test_patched_hash_interns_each_state_once(self, monkeypatch, name):
@@ -826,11 +1052,12 @@ def _suspended_astar_objects(monkeypatch) -> dict[str, list]:
     run = AStarRun(dicke_state(5, 2), SearchConfig(max_nodes=5_000),
                    memory=memory)
     run.step(40)
-    heap = run._gen.gi_frame.f_locals["open_heap"]
+    frame = run._gen.gi_frame.f_locals
+    open_list = frame["open_list"]
     states = [s for entry in memory.pool._table.values()
               for s in (entry if isinstance(entry, list) else [entry])]
     rows = list(memory.canon_store._primary.values())
-    moves = [entry[6] for entry in heap if entry[6] is not None]
+    moves = [move for _, move in frame["parent"].values()]
     kinds = {
         "PackedState": states,
         "_counts": [s._counts for s in states if s._counts is not None],
@@ -839,8 +1066,10 @@ def _suspended_astar_objects(monkeypatch) -> dict[str, list]:
                    for mv in entry[0]],
         "CanonKey": [row[1] for row in rows],
         "HashStore row": rows,
-        "open-list entry": list(heap),
+        "open list": [open_list],
     }
+    if isinstance(open_list, astar._OpenList):
+        kinds["open-list entry"] = list(open_list.heap)
     run.cancel()
     for kind, objs in kinds.items():
         assert objs, kind
