@@ -272,23 +272,33 @@ fc_payload(PyObject *self, PyObject *args)
 /* The list of per-qubit column weights of idx (also written to counts,
  * n entries, when given).  It holds ints only and is memoized on a
  * PackedState, so it is returned outside the cyclic collector. */
+static void
+column_counts(int n, const int64_t *idx, Py_ssize_t m, int64_t *counts)
+{
+    int q;
+    Py_ssize_t j;
+    for (q = 0; q < n; q++) {
+        int shift = n - 1 - q;
+        int64_t ones = 0;
+        for (j = 0; j < m; j++)
+            ones += (idx[j] >> shift) & 1;
+        counts[q] = ones;
+    }
+}
+
 static PyObject *
 counts_list(int n, const int64_t *idx, Py_ssize_t m, int64_t *counts)
 {
     PyObject *res = PyList_New(n);
+    int64_t local[64];
     int q;
-    Py_ssize_t j;
     if (res == NULL)
         return NULL;
+    if (counts == NULL)
+        counts = local;
+    column_counts(n, idx, m, counts);
     for (q = 0; q < n; q++) {
-        int shift = n - 1 - q;
-        int64_t ones = 0;
-        PyObject *v;
-        for (j = 0; j < m; j++)
-            ones += (idx[j] >> shift) & 1;
-        if (counts != NULL)
-            counts[q] = ones;
-        v = PyLong_FromLongLong(ones);
+        PyObject *v = PyLong_FromLongLong(counts[q]);
         if (v == NULL) {
             Py_DECREF(res);
             return NULL;
@@ -308,6 +318,10 @@ fc_column_counts(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "iO", &n, &idx_o))
         return NULL;
+    if (n < 0 || n > 62) {
+        PyErr_SetString(PyExc_ValueError, "column_counts: bad width");
+        return NULL;
+    }
     if (get_buf(idx_o, &idx_b, 0) < 0)
         return NULL;
     res = counts_list(n, (const int64_t *)idx_b.buf, idx_b.len / 8, NULL);
@@ -1394,11 +1408,12 @@ merge_angle(double a0, double a1, int direction)
 
 /* The expansion and A*'s open list build kernel.PackedState and
  * moves.MergeMove objects themselves and intern them into a
- * kernel.StatePool; canon_key builds kernel.CanonKey objects.
- * bind_kernel(PackedState, MergeMove, CanonKey, StatePool, refine)
- * records the classes, the __slots__ offsets of PackedState, CanonKey
- * and StatePool, and canon_key's refinement callback; kernel.py calls it
- * once at import.
+ * kernel.StatePool; canon_key and the open list's class tier build
+ * kernel.CanonKey objects.  bind_kernel(PackedState, MergeMove,
+ * CanonKey, StatePool, CanonContext, HashStore, BoundedCache,
+ * HashKeyedMap, _PayloadKey, refine) records the classes, the __slots__
+ * offsets the native code reads and writes, and canon_key's refinement
+ * callback; kernel.py calls it once at import.
  *
  * Objects built here leave CPython's cyclic collector
  * (PyObject_GC_UnTrack): none of them can be part of a reference cycle.
@@ -1438,6 +1453,30 @@ static Py_ssize_t sp_off[SP_NSLOTS];
 
 #define SP_SLOT(obj, i) (*(PyObject **)((char *)(obj) + sp_off[i]))
 
+/* A*'s class tier reads and updates a CanonContext, its memo (a
+ * HashStore), its U(2)-class tier (a BoundedCache) and best_g (a
+ * HashKeyedMap) in place, and hands the memo a _PayloadKey(hash64,
+ * payload) where it calls the memo's own get / put. */
+enum { CC_MEMO, CC_HITS, CC_MISSES, CC_U2, CC_FULL, CC_TIMERS, CC_NSLOTS };
+static const char *const cc_slot_names[CC_NSLOTS] = {
+    "memo", "hits", "misses", "u2_cache", "full_computations", "timers"};
+enum { HS_CAP, HS_PRIMARY, HS_HITS, HS_MISSES, HS_NSLOTS };
+static const char *const hs_slot_names[HS_NSLOTS] = {
+    "cap", "_primary", "hits", "misses"};
+enum { BC_CAP, BC_DATA, BC_HITS, BC_MISSES, BC_NSLOTS };
+static const char *const bc_slot_names[BC_NSLOTS] = {
+    "cap", "data", "hits", "misses"};
+enum { HK_PRIMARY, HK_NSLOTS };
+static const char *const hk_slot_names[HK_NSLOTS] = {"_primary"};
+static PyTypeObject *cc_type = NULL, *hs_type = NULL, *bc_type = NULL;
+static PyTypeObject *hk_type = NULL, *pk_type = NULL;
+static Py_ssize_t cc_off[CC_NSLOTS], hs_off[HS_NSLOTS], bc_off[BC_NSLOTS];
+static Py_ssize_t hk_off[HK_NSLOTS];
+static PyObject *str_get = NULL, *str_put = NULL, *str_data = NULL;
+static PyObject *str_exhausted = NULL;
+
+#define OBJ_SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
+
 /* kernel._refine_tags(n, idx, absamp, sig_tags): the Python refinement
  * of oversized ties, called back by canon_key */
 static PyObject *refine_fn = NULL;
@@ -1468,32 +1507,44 @@ slot_offsets(PyObject *cls, const char *const *names, int count,
 static PyObject *
 fc_bind_kernel(PyObject *self, PyObject *args)
 {
-    PyObject *pst, *mmt, *ckt, *spt, *refine;
+    PyObject *t[9], *refine;
+    PyTypeObject **types[9] = {&ps_type, &mm_type, &ck_type, &sp_type,
+                               &cc_type, &hs_type, &bc_type, &hk_type,
+                               &pk_type};
     Py_ssize_t off[PS_NSLOTS], coff[CK_NSLOTS], soff[SP_NSLOTS];
+    Py_ssize_t ccoff[CC_NSLOTS], hsoff[HS_NSLOTS], bcoff[BC_NSLOTS];
+    Py_ssize_t hkoff[HK_NSLOTS];
+    int i;
 
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O", &PyType_Type, &pst,
-                          &PyType_Type, &mmt, &PyType_Type, &ckt,
-                          &PyType_Type, &spt, &refine))
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!O!O!O!O!O", &PyType_Type, &t[0],
+                          &PyType_Type, &t[1], &PyType_Type, &t[2],
+                          &PyType_Type, &t[3], &PyType_Type, &t[4],
+                          &PyType_Type, &t[5], &PyType_Type, &t[6],
+                          &PyType_Type, &t[7], &PyType_Type, &t[8], &refine))
         return NULL;
     if (!PyCallable_Check(refine)) {
         PyErr_SetString(PyExc_TypeError, "bind_kernel: refine not callable");
         return NULL;
     }
-    if (slot_offsets(pst, ps_slot_names, PS_NSLOTS, off) < 0 ||
-            slot_offsets(ckt, ck_slot_names, CK_NSLOTS, coff) < 0 ||
-            slot_offsets(spt, sp_slot_names, SP_NSLOTS, soff) < 0)
+    if (slot_offsets(t[0], ps_slot_names, PS_NSLOTS, off) < 0 ||
+            slot_offsets(t[2], ck_slot_names, CK_NSLOTS, coff) < 0 ||
+            slot_offsets(t[3], sp_slot_names, SP_NSLOTS, soff) < 0 ||
+            slot_offsets(t[4], cc_slot_names, CC_NSLOTS, ccoff) < 0 ||
+            slot_offsets(t[5], hs_slot_names, HS_NSLOTS, hsoff) < 0 ||
+            slot_offsets(t[6], bc_slot_names, BC_NSLOTS, bcoff) < 0 ||
+            slot_offsets(t[7], hk_slot_names, HK_NSLOTS, hkoff) < 0)
         return NULL;
     memcpy(ps_off, off, sizeof(off));
     memcpy(ck_off, coff, sizeof(coff));
     memcpy(sp_off, soff, sizeof(soff));
-    Py_INCREF(pst);
-    Py_XSETREF(ps_type, (PyTypeObject *)pst);
-    Py_INCREF(mmt);
-    Py_XSETREF(mm_type, (PyTypeObject *)mmt);
-    Py_INCREF(ckt);
-    Py_XSETREF(ck_type, (PyTypeObject *)ckt);
-    Py_INCREF(spt);
-    Py_XSETREF(sp_type, (PyTypeObject *)spt);
+    memcpy(cc_off, ccoff, sizeof(ccoff));
+    memcpy(hs_off, hsoff, sizeof(hsoff));
+    memcpy(bc_off, bcoff, sizeof(bcoff));
+    memcpy(hk_off, hkoff, sizeof(hkoff));
+    for (i = 0; i < 9; i++) {
+        Py_INCREF(t[i]);
+        Py_XSETREF(*types[i], (PyTypeObject *)t[i]);
+    }
     Py_INCREF(refine);
     Py_XSETREF(refine_fn, refine);
     Py_RETURN_NONE;
@@ -1720,29 +1771,37 @@ pool_intern(pool_ctx *pc, const int64_t *idx, const double *amp,
     return state;
 }
 
+/* Add delta to the int in obj's slot at offset off. */
+static int
+slot_add(PyObject *obj, Py_ssize_t off, Py_ssize_t delta)
+{
+    PyObject **slot = &OBJ_SLOT(obj, off), *sum;
+    Py_ssize_t cur;
+    if (delta == 0)
+        return 0;
+    if (*slot == NULL || !PyLong_Check(*slot)) {
+        PyErr_SetString(PyExc_TypeError, "a counter is not an int");
+        return -1;
+    }
+    cur = PyLong_AsSsize_t(*slot);
+    if (cur == -1 && PyErr_Occurred())
+        return -1;
+    sum = PyLong_FromSsize_t(cur + delta);
+    if (sum == NULL)
+        return -1;
+    Py_SETREF(*slot, sum);
+    return 0;
+}
+
 /* Add the interning counts of pc to the pool's own counters. */
 static int
 pool_count(PyObject *pool, const pool_ctx *pc)
 {
     Py_ssize_t deltas[3] = {pc->interned, pc->hits, pc->collisions};
     int i;
-    for (i = 0; i < 3; i++) {
-        PyObject **slot = &SP_SLOT(pool, SP_INTERNED + i), *sum;
-        Py_ssize_t cur;
-        if (deltas[i] == 0)
-            continue;
-        if (*slot == NULL || !PyLong_Check(*slot)) {
-            PyErr_SetString(PyExc_TypeError, "pool counter is not an int");
+    for (i = 0; i < 3; i++)
+        if (slot_add(pool, sp_off[SP_INTERNED + i], deltas[i]) < 0)
             return -1;
-        }
-        cur = PyLong_AsSsize_t(*slot);
-        if (cur == -1 && PyErr_Occurred())
-            return -1;
-        sum = PyLong_FromSsize_t(cur + deltas[i]);
-        if (sum == NULL)
-            return -1;
-        Py_SETREF(*slot, sum);
-    }
     return 0;
 }
 
@@ -2980,26 +3039,30 @@ fail:
 /*           timed, scale) -> (key, u2_miss, hashing_seconds)          */
 /* ------------------------------------------------------------------ */
 
-/* A new CanonKey(n, low, full), untracked like CanonKey.__init__ makes
+/* A new CanonKey(n, h, full), untracked like CanonKey.__init__ makes
  * it. */
+static PyObject *
+new_canon_key_h(PyObject *nobj, PyObject *h, PyObject *full)
+{
+    PyObject *obj = ck_type->tp_alloc(ck_type, 0);
+    if (obj == NULL)
+        return NULL;
+    CK_SLOT(obj, CK_N) = Py_NewRef(nobj);
+    CK_SLOT(obj, CK_H) = Py_NewRef(h);
+    CK_SLOT(obj, CK_FULL) = Py_NewRef(full);
+    PyObject_GC_UnTrack(obj);
+    return obj;
+}
+
+/* A new CanonKey(n, low, full) of an orbit hash's low 64 bits. */
 static PyObject *
 new_canon_key(PyObject *nobj, uint64_t low, PyObject *full)
 {
-    PyObject *obj, *h;
-    h = PyLong_FromUnsignedLongLong(low);
+    PyObject *obj, *h = PyLong_FromUnsignedLongLong(low);
     if (h == NULL)
         return NULL;
-    obj = ck_type->tp_alloc(ck_type, 0);
-    if (obj == NULL) {
-        Py_DECREF(h);
-        return NULL;
-    }
-    Py_INCREF(nobj);
-    CK_SLOT(obj, CK_N) = nobj;
-    CK_SLOT(obj, CK_H) = h;
-    Py_INCREF(full);
-    CK_SLOT(obj, CK_FULL) = full;
-    PyObject_GC_UnTrack(obj);
+    obj = new_canon_key_h(nobj, h, full);
+    Py_DECREF(h);
     return obj;
 }
 
@@ -3086,30 +3149,164 @@ fail:
     return -1;
 }
 
-/* One whole CanonContext._compute at the U2 / PU2 levels: pin separable
- * qubits (requantizing when anything was pinned), the U(2) orbit hash
- * and, at PU2 on a miss in u2_data (the U(2)-class tier's dict), the
- * candidate orderings (automorphisms: the given list) and the full
- * orbit hash.  Returns the key, the U(2) hash on a tier miss (None on a
- * hit or at U2; the caller updates the tier) and the orbit-hash seconds
- * when timed (else None). */
-static PyObject *
-fc_canon_key(PyObject *self, PyObject *args)
+/* One whole CanonContext._compute at the U2 / PU2 levels, on a state's
+ * rows (idx, amp, qamp: m entries; counts: the column counts of idx):
+ * pin separable qubits (requantizing when anything was pinned), the U(2)
+ * orbit hash and, at PU2 on a miss in u2_data (the U(2)-class tier's
+ * dict), the candidate orderings and the full orbit hash.  The
+ * orderings are the K rows of autos when given, else those of the list
+ * autos_obj (automorphisms) when it is not None, else enumerated.
+ * arena: 10m + 1 int64 slots of scratch.  Sets *key_out (a new
+ * reference) and *miss_out (a new reference to the U(2) hash on a tier
+ * miss, else NULL; the caller updates the tier), and adds the
+ * orbit-hash seconds to *hash_s when timed.  Returns 0, or -1 with an
+ * exception set. */
+static int
+canon_core(PyObject *nobj, int n, const int64_t *idx, const double *amp,
+           const double *qamp, Py_ssize_t m, const int64_t *counts, int pu2,
+           long tie_cap, Py_ssize_t perm_cap, PyObject *u2_data,
+           const int *autos, Py_ssize_t nautos, PyObject *autos_obj,
+           int timed, double scale, int64_t *arena, PyObject **key_out,
+           PyObject **miss_out, double *hash_s)
 {
-    PyObject *ps, *u2_data, *autos, *nobj, *u2 = NULL, *key = NULL;
-    PyObject *miss = Py_None, *secs = NULL, *res = NULL;
-    int pu2, timed, n, i, nbuf = 0, *orders = NULL;
-    long tie_cap;
-    Py_ssize_t perm_cap, m, pm, j, H, K, cap;
-    double scale, hash_s = 0.0, t0 = 0.0;
-    Py_buffer idx_b, amp_b, qamp_b;
-    Py_buffer *bufs[3] = {&idx_b, &amp_b, &qamp_b};
-    int64_t counts[64], *arena = NULL, *pidx, *scratch_i, *hp;
+    PyObject *u2 = NULL, *key = NULL;
+    int i, missed = 0, rc = -1, *owned = NULL;
+    const int *orders = NULL;
+    Py_ssize_t pm, j, H, K, cap;
+    double t0 = 0.0;
+    int64_t *pidx, *scratch_i, *hp;
     double *pamp, *pq, *scratch_a;
     const int64_t *kidx;
     const double *kq;
     ia_pair *pairs;
     uint64_t *rows = NULL, ua, ub;
+
+    *key_out = *miss_out = NULL;
+    cap = tie_cap > 1 ? (Py_ssize_t)tie_cap : 1;
+    /* the arena's 8-byte slots: pidx[m], pamp[m], pq[m], scratch_i[2m],
+     * scratch_a[2m], pairs[m] (two slots each), hp[m] */
+    pidx = arena;
+    pamp = (double *)(pidx + m);
+    pq = pamp + m;
+    scratch_i = (int64_t *)(pq + m);
+    scratch_a = (double *)(scratch_i + 2 * m);
+    pairs = (ia_pair *)(scratch_a + 2 * m);
+    hp = (int64_t *)(pairs + m);
+    memcpy(pidx, idx, (size_t)m * 8);
+    memcpy(pamp, amp, (size_t)m * 8);
+    pm = m;
+    if (pin_core(n, pidx, pamp, &pm, counts, scratch_i, scratch_a, pairs)) {
+        for (j = 0; j < pm; j++) {
+            double qv = rint(pamp[j] * scale) / scale;
+            if (qv == 0.0)
+                qv = 0.0;  /* normalize -0.0 */
+            pq[j] = qv;
+        }
+        kidx = pidx;
+        kq = pq;
+    }
+    else {
+        kidx = idx;
+        kq = qamp;
+    }
+
+    /* the U(2) orbit: X-translations of the identity ordering */
+    if (timed)
+        t0 = monotonic_seconds();
+    H = heavy_positions(kq, pm, cap, hp);
+    if (orbit_totals((const uint64_t *)kidx, 1, pm, hp, H, kq, &ua, &ub) < 0)
+        goto done;
+    if (timed)
+        *hash_s += monotonic_seconds() - t0;
+    u2 = u128_long(ua, ub);
+    if (u2 == NULL)
+        goto done;
+    if (!pu2) {
+        key = new_canon_key(nobj, ub, u2);
+        goto finish;
+    }
+    key = PyDict_GetItemWithError(u2_data, u2);
+    if (key != NULL) {
+        Py_INCREF(key);
+        goto finish;
+    }
+    if (PyErr_Occurred())
+        goto done;
+    missed = 1;
+    if (autos != NULL) {
+        K = nautos;
+        orders = autos;
+    }
+    else {
+        K = autos_obj != Py_None ? parse_orderings(autos_obj, n, &owned)
+            : orderings_core(nobj, n, kidx, kq, pm, perm_cap, H, &owned);
+        orders = owned;
+    }
+    if (K < 0)
+        goto done;
+    if (K == 1) {
+        for (i = 0; i < n && orders[i] == i; i++)
+            ;
+        if (i == n) {
+            /* the identity ordering's candidate set IS the U(2) orbit */
+            key = new_canon_key(nobj, ub, u2);
+            goto finish;
+        }
+    }
+    rows = PyMem_Malloc((size_t)(K * pm + 1) * sizeof(uint64_t));
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (timed)
+        t0 = monotonic_seconds();
+    for (j = 0; j < K; j++)
+        permute_row(kidx, pm, n, orders + j * n, rows + j * pm);
+    if (orbit_totals(rows, K, pm, hp, H, kq, &ua, &ub) < 0)
+        goto done;
+    if (timed)
+        *hash_s += monotonic_seconds() - t0;
+    {
+        PyObject *full = u128_long(ua, ub);
+        if (full == NULL)
+            goto done;
+        key = new_canon_key(nobj, ub, full);
+        Py_DECREF(full);
+    }
+finish:
+    if (key == NULL)
+        goto done;
+    *key_out = key;
+    key = NULL;
+    if (missed) {
+        *miss_out = u2;
+        u2 = NULL;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(u2);
+    PyMem_Free(owned);
+    PyMem_Free(rows);
+    return rc;
+}
+
+/* canon_key(): canon_core on a PackedState's rows, its column counts
+ * memoized on it.  Returns the key, the U(2) hash on a tier miss (None
+ * on a hit or at U2) and the orbit-hash seconds when timed (else
+ * None). */
+static PyObject *
+fc_canon_key(PyObject *self, PyObject *args)
+{
+    PyObject *ps, *u2_data, *autos, *nobj, *key = NULL, *miss = NULL;
+    PyObject *secs = NULL, *res = NULL;
+    int pu2, timed, n, nbuf = 0;
+    long tie_cap;
+    Py_ssize_t perm_cap, m;
+    double scale, hash_s = 0.0;
+    Py_buffer idx_b, amp_b, qamp_b;
+    Py_buffer *bufs[3] = {&idx_b, &amp_b, &qamp_b};
+    int64_t counts[64], *arena = NULL;
 
     if (!PyArg_ParseTuple(args, "OplnOOpd", &ps, &pu2, &tie_cap, &perm_cap,
                           &u2_data, &autos, &timed, &scale))
@@ -3146,123 +3343,60 @@ fc_canon_key(PyObject *self, PyObject *args)
     m = idx_b.len / 8;
     if (state_counts(ps, n, (const int64_t *)idx_b.buf, m, counts) < 0)
         goto done;
-    cap = tie_cap > 1 ? (Py_ssize_t)tie_cap : 1;
-    /* one allocation of 8-byte slots: pidx[m], pamp[m], pq[m],
-     * scratch_i[2m], scratch_a[2m], pairs[m] (two slots each), hp[m] */
     arena = PyMem_Malloc((size_t)(10 * m + 1) * sizeof(int64_t));
     if (arena == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    pidx = arena;
-    pamp = (double *)(pidx + m);
-    pq = pamp + m;
-    scratch_i = (int64_t *)(pq + m);
-    scratch_a = (double *)(scratch_i + 2 * m);
-    pairs = (ia_pair *)(scratch_a + 2 * m);
-    hp = (int64_t *)(pairs + m);
-    memcpy(pidx, idx_b.buf, (size_t)m * 8);
-    memcpy(pamp, amp_b.buf, (size_t)m * 8);
-    pm = m;
-    if (pin_core(n, pidx, pamp, &pm, counts, scratch_i, scratch_a, pairs)) {
-        for (j = 0; j < pm; j++) {
-            double qv = rint(pamp[j] * scale) / scale;
-            if (qv == 0.0)
-                qv = 0.0;  /* normalize -0.0 */
-            pq[j] = qv;
-        }
-        kidx = pidx;
-        kq = pq;
-    }
-    else {
-        kidx = (const int64_t *)idx_b.buf;
-        kq = (const double *)qamp_b.buf;
-    }
-
-    /* the U(2) orbit: X-translations of the identity ordering */
-    if (timed)
-        t0 = monotonic_seconds();
-    H = heavy_positions(kq, pm, cap, hp);
-    if (orbit_totals((const uint64_t *)kidx, 1, pm, hp, H, kq, &ua, &ub) < 0)
-        goto done;
-    if (timed)
-        hash_s += monotonic_seconds() - t0;
-    u2 = u128_long(ua, ub);
-    if (u2 == NULL)
-        goto done;
-    if (!pu2) {
-        key = new_canon_key(nobj, ub, u2);
-        goto finish;
-    }
-    key = PyDict_GetItemWithError(u2_data, u2);
-    if (key != NULL) {
-        Py_INCREF(key);
-        goto finish;
-    }
-    if (PyErr_Occurred())
-        goto done;
-    miss = u2;
-    K = autos != Py_None ? parse_orderings(autos, n, &orders)
-                         : orderings_core(nobj, n, kidx, kq, pm, perm_cap, H,
-                                          &orders);
-    if (K < 0)
-        goto done;
-    if (K == 1) {
-        for (i = 0; i < n && orders[i] == i; i++)
-            ;
-        if (i == n) {
-            /* the identity ordering's candidate set IS the U(2) orbit */
-            key = new_canon_key(nobj, ub, u2);
-            goto finish;
-        }
-    }
-    rows = PyMem_Malloc((size_t)(K * pm + 1) * sizeof(uint64_t));
-    if (rows == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (timed)
-        t0 = monotonic_seconds();
-    for (j = 0; j < K; j++)
-        permute_row(kidx, pm, n, orders + j * n, rows + j * pm);
-    if (orbit_totals(rows, K, pm, hp, H, kq, &ua, &ub) < 0)
-        goto done;
-    if (timed)
-        hash_s += monotonic_seconds() - t0;
-    {
-        PyObject *full = u128_long(ua, ub);
-        if (full == NULL)
-            goto done;
-        key = new_canon_key(nobj, ub, full);
-        Py_DECREF(full);
-    }
-finish:
-    if (key == NULL)
+    if (canon_core(nobj, n, (const int64_t *)idx_b.buf,
+                   (const double *)amp_b.buf, (const double *)qamp_b.buf, m,
+                   counts, pu2, tie_cap, perm_cap, u2_data, NULL, 0, autos,
+                   timed, scale, arena, &key, &miss, &hash_s) < 0)
         goto done;
     if (timed) {
         secs = PyFloat_FromDouble(hash_s);
         if (secs == NULL)
             goto done;
     }
-    res = PyTuple_Pack(3, key, miss, secs != NULL ? secs : Py_None);
+    res = PyTuple_Pack(3, key, miss != NULL ? miss : Py_None,
+                       secs != NULL ? secs : Py_None);
 done:
     Py_XDECREF(key);
-    Py_XDECREF(u2);
+    Py_XDECREF(miss);
     Py_XDECREF(secs);
-    PyMem_Free(orders);
-    PyMem_Free(rows);
     PyMem_Free(arena);
     while (nbuf > 0)
         PyBuffer_Release(bufs[--nbuf]);
     return res;
 }
 
+/* A*'s class tier reads and extends U64Maps (defined below) */
+typedef struct {
+    uint64_t key;
+    PyObject *keyobj;  /* original Python int (dict-compatible keys()) */
+    PyObject *val;     /* NULL = tombstone */
+} u64_entry;
+
+typedef struct {
+    PyObject_HEAD
+    u64_entry *entries;      /* append-only log, order = insertion */
+    Py_ssize_t nentries, cap_entries, live;
+    Py_ssize_t *index;       /* slot -> entry idx; -1 empty, -2 dummy */
+    size_t mask, fill;       /* fill = used + tombstoned slots */
+} U64MapObject;
+
+static PyTypeObject U64MapType;
+static int u64map_set(U64MapObject *self, uint64_t key, PyObject *keyobj,
+                      PyObject *val);
+static PyObject *u64map_lookup(U64MapObject *self, uint64_t key);
+
 /* ------------------------------------------------------------------ */
 /* OpenList: A*'s open list, children native until popped              */
 /* ------------------------------------------------------------------ */
 
 /* The open list of one A* run; its Python twin is astar._OpenList (a
- * heapq list, the g_pushed dict and astar._push_children).
+ * heapq list, the g_pushed dict, astar._push_children and the class tier
+ * of its pop()).
  *
  * expand() runs one expansion through expand_children.  Per child: the
  * exact-state tier (the lowest g pushed per state, keyed by the child's
@@ -3271,15 +3405,29 @@ done:
  * child's rows; any other heuristic gets the child interned into the
  * pool first and is called back), the incumbent prune, and a heap entry
  * ordered as heapq orders the twin's (f, -g, tiebreak, g + h, state,
- * prev, move) tuples.  A child stays rows in the tier's arena until
- * pop() returns it: only then is it interned into the run's pool, and
- * only then is a merge's MergeMove built.  Most pushed children are
- * never popped, and they cost no Python objects.  The heap runs heapq's
- * own siftdown and siftup, so its array order equals the twin's list.
+ * prev, move) tuples.  The parent's rows are the tier entry pop() just
+ * returned, and its CX moves come from the cx_of callback once per
+ * pattern of its columns (which hold a 0, which a 1), as
+ * kernel._cx_moves_entry memoizes them.  The heap runs heapq's own
+ * siftdown and siftup, so its array order equals the twin's list.
+ *
+ * pop() runs Algorithm 1's class tier on the popped child's rows: the
+ * goal test on the tier's entangled count, the canonical key
+ * (CanonContext.key: its memo, then canon_core and the U(2)-class tier
+ * on a miss, with the context's counters), best_g and, under an
+ * incumbent, the unconditional transposition entries.  A child stays
+ * rows in the tier's arena until pop() returns it: only then is it
+ * interned into the run's pool, and only then is a merge's MergeMove
+ * built.  Most children are pushed and never popped, or popped and
+ * pruned by their class, and they cost no Python objects.  The memo's
+ * and best_g's U64Map primaries are read and extended in place; a
+ * 64-bit spill, an eviction sweep or a memo of another kind goes
+ * through the container's own Python methods.
  *
  * The object holds kernel objects (states, moves), the pool, the move
- * list callback and a patched hash function, none of which refers back
- * to it, so it stays out of the cyclic collector. */
+ * list callback, a patched hash function and the run's class-tier
+ * containers, none of which refers back to it, so it stays out of the
+ * cyclic collector. */
 
 /* hash(bytes) of a buffer, without building the bytes object */
 #if PY_VERSION_HEX >= 0x030E0000
@@ -3314,6 +3462,15 @@ typedef struct {
     PyObject *state;       /* the interned state, once materialized */
 } ol_child;
 
+/* cx_of's entry (moves, controls, phases, targets) for one column
+ * pattern: h0 has bit q when qubit q's column holds a 0, h1 when it
+ * holds a 1 */
+typedef struct {
+    uint64_t h0, h1;
+    PyObject *entry;
+    Py_buffer bufs[3];
+} ol_cx;
+
 typedef struct {
     PyObject_HEAD
     PyObject *pool, *table, *hash_fn, *cx_of, *x_moves, *nobj;
@@ -3337,6 +3494,20 @@ typedef struct {
     int64_t *ent_i;        /* entangled_core scratch */
     double *ent_a;
     Py_ssize_t ecap;
+    Py_ssize_t last;       /* the tier entry pop() returned last, or -1 */
+    ol_cx **cx;            /* cx_of's entries met so far */
+    Py_ssize_t ncx, cxcap;
+    /* the class tier */
+    PyObject *canon;       /* the run's CanonContext */
+    PyObject *best_g;      /* a HashKeyedMap: class -> lowest g expanded */
+    PyObject *transposition;  /* a TranspositionTable, or NULL */
+    int level;             /* CanonLevel: 0 NONE, 1 U2, 2 PU2 */
+    long tie_cap;
+    Py_ssize_t perm_cap;
+    int *autos;            /* PU2 automorphism orderings, or NULL */
+    Py_ssize_t nautos;
+    int64_t *carena;       /* canon_core scratch */
+    Py_ssize_t carena_cap;
 } OpenListObject;
 
 #define OL_BLOCK_WORDS 65536
@@ -3623,51 +3794,62 @@ mask_tuple(uint64_t mask, int n)
     return int_tuple(vals, count);
 }
 
+/* The child's payload and its pool key, hash(payload) or the patched
+ * state_hash64's value (new references; 0, or -1 with both NULL). */
+static int
+ol_keys(OpenListObject *ol, const ol_child *c, PyObject **payload,
+        PyObject **hkey)
+{
+    *hkey = NULL;
+    *payload = build_payload(ol->n, c->data, child_qamp(c), c->m);
+    if (*payload == NULL)
+        return -1;
+    if (ol->hash_fn != NULL)
+        *hkey = PyObject_CallOneArg(ol->hash_fn, *payload);
+    else
+        *hkey = PyLong_FromSsize_t((Py_ssize_t)(Py_hash_t)c->hash);
+    if (*hkey == NULL) {
+        Py_CLEAR(*payload);
+        return -1;
+    }
+    return 0;
+}
+
 /* The child's interned state (borrowed): interned into the run's pool on
- * the first call, with the entangled set the tier holds. */
+ * the first call.  The state gets the entangled set the tier holds, as
+ * num_entangled_packed memoizes it on the state. */
 static PyObject *
 ol_state(OpenListObject *ol, ol_child *c)
 {
-    PyObject *payload, *hkey, *state;
+    PyObject *payload, *hkey, *state = c->state;
     pool_ctx pc;
 
-    if (c->state != NULL)
-        return c->state;
-    payload = build_payload(ol->n, c->data, child_qamp(c), c->m);
-    if (payload == NULL)
-        return NULL;
-    if (ol->hash_fn != NULL)
-        hkey = PyObject_CallOneArg(ol->hash_fn, payload);
-    else
-        hkey = PyLong_FromSsize_t((Py_ssize_t)(Py_hash_t)c->hash);
-    if (hkey == NULL) {
+    if (state == NULL) {
+        if (ol_keys(ol, c, &payload, &hkey) < 0)
+            return NULL;
+        pc.table = ol->table;
+        pc.hash_fn = ol->hash_fn;
+        pc.nobj = ol->nobj;
+        pc.n = ol->n;
+        pc.interned = pc.hits = pc.collisions = 0;
+        state = pool_intern_keyed(&pc, payload, hkey, c->data, child_amp(c),
+                                  child_qamp(c), c->m);
+        Py_DECREF(hkey);
         Py_DECREF(payload);
-        return NULL;
-    }
-    pc.table = ol->table;
-    pc.hash_fn = ol->hash_fn;
-    pc.nobj = ol->nobj;
-    pc.n = ol->n;
-    pc.interned = pc.hits = pc.collisions = 0;
-    state = pool_intern_keyed(&pc, payload, hkey, c->data, child_amp(c),
-                              child_qamp(c), c->m);
-    Py_DECREF(hkey);
-    Py_DECREF(payload);
-    if (state == NULL)
-        return NULL;
-    if (pool_count(ol->pool, &pc) < 0) {
-        Py_DECREF(state);
-        return NULL;
-    }
-    if (c->nent >= 0 && PS_SLOT(state, PS_ENTANGLED) == Py_None) {
-        PyObject *tup = mask_tuple(c->ent, ol->n);
-        if (tup == NULL) {
+        if (state == NULL)
+            return NULL;
+        if (pool_count(ol->pool, &pc) < 0) {
             Py_DECREF(state);
             return NULL;
         }
+        c->state = state;
+    }
+    if (c->nent >= 0 && PS_SLOT(state, PS_ENTANGLED) == Py_None) {
+        PyObject *tup = mask_tuple(c->ent, ol->n);
+        if (tup == NULL)
+            return NULL;
         Py_SETREF(PS_SLOT(state, PS_ENTANGLED), tup);
     }
-    c->state = state;
     return state;
 }
 
@@ -3680,6 +3862,362 @@ ol_move(OpenListObject *ol, const ol_entry *e)
     if (e->move != NULL)
         return Py_NewRef(e->move);
     return merge_move_of(ol->n, e->target, e->theta, e->cmask, e->cval);
+}
+
+/* One pop() call's class-tier counts, flushed into the CanonContext,
+ * its memo and its U(2)-class tier on the way out, and its seconds: the
+ * key lookups and computations, and their orbit hashing. */
+typedef struct {
+    Py_ssize_t hits, misses;              /* CanonContext.hits / misses */
+    Py_ssize_t store_hits, store_misses;  /* the memo's, looked up here */
+    Py_ssize_t u2_hits, u2_misses, full;
+    int timed;
+    double key_s, hash_s;
+} ol_tier;
+
+static int
+ol_tier_flush(OpenListObject *ol, const ol_tier *t)
+{
+    PyObject *canon = ol->canon;
+    if (slot_add(canon, cc_off[CC_HITS], t->hits) < 0 ||
+            slot_add(canon, cc_off[CC_MISSES], t->misses) < 0 ||
+            slot_add(canon, cc_off[CC_FULL], t->full) < 0)
+        return -1;
+    if (t->store_hits || t->store_misses) {
+        PyObject *memo = OBJ_SLOT(canon, cc_off[CC_MEMO]);
+        if (slot_add(memo, hs_off[HS_HITS], t->store_hits) < 0 ||
+                slot_add(memo, hs_off[HS_MISSES], t->store_misses) < 0)
+            return -1;
+    }
+    if (t->u2_hits || t->u2_misses) {
+        PyObject *u2c = OBJ_SLOT(canon, cc_off[CC_U2]);
+        if (slot_add(u2c, bc_off[BC_HITS], t->u2_hits) < 0 ||
+                slot_add(u2c, bc_off[BC_MISSES], t->u2_misses) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Is b the child's payload (n, then its idx and qamp rows)? */
+static int
+ol_is_payload(const OpenListObject *ol, const ol_child *c, PyObject *b)
+{
+    const char *p;
+    if (!PyBytes_CheckExact(b) || PyBytes_GET_SIZE(b) != 2 + 16 * c->m)
+        return 0;
+    p = PyBytes_AS_STRING(b);
+    return p[0] == (char)(ol->n & 0xff) &&
+        p[1] == (char)((ol->n >> 8) & 0xff) &&
+        memcmp(p + 2, c->data, (size_t)c->m * 16) == 0;
+}
+
+/* The int in obj's slot at offset off, as a Py_ssize_t (-1 on error). */
+static Py_ssize_t
+slot_size(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *v = OBJ_SLOT(obj, off);
+    if (v == NULL || !PyLong_Check(v)) {
+        PyErr_SetString(PyExc_TypeError, "a cap is not an int");
+        return -1;
+    }
+    return PyLong_AsSsize_t(v);
+}
+
+/* The child's canonical key computed from its rows (a new reference):
+ * CanonContext._compute, with the U(2)-class tier's bookkeeping (a full
+ * tier runs BoundedCache.put's own eviction sweep).  *payload and *hkey
+ * are built here when still NULL. */
+static PyObject *
+ol_compute_key(OpenListObject *ol, const ol_child *c, ol_tier *t,
+               PyObject **payload, PyObject **hkey)
+{
+    PyObject *u2c = NULL, *u2_data = NULL, *key, *miss;
+    int64_t counts[64];
+    Py_ssize_t need = 10 * c->m + 1, cap;
+    int pu2 = ol->level == 2, rc;
+
+    if (ol->level == 0) {  /* NONE: CanonKey(n, hash64, payload) */
+        if (*payload == NULL && ol_keys(ol, c, payload, hkey) < 0)
+            return NULL;
+        return new_canon_key_h(ol->nobj, *hkey, *payload);
+    }
+    if (need > ol->carena_cap) {
+        int64_t *grown = PyMem_Realloc(ol->carena, (size_t)need
+                                       * sizeof(int64_t));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        ol->carena = grown;
+        ol->carena_cap = need;
+    }
+    if (pu2) {
+        u2c = OBJ_SLOT(ol->canon, cc_off[CC_U2]);
+        if (u2c == NULL || !PyObject_TypeCheck(u2c, bc_type) ||
+                (u2_data = OBJ_SLOT(u2c, bc_off[BC_DATA])) == NULL ||
+                !PyDict_Check(u2_data)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "OpenList: the U(2)-class tier is not a cache");
+            return NULL;
+        }
+    }
+    column_counts(ol->n, c->data, c->m, counts);
+    if (canon_core(ol->nobj, ol->n, c->data, child_amp(c), child_qamp(c),
+                   c->m, counts, pu2, ol->tie_cap, ol->perm_cap, u2_data,
+                   ol->autos, ol->nautos, Py_None, t->timed, ol->scale,
+                   ol->carena, &key, &miss, &t->hash_s) < 0)
+        return NULL;
+    if (!pu2)
+        return key;
+    if (miss == NULL) {
+        t->u2_hits++;
+        return key;
+    }
+    t->u2_misses++;
+    t->full++;
+    cap = slot_size(u2c, bc_off[BC_CAP]);
+    if (cap < 0)
+        rc = -1;
+    else if (PyDict_GET_SIZE(u2_data) < cap)
+        rc = PyDict_SetItem(u2_data, miss, key);
+    else {
+        PyObject *r = PyObject_CallMethodObjArgs(u2c, str_put, miss, key,
+                                                 NULL);
+        rc = r == NULL ? -1 : 0;
+        Py_XDECREF(r);
+    }
+    Py_DECREF(miss);
+    if (rc < 0)
+        Py_CLEAR(key);
+    return key;
+}
+
+/* The child's canonical key (a new reference), as CanonContext.key finds
+ * it: from the memo, else computed from the rows and stored.  A memo hit
+ * bumps the entry's hit count, as HashStore.get does. */
+static PyObject *
+ol_class_key(OpenListObject *ol, const ol_child *c, ol_tier *t)
+{
+    PyObject *memo = OBJ_SLOT(ol->canon, cc_off[CC_MEMO]);
+    PyObject *primary = NULL, *payload = NULL, *hkey = NULL, *pk = NULL;
+    PyObject *key = NULL, *row, *val;
+    double t0 = t->timed ? monotonic_seconds() : 0.0;
+    int native = 0;
+
+    if (memo != NULL && Py_IS_TYPE(memo, hs_type)) {
+        primary = OBJ_SLOT(memo, hs_off[HS_PRIMARY]);
+        native = primary != NULL && Py_IS_TYPE(primary, &U64MapType);
+    }
+    if (native) {
+        row = u64map_lookup((U64MapObject *)primary, c->hash);
+        if (row == NULL) {
+            t->store_misses++;
+            t->misses++;
+            goto compute;
+        }
+        if (PyList_CheckExact(row) && PyList_GET_SIZE(row) == 3 &&
+                ol_is_payload(ol, c, PyList_GET_ITEM(row, 0))) {
+            long long count = PyLong_AsLongLong(PyList_GET_ITEM(row, 2));
+            PyObject *bumped;
+            if (count == -1 && PyErr_Occurred())
+                goto done;
+            bumped = PyLong_FromLongLong(count + 1);
+            if (bumped == NULL)
+                goto done;
+            key = Py_NewRef(PyList_GET_ITEM(row, 1));
+            PyList_SetItem(row, 2, bumped);
+            t->store_hits++;
+            t->hits++;
+            goto done;
+        }
+        native = 0;  /* another state holds the hash: the memo's spill */
+    }
+    if (ol_keys(ol, c, &payload, &hkey) < 0)
+        goto done;
+    pk = PyObject_CallFunctionObjArgs((PyObject *)pk_type, hkey, payload,
+                                      NULL);
+    val = pk != NULL ? PyObject_CallMethodOneArg(memo, str_get, pk) : NULL;
+    if (val == NULL)
+        goto done;
+    if (val != Py_None) {
+        t->hits++;
+        key = val;
+        goto done;
+    }
+    Py_DECREF(val);
+    t->misses++;
+compute:
+    key = ol_compute_key(ol, c, t, &payload, &hkey);
+    if (key == NULL)
+        goto done;
+    if (native) {
+        Py_ssize_t cap = slot_size(memo, hs_off[HS_CAP]);
+        if (cap < 0)
+            goto fail;
+        if (((U64MapObject *)primary)->live < cap) {
+            /* HashStore.put's new row [payload, value, hits], untracked
+             * like the rows it makes */
+            int rc;
+            if (payload == NULL && ol_keys(ol, c, &payload, &hkey) < 0)
+                goto fail;
+            row = PyList_New(3);
+            if (row == NULL)
+                goto fail;
+            PyList_SET_ITEM(row, 0, Py_NewRef(payload));
+            PyList_SET_ITEM(row, 1, Py_NewRef(key));
+            PyList_SET_ITEM(row, 2, PyLong_FromLong(0));
+            PyObject_GC_UnTrack(row);
+            rc = u64map_set((U64MapObject *)primary, c->hash, hkey, row);
+            Py_DECREF(row);
+            if (rc < 0)
+                goto fail;
+            goto done;
+        }
+    }
+    /* HashStore.put: its eviction sweep, or its spill */
+    if (pk == NULL) {
+        if (payload == NULL && ol_keys(ol, c, &payload, &hkey) < 0)
+            goto fail;
+        pk = PyObject_CallFunctionObjArgs((PyObject *)pk_type, hkey,
+                                          payload, NULL);
+        if (pk == NULL)
+            goto fail;
+    }
+    val = PyObject_CallMethodObjArgs(memo, str_put, pk, key, NULL);
+    if (val == NULL)
+        goto fail;
+    Py_DECREF(val);
+    goto done;
+fail:
+    Py_CLEAR(key);
+done:
+    Py_XDECREF(payload);
+    Py_XDECREF(hkey);
+    Py_XDECREF(pk);
+    if (t->timed)
+        t->key_s += monotonic_seconds() - t0;
+    return key;
+}
+
+/* Is holder the key's class (holder is key or CanonKey.__eq__)? */
+static int
+same_class(PyObject *holder, PyObject *key)
+{
+    int r;
+    if (holder == key)
+        return 1;
+    if (!Py_IS_TYPE(holder, ck_type))
+        return PyObject_RichCompareBool(holder, key, Py_EQ);
+    r = PyObject_RichCompareBool(CK_SLOT(holder, CK_N), CK_SLOT(key, CK_N),
+                                 Py_EQ);
+    if (r <= 0)
+        return r;
+    return PyObject_RichCompareBool(CK_SLOT(holder, CK_FULL),
+                                    CK_SLOT(key, CK_FULL), Py_EQ);
+}
+
+/* best_g's U64Map primary and the key's 64-bit hash, when the key is a
+ * CanonKey and the primary a U64Map; else NULL (the map's own methods
+ * serve it).  NULL with an exception set on error. */
+static U64MapObject *
+ol_best_primary(OpenListObject *ol, PyObject *key, uint64_t *h)
+{
+    PyObject *primary = OBJ_SLOT(ol->best_g, hk_off[HK_PRIMARY]);
+    if (primary == NULL || !Py_IS_TYPE(primary, &U64MapType) ||
+            !Py_IS_TYPE(key, ck_type))
+        return NULL;
+    *h = PyLong_AsUnsignedLongLongMask(CK_SLOT(key, CK_H));
+    if (*h == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    return (U64MapObject *)primary;
+}
+
+/* best_g.get(key): 1 with *g set, 0 when the class has no entry, -1 on
+ * error.  A class whose hash another class holds goes through
+ * HashKeyedMap.get (its spill). */
+static int
+ol_best_get(OpenListObject *ol, PyObject *key, long *g)
+{
+    uint64_t h;
+    U64MapObject *primary = ol_best_primary(ol, key, &h);
+    PyObject *entry, *v;
+    int r;
+    if (primary != NULL) {
+        entry = u64map_lookup(primary, h);
+        if (entry == NULL)
+            return 0;
+        if (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2) {
+            PyErr_SetString(PyExc_TypeError, "OpenList: bad best_g entry");
+            return -1;
+        }
+        r = same_class(PyTuple_GET_ITEM(entry, 0), key);
+        if (r < 0)
+            return -1;
+        if (r) {
+            *g = PyLong_AsLong(PyTuple_GET_ITEM(entry, 1));
+            return *g == -1 && PyErr_Occurred() ? -1 : 1;
+        }
+    }
+    else if (PyErr_Occurred())
+        return -1;
+    v = PyObject_CallMethodOneArg(ol->best_g, str_get, key);
+    if (v == NULL)
+        return -1;
+    r = v != Py_None;
+    if (r) {
+        *g = PyLong_AsLong(v);
+        if (*g == -1 && PyErr_Occurred())
+            r = -1;
+    }
+    Py_DECREF(v);
+    return r;
+}
+
+/* best_g.put(key, g).  A class whose hash another class holds goes
+ * through HashKeyedMap.put (its spill and collision count). */
+static int
+ol_best_put(OpenListObject *ol, PyObject *key, long g)
+{
+    uint64_t h;
+    U64MapObject *primary = ol_best_primary(ol, key, &h);
+    PyObject *gobj, *entry, *tup, *r;
+    int same = 0, rc = -1;
+    if (primary == NULL && PyErr_Occurred())
+        return -1;
+    gobj = PyLong_FromLong(g);
+    if (gobj == NULL)
+        return -1;
+    if (primary != NULL) {
+        entry = u64map_lookup(primary, h);
+        if (entry != NULL && (!PyTuple_CheckExact(entry) ||
+                              PyTuple_GET_SIZE(entry) != 2)) {
+            PyErr_SetString(PyExc_TypeError, "OpenList: bad best_g entry");
+            goto done;
+        }
+        if (entry != NULL) {
+            same = same_class(PyTuple_GET_ITEM(entry, 0), key);
+            if (same < 0)
+                goto done;
+        }
+        if (entry == NULL || same) {
+            /* the (holder, g) tuple HashKeyedMap.put stores, untracked
+             * like its members */
+            tup = PyTuple_Pack(2, entry == NULL ? key
+                               : PyTuple_GET_ITEM(entry, 0), gobj);
+            if (tup == NULL)
+                goto done;
+            PyObject_GC_UnTrack(tup);
+            rc = u64map_set(primary, h, CK_SLOT(key, CK_H), tup);
+            Py_DECREF(tup);
+            goto done;
+        }
+    }
+    r = PyObject_CallMethodObjArgs(ol->best_g, str_put, key, gobj, NULL);
+    rc = r == NULL ? -1 : 0;
+    Py_XDECREF(r);
+done:
+    Py_DECREF(gobj);
+    return rc;
 }
 
 typedef struct {
@@ -3852,52 +4390,120 @@ ol_start(OpenListObject *self, PyObject *args)
     Py_RETURN_TRUE;
 }
 
-/* expand(state, g, ub, h_of) -> (pruned, incumbent_prunes, generated) */
+/* The CX moves of a parent with these rows: cx_of's entry for its
+ * column pattern, called back the first time the pattern is met. */
+static const ol_cx *
+ol_cx_moves(OpenListObject *ol, PyObject *parent, const int64_t *idx,
+            Py_ssize_t m)
+{
+    int64_t counts[64];
+    uint64_t h0 = 0, h1 = 0;
+    Py_ssize_t i;
+    PyObject *entry;
+    ol_cx *cx;
+    int q, nbuf;
+
+    column_counts(ol->n, idx, m, counts);
+    for (q = 0; q < ol->n; q++) {
+        if (counts[q] < m)
+            h0 |= (uint64_t)1 << q;
+        if (counts[q] > 0)
+            h1 |= (uint64_t)1 << q;
+    }
+    for (i = 0; i < ol->ncx; i++)
+        if (ol->cx[i]->h0 == h0 && ol->cx[i]->h1 == h1)
+            return ol->cx[i];
+    if (ol->ncx == ol->cxcap) {
+        Py_ssize_t cap = ol->cxcap ? 2 * ol->cxcap : 8;
+        ol_cx **grown = PyMem_Realloc(ol->cx, (size_t)cap * sizeof(ol_cx *));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        ol->cx = grown;
+        ol->cxcap = cap;
+    }
+    entry = PyObject_CallOneArg(ol->cx_of, parent);
+    if (entry == NULL)
+        return NULL;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4 ||
+            !PyList_Check(PyTuple_GET_ITEM(entry, 0))) {
+        Py_DECREF(entry);
+        PyErr_SetString(PyExc_TypeError, "OpenList: bad CX move entry");
+        return NULL;
+    }
+    cx = PyMem_Malloc(sizeof(ol_cx));
+    if (cx == NULL) {
+        Py_DECREF(entry);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (nbuf = 0; nbuf < 3; nbuf++)
+        if (get_buf(PyTuple_GET_ITEM(entry, nbuf + 1), &cx->bufs[nbuf],
+                    0) < 0)
+            goto fail;
+    if (cx->bufs[1].len != cx->bufs[0].len ||
+            cx->bufs[2].len != cx->bufs[0].len ||
+            PyList_GET_SIZE(PyTuple_GET_ITEM(entry, 0))
+            != cx->bufs[0].len / 8) {
+        PyErr_SetString(PyExc_ValueError, "OpenList: CX list mismatch");
+        goto fail;
+    }
+    cx->h0 = h0;
+    cx->h1 = h1;
+    cx->entry = entry;
+    ol->cx[ol->ncx++] = cx;
+    return cx;
+fail:
+    while (nbuf > 0)
+        PyBuffer_Release(&cx->bufs[--nbuf]);
+    PyMem_Free(cx);
+    Py_DECREF(entry);
+    return NULL;
+}
+
+/* expand(state, g, ub, h_of) -> (pruned, incumbent_prunes, generated).
+ * The state pop() returned last is read from its tier entry, any other
+ * from its own rows. */
 static PyObject *
 ol_expand(OpenListObject *self, PyObject *args)
 {
-    PyObject *st, *ubo, *h_of, *entry = NULL, *res = NULL, *cx_moves;
+    PyObject *st, *ubo, *h_of, *res = NULL;
     long g;
-    int nbuf = 0, i;
-    Py_buffer bufs[6];
+    int nbuf = 0;
+    Py_buffer bufs[3];
+    const ol_cx *cx;
     expand_spec sp;
     ol_visit_ctx vc;
 
     if (!PyArg_ParseTuple(args, "OlOO", &st, &g, &ubo, &h_of) ||
             ol_threshold(ubo, &vc.has_ub, &vc.thr) < 0)
         return NULL;
-    if (state_bufs(st, self->n, bufs) < 0)
-        return NULL;
-    nbuf = 3;
-    entry = PyObject_CallOneArg(self->cx_of, st);
-    if (entry == NULL)
-        goto done;
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4 ||
-            !PyList_Check(PyTuple_GET_ITEM(entry, 0))) {
-        PyErr_SetString(PyExc_TypeError, "OpenList: bad CX move entry");
-        goto done;
-    }
-    cx_moves = PyTuple_GET_ITEM(entry, 0);
-    for (i = 1; i < 4; i++) {
-        if (get_buf(PyTuple_GET_ITEM(entry, i), &bufs[nbuf], 0) < 0)
-            goto done;
-        nbuf++;
-    }
     sp.n = self->n;
-    sp.m = bufs[0].len / 8;
-    sp.K = bufs[3].len / 8;
-    if (PyList_GET_SIZE(cx_moves) != sp.K || bufs[4].len / 8 != sp.K ||
-            bufs[5].len / 8 != sp.K) {
-        PyErr_SetString(PyExc_ValueError, "OpenList: CX list mismatch");
-        goto done;
+    if (self->last >= 0 && self->kids[self->last].state == st) {
+        const ol_child *c = &self->kids[self->last];
+        sp.idx = c->data;
+        sp.qamp = child_qamp(c);
+        sp.amp = child_amp(c);
+        sp.m = c->m;
     }
-    sp.idx = bufs[0].buf;
-    sp.qamp = bufs[1].buf;
-    sp.amp = bufs[2].buf;
+    else {
+        if (state_bufs(st, self->n, bufs) < 0)
+            return NULL;
+        nbuf = 3;
+        sp.idx = bufs[0].buf;
+        sp.qamp = bufs[1].buf;
+        sp.amp = bufs[2].buf;
+        sp.m = bufs[0].len / 8;
+    }
+    cx = ol_cx_moves(self, st, sp.idx, sp.m);
+    if (cx == NULL)
+        goto done;
     sp.x_moves = self->x_moves != NULL;
-    sp.controls = bufs[3].buf;
-    sp.phases = bufs[4].buf;
-    sp.targets = bufs[5].buf;
+    sp.controls = cx->bufs[0].buf;
+    sp.phases = cx->bufs[1].buf;
+    sp.targets = cx->bufs[2].buf;
+    sp.K = cx->bufs[0].len / 8;
     sp.max_controls = self->max_controls;
     sp.nbr = self->have_nbr ? self->nbr : NULL;
     sp.atol = self->atol;
@@ -3908,7 +4514,7 @@ ol_expand(OpenListObject *self, PyObject *args)
     vc.ol = self;
     vc.parent = st;
     vc.h_of = h_of == Py_None ? NULL : h_of;
-    vc.cx_moves = cx_moves;
+    vc.cx_moves = PyTuple_GET_ITEM(cx->entry, 0);
     vc.idx = sp.idx;
     vc.qamp = sp.qamp;
     vc.m = sp.m;
@@ -3918,44 +4524,142 @@ ol_expand(OpenListObject *self, PyObject *args)
         goto done;
     res = Py_BuildValue("(nnn)", vc.pruned, vc.prunes, vc.generated);
 done:
-    Py_XDECREF(entry);
     while (nbuf > 0)
         PyBuffer_Release(&bufs[--nbuf]);
     return res;
 }
 
-/* pop() -> (g, u, state, prev, move, skipped): the best entry that is not
- * superseded by a cheaper push of its state, its state interned and its
- * move built; skipped counts the superseded entries dropped on the way.
- * An empty list answers (None, None, None, None, None, skipped). */
-static PyObject *
-ol_pop(OpenListObject *self, PyObject *noargs)
+static void
+ol_release(ol_entry *e)
 {
-    Py_ssize_t skipped = 0;
+    Py_XDECREF(e->prev);
+    Py_XDECREF(e->move);
+}
+
+/* pop(ub) -> (g, u, state, prev, move, goal, pruned, bnb_prunes, key_s,
+ * hash_s): the next entry to expand, or the goal, its state interned and
+ * its move built.  The twin of astar._OpenList.pop: entries superseded
+ * by a cheaper push of their state are dropped, and so is a popped child
+ * whose class best_g holds at most as cheaply (both count in pruned) or,
+ * under the incumbent bound ub, whose class an unconditional
+ * transposition entry proves cannot beat it (bnb_prunes).  A child with
+ * no entangled qubit is a goal and skips the class tier.  key_s and
+ * hash_s are the seconds of the key lookups and computations and of
+ * their orbit hashing when the CanonContext is timed.  An empty list
+ * answers state None, with u the last popped entry's (None when this
+ * call popped none). */
+static PyObject *
+ol_pop(OpenListObject *self, PyObject *ubo)
+{
+    ol_tier t;
+    Py_ssize_t pruned = 0, bnb = 0;
+    int has_ub, have_u = 0, bnb_on = 0;
+    double thr, last_u = 0.0;
+    PyObject *res = NULL, *timers;
+
+    if (ol_threshold(ubo, &has_ub, &thr) < 0)
+        return NULL;
+    memset(&t, 0, sizeof(t));
+    timers = OBJ_SLOT(self->canon, cc_off[CC_TIMERS]);
+    t.timed = timers != NULL && timers != Py_None;
+    if (has_ub && self->transposition != NULL) {
+        PyObject *data = PyObject_GetAttr(self->transposition, str_data);
+        if (data == NULL)
+            return NULL;
+        bnb_on = PyObject_IsTrue(data);
+        Py_DECREF(data);
+        if (bnb_on < 0)
+            return NULL;
+    }
     while (self->len > 0) {
         ol_entry e;
-        PyObject *state, *move, *res = NULL;
+        ol_child *c;
+        PyObject *key, *state, *move;
+        long prev_g;
+        int goal, found;
+
         ol_heappop(self, &e);
-        if (e.g > self->kids[e.child].g) {
-            skipped++;
-            Py_XDECREF(e.prev);
-            Py_XDECREF(e.move);
+        c = &self->kids[e.child];
+        if (e.g > c->g) {
+            pruned++;
+            ol_release(&e);
             continue;
         }
-        state = ol_state(self, &self->kids[e.child]);
+        last_u = e.u;
+        have_u = 1;
+        if (c->nent < 0 && ol_entangled(self, c, c->data, child_amp(c)) < 0)
+            goto fail;
+        goal = c->nent == 0;
+        if (!goal) {
+            key = ol_class_key(self, c, &t);
+            if (key == NULL)
+                goto fail;
+            found = ol_best_get(self, key, &prev_g);
+            if (found > 0 && e.g >= prev_g) {
+                /* the class was expanded at least this cheaply */
+                pruned++;
+                Py_DECREF(key);
+                ol_release(&e);
+                continue;
+            }
+            if (found >= 0 && bnb_on) {
+                PyObject *proven = PyObject_CallMethodOneArg(
+                    self->transposition, str_exhausted, key);
+                double p = 0.0;
+                if (proven == NULL)
+                    found = -1;
+                else if (proven != Py_None) {
+                    p = PyFloat_AsDouble(proven);
+                    if (p == -1.0 && PyErr_Occurred())
+                        found = -1;
+                }
+                /* no ground path of cost <= p leaves the class, so with
+                 * integer move costs any completion costs at least
+                 * g + floor(p) + 1 */
+                if (found >= 0 && proven != Py_None &&
+                        (double)e.g + floor(p) + 1.0 > thr) {
+                    bnb++;
+                    Py_DECREF(proven);
+                    Py_DECREF(key);
+                    ol_release(&e);
+                    continue;
+                }
+                Py_XDECREF(proven);
+            }
+            if (found < 0 || ol_best_put(self, key, e.g) < 0) {
+                Py_DECREF(key);
+                goto fail;
+            }
+            Py_DECREF(key);
+        }
+        state = ol_state(self, c);
         move = state != NULL ? ol_move(self, &e) : NULL;
         if (move != NULL) {
-            res = Py_BuildValue("(ldOOOn)", e.g, e.u, state,
+            res = Py_BuildValue("(ldOOOOnndd)", e.g, e.u, state,
                                 e.prev != NULL ? e.prev : Py_None, move,
-                                skipped);
+                                goal ? Py_True : Py_False, pruned, bnb,
+                                t.key_s, t.hash_s);
             Py_DECREF(move);
+            self->last = e.child;
         }
-        Py_XDECREF(e.prev);
-        Py_XDECREF(e.move);
-        return res;
+        ol_release(&e);
+        goto out;
+fail:
+        ol_release(&e);
+        return NULL;
     }
-    return Py_BuildValue("(OOOOOn)", Py_None, Py_None, Py_None, Py_None,
-                         Py_None, skipped);
+    if (have_u)
+        res = Py_BuildValue("(OdOOOOnndd)", Py_None, last_u, Py_None,
+                            Py_None, Py_None, Py_False, pruned, bnb,
+                            t.key_s, t.hash_s);
+    else
+        res = Py_BuildValue("(OOOOOOnndd)", Py_None, Py_None, Py_None,
+                            Py_None, Py_None, Py_False, pruned, bnb,
+                            t.key_s, t.hash_s);
+out:
+    if (res != NULL && ol_tier_flush(self, &t) < 0)
+        Py_CLEAR(res);
+    return res;
 }
 
 /* proven_bound(u) -> int: ceil(min(u, every entry's g + h) - 1e-9), the
@@ -4062,6 +4766,16 @@ ol_dealloc(OpenListObject *self)
     PyMem_Free(self->pbuf);
     PyMem_Free(self->ent_i);
     PyMem_Free(self->ent_a);
+    for (i = 0; i < self->ncx; i++) {
+        int b;
+        for (b = 0; b < 3; b++)
+            PyBuffer_Release(&self->cx[i]->bufs[b]);
+        Py_DECREF(self->cx[i]->entry);
+        PyMem_Free(self->cx[i]);
+    }
+    PyMem_Free(self->cx);
+    PyMem_Free(self->autos);
+    PyMem_Free(self->carena);
     expand_scratch_free(&self->es);
     Py_XDECREF(self->pool);
     Py_XDECREF(self->table);
@@ -4069,16 +4783,23 @@ ol_dealloc(OpenListObject *self)
     Py_XDECREF(self->cx_of);
     Py_XDECREF(self->x_moves);
     Py_XDECREF(self->nobj);
+    Py_XDECREF(self->canon);
+    Py_XDECREF(self->best_g);
+    Py_XDECREF(self->transposition);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 /* OpenList(pool, n, hash_fn, cx_of, x_moves, max_controls,
- *          neighbor_masks, weight, atol, rtol, scale) */
+ *          neighbor_masks, weight, atol, rtol, scale, canon, level,
+ *          automorphisms, best_g, transposition) */
 static PyObject *
 ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *pool, *hash_fn, *cx_of, *x_moves, *nbr, *table;
-    int n, max_controls;
+    PyObject *pool, *hash_fn, *cx_of, *x_moves, *nbr, *table, *canon;
+    PyObject *autos, *best_g, *transposition, *cap;
+    int n, max_controls, level;
+    long tie_cap;
+    Py_ssize_t perm_cap;
     double weight, atol, rtol, scale;
     OpenListObject *self;
     size_t slot;
@@ -4087,11 +4808,13 @@ ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "OpenList: no keyword arguments");
         return NULL;
     }
-    if (!PyArg_ParseTuple(args, "OiOOOiOdddd", &pool, &n, &hash_fn, &cx_of,
-                          &x_moves, &max_controls, &nbr, &weight, &atol,
-                          &rtol, &scale))
+    if (!PyArg_ParseTuple(args, "OiOOOiOddddOiOOO", &pool, &n, &hash_fn,
+                          &cx_of, &x_moves, &max_controls, &nbr, &weight,
+                          &atol, &rtol, &scale, &canon, &level, &autos,
+                          &best_g, &transposition))
         return NULL;
-    if (ps_type == NULL || mm_type == NULL || sp_type == NULL) {
+    if (ps_type == NULL || mm_type == NULL || sp_type == NULL ||
+            cc_type == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "OpenList: bind_kernel() was not called");
         return NULL;
@@ -4099,12 +4822,14 @@ ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (!PyObject_TypeCheck(pool, sp_type) || !PyCallable_Check(cx_of) ||
             (hash_fn != Py_None && !PyCallable_Check(hash_fn)) ||
             (x_moves != Py_None && !PyList_Check(x_moves)) ||
-            (nbr != Py_None && !PyList_Check(nbr) && !PyTuple_Check(nbr))) {
+            (nbr != Py_None && !PyList_Check(nbr) && !PyTuple_Check(nbr)) ||
+            !PyObject_TypeCheck(canon, cc_type) ||
+            !PyObject_TypeCheck(best_g, hk_type)) {
         PyErr_SetString(PyExc_TypeError, "OpenList: bad argument types");
         return NULL;
     }
-    if (n < 0 || n > 62) {
-        PyErr_SetString(PyExc_ValueError, "OpenList: bad width");
+    if (n < 0 || n > 62 || level < 0 || level > 2) {
+        PyErr_SetString(PyExc_ValueError, "OpenList: bad width or level");
         return NULL;
     }
     if ((x_moves != Py_None && PyList_GET_SIZE(x_moves) < n) ||
@@ -4117,6 +4842,16 @@ ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "OpenList: the pool has no table");
         return NULL;
     }
+    cap = PyObject_GetAttrString(canon, "tie_cap");
+    tie_cap = cap != NULL ? PyLong_AsLong(cap) : -1;
+    Py_XDECREF(cap);
+    if (tie_cap == -1 && PyErr_Occurred())
+        return NULL;
+    cap = PyObject_GetAttrString(canon, "perm_cap");
+    perm_cap = cap != NULL ? PyLong_AsSsize_t(cap) : -1;
+    Py_XDECREF(cap);
+    if (perm_cap == -1 && PyErr_Occurred())
+        return NULL;
     self = (OpenListObject *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
@@ -4134,10 +4869,20 @@ ol_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->rtol = rtol;
     self->scale = scale;
     self->have_nbr = nbr != Py_None;
+    self->last = -1;
+    self->canon = Py_NewRef(canon);
+    self->best_g = Py_NewRef(best_g);
+    self->transposition = transposition != Py_None
+        ? Py_NewRef(transposition) : NULL;
+    self->level = level;
+    self->tie_cap = tie_cap;
+    self->perm_cap = perm_cap;
     self->imask = 255;
     self->index = PyMem_Malloc((self->imask + 1) * sizeof(Py_ssize_t));
     if (self->nobj == NULL || self->index == NULL ||
-            (self->have_nbr && neighbor_masks(nbr, n, self->nbr) < 0)) {
+            (self->have_nbr && neighbor_masks(nbr, n, self->nbr) < 0) ||
+            (autos != Py_None &&
+             (self->nautos = parse_orderings(autos, n, &self->autos)) < 0)) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         Py_DECREF(self);
@@ -4155,8 +4900,9 @@ static PyMethodDef ol_methods[] = {
     {"expand", (PyCFunction)ol_expand, METH_VARARGS,
      "expand(state, g, ub, h_of) -> (pruned, incumbent_prunes, generated):"
      " push the children of one expansion."},
-    {"pop", (PyCFunction)ol_pop, METH_NOARGS,
-     "pop() -> (g, u, state, prev, move, skipped)."},
+    {"pop", (PyCFunction)ol_pop, METH_O,
+     "pop(ub) -> (g, u, state, prev, move, goal, pruned, bnb_prunes, key_s,"
+     " hash_s): the next entry to expand, or the goal."},
     {"proven_bound", (PyCFunction)ol_proven_bound, METH_O,
      "proven_bound(u) -> int: the exhaustion bound over u and the list."},
     {"entries", (PyCFunction)ol_entries, METH_NOARGS,
@@ -4201,19 +4947,6 @@ fc_untrack(PyObject *self, PyObject *obj)
 /* U64Map: insertion-ordered open-addressing map, uint64 -> object     */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
-    uint64_t key;
-    PyObject *keyobj;  /* original Python int (dict-compatible keys()) */
-    PyObject *val;     /* NULL = tombstone */
-} u64_entry;
-
-typedef struct {
-    PyObject_HEAD
-    u64_entry *entries;      /* append-only log, order = insertion */
-    Py_ssize_t nentries, cap_entries, live;
-    Py_ssize_t *index;       /* slot -> entry idx; -1 empty, -2 dummy */
-    size_t mask, fill;       /* fill = used + tombstoned slots */
-} U64MapObject;
 
 static int
 u64map_rebuild(U64MapObject *self, size_t minsize)
@@ -4357,27 +5090,11 @@ u64map_length(U64MapObject *self)
     return self->live;
 }
 
+/* map[keyobj] = val, with key the low 64 bits of keyobj */
 static int
-u64map_ass_subscript(U64MapObject *self, PyObject *keyobj, PyObject *val)
+u64map_set(U64MapObject *self, uint64_t key, PyObject *keyobj, PyObject *val)
 {
-    uint64_t key;
-    Py_ssize_t e, slot;
-    if (u64map_key_from_obj(keyobj, &key) < 0)
-        return -1;
-    e = u64map_probe(self, key, &slot);
-    if (val == NULL) {  /* delete */
-        if (e < 0 || self->entries[e].val == NULL) {
-            PyErr_SetObject(PyExc_KeyError, keyobj);
-            return -1;
-        }
-        Py_CLEAR(self->entries[e].keyobj);
-        Py_CLEAR(self->entries[e].val);
-        self->index[slot] = -2;
-        self->live--;
-        if (self->nentries > 64 && self->live * 2 < self->nentries)
-            return u64map_rebuild(self, (size_t)self->live * 4);
-        return 0;
-    }
+    Py_ssize_t slot, e = u64map_probe(self, key, &slot);
     if (e >= 0) {  /* overwrite in place: insertion position kept */
         Py_INCREF(val);
         Py_SETREF(self->entries[e].val, val);
@@ -4407,6 +5124,37 @@ u64map_ass_subscript(U64MapObject *self, PyObject *keyobj, PyObject *val)
     if ((self->fill + 1) * 3 >= (self->mask + 1) * 2)
         return u64map_rebuild(self, (size_t)self->live * 4);
     return 0;
+}
+
+static int
+u64map_ass_subscript(U64MapObject *self, PyObject *keyobj, PyObject *val)
+{
+    uint64_t key;
+    Py_ssize_t e, slot;
+    if (u64map_key_from_obj(keyobj, &key) < 0)
+        return -1;
+    if (val != NULL)
+        return u64map_set(self, key, keyobj, val);
+    e = u64map_probe(self, key, &slot);  /* delete */
+    if (e < 0 || self->entries[e].val == NULL) {
+        PyErr_SetObject(PyExc_KeyError, keyobj);
+        return -1;
+    }
+    Py_CLEAR(self->entries[e].keyobj);
+    Py_CLEAR(self->entries[e].val);
+    self->index[slot] = -2;
+    self->live--;
+    if (self->nentries > 64 && self->live * 2 < self->nentries)
+        return u64map_rebuild(self, (size_t)self->live * 4);
+    return 0;
+}
+
+/* The live value under key (borrowed), or NULL. */
+static PyObject *
+u64map_lookup(U64MapObject *self, uint64_t key)
+{
+    Py_ssize_t e = u64map_probe(self, key, NULL);
+    return e >= 0 ? self->entries[e].val : NULL;
 }
 
 static PyObject *
@@ -4584,8 +5332,9 @@ static PyMethodDef fastcore_methods[] = {
      "best_merge(n, idx, amp, max_controls) -> None | (target, theta, "
      "controls, drop, idx, amp): the cheapest-per-pair merge."},
     {"bind_kernel", fc_bind_kernel, METH_VARARGS,
-     "bind_kernel(PackedState, MergeMove, CanonKey, StatePool, refine): "
-     "the kernel classes and the tie-refinement callback."},
+     "bind_kernel(PackedState, MergeMove, CanonKey, StatePool, "
+     "CanonContext, HashStore, BoundedCache, HashKeyedMap, _PayloadKey, "
+     "refine): the kernel classes and the tie-refinement callback."},
     {"successors", fc_successors, METH_VARARGS,
      "successors(table, hash_fn, ps, x_moves, cx_moves, cx_controls, "
      "cx_phases, cx_targets, max_controls, neighbor_masks, atol, rtol, "
@@ -4613,9 +5362,14 @@ PyInit__fastcore(void)
     str_target = PyUnicode_InternFromString("target");
     str_theta = PyUnicode_InternFromString("theta");
     str_controls = PyUnicode_InternFromString("controls");
+    str_get = PyUnicode_InternFromString("get");
+    str_put = PyUnicode_InternFromString("put");
+    str_data = PyUnicode_InternFromString("data");
+    str_exhausted = PyUnicode_InternFromString("exhausted_budget");
     empty_tuple = PyTuple_New(0);
     if (str_target == NULL || str_theta == NULL || str_controls == NULL ||
-            empty_tuple == NULL)
+            str_get == NULL || str_put == NULL || str_data == NULL ||
+            str_exhausted == NULL || empty_tuple == NULL)
         return NULL;
     mod = PyModule_Create(&fastcore_module);
     if (mod == NULL)

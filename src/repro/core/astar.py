@@ -28,20 +28,26 @@ to) the ground state.  Key implementation points:
   construction, the differential tests assert identical proven costs and
   optimality flags, and ``benchmarks/bench_kernel.py`` measures
   expansions/sec against it.
-* **Children are materialized when popped.**  The open list is picked
-  once per run.  With the extension it is ``_fastcore.OpenList``: one
-  ``expand`` call per expansion computes every child into scratch rows,
-  keys the exact-state tier by the child's quantized payload, prices it
-  with the default ``ceil(k/2)`` bound, prunes it against the live
-  incumbent and pushes a C struct.  Only ``pop`` interns the child into
-  the run's pool and builds its ``MergeMove``, so the children a search
-  pushes but never pops (most of them on budget-bound searches) never
-  become Python objects.  Any other heuristic (the coupling bound under
-  a topology, a custom one) is called back on a child interned first.
-  Without the extension :class:`_OpenList` is the twin: ``heapq`` over
-  tuples, a ``g_pushed`` dict of interned states, ``successors_packed``
-  and :func:`_push_children`.  Both pop the same entries in the same
-  order, with the same counters (``tests/test_fastcore.py``).
+* **Children are materialized when they are expanded.**  The open list
+  is picked once per run.  With the extension it is
+  ``_fastcore.OpenList``: one ``expand`` call per expansion computes
+  every child into scratch rows, keys the exact-state tier by the
+  child's quantized payload, prices it with the default ``ceil(k/2)``
+  bound, prunes it against the live incumbent and pushes a C struct.
+  One ``pop`` call then runs the class tier on the popped child's rows:
+  the goal test, the canonical key (the run's memo, else computed and
+  stored, with the same counters as ``CanonContext.key``), ``best_g``
+  and the transposition prune.  Only the entry it returns, the next
+  state to expand or the goal, is interned into the run's pool and gets
+  its ``MergeMove``, so the children a search pushes but never pops, and
+  the popped ones their class prunes (most of them on budget-bound
+  searches), never become Python objects.  Any other heuristic (the
+  coupling bound under a topology, a custom one) is called back on a
+  child interned first.  Without the extension :class:`_OpenList` is the
+  twin: ``heapq`` over tuples, a ``g_pushed`` dict of interned states,
+  ``successors_packed``, :func:`_push_children` and ``canon.key``.  Both
+  pop the same entries in the same order, with the same counters and
+  the same memo (``tests/test_fastcore.py``).
 * **Proven lower bounds.**  On budget exhaustion the reported bound is
   ``min(g + h)`` over the open list with the *unweighted* heuristic, which
   stays a true lower bound even for ``weight > 1`` (the weighted ``f`` of a
@@ -174,8 +180,6 @@ class AStarRun(EngineRun):
         stats = ctx.stats
         stopwatch = ctx.stopwatch
         target = ctx.target
-        transposition = self._transposition
-        canon = ctx.canon
         h_of = ctx.h_of
         profile = config.profile
         phases = stats.phase_seconds
@@ -201,7 +205,7 @@ class AStarRun(EngineRun):
             # Duplicate detection is two-tier and *lazy*: at generation
             # time only the (nearly free) exact-state tier prunes — the
             # open list keeps the lowest g pushed per state — while the
-            # expensive canonical-class tier runs at pop time.  Frontier
+            # expensive canonical-class tier runs inside pop().  Frontier
             # states that are never popped therefore never pay for
             # canonicalization, which on budget-bound searches is the bulk
             # of all generated states.  Soundness is unchanged: a class is
@@ -211,10 +215,11 @@ class AStarRun(EngineRun):
             move_set = (config.max_merge_controls, config.include_x_moves,
                         ctx.topology)
             open_list = native_open_list(ctx.pool, target.num_qubits,
-                                         weight, *move_set)
+                                         weight, ctx.canon_ctx,
+                                         self._transposition, *move_set)
             if open_list is None:
-                open_list = _OpenList(ctx.pool, weight, *move_set)
-            best_g = HashKeyedMap()
+                open_list = _OpenList(ctx.pool, weight, ctx.canon_ctx,
+                                      self._transposition, *move_set)
             parent: dict = {}
 
             if open_list.start(start, h_eval(start), self._ub):
@@ -227,18 +232,27 @@ class AStarRun(EngineRun):
             while True:
                 if profile:
                     tp = perf_counter()
-                g, u, state, prev, move, superseded = open_list.pop()
+                g, u, state, prev, move, goal, pruned, bnb_prunes, \
+                    key_s, hash_s = open_list.pop(self._ub)
                 if profile:
-                    phases["containers"] += perf_counter() - tp
-                if superseded:
-                    stats.nodes_pruned += superseded
+                    # the pop's key seconds (memo, key and tier) are
+                    # canonicalization, their orbit hashing a sub-bucket
+                    # of it; the rest of the call is containers
+                    phases["containers"] += perf_counter() - tp - key_s
+                    phases["canonicalization"] += key_s
+                    if hash_s:
+                        phases["hashing"] = phases.get("hashing", 0.0) \
+                            + hash_s
+                stats.nodes_pruned += pruned
+                stats.bnb_transposition_prunes += bnb_prunes
+                if u is not None:
+                    last_u = u
                 if state is None:
                     break
-                last_u = u
+                if prev is not None:
+                    parent[state] = (prev, move)
 
-                if num_entangled_packed(state) == 0:
-                    if prev is not None:
-                        parent[state] = (prev, move)
+                if goal:
                     moves = _reconstruct_packed(parent, start, state)
                     circuit = moves_to_circuit(moves, state.to_qstate(),
                                                target.num_qubits)
@@ -246,31 +260,6 @@ class AStarRun(EngineRun):
                         circuit=circuit, cnot_cost=g,
                         optimal=(weight <= 1.0), moves=moves, stats=stats))
                     return
-
-                if profile:
-                    tc = perf_counter()
-                    ckey = canon(state)
-                    phases["canonicalization"] += perf_counter() - tc
-                else:
-                    ckey = canon(state)
-                prev_g = best_g.get(ckey)
-                if prev_g is not None and g >= prev_g:
-                    stats.nodes_pruned += 1
-                    continue  # class already expanded at least this cheaply
-                if self._ub is not None and transposition is not None:
-                    proven = transposition.exhausted_budget(ckey)
-                    # "no ground path of cost <= proven leaves this
-                    # class", so with integer move costs any completion
-                    # costs >= g + floor(proven) + 1; prune when that
-                    # reaches the incumbent (only unconditional entries —
-                    # see astar_search)
-                    if proven is not None and \
-                            g + math.floor(proven) + 1 > self._ub - 1e-9:
-                        stats.bnb_transposition_prunes += 1
-                        continue
-                best_g.put(ckey, g)
-                if prev is not None:
-                    parent[state] = (prev, move)
 
                 stats.nodes_expanded += 1
                 if stats.nodes_expanded > config.max_nodes or \
@@ -348,24 +337,32 @@ class _OpenList:
     g + h, state, prev, move)`` as floats, ints and kernel objects: among
     equal f the deepest entry pops first, which reaches a goal in the
     last f-layer before most of that layer is expanded.  ``g_pushed`` is
-    the exact-state tier, the lowest g pushed per interned state.  The
-    native list keeps the same tier keyed by payload and the same heap
-    order, but holds a child as rows until it is popped; both give the
-    same counters and the same pops (``tests/test_fastcore.py``).
+    the exact-state tier, the lowest g pushed per interned state, and
+    ``best_g`` the canonical-class tier, the lowest g expanded per class
+    (keyed by ``canon``'s keys).  The native list keeps the same tiers
+    (its exact-state tier keyed by payload) and the same heap order, but
+    holds a child as rows until it is popped and runs the class tier on
+    those rows; both give the same counters and the same pops
+    (``tests/test_fastcore.py``).
     """
 
-    __slots__ = ("pool", "weight", "max_merge_controls", "include_x_moves",
-                 "topology", "heap", "g_pushed", "counter")
+    __slots__ = ("pool", "weight", "canon", "transposition",
+                 "max_merge_controls", "include_x_moves", "topology", "heap",
+                 "g_pushed", "best_g", "counter")
 
-    def __init__(self, pool, weight, max_merge_controls: int | None = None,
+    def __init__(self, pool, weight, canon, transposition=None,
+                 max_merge_controls: int | None = None,
                  include_x_moves: bool = False, topology=None):
         self.pool = pool
         self.weight = weight
+        self.canon = canon
+        self.transposition = transposition
         self.max_merge_controls = max_merge_controls
         self.include_x_moves = include_x_moves
         self.topology = topology
         self.heap: list = []
         self.g_pushed: dict = {}
+        self.best_g = HashKeyedMap()
         self.counter = itertools.count()
 
     def __len__(self) -> int:
@@ -389,20 +386,63 @@ class _OpenList:
         return _push_children(arcs, g, state, self.g_pushed, self.heap,
                               self.counter, h_of, ub, self.weight)
 
-    def pop(self) -> tuple:
-        """``(g, u, state, prev, move, superseded)`` of the best entry not
-        superseded by a cheaper push of its state (all None but the count
-        of superseded entries dropped, when the list runs empty)."""
+    def pop(self, ub) -> tuple:
+        """The next entry to expand, or the goal: ``(g, u, state, prev,
+        move, goal, pruned, bnb_prunes, key_s, hash_s)``.
+
+        Entries superseded by a cheaper push of their state are dropped,
+        and so is a popped state whose class ``best_g`` holds at most as
+        cheaply (both count in ``pruned``), or, under an incumbent bound
+        ``ub``, whose class an unconditional transposition entry proves
+        cannot beat it (``bnb_prunes``): with integer move costs any
+        completion through it costs at least ``g + floor(proven) + 1``.
+        A fully separable state (no entangled qubit) is a goal and skips
+        the class tier.  ``key_s`` is the time spent in ``canon.key``
+        when ``canon`` is timed (its hashing seconds book themselves, so
+        ``hash_s`` is 0.0 here).  An empty list answers ``state`` None,
+        with ``u`` the last popped entry's (None when it popped none).
+        """
         heap, g_pushed = self.heap, self.g_pushed
-        superseded = 0
+        canon, best_g = self.canon, self.best_g
+        transposition = self.transposition
+        timed = canon.timers is not None
+        pruned = bnb_prunes = 0
+        key_s = 0.0
+        last_u = None
         while heap:
             _, neg_g, _, u, state, prev, move = heapq.heappop(heap)
             g = -neg_g
             if g > g_pushed.get(state, g):
-                superseded += 1
+                pruned += 1
                 continue
-            return g, u, state, prev, move, superseded
-        return None, None, None, None, None, superseded
+            last_u = u
+            if num_entangled_packed(state) == 0:
+                return (g, u, state, prev, move, True, pruned, bnb_prunes,
+                        key_s, 0.0)
+            if timed:
+                tk = perf_counter()
+                ckey = canon.key(state)
+                key_s += perf_counter() - tk
+            else:
+                ckey = canon.key(state)
+            prev_g = best_g.get(ckey)
+            if prev_g is not None and g >= prev_g:
+                pruned += 1
+                continue  # class already expanded at least this cheaply
+            if ub is not None and transposition is not None and \
+                    transposition.data:
+                proven = transposition.exhausted_budget(ckey)
+                # "no ground path of cost <= proven leaves this class"
+                # (only unconditional entries — see astar_search)
+                if proven is not None and \
+                        g + math.floor(proven) + 1 > ub - 1e-9:
+                    bnb_prunes += 1
+                    continue
+            best_g.put(ckey, g)
+            return (g, u, state, prev, move, False, pruned, bnb_prunes,
+                    key_s, 0.0)
+        return (None, last_u, None, None, None, False, pruned, bnb_prunes,
+                key_s, 0.0)
 
     def proven_bound(self, u) -> int:
         return _proven_bound(u, self.heap, u_index=3)

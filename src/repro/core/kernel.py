@@ -26,9 +26,11 @@ built for the search inner loop:
   partition under the same caps, property-tested for soundness), but
   breaks representative ties kernel-natively, so kernel keys and legacy
   keys live in separate namespaces.
-* :class:`HashKeyedMap` / :class:`BoundedCache` — the search-side containers:
-  ``best_g`` keyed by the 64-bit canonical hash with an explicit collision
-  spill, and size-capped FIFO caches that report hit rates.
+* :class:`HashKeyedMap` / :class:`HashStore` / :class:`BoundedCache` — the
+  search-side containers: ``best_g`` keyed by the 64-bit canonical hash
+  with an explicit collision spill, the state-keyed memo of canonical keys
+  (and of a memory's heuristic values), and size-capped FIFO caches that
+  report hit rates.
 
 Indices use ``int64`` (62 usable qubit bits — far beyond any representable
 sparse working set); quantization matches :func:`repro.constants.quantize`
@@ -43,6 +45,7 @@ that both paths prove the same optimal CNOT counts.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import partial
 from itertools import combinations, islice, permutations
@@ -54,6 +57,7 @@ import numpy as np
 from repro.constants import (
     AMP_DECIMALS,
     ATOL,
+    MEMORY_STORE_CAP,
     MERGE_RATIO_RTOL,
 )
 from repro.core import fastcore as _fastcore
@@ -77,6 +81,7 @@ __all__ = [
     "CanonKey",
     "CanonContext",
     "HashKeyedMap",
+    "HashStore",
     "BoundedCache",
     "state_hash64",
     "quantize_array",
@@ -343,6 +348,127 @@ class BoundedCache:
                 del self.data[stale]
             self.evictions += drop
         self.data[key] = value
+
+
+_EVICT_DENOM = 8  # drop 1/8 of the cap per eviction sweep (cf. BoundedCache)
+
+
+class HashStore:
+    """Persistent value store keyed by the 64-bit structural state hash.
+
+    Values attach to *states* (payload-verified), not to interned objects,
+    so entries remain valid when the owning :class:`SearchMemory` rotates
+    its :class:`~repro.core.kernel.StatePool` and are shared by searches
+    whose pools intern different objects for the same state.  A genuine
+    64-bit collision spills the newcomer into a payload-keyed secondary
+    dict, preserving exact-map semantics.
+
+    Eviction is *hit-weighted* (the ROADMAP open item): each entry carries
+    a hit counter, and an eviction sweep drops the least-hit entries
+    instead of FIFO order — the states repeated traffic keeps asking about
+    are exactly the ones worth keeping, while a one-shot frontier state
+    from an old search is the cheapest to recompute.  Dropping any entry
+    is always sound (stores only deduplicate recomputation).
+    """
+
+    __slots__ = ("cap", "_primary", "_spill", "hits", "misses",
+                 "collisions", "evictions")
+
+    def __init__(self, cap: int = MEMORY_STORE_CAP):
+        self.cap = max(1, int(cap))
+        #: hash64 -> [payload, value, entry_hits]; the native open-addressing
+        #: U64Map when the extension is loaded (insertion-order-preserving,
+        #: like dict), a plain dict otherwise
+        fc = _fastcore.active
+        self._primary = fc.U64Map() if fc is not None else {}
+        self._spill: dict[bytes, object] = {}
+        self.hits = 0
+        self.misses = 0
+        self.collisions = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._primary) + len(self._spill)
+
+    def get(self, ps: PackedState):
+        entry = self._primary.get(ps.hash64)
+        if entry is None:
+            self.misses += 1
+            return None
+        if entry[0] == ps.payload:
+            self.hits += 1
+            entry[2] += 1
+            return entry[1]
+        value = self._spill.get(ps.payload)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, ps: PackedState, value) -> None:
+        entry = self._primary.get(ps.hash64)
+        if entry is not None and entry[0] != ps.payload:
+            self.collisions += 1
+            self._spill[ps.payload] = value
+            return
+        if entry is not None:
+            entry[1] = value  # refresh in place, keep the hit history
+            return
+        if len(self._primary) >= self.cap:
+            drop = max(1, self.cap // _EVICT_DENOM)
+            victims = heapq.nsmallest(drop, self._primary.items(),
+                                      key=lambda kv: kv[1][2])
+            for stale, _ in victims:
+                del self._primary[stale]
+            self.evictions += len(victims)
+        row = [ps.payload, value, 0]
+        fc = _fastcore.active
+        if fc is not None:
+            # a row is referenced by this store only and no value refers
+            # back to it, so it is never on a cycle: keep the collector
+            # from re-traversing it
+            fc.untrack(row)
+        self._primary[ps.hash64] = row
+
+    def put_payload(self, payload: bytes, value) -> None:
+        """Insert by raw payload, recomputing this process's 64-bit hash.
+
+        The structural hash is SipHash over the payload and therefore
+        *per-process*: entries crossing a process boundary (a snapshot
+        load) must be re-keyed here rather than trusting the hash they
+        were written under.
+        """
+        self.put(_PayloadKey(state_hash64(payload), payload), value)
+
+    def get_payload(self, payload: bytes):
+        """Look up by raw payload (the twin of :meth:`put_payload`)."""
+        return self.get(_PayloadKey(state_hash64(payload), payload))
+
+    def items_payload(self):
+        """Iterate ``(payload, value)`` pairs (process-portable form).
+
+        Spill entries (genuine 64-bit collisions) are included; iteration
+        order is insertion order of the primary tier first.
+        """
+        for entry in self._primary.values():
+            yield entry[0], entry[1]
+        yield from self._spill.items()
+
+    def snapshot(self) -> dict:
+        return {"entries": len(self), "hits": self.hits,
+                "misses": self.misses, "collisions": self.collisions,
+                "evictions": self.evictions}
+
+
+class _PayloadKey:
+    """Minimal stand-in carrying the two fields :class:`HashStore` keys on."""
+
+    __slots__ = ("hash64", "payload")
+
+    def __init__(self, hash64: int, payload: bytes):
+        self.hash64 = hash64
+        self.payload = payload
 
 
 class CanonKey:
@@ -1181,10 +1307,13 @@ def _orbit_hash(idx: np.ndarray, qamp: np.ndarray, absamp: np.ndarray,
 class CanonContext:
     """Per-run canonicalization engine: one key memo and a U(2)-class tier.
 
-    ``key`` looks a state up in one memo, ``store`` (an attached memory's
-    hash-keyed ``canon_store``, shared across searches) or else a per-run
-    :class:`BoundedCache`, and computes and stores the key on a miss;
-    ``hits``/``misses`` count this run's lookups only.  The U(2)-class
+    ``key`` looks a state up in one memo, a :class:`HashStore`: ``store``
+    (an attached memory's ``canon_store``, shared across searches) or else
+    a per-run ``HashStore(cache_cap)``, and computes and stores the key on
+    a miss; ``hits``/``misses`` count this run's lookups only.  A*'s native
+    open list runs the same lookup, computation and tier on a popped
+    child's rows and updates these counters in place
+    (:func:`native_open_list`); beam and IDA* call ``key``.  The U(2)-class
     tier exploits that the U(2) orbit hash (pin + X-translations of the
     identity ordering) is cheaper than the full permutation enumeration:
     the full PU2 key is computed once per *U(2) class* and shared by every
@@ -1221,7 +1350,7 @@ class CanonContext:
         self.level = level
         self.tie_cap = tie_cap
         self.perm_cap = perm_cap
-        self.memo = BoundedCache(cache_cap) if store is None else store
+        self.memo = HashStore(cache_cap) if store is None else store
         self.hits = self.misses = 0
         self.u2_cache = BoundedCache(cache_cap)
         self.topology = topology
@@ -1662,6 +1791,7 @@ def successors_packed(pool: StatePool, ps: PackedState,
 
 
 def native_open_list(pool: StatePool, n: int, weight: float,
+                     canon: CanonContext, transposition=None,
                      max_merge_controls: int | None = None,
                      include_x_moves: bool = False, topology=None):
     """A*'s native open list over ``pool`` (``_fastcore.OpenList``), or
@@ -1670,12 +1800,17 @@ def native_open_list(pool: StatePool, n: int, weight: float,
     It takes the move set :func:`successors_packed` takes, and its
     ``expand`` runs the same native expansion: the children of a
     ``successors_packed`` call, in its order, but kept as rows until the
-    open list pops them (see ``core/astar.py``).  A patched
-    :func:`state_hash64` is passed through, as the expansion passes it.
+    open list pops them (see ``core/astar.py``).  Its ``pop`` runs the
+    class tier on a popped child's rows: the canonical key of ``canon``
+    (its memo, U(2)-class tier and counters, updated in place), a fresh
+    ``best_g`` and the unconditional entries of ``transposition``.  A
+    patched :func:`state_hash64` is passed through, as the expansion
+    passes it.
     """
     fc = _fastcore.active
     if fc is None:
         return None
+    level = canon.level
     return fc.OpenList(
         pool, n, None if state_hash64 is _SIPHASH64 else state_hash64,
         _cx_moves_entry if topology is None
@@ -1684,12 +1819,19 @@ def native_open_list(pool: StatePool, n: int, weight: float,
         n - 1 if max_merge_controls is None
         else min(max_merge_controls, n - 1),
         None if topology is None else topology.neighbor_masks(),
-        weight, ATOL, MERGE_RATIO_RTOL, _QUANT_SCALE)
+        weight, ATOL, MERGE_RATIO_RTOL, _QUANT_SCALE,
+        canon, level.value,
+        canon._automorphisms(n) if level is CanonLevel.PU2
+        and canon.topology is not None else None,
+        HashKeyedMap(), transposition)
 
 
 if _fastcore.available():
     # the native expansion, open list and canonical key build kernel
-    # objects themselves, and the canonical key calls back for tie
+    # objects themselves, the open list's class tier updates the memo
+    # containers in place, and the canonical key calls back for tie
     # refinement
     _fastcore._module.bind_kernel(PackedState, MergeMove, CanonKey,
-                                  StatePool, _refine_tags)
+                                  StatePool, CanonContext, HashStore,
+                                  BoundedCache, HashKeyedMap, _PayloadKey,
+                                  _refine_tags)

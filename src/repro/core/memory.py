@@ -13,7 +13,9 @@ the repeated-traffic regime of the ROADMAP) holding everything that is
   its cap), so interned states and their on-object memos survive calls;
 * :class:`HashStore` memos for canonical keys and heuristic values, keyed
   by the 64-bit structural hash with payload verification, so entries
-  survive pool rotation and are shared by searches whose pools differ.
+  survive pool rotation and are shared by searches whose pools differ
+  (the class lives in :mod:`repro.core.kernel`, next to the other search
+  containers, and is re-exported here).
   An attached run's only memo for each value (``h_store`` serves only
   heuristics other than the built-in bounds); each run counts its own
   lookups.  They are caches (every value is recomputable): explicit
@@ -64,8 +66,7 @@ from repro.constants import (
     TRANSPOSITION_AGE_PENALTY,
     TRANSPOSITION_IMPROVE_LOG_CAP,
 )
-from repro.core import fastcore as _fastcore
-from repro.core.kernel import PackedState, StatePool, state_hash64
+from repro.core.kernel import _EVICT_DENOM, HashStore, StatePool
 from repro.core.pdb import PatternDatabase
 from repro.exceptions import MemoryCompatibilityError
 
@@ -74,127 +75,6 @@ __all__ = [
     "TranspositionTable",
     "SearchMemory",
 ]
-
-_EVICT_DENOM = 8  # drop 1/8 of the cap per eviction sweep (cf. BoundedCache)
-
-
-class HashStore:
-    """Persistent value store keyed by the 64-bit structural state hash.
-
-    Values attach to *states* (payload-verified), not to interned objects,
-    so entries remain valid when the owning :class:`SearchMemory` rotates
-    its :class:`~repro.core.kernel.StatePool` and are shared by searches
-    whose pools intern different objects for the same state.  A genuine
-    64-bit collision spills the newcomer into a payload-keyed secondary
-    dict, preserving exact-map semantics.
-
-    Eviction is *hit-weighted* (the ROADMAP open item): each entry carries
-    a hit counter, and an eviction sweep drops the least-hit entries
-    instead of FIFO order — the states repeated traffic keeps asking about
-    are exactly the ones worth keeping, while a one-shot frontier state
-    from an old search is the cheapest to recompute.  Dropping any entry
-    is always sound (stores only deduplicate recomputation).
-    """
-
-    __slots__ = ("cap", "_primary", "_spill", "hits", "misses",
-                 "collisions", "evictions")
-
-    def __init__(self, cap: int = MEMORY_STORE_CAP):
-        self.cap = max(1, int(cap))
-        #: hash64 -> [payload, value, entry_hits]; the native open-addressing
-        #: U64Map when the extension is loaded (insertion-order-preserving,
-        #: like dict), a plain dict otherwise
-        fc = _fastcore.active
-        self._primary = fc.U64Map() if fc is not None else {}
-        self._spill: dict[bytes, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.collisions = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._primary) + len(self._spill)
-
-    def get(self, ps: PackedState):
-        entry = self._primary.get(ps.hash64)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry[0] == ps.payload:
-            self.hits += 1
-            entry[2] += 1
-            return entry[1]
-        value = self._spill.get(ps.payload)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, ps: PackedState, value) -> None:
-        entry = self._primary.get(ps.hash64)
-        if entry is not None and entry[0] != ps.payload:
-            self.collisions += 1
-            self._spill[ps.payload] = value
-            return
-        if entry is not None:
-            entry[1] = value  # refresh in place, keep the hit history
-            return
-        if len(self._primary) >= self.cap:
-            drop = max(1, self.cap // _EVICT_DENOM)
-            victims = heapq.nsmallest(drop, self._primary.items(),
-                                      key=lambda kv: kv[1][2])
-            for stale, _ in victims:
-                del self._primary[stale]
-            self.evictions += len(victims)
-        row = [ps.payload, value, 0]
-        fc = _fastcore.active
-        if fc is not None:
-            # a row is referenced by this store only and no value refers
-            # back to it, so it is never on a cycle: keep the collector
-            # from re-traversing it
-            fc.untrack(row)
-        self._primary[ps.hash64] = row
-
-    def put_payload(self, payload: bytes, value) -> None:
-        """Insert by raw payload, recomputing this process's 64-bit hash.
-
-        The structural hash is SipHash over the payload and therefore
-        *per-process*: entries crossing a process boundary (a snapshot
-        load) must be re-keyed here rather than trusting the hash they
-        were written under.
-        """
-        self.put(_PayloadKey(state_hash64(payload), payload), value)
-
-    def get_payload(self, payload: bytes):
-        """Look up by raw payload (the twin of :meth:`put_payload`)."""
-        return self.get(_PayloadKey(state_hash64(payload), payload))
-
-    def items_payload(self):
-        """Iterate ``(payload, value)`` pairs (process-portable form).
-
-        Spill entries (genuine 64-bit collisions) are included; iteration
-        order is insertion order of the primary tier first.
-        """
-        for entry in self._primary.values():
-            yield entry[0], entry[1]
-        yield from self._spill.items()
-
-    def snapshot(self) -> dict:
-        return {"entries": len(self), "hits": self.hits,
-                "misses": self.misses, "collisions": self.collisions,
-                "evictions": self.evictions}
-
-
-class _PayloadKey:
-    """Minimal stand-in carrying the two fields :class:`HashStore` keys on."""
-
-    __slots__ = ("hash64", "payload")
-
-    def __init__(self, hash64: int, payload: bytes):
-        self.hash64 = hash64
-        self.payload = payload
-
 
 #: Shared empty condition — the unconditional entries' ``required`` set.
 _NO_CONDITION: frozenset = frozenset()

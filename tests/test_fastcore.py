@@ -625,10 +625,13 @@ class TestNativeReduction:
 # ----------------------------------------------------------------------
 
 def _open_list(pool, n: int, weight, native: bool):
-    """A fresh open list over ``pool``: the native one or the twin."""
+    """A fresh open list over ``pool`` with a fresh PU2 class tier: the
+    native one or the twin."""
+    canon = kernel.CanonContext(CanonLevel.PU2, SEARCH_TIE_CAP,
+                                SEARCH_PERM_CAP, cache_cap=1 << 12)
     if native:
-        return kernel.native_open_list(pool, n, weight)
-    return astar._OpenList(pool, weight)
+        return kernel.native_open_list(pool, n, weight, canon)
+    return astar._OpenList(pool, weight, canon)
 
 
 def _entry_view(entry) -> tuple:
@@ -658,7 +661,7 @@ def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
     """A few A*-style rounds on a fresh pool: pop the best entry and
     expand it, through the native open list or, on the Python path, its
     twin; returns the open list and the summed counters ``(pruned,
-    incumbent_prunes, generated, superseded)``."""
+    incumbent_prunes, generated, pruned at pop)``."""
     with nullcontext() if native else python_path():
         pool = StatePool()
         start = pool.from_qstate(state)
@@ -673,9 +676,9 @@ def _push_rounds(state: QState, h_kind: str, ub, weight, native: bool,
         assert open_list.start(start, 0.0, ub)
         totals = [0, 0, 0, 0]
         for _ in range(rounds):
-            g, _, ps, _, _, superseded = open_list.pop()
-            totals[3] += superseded
-            if ps is None:
+            g, _, ps, _, _, goal, popped, *_ = open_list.pop(ub)
+            totals[3] += popped
+            if ps is None or goal:
                 break
             deltas = open_list.expand(ps, g, ub, h_of)
             totals[:3] = [a + b for a, b in zip(totals, deltas)]
@@ -806,13 +809,36 @@ def _view(run) -> tuple:
             stats.max_queue)
 
 
+def _store_view(store) -> tuple:
+    """A canonical-key store: its rows in insertion order (payload, key
+    and the entry's hit count), its spill and its counters."""
+    rows = [(payload, key.n, key.h, key.full, hits)
+            for payload, key, hits in store._primary.values()]
+    spill = [(payload, key.n, key.h, key.full)
+             for payload, key in store._spill.items()]
+    return rows, spill, store.snapshot()
+
+
+def _tier_view(run) -> tuple:
+    """:func:`_view` plus the class tier: the run's memo lookups, its full
+    key computations, its U(2)-class tier and its memo."""
+    canon = run._ctx.canon_ctx
+    u2 = canon.u2_cache
+    return (_view(run), run.stats.canon_cache_hits,
+            run.stats.canon_cache_misses, canon.hits, canon.misses,
+            canon.full_computations,
+            (u2.hits, u2.misses, u2.evictions,
+             [(h, key.h, key.full) for h, key in u2.data.items()]),
+            _store_view(canon.memo))
+
+
 def _run_view(target: QState, config: SearchConfig, *, incumbent=None,
               heuristic=None, memory=None, slice_size: int = 1 << 20,
-              inject=None) -> tuple:
+              inject=None, view=_tier_view) -> tuple:
     run = AStarRun(target, config, heuristic=heuristic, memory=memory,
                    incumbent=incumbent)
     _drive(run, slice_size, inject)
-    return _view(run)
+    return view(run)
 
 
 def _both_ways(build) -> tuple:
@@ -826,8 +852,9 @@ def _both_ways(build) -> tuple:
 @needs_fastcore
 class TestNativeOpenList:
     """Whole A* runs on the native open list and on the Python twin:
-    statuses, costs and move lists, every counter and the exhaustion
-    bound are equal."""
+    statuses, costs and move lists, every counter, the exhaustion bound
+    and the class tier (the memo's entries, hit counts and counters, the
+    U(2)-class tier and the full key computations) are equal."""
 
     @pytest.mark.parametrize("weight", [1.0, 2.0])
     @pytest.mark.parametrize("kind", ["none", "int", "result"])
@@ -845,7 +872,7 @@ class TestNativeOpenList:
                 lambda: _run_view(target, config, incumbent=incumbent))
             assert native == pure
             if kind != "none":
-                assert native[5] > 0
+                assert native[0][5] > 0  # incumbent prunes
 
     @pytest.mark.parametrize("weight", [1.0, 2.0])
     def test_injected_between_slices(self, weight):
@@ -854,7 +881,7 @@ class TestNativeOpenList:
         native, pure = _both_ways(lambda: _run_view(
             target, config, slice_size=25, inject=9))
         assert native == pure
-        assert native[5] > 0
+        assert native[0][5] > 0  # incumbent prunes
 
     def test_line_topology_and_int_heuristic(self):
         """The coupling bound and a custom heuristic are called back on a
@@ -887,16 +914,17 @@ class TestNativeOpenList:
         views = [_both_ways(lambda: build(seed)) for seed in range(6)]
         for native, pure in views:
             assert native == pure
-        assert sum(native[6] for native, _ in views) > 0
+        assert sum(native[0][6] for native, _ in views) > 0  # bnb prunes
 
     def test_patched_hash_interns_each_popped_state_once(self, monkeypatch):
         """With ``state_hash64`` forced to a constant the exact-state tier
-        still keys by payload, so the run is the unpatched one, and every
-        popped child lands in the pool's one collision chain exactly
-        once."""
+        still keys by payload, so the run is the unpatched one, and the
+        pool holds the start and the expanded states, each exactly once,
+        in its one collision chain: a popped child its class prunes is
+        never interned."""
         target = _dense_state(np.random.default_rng(7), 4)
         config = SearchConfig(max_nodes=120)
-        reference = _run_view(target, config)
+        reference = _run_view(target, config, view=_view)
         monkeypatch.setattr(kernel, "state_hash64", lambda payload: 42)
         run = AStarRun(target, config)
         run.step(config.max_nodes)
@@ -908,8 +936,137 @@ class TestNativeOpenList:
         assert pool.hash_collisions == pool.interned - 1
         assert len(expanded) > 50
         assert all(any(s is c for c in chain) for s in expanded)
+        assert pool.interned == len(expanded) + 1
+        assert run.stats.nodes_pruned > pool.interned
         _drive(run)
         assert _view(run) == reference
+
+    @pytest.mark.parametrize("level", list(CanonLevel),
+                             ids=lambda lv: lv.name)
+    @pytest.mark.parametrize("cache_cap", [64, 1 << 16])
+    def test_class_tier_levels_detached(self, level, cache_cap):
+        """At every canonicalization level, a per-run memo that evicts
+        (and a U(2)-class tier that evicts) or holds every key."""
+        for seed in (0, 1):
+            target = _dense_state(np.random.default_rng(seed), 4)
+            config = SearchConfig(max_nodes=1_500, canon_level=level,
+                                  cache_cap=cache_cap)
+            native, pure = _both_ways(lambda: _run_view(target, config))
+            assert native == pure
+            store = native[-1][2]
+            assert (store["evictions"] > 0) == (cache_cap == 64)
+            if level is CanonLevel.PU2:
+                assert native[5] > 0  # full key computations
+                assert (native[6][2] > 0) == (cache_cap == 64)
+
+    @pytest.mark.parametrize("level", list(CanonLevel),
+                             ids=lambda lv: lv.name)
+    def test_attached_memory_warm_run(self, level):
+        """On an attached memory the store is the memory's canon_store: a
+        warm second run of the same search finds every key in it and
+        bumps the entries' hit counts the same way."""
+        target = _dense_state(np.random.default_rng(2), 4)
+        config = SearchConfig(max_nodes=800, canon_level=level)
+
+        def build():
+            memory = SearchMemory()
+            cold = _run_view(target, config, memory=memory)
+            warm = _run_view(target, config, memory=memory)
+            return cold, warm, _store_view(memory.canon_store)
+
+        native, pure = _both_ways(build)
+        assert native == pure
+        cold, warm, _ = native
+        assert cold[2] > 0 and warm[2] == 0  # canon_cache_misses
+        assert warm[1] == cold[1] + cold[2]
+        assert warm[0] == cold[0]
+
+    def test_attached_store_sweeps_mid_run(self):
+        """A canon store capped below one run's keys runs its hit-weighted
+        eviction sweep mid-run (through ``HashStore.put``)."""
+        target = _dense_state(np.random.default_rng(4), 4)
+        config = SearchConfig(max_nodes=1_500)
+
+        def build():
+            memory = SearchMemory(store_cap=96)
+            first = _run_view(target, config, memory=memory)
+            second = _run_view(target, config, memory=memory)
+            return first, second
+
+        native, pure = _both_ways(build)
+        assert native == pure
+        assert native[0][-1][2]["evictions"] > 0
+
+    def test_constant_hash_spills(self, monkeypatch):
+        """At ``CanonLevel.NONE`` a class key's hash is its state's, so with
+        ``state_hash64`` forced to a constant every key collides: best_g
+        and the memo serve all but one class from their spills, and the
+        run is the unpatched one."""
+        target = _dense_state(np.random.default_rng(5), 4)
+        config = SearchConfig(max_nodes=300, canon_level=CanonLevel.NONE)
+        reference = _run_view(target, config, view=_view)
+        maps: list = []
+
+        class RecordedMap(HashKeyedMap):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                maps.append(self)
+
+        monkeypatch.setattr(kernel, "HashKeyedMap", RecordedMap)
+        monkeypatch.setattr(astar, "HashKeyedMap", RecordedMap)
+        monkeypatch.setattr(kernel, "state_hash64", lambda payload: 42)
+
+        def build():
+            view = _run_view(target, config)
+            best_g = maps[-1]
+            return view, len(best_g), best_g.collisions
+
+        native, pure = _both_ways(build)
+        assert native == pure
+        view, classes, collisions = native
+        assert view[0] == reference
+        assert collisions == classes - 1 > 50
+        rows, spill, counters = view[-1]
+        assert len(rows) == 1 and len(spill) > 50
+        assert counters["collisions"] == len(spill)
+
+    @pytest.mark.parametrize("level", [CanonLevel.U2, CanonLevel.PU2],
+                             ids=lambda lv: lv.name)
+    def test_line_topology_class_tier(self, level):
+        """On a line the PU2 key ranges over the coupling automorphisms
+        and the coupling bound is called back; the class tier is the
+        twin's, detached and on a memory."""
+        target = _dense_state(np.random.default_rng(6), 4)
+        config = SearchConfig(max_nodes=1_000, canon_level=level,
+                              topology=CouplingMap.line(4), cache_cap=128)
+        native, pure = _both_ways(lambda: _run_view(target, config))
+        assert native == pure
+        native, pure = _both_ways(lambda: _run_view(
+            target, config, memory=SearchMemory()))
+        assert native == pure
+
+    def test_profile_keeps_counts_and_phases(self):
+        """Under ``profile=True`` the run counts the same, and A* books its
+        four phases, and the pop's orbit hashing under ``hashing``."""
+        target = _dense_state(np.random.default_rng(8), 4)
+        plain = SearchConfig(max_nodes=600)
+        timed = SearchConfig(max_nodes=600, profile=True)
+
+        def build():
+            run = AStarRun(target, timed)
+            _drive(run)
+            return _tier_view(run), dict(run.stats.phase_seconds)
+
+        reference = _run_view(target, plain)
+        (native, nphases), (pure, pphases) = _both_ways(build)
+        assert native == pure == reference
+        for phases in (nphases, pphases):
+            assert {"enumeration", "canonicalization", "heuristic",
+                    "containers", "hashing"} <= set(phases)
+            assert phases["canonicalization"] > 0
+            assert 0 < phases["hashing"] <= phases["canonicalization"]
 
     def test_cancel_releases_every_state(self):
         """A run cancelled mid-search holds no state once its memory's
@@ -1093,13 +1250,15 @@ class TestCyclicCollectorUntracking:
 
     def test_rotated_pool_frees_its_states(self):
         """Untracked states are still freed: once the memory rotates its
-        pool, nothing keeps the first search's states alive."""
+        pool, nothing keeps the first search's states alive.  (With the
+        extension the pool holds the expanded states and the goal: W_5
+        expands about 200.)"""
         memory = SearchMemory(pool_rotate_cap=1)
-        result = astar_search(w_state(4), SearchConfig(max_nodes=2_000),
+        result = astar_search(w_state(5), SearchConfig(max_nodes=2_000),
                               memory=memory)
         assert result.optimal
         first_pool = memory.pool
-        start = first_pool.from_qstate(w_state(4))
+        start = first_pool.from_qstate(w_state(5))
         refs = [weakref.ref(s.idx) for entry in first_pool._table.values()
                 for s in (entry if isinstance(entry, list) else [entry])
                 if s is not start]
