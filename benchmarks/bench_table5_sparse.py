@@ -16,7 +16,6 @@ from repro.baselines.hybrid import hybrid_cnot_count
 from repro.baselines.mflow import mflow_cnot_count
 from repro.baselines.nflow import nflow_cnot_count
 from repro.core.astar import SearchConfig
-from repro.core.beam import BeamConfig
 from repro.core.exact import ExactConfig
 from repro.qsp.config import QSPConfig
 from repro.qsp.workflow import prepare_state
@@ -38,7 +37,6 @@ def _bench_config() -> QSPConfig:
     return QSPConfig(
         exact=ExactConfig(
             search=SearchConfig(max_nodes=25_000, time_limit=10.0),
-            beam=BeamConfig(width=96, time_limit=6.0),
             verify=False),
         verify_max_qubits=8)
 

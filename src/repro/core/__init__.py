@@ -4,7 +4,8 @@ Moves (:mod:`repro.core.moves`, :mod:`repro.core.transitions`) define the
 state transition graph; :mod:`repro.core.canonical` compresses it;
 :mod:`repro.core.kernel` is the packed-array engine the hot loops run on;
 :mod:`repro.core.astar` solves it optimally; :mod:`repro.core.beam` provides
-the anytime fallback; :class:`ExactSynthesizer` is the public entry point.
+the anytime fallback when A* runs out of budget with no circuit in hand;
+:class:`ExactSynthesizer` is the public entry point.
 """
 
 from repro.core.astar import (

@@ -173,6 +173,12 @@ class AStarRun(EngineRun):
                 self._ub = incumbent.cnot_cost
                 self._incumbent_result = incumbent
 
+    def best_feasible(self) -> SearchResult | None:
+        """The result, else the result incumbent the run was built with."""
+        if self._result is not None:
+            return self._result
+        return self._incumbent_result
+
     def _main(self):
         ctx = self._ctx
         config = self.config

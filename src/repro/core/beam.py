@@ -111,8 +111,8 @@ class BeamRun(EngineRun):
     engine = "beam"
 
     def __init__(self, target: QState, config: BeamConfig | None = None,
-                 heuristic: HeuristicFn | None = None, memory=None,
-                 incumbent=None, *, search: SearchConfig | None = None):
+                 heuristic: HeuristicFn | None = None, memory=None, *,
+                 search: SearchConfig | None = None):
         config = config or BeamConfig()
         search = search or SearchConfig()
         self.config = config
@@ -127,9 +127,6 @@ class BeamRun(EngineRun):
         self._seen_g = BoundedCache(search.cache_cap)
         self._beam: list[_Node] = [_Node(state=ctx.start, g=0, path=())]
         super().__init__(ctx)
-        if incumbent is not None:
-            self.inject_incumbent(incumbent if isinstance(incumbent, int)
-                                  else incumbent.cnot_cost)
 
     def best_feasible(self) -> SearchResult | None:
         """Best circuit found so far — readable *while running* (anytime)."""
@@ -261,9 +258,9 @@ class BeamRun(EngineRun):
                     # before this expansion — so hoist it out of the
                     # successor loop
                     cost_limit = self._cost_limit()
-                    # only a bound (passed in or injected) prunes on
-                    # g + h; an unbounded beam keeps its g-only prune and
-                    # pays h only for the children deduplication keeps
+                    # only an injected bound prunes on g + h; an
+                    # unbounded beam keeps its g-only prune and pays h
+                    # only for the children deduplication keeps
                     bounded = self._ub is not None
                     if profile:
                         te = perf_counter()

@@ -498,7 +498,8 @@ class StepwiseRun:
 
         Terminal ``SOLVED`` runs report their result; anytime runs
         (beam, workflow) override this to expose intermediate incumbents
-        while still ``RUNNING`` so a scheduler can share them immediately.
+        while still ``RUNNING`` so a scheduler can share them immediately,
+        and an A* run built with a result incumbent reports that circuit.
         """
         return self._result
 

@@ -1,12 +1,13 @@
 """Public facade of the exact CNOT synthesis engine.
 
 :meth:`ExactSynthesizer.runs` is the exact-core sequence every path of
-the Fig.-5 workflow ends in: A* (optimal within budget), the beam search
-fallback when A* exhausts its budget (anytime, never fails), and
-verification by simulation when the register is small enough.  It hands
-each engine run to its caller: :meth:`ExactSynthesizer.synthesize` drives
-the runs to completion, :class:`repro.qsp.workflow.WorkflowRun` one
-expansion at a time, with identical results.
+the Fig.-5 workflow ends in: A* (optimal within budget); when A* exhausts
+its budget, the incumbent it was bounded by, else the beam search
+fallback (anytime, never fails); and verification by simulation when the
+register is small enough.  It hands each engine run to its caller:
+:meth:`ExactSynthesizer.synthesize` drives the runs to completion,
+:class:`repro.qsp.workflow.WorkflowRun` one expansion at a time, with
+identical results.
 
 Example
 -------
@@ -37,10 +38,11 @@ class ExactConfig:
     """Configuration of the synthesis facade.
 
     ``search`` configures the optimal A* engine; when it exhausts its
-    budget, the beam engine supplies a feasible, non-optimal circuit
-    (:func:`~repro.core.astar.astar_search` raises).  The beam searches
-    the regime of ``search`` (move set, canonicalization, topology);
-    ``beam`` sets only its width, weight, depth and time limit.
+    budget with no incumbent, the beam engine supplies a feasible,
+    non-optimal circuit (:func:`~repro.core.astar.astar_search` raises).
+    The beam searches the regime of ``search`` (move set,
+    canonicalization, topology); ``beam`` sets only its width, weight,
+    depth and time limit.
     """
 
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -58,41 +60,39 @@ class ExactSynthesizer:
              incumbent: SearchResult | None = None):
         """The exact-core sequence, as a generator of engine runs.
 
-        Yields the A* run and, if it exhausts its budget, the beam run;
-        the caller drives each to a terminal status before resuming.
-        Returns the verified result (beam answers ``optimal=False``), or
-        ``None`` when an injected incumbent proved the space (``PROVEN``).
+        Yields the A* run and, if it exhausts its budget with no
+        incumbent, the beam run; the caller drives each to a terminal
+        status before resuming.  Returns the verified result (a beam
+        answer reads ``optimal=False``), or ``None`` when an injected
+        bound proved the space (``PROVEN``).
 
-        ``incumbent`` is a circuit already in hand for ``state``: both
-        runs then search only for what can beat it.  A* prunes every node
-        whose ``g + h`` reaches its cost and, when nothing cheaper exists,
-        returns the incumbent itself, proven optimal; the beam prunes
-        likewise.  A beam answer may still cost more than the incumbent,
-        and a beam that finds no circuit leaves the incumbent as the
-        answer (``optimal=False``).
+        ``incumbent`` is a circuit already in hand for ``state``: A* then
+        prunes every node whose ``g + h`` reaches its cost.  When nothing
+        cheaper exists, A* returns the incumbent itself, proven optimal;
+        when A* exhausts its budget first, the incumbent is returned with
+        ``optimal=False`` and the A* run's stats, and no beam runs.
         """
         search = self.config.search
         if topology is not None:
             search = replace(search, topology=topology)
         run = AStarRun(state, search, memory=memory, incumbent=incumbent)
         yield run
-        fallback = run.status is RunStatus.EXHAUSTED and \
+        budget_bound = run.status is RunStatus.EXHAUSTED and \
             isinstance(run.error, SearchBudgetExceeded)
-        if fallback:
+        if budget_bound and incumbent is None:
             run = BeamRun(state, self.config.beam, memory=memory,
-                          incumbent=incumbent, search=search)
+                          search=search)
             yield run
         if run.status is RunStatus.PROVEN:
             return None
         if run.status is RunStatus.SOLVED:
             result = run.result()
-        elif fallback and incumbent is not None:
-            # the bounded beam found no circuit at all (a merge cap can
-            # rule out its completions): the incumbent stands
-            result = incumbent
+        elif budget_bound and incumbent is not None:
+            # the budget ran out before A* beat the circuit in hand
+            result = replace(incumbent, stats=run.stats)
         else:
             raise run.error
-        if fallback:
+        if budget_bound:
             result = replace(result, optimal=False)
         if self.config.verify and state.num_qubits <= _VERIFY_MAX_QUBITS:
             from repro.sim.verify import assert_prepares

@@ -17,7 +17,9 @@ def default_exact_config() -> ExactConfig:
 
     The workflow only hands the engine entangled cores with ``n <= 4`` and
     ``m <= 16`` (the paper's activation thresholds), so a modest budget
-    suffices; the beam fallback guarantees progress regardless.
+    suffices: each core is searched under its n-flow or reduction-only
+    circuit, which is served when the budget runs out.  The beam budget
+    serves the topology-native stage only, whose search has no baseline.
 
     The node budget, not the wall-clock limit, is what bounds memory: an
     unsolvable dense ``n = 4`` core keeps up to about 40 KB of frontier

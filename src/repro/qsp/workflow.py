@@ -10,14 +10,14 @@ Given a target with ``n`` qubits and cardinality ``m``:
   core.
 
 Every path ends in the exact-core sequence of
-:meth:`repro.core.exact.ExactSynthesizer.runs` — budgeted A*, then beam
-search as the anytime fallback — unless ``use_exact`` is off (the
-ablation mode), and the assembled full-register circuit is verified by
-simulation for small ``n``.  The cheaper of the core's n-flow and
-reduction-only circuits is built first and bounds that search, which
-then looks only for what can beat it.  When A* proves nothing cheaper
-exists, or the anytime fallback does not beat it, that baseline is
-served, and the trace line names it (next to the fallback's own cost).
+:meth:`repro.core.exact.ExactSynthesizer.runs` — budgeted A* — unless
+``use_exact`` is off (the ablation mode), and the assembled full-register
+circuit is verified by simulation for small ``n``.  The cheaper of the
+core's n-flow and reduction-only circuits is built first and bounds that
+search, which then looks only for what can beat it.  When A* proves
+nothing cheaper exists, or exhausts its budget first, that baseline is
+served, and the trace line names it.  Only the topology-native stage,
+which has no baseline, falls back to the beam search.
 
 :class:`WorkflowRun` subclasses :class:`repro.core.engine.StepwiseRun`, so
 a ``prepare`` request can be time-sliced by the request scheduler exactly
@@ -99,9 +99,10 @@ class WorkflowRun(StepwiseRun):
 
     ``flush_feasible()`` (deadline expiry / drain) returns the best
     verified circuit obtainable *now*: the best fully-assembled candidate
-    so far, the active engine's anytime flush completed through the
-    stage's assembly, the active core's baseline circuit assembled, or —
-    last resort — the plain m-flow circuit on the full register.
+    so far, the active engine's anytime flush (for A*, the core's
+    baseline circuit it is bounded by) completed through the stage's
+    assembly, or — last resort — the plain m-flow circuit on the full
+    register.
     Topology-native runs skip the reduction fallbacks (their moves are
     not native) and may flush nothing, mirroring the one-shot contract.
 
@@ -129,7 +130,6 @@ class WorkflowRun(StepwiseRun):
         self._active: StepwiseRun | None = None
         self._active_prefix = 0
         self._active_assemble = None
-        self._active_fallback = None
         #: best candidate so far as (CNOT cost, exact_optimal, builder of
         #: its full-register circuit): a deadline flush assembles it on
         #: demand, so losing candidates are never assembled
@@ -163,8 +163,6 @@ class WorkflowRun(StepwiseRun):
                 if feasible is not None:
                     candidates.append(
                         (self._active_assemble(feasible.circuit), None))
-            if self._active_fallback is not None:
-                candidates.append((self._active_fallback(), None))
         if not candidates and not self._native:
             # nothing reached the exact stage yet: the baseline m-flow
             # circuit on the full register is always feasible
@@ -248,13 +246,12 @@ class WorkflowRun(StepwiseRun):
             self.stats.merge(replace(run.stats, nodes_expanded=0))
 
     def _exact(self, state: QState, topology=None, prefix_cost: int = 0,
-               assemble=None, fallback=None, incumbent=None):
+               assemble=None, incumbent=None):
         """:meth:`~repro.core.exact.ExactSynthesizer.runs`, each run
         driven by :meth:`_drive` in the stage context that incumbents
         and deadline flushes need."""
         self._active_prefix = prefix_cost
         self._active_assemble = assemble
-        self._active_fallback = fallback
         runs = ExactSynthesizer(self.config.exact).runs(
             state, memory=self.memory, topology=topology,
             incumbent=incumbent)
@@ -301,23 +298,15 @@ class WorkflowRun(StepwiseRun):
                     key=lambda item: item[1].cnot_cost())
                 result = yield from self._exact(
                     core, prefix_cost=prefix_cost, assemble=assemble,
-                    fallback=partial(assemble, baseline),
                     incumbent=SearchResult(
                         circuit=baseline, cnot_cost=baseline.cnot_cost(),
                         optimal=False))
                 if result is None:
                     return None
                 best_circuit, optimal = result.circuit, result.optimal
-                source = ""
-                if best_circuit is baseline:
-                    # A* proved nothing cheaper exists, or the beam
-                    # found no circuit at all
-                    source = f", {label}"
-                elif baseline.cnot_cost() < result.cnot_cost:
-                    # the anytime engine did not beat it: serve it, and
-                    # name it next to the search's own cost
-                    best_circuit = baseline
-                    source = f", {label}; search {result.cnot_cost}"
+                # A* proved nothing cheaper exists, or ran out of budget
+                # before it found anything cheaper
+                source = f", {label}" if best_circuit is baseline else ""
                 line = (f"exact: {best_circuit.cnot_cost()} CNOTs "
                         f"(optimal={optimal}{source})")
                 self._core_cache[key] = (best_circuit, optimal, line)

@@ -181,7 +181,8 @@ class TestBoundedBeam:
         (random_dense_state(4, seed=1), 32)])
     def test_bound_prunes_before_canonicalizing(self, state, width):
         bound = nflow_synthesize(state, prune=True).cnot_cost()
-        run = BeamRun(state, BeamConfig(width=width), incumbent=bound)
+        run = BeamRun(state, BeamConfig(width=width))
+        run.inject_incumbent(bound)
         ctx = run._ctx
         keyed: list = []
         key = ctx.canon
@@ -203,7 +204,7 @@ class TestBoundedBeam:
                 break
             parent = run._gen.gi_frame.f_locals["node"]
         assert checked == ctx.canon_ctx.hits + ctx.canon_ctx.misses - 1 > 0
-        # served as the workflow serves it (the cheaper of the answer and
+        # served as a portfolio serves it (the cheaper of the answer and
         # the bound's circuit), the bounded beam never loses
         bounded = run.result()
         free = beam_search(state, BeamConfig(width=width))

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.baselines.mflow as mflow_module
+import repro.core.exact as exact_module
 import repro.qsp.reduction as reduction_module
 import repro.qsp.workflow as workflow_module
 
@@ -17,7 +17,6 @@ from repro.baselines.mflow import mflow_cnot_count
 from repro.baselines.nflow import nflow_cnot_count
 from repro.circuits.circuit import QCircuit
 from repro.core.astar import SearchConfig
-from repro.core.beam import BeamConfig
 from repro.core.engine import RunStatus
 from repro.core.exact import ExactConfig, ExactSynthesizer
 from repro.exceptions import SynthesisError
@@ -262,8 +261,9 @@ class TestWorkflowRun:
 
 class TestExactCoreLine:
     """The workflow and :class:`ExactSynthesizer` share one exact-core
-    sequence (A* to budget, then beam): driven to completion or one
-    expansion at a time, it gives the same answer."""
+    sequence (A* to budget, then the incumbent or, with none, the beam):
+    driven to completion or one expansion at a time, it gives the same
+    answer."""
 
     @staticmethod
     def _stepwise(state, exact, topology=None):
@@ -298,21 +298,25 @@ class TestExactCoreLine:
         except StopIteration as done:
             return done.value
 
-    @pytest.mark.parametrize("state,exact,topology,optimal", [
-        (dicke_state(4, 2), ExactConfig(verify=False), None, True),
+    @pytest.mark.parametrize("state,exact,topology,optimal,cost", [
+        (dicke_state(4, 2), ExactConfig(verify=False), None, True, 6),
+        # A* runs out of budget: reduction-only's circuit is served
         (w_state(4), ExactConfig(search=SearchConfig(max_nodes=3),
-                                 beam=BeamConfig(width=32), verify=False),
-         None, False),
+                                 verify=False), None, False, 9),
         (ghz_state(4), ExactConfig(verify=False), CouplingMap.line(4),
-         True),
-    ], ids=["astar", "beam-fallback", "native"])
+         True, 3),
+        # no baseline on a device: the beam answers
+        (w_state(4), ExactConfig(search=SearchConfig(max_nodes=1),
+                                 verify=False), CouplingMap.line(4),
+         False, 7),
+    ], ids=["astar", "budget-bound", "native", "native-beam"])
     def test_one_shot_equals_stepwise(self, state, exact, topology,
-                                      optimal):
+                                      optimal, cost):
         [(stepped, incumbent)] = self._stepwise(state, exact, topology)
         target = state if topology is not None else extract_core(state).core
         one_shot = self._one_shot(target, exact, topology, incumbent)
         assert one_shot.optimal is stepped.optimal is optimal
-        assert one_shot.cnot_cost == stepped.cnot_cost
+        assert one_shot.cnot_cost == stepped.cnot_cost == cost
         assert [repr(g) for g in one_shot.circuit.gates] == \
             [repr(g) for g in stepped.circuit.gates]
         assert one_shot.stats.nodes_expanded == \
@@ -333,35 +337,20 @@ class TestExactCoreLine:
         assert result.trace[-1] == "verified by simulation"
         assert prepares_state(result.circuit, state)
 
-    def test_beam_without_a_circuit_leaves_the_baseline(self):
-        """Under a merge cap the bounded beam can end without any
-        circuit; the core's baseline then stands, as before the bound."""
+    def test_exhausted_core_serves_its_baseline(self, monkeypatch):
+        """A* runs out of budget on the core before anything beats its
+        baseline: the baseline is served, and no beam is built."""
+        def no_beam(*args, **kwargs):
+            raise AssertionError("a core with a baseline built a beam")
+
+        monkeypatch.setattr(exact_module, "BeamRun", no_beam)
         state = random_dense_state(5, seed=1)
         config = QSPConfig(exact=ExactConfig(search=SearchConfig(
-            max_nodes=300, max_merge_controls=1)))
+            max_nodes=300)))
         result = prepare_state(state, config)
         [line] = [t for t in result.trace if t.startswith("exact:")]
         assert line == "exact: 14 CNOTs (optimal=False, n-flow)"
         assert result.cnot_cost == 30
-        assert prepares_state(result.circuit, state)
-
-    def test_trace_names_the_circuit_served_over_the_search(self):
-        """A non-optimal search that loses to n-flow (or reduction-only)
-        on its core: the cheaper circuit is served and the trace says
-        so, next to the search's own cost."""
-        state = random_dense_state(4, seed=0)
-        config = QSPConfig(exact=ExactConfig(
-            search=SearchConfig(max_nodes=1), beam=BeamConfig(width=1),
-            verify=False))
-        result = prepare_state(state, config)
-        [line] = [t for t in result.trace if t.startswith("exact:")]
-        match = re.fullmatch(r"exact: (\d+) CNOTs \(optimal=False, "
-                             r"(n-flow|reduction-only); search (\d+)\)",
-                             line)
-        assert match, line
-        served, searched = int(match.group(1)), int(match.group(3))
-        assert served < searched
-        assert result.cnot_cost == served  # the core is the full register
         assert prepares_state(result.circuit, state)
 
 
